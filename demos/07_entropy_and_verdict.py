@@ -47,7 +47,7 @@ print(f"  Mane bounds: H(Q_q) = {mane['hq_lhs']:.3f} <= "
       f"{mane['hq_rhs']:.3f}; branch-size margin "
       f"{mane['branch_size_margin']:.2e}")
 s = sel.indices[0]
-grep = gibbs_check(g, float(pool.seeds[s]), pool.times[s], q=4, eps=2e-4,
+grep = gibbs_check(g, float(pool.seeds[s]), pool.time_list(s), q=4, eps=2e-4,
                    n=n, M=3, m=1, beta=0.1, b=b, p=p, n_samples=4000,
                    rng=np.random.default_rng(5), atom_checks=False)
 print(f"  Gibbs cylinder bound: Leb-hat {grep['leb_hat']:.2e} "

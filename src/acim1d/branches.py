@@ -14,7 +14,6 @@ convention after reduction mod 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .maps import critical_set, estimate_norms
 
 __all__ = [
     "Branch", "BranchPartition", "monotone_branches",
-    "count_branches_with_min_slope", "refine_branches", "branch_lengths",
+    "count_branches_with_min_slope", "refine_branches",
 ]
 
 
@@ -72,26 +71,26 @@ class BranchPartition:
         return -1
 
     def locate_many(self, xs):
-        """Vectorized branch membership via sorted left endpoints."""
+        """Vectorized locate: the candidate branch is the one with the last
+        left endpoint <= x, tested with the arithmetic of Branch.contains."""
         xs = np.asarray(xs, dtype=float)
+        if not self.branches:
+            return np.full(xs.shape, -1, dtype=int)
         if self.is_circle:
             xs = xs % 1.0
         lefts = np.array([br.a for br in self.branches])
+        lengths = np.array([br.length for br in self.branches])
         order = np.argsort(lefts)
-        lefts_sorted = lefts[order]
-        idx = np.searchsorted(lefts_sorted, xs, side="right") - 1
+        idx = np.searchsorted(lefts[order], xs, side="right") - 1
         if self.is_circle:
             idx = np.where(idx < 0, len(self.branches) - 1, idx)
-        out = np.full(xs.shape, -1, dtype=int)
-        for j, i in enumerate(np.atleast_1d(idx)):
-            if i < 0:
-                continue
-            br = self.branches[order[i]]
-            xv = np.atleast_1d(xs)[j]
-            if br.contains(xv, self.is_circle) or (
-                    self.is_circle and br.contains(xv + 1.0, self.is_circle)):
-                np.atleast_1d(out)[j] = order[i]
-        return out
+        cand = order[np.maximum(idx, 0)]
+        a, span = lefts[cand], lengths[cand]
+        if self.is_circle:
+            inside = ((xs - a) % 1.0 < span) | ((xs + 1.0 - a) % 1.0 < span)
+        else:
+            inside = (a <= xs) & (xs < a + span)
+        return np.where((idx >= 0) & inside, cand, -1)
 
     def to_rows(self):
         """CSV rows (map, index, a, b, sign, sup_slope)."""
@@ -324,6 +323,3 @@ def refine_branches(g, n, tol=1e-12, grid_size=8192):
         flat_pieces=base.flat_pieces,
     )
 
-
-def branch_lengths(partition):
-    return np.array([br.length for br in partition.branches])

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .branches import count_branches_with_min_slope, monotone_branches
-from .config import ExperimentConfig, load_config
+from .branches import monotone_branches
+from .config import load_config
 from .entropy import (
     entropy_formula_residual, gibbs_check, verify_mane_bounds,
     verify_misiurewicz,
@@ -33,18 +33,18 @@ from .entropy import (
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, TreeBudgetExceeded,
 )
-from .maps import estimate_norms, make_map, power_map
+from .maps import (
+    critical_set, estimate_norms, lyapunov_ft, make_map, orbit_grid, power_map,
+)
 from .measures import (
     build_seed_pool, compare_density, density_estimate, empirical_measure,
     invariance_defect, positive_exponent_proxy, ref_logistic_acip,
     ref_uniform, select_An, support_gap_from_critical,
 )
-from .maps import critical_set
 from .probes import probe_functions
 from .reparam import affine_reparam, choose_epsilon
-from .times import density as time_density
-from .times import trim, verify_enm
-from .tree import ReparamTree, distortion_suite, verify_tree
+from .times import density_rows, trim, trim_mask, verify_enm
+from .tree import ReparamTree, distortion_suite
 
 __all__ = ["main", "run_pipeline", "bound_calculator", "bound_analytic",
            "bound_smooth", "basin_probe", "compute_verdict",
@@ -120,16 +120,8 @@ class PipelineState:
         seq = np.random.SeedSequence(cfg.rng_seed)
         (self.seq_pool, self.seq_offset, self.seq_gibbs, self.seq_probe,
          self.seq_misc) = seq.spawn(5)
-        self.f = None
-        self.g = None
-        self.p = None
-        self.norms_f = None
-        self.norms_g = None
-        self.eps = None
-        self.tree = None
-        self.pool = None
-        self.selection = None
-        self.mu = None
+        self.f = self.g = self.p = self.norms_f = self.norms_g = None
+        self.eps = self.tree = self.pool = self.selection = self.mu = None
         self.checks = []
 
     def check(self, name, instance, lhs, rhs, margin, ok, ci=(float("nan"),) * 2):
@@ -159,7 +151,6 @@ def stage_map(st):
     rows.append(("g", "R_estimate", st.norms_g.R_estimate, st.norms_g.n_used))
     rows.append(("run", "p", st.p, ""))
     rng = np.random.default_rng(st.seq_misc)
-    from .maps import lyapunov_ft
     lyap = float(np.mean([lyapunov_ft(st.f, x, 1000)
                           for x in rng.uniform(0.02, 0.98, 5)]))
     st.lyapunov = lyap
@@ -214,38 +205,33 @@ def stage_times(st):
         rate = st.pool.provenance["tree_agreement_rate"]
         st.check("detector_agreement", "tree_vs_surrogate", rate,
                  float("nan"), float("nan"), True)
-    rows = [(float(st.pool.seeds[s]),
-             ";".join(str(t) for t in st.pool.times[s]))
-            for s in range(st.pool.n_seeds)]
-    _write_csv(st.out / "times.csv", ("x", "times"), rows)
+    _write_csv(st.out / "times.csv", ("x", "times"),
+               [(float(x), ";".join(map(str, st.pool.time_list(s))))
+                for s, x in enumerate(st.pool.seeds)])
 
+    E = st.pool.time_mask
     M_fin, m_fin = max(cfg.M_list), min(cfg.m_list)
-    dens_rows = []
-    for n in range(1, n_max + 1):
-        raw = float(np.mean([time_density(E, n) for E in st.pool.times]))
-        trimmed = float(np.mean([len(trim(E, n, M_fin, m_fin)) / n
-                                 for E in st.pool.times]))
-        dens_rows.append((n, raw, trimmed))
     _write_csv(st.out / "density.csv", ("n", "d_n_raw", "d_n_trimmed"),
-               dens_rows)
+               [(n, float(np.mean(density_rows(E, n))), float(np.mean(
+                   density_rows(trim_mask(E, n, M_fin, m_fin), n))))
+                for n in range(1, n_max + 1)])
     return st
 
 
 def stage_measure(st):
     cfg = st.cfg
     n_fin = max(cfg.n_list)
-    b = st.norms_f.R_estimate / cfg.r + cfg.delta
-    st.b = b
+    st.b = b = st.norms_f.R_estimate / cfg.r + cfg.delta
     st.selection = select_An(st.pool, n_fin, cfg.beta, b, st.p)
 
     # beta_nMm over the (n, M, m) grid: the plateau at the largest (n, M)
     # and smallest m is the beta_inf estimate
+    E = st.pool.time_mask[st.selection.indices]
     betas = {}
     for n in cfg.n_list:
         for M in cfg.M_list:
             for m in cfg.m_list:
-                counts = [len(trim(st.pool.times[s], n, M, m))
-                          for s in st.selection.indices]
+                counts = np.count_nonzero(trim_mask(E, n, M, m), axis=1)
                 betas[(n, M, m)] = float(np.mean(counts)) / n
     st.beta_inf = betas[(n_fin, max(cfg.M_list), min(cfg.m_list))]
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
@@ -280,7 +266,7 @@ def stage_measure(st):
         st.check("deriv_floor", f"M={max(cfg.M_list)}",
                  gap["deriv_floor_margin"], 0.0, gap["deriv_floor_margin"],
                  gap["deriv_floor_ok"])
-    proxy = positive_exponent_proxy(st.mu)
+    proxy = st.exponent_proxy = positive_exponent_proxy(st.mu)
     st.check("exponent_proxy", "later_time_expansion", proxy, 0.95,
              proxy - 0.95, proxy >= 0.95)
 
@@ -309,7 +295,7 @@ def _run_gibbs_checks(st):
 
     def one(s):
         return gibbs_check(
-            st.g, float(st.pool.seeds[s]), st.pool.times[s],
+            st.g, float(st.pool.seeds[s]), st.pool.time_list(s),
             q=max(cfg.q_list), eps=st.eps, n=n_fin, M=max(cfg.M_list),
             m=min(cfg.m_list), beta=cfg.beta, b=st.b, p=st.p, bp=st.bp,
             n_samples=cfg.gibbs_samples,
@@ -328,19 +314,15 @@ def stage_entropy(st):
     rep = entropy_formula_residual(
         st.f, st.mu, cfg.q_list, cfg.entropy_m, p=st.p,
         tol=cfg.tol_residual, rng=np.random.default_rng(st.seq_offset),
-        bp=st.bp)
+        bp=st.bp, exponent_proxy=st.exponent_proxy)
     st.entropy_rep = rep
     rows = []
     for q, tab in rep["tables"].items():
         for m, H in zip(tab["m"], tab["H"]):
             rows.append(("H", q, m, H))
         rows.append(("slope", q, "", rep["slopes"][q]))
-    rows.append(("summary", "h_g_est", "", rep["h_g_est"]))
-    rows.append(("summary", "int_phi_g", "", rep["int_phi_g"]))
-    rows.append(("summary", "h_f_est", "", rep["h_f_est"]))
-    rows.append(("summary", "int_phi_f", "", rep["int_phi_f"]))
-    rows.append(("summary", "residual_f", "", rep["residual_f"]))
-    rows.append(("summary", "tol", "", rep["tol"]))
+    rows += [("summary", key, "", rep[key]) for key in (
+        "h_g_est", "int_phi_g", "h_f_est", "int_phi_f", "residual_f", "tol")]
     rows.append(("summary", "residual_ok", "",
                  int(abs(rep["residual_f"]) <= rep["tol"])))
     rows.append(("summary", "exponent_ok", "", int(rep["exponent_positive"])))
@@ -361,7 +343,8 @@ def compute_verdict(entropy_csv, checks_csv):
     """Pure decision rule over the two emitted files.
 
     AC-consistent iff the entropy summary has residual_ok and
-    exponent_ok, and every invariance/Mane check row passed.
+    exponent_ok, and the invariance/Mane check rows are all present and
+    all passed.
     """
     residual_ok = exponent_ok = False
     with open(entropy_csv) as fh:
@@ -371,20 +354,24 @@ def compute_verdict(entropy_csv, checks_csv):
             if row["kind"] == "summary" and row["q"] == "exponent_ok":
                 exponent_ok = row["value"] == "1"
     required = {"invariance_defect", "mane_sete", "mane_hq"}
-    req_ok = True
     with open(checks_csv) as fh:
-        for row in csv.DictReader(fh):
-            if row["check_name"] in required and row["pass"] != "1":
-                req_ok = False
+        rows = [(row["check_name"], row["pass"] == "1")
+                for row in csv.DictReader(fh) if row["check_name"] in required]
+    req_ok = all(ok for _, ok in rows) and {r[0] for r in rows} == required
     return "AC-consistent" if (residual_ok and exponent_ok and req_ok) \
         else "not-AC"
+
+
+def _stages():
+    """Stages in order, looked up at call time; a subcommand runs a prefix."""
+    return (stage_map, stage_branches, stage_tree, stage_times,
+            stage_measure, stage_entropy, stage_checks)
 
 
 def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=None):
     """All stages in order; returns the final state."""
     st = PipelineState(cfg, out_dir, rng_seed, jobs)
-    for stage in (stage_map, stage_branches, stage_tree, stage_times,
-                  stage_measure, stage_entropy, stage_checks):
+    for stage in _stages():
         stage(st)
     return st
 
@@ -403,8 +390,6 @@ def basin_probe(st, n_probe=10 ** 4, n_seeds=100, tolerance=0.05):
     Binary-shift maps (doubling) lose a mantissa bit per step, so keep
     n_probe below ~45 there or read the caveat in the ledger.
     """
-    from .maps import orbit_grid
-
     cfg = st.cfg
     rng = np.random.default_rng(st.seq_probe)
     seeds = rng.uniform(0.0, 1.0, n_seeds)
@@ -536,18 +521,8 @@ def _build_parser():
     return ap
 
 
-_STAGE_CHAINS = {
-    "norms": (stage_map,),
-    "branches": (stage_map, stage_branches),
-    "tree": (stage_map, stage_branches, stage_tree),
-    "times": (stage_map, stage_branches, stage_tree, stage_times),
-    "measure": (stage_map, stage_branches, stage_tree, stage_times,
-                stage_measure),
-    "entropy": (stage_map, stage_branches, stage_tree, stage_times,
-                stage_measure, stage_entropy, stage_checks),
-    "pipeline": (stage_map, stage_branches, stage_tree, stage_times,
-                 stage_measure, stage_entropy, stage_checks),
-}
+_STAGE_PREFIX = {"norms": 1, "branches": 2, "tree": 3, "times": 4,
+                 "measure": 5, "entropy": 7, "pipeline": 7}
 
 
 def main(argv=None):
@@ -578,7 +553,7 @@ def main(argv=None):
             raise ConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config)
         st = PipelineState(cfg, args.out, args.rng_seed, args.jobs)
-        for stage in _STAGE_CHAINS[args.command]:
+        for stage in _stages()[:_STAGE_PREFIX[args.command]]:
             stage(st)
         if args.command in ("pipeline", "entropy"):
             verdict = (st.out / "verdict.txt").read_text().strip()

@@ -98,8 +98,6 @@ def load_config(path):
             if key in _MAP_PARAM_KEYS:
                 params[key] = msec[key] if key in ("expression", "domain") \
                     else float(msec[key])
-        if "d" in params:
-            params["d"] = params["d"]
         p_raw = rsec.get("p", "auto").strip()
         cfg = ExperimentConfig(
             preset=msec.get("preset", "doubling"),

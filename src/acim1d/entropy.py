@@ -32,7 +32,10 @@ from scipy.optimize import brentq, minimize_scalar
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches
 from .maps import estimate_norms, power_map
-from .times import boundary_set, clip, components, trim
+from .times import (
+    boundary_counts, components, density_rows, mask_from_lists,
+    surrogate_mask, trim_mask,
+)
 
 __all__ = [
     "Partition1D", "EntropyReport", "build_Qq", "choose_offset", "join",
@@ -241,8 +244,6 @@ def partition_from_branches(bp):
 
 def pullback(P, g, bp):
     """g^{-1} P through branch-wise inverses."""
-    from .branches import branch_preimages
-
     atoms, labels = [], []
     for ivs, lab in zip(P.atoms, P.labels):
         pre = []
@@ -609,15 +610,16 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
         a_offset = -0.5 / q
     labQ = qbin_label(g, q, a_offset)
 
-    T = sorted(trim(set(E), n, M, m))
+    Tx = trim_mask(mask_from_lists([E], max([n - 1, *E]) + 1), n, M, m)
+    T = np.flatnonzero(Tx[0]).tolist()
     rec = eval_orbit(g, float(x), n)
     if not T:
         # R is the ambient cell; rhs = (C/eps)^0 e^0 = 1 >= Leb(R)
         return {"leb_hat": 1.0, "ci": (0.0, 1.0), "rhs": 1.0, "ok": True,
                 "T": T, "trivial": True}
-    dT = boundary_set(T)
+    n_boundary = int(boundary_counts(Tx)[0])
     phi_E = float(sum(rec.log_derivs[i] for i in T))
-    rhs = (c_const / eps) ** len(dT) * math.exp(-phi_E + len(T) / q)
+    rhs = (c_const / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
 
     # itinerary of x along T
     jx = bp.locate_many(rec.points[T])
@@ -634,26 +636,18 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
     # A_n and equal trimmed set, on survivors only
     hits = 0
     if mask.any():
-        chain = np.vstack([np.zeros(n_samples), np.cumsum(lds, axis=0)])
-        logc = math.log(c_expansion)
-        for s in np.nonzero(mask)[0]:
-            S = chain[:, s]
-            Ey = [l for l in range(1, n + 1)
-                  if np.isfinite(S[l]) and
-                  np.all(S[l] - S[:l] >= (l - np.arange(l)) * logc - 1e-12)]
-            if sum(1 for e in Ey if e < n) / n <= beta:
-                continue
-            if S[n] < n * p * b - 1e-12:
-                continue
-            if sorted(trim(set(Ey), n, M, m)) != T:
-                continue
-            hits += 1
+        lds = lds[:, mask]
+        Ey = surrogate_mask(lds, c_expansion)
+        hits = int(np.count_nonzero(
+            (density_rows(Ey, n) > beta)
+            & (np.cumsum(lds, axis=0)[n - 1] >= n * p * b - 1e-12)
+            & (trim_mask(Ey, n, M, m) == Tx).all(axis=1)))
     leb_hat = hits / n_samples
     ci = _wilson(hits, n_samples)
     ok = ci[0] <= rhs + 1e-12
 
     out = {"leb_hat": leb_hat, "ci": ci, "rhs": rhs, "ok": ok, "T": T,
-           "phi_E": phi_E, "n_boundary": len(dT), "trivial": False}
+           "phi_E": phi_E, "n_boundary": n_boundary, "trivial": False}
     if atom_checks:
         out["atoms"] = _gap_atom_checks(g, rec, T, eps, bp)
     return out
@@ -742,7 +736,8 @@ def _gap_atom_checks(g, rec, T, eps, bp, max_depth=3):
 
 
 def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
-                             rng=None, min_atoms=10 ** 4, bp=None):
+                             rng=None, min_atoms=10 ** 4, bp=None,
+                             exponent_proxy=None):
     """Estimate h(g, P_q) by refinement slopes and compare with int log|g'|.
 
     h_est is the largest over q of the least-squares slope of
@@ -750,7 +745,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     residual h_est - int log|g'| d mu is reported at the g level and,
     through p h_f = h_{f^p}, at the f level.  The verdict is
     AC-consistent when the f-level residual is within tol and the
-    positive-exponent proxy holds.
+    positive-exponent proxy (exponent_proxy, if already computed) holds.
     """
     from .measures import positive_exponent_proxy
 
@@ -783,7 +778,9 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     int_phi_f = int_phi_g / p
     residual_f = residual_g / p
 
-    if mu.pool is not None:
+    if exponent_proxy is not None:
+        proxy = exponent_proxy
+    elif mu.pool is not None:
         proxy = positive_exponent_proxy(mu)
     else:
         proxy = 1.0 if int_phi_g > 0 else 0.0

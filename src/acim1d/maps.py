@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import UnresolvedCritical
-from .jets import Jet, jet_of_polynomial, variable
+from .jets import Jet, variable
 
 LOG_FLOOR = -700.0  # log-derivative floor: |f'| below e^-700 counts as 0
 

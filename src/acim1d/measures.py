@@ -17,14 +17,16 @@ orbits instead of re-iterating the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySelection, InsufficientAtoms
-from .maps import estimate_norms, power_map
+from .maps import estimate_norms, orbit_grid, power_map
 from .probes import probe_functions
-from .times import boundary_set, clip, surrogate_times_from_logs, trim
+from .times import (
+    boundary_counts, density_rows, mask_from_lists, surrogate_mask, trim_mask,
+)
 
 __all__ = [
     "SamplePool", "Selection", "EmpiricalMeasure", "DensityEstimate",
@@ -42,13 +44,17 @@ class SamplePool:
     points: np.ndarray         # (n_orbit+1, S)
     log_derivs: np.ndarray     # (n_orbit, S)
     chain: np.ndarray          # (n_orbit+1, S) prefix sums of log|g'|
-    times: list                # raw E(x) per seed (sorted int lists)
+    time_mask: np.ndarray      # (S, n_orbit+1) bool: t in raw E(x_s)
     provenance: dict
     n_orbit: int
 
     @property
     def n_seeds(self):
         return self.seeds.shape[0]
+
+    def time_list(self, s):
+        """Raw E(x_s) as a sorted list of ints."""
+        return np.flatnonzero(self.time_mask[s]).tolist()
 
 
 def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
@@ -64,48 +70,30 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
     lo, hi = window if window is not None else (0.0, 1.0)
     seeds = rng.uniform(lo, hi, n_seeds)
     n_orbit = n + orbit_buffer
-    pts = np.empty((n_orbit + 1, n_seeds))
-    pts[0] = g.domain.reduce(seeds)
-    for k in range(n_orbit):
-        pts[k + 1] = g.eval(pts[k])
-    lds = g.log_abs_deriv(pts[:-1].reshape(-1)).reshape(n_orbit, n_seeds)
+    pts, lds = orbit_grid(g, seeds, n_orbit)
     chain = np.vstack([np.zeros(n_seeds), np.cumsum(lds, axis=0)])
 
-    if detector == "surrogate":
-        times = _surrogate_bulk(lds, c_expansion)
-    elif detector == "tree":
-        if tree is None:
-            raise ValueError("tree detector requires a built ReparamTree")
-        times = [tree.walk_geometric_times(float(x), n_orbit) for x in seeds]
-    elif detector == "both":
-        if tree is None:
-            raise ValueError("tree detector requires a built ReparamTree")
-        sur = _surrogate_bulk(lds, c_expansion)
-        tr = [tree.walk_geometric_times(float(x), n_orbit) for x in seeds]
-        agree = [len(set(a) & set(b)) / max(1, len(set(a) | set(b)))
-                 for a, b in zip(sur, tr)]
-        times = sur
-        prov_agreement = float(np.mean(agree)) if agree else 1.0
-    else:
+    if detector not in ("surrogate", "tree", "both"):
         raise ValueError(f"unknown detector {detector!r}")
-
+    if detector != "surrogate" and tree is None:
+        raise ValueError("tree detector requires a built ReparamTree")
     prov = {"map": f.name, "p": p, "g": g.name, "detector": detector,
             "window": (lo, hi), "c_expansion": c_expansion}
-    if detector == "both":
-        prov["tree_agreement_rate"] = prov_agreement
+    if detector != "tree":
+        times = surrogate_mask(lds, c_expansion)
+    if detector != "surrogate":
+        walked = mask_from_lists(
+            [tree.walk_geometric_times(float(x), n_orbit) for x in seeds],
+            n_orbit + 1)
+        if detector == "tree":
+            times = walked
+        else:
+            union = np.maximum(1, np.count_nonzero(times | walked, axis=1))
+            agree = np.count_nonzero(times & walked, axis=1) / union
+            prov["tree_agreement_rate"] = \
+                float(np.mean(agree)) if n_seeds else 1.0
     return SamplePool(seeds=seeds, points=pts, log_derivs=lds, chain=chain,
-                      times=times, provenance=prov, n_orbit=n_orbit)
-
-
-def _surrogate_bulk(lds, c_expansion):
-    """Vectorized running-max surrogate detector over all seed columns."""
-    n, S = lds.shape
-    logc = float(np.log(c_expansion))
-    prefix = np.vstack([np.zeros(S), np.cumsum(lds, axis=0)])
-    t = prefix - logc * np.arange(n + 1)[:, None]
-    run_max = np.maximum.accumulate(t, axis=0)
-    ok = np.isfinite(t[1:]) & (t[1:] >= run_max[:-1] - 1e-12)
-    return [list(np.nonzero(ok[:, s])[0] + 1) for s in range(S)]
+                      time_mask=times, provenance=prov, n_orbit=n_orbit)
 
 
 @dataclass
@@ -134,7 +122,7 @@ def select_An(pool, n, beta, b, p):
     """
     if n > pool.n_orbit:
         raise ValueError("selection horizon exceeds recorded orbits")
-    dens = np.array([sum(1 for e in E if e < n) / n for E in pool.times])
+    dens = density_rows(pool.time_mask, n)
     expand = pool.chain[n] >= n * p * b - 1e-12
     mask = (dens > beta) & expand
     idx = np.nonzero(mask)[0]
@@ -177,17 +165,11 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
     """Assemble mu_n^{M,m} or nu_n^{M,m} from a seed selection."""
     pool = selection.pool
     n = selection.n
-    atoms, s_idx, t_idx = [], [], []
-    counts = np.zeros(selection.n_selected, dtype=int)
-    bounds = np.zeros(selection.n_selected, dtype=int)
-    for j, s in enumerate(selection.indices):
-        T = sorted(trim(pool.times[s], n, M, m))
-        counts[j] = len(T)
-        bounds[j] = len(boundary_set(T))
-        for i in T:
-            atoms.append(pool.points[i, s])
-            s_idx.append(s)
-            t_idx.append(i)
+    T = trim_mask(pool.time_mask[selection.indices], n, M, m)
+    counts = np.count_nonzero(T, axis=1)
+    bounds = boundary_counts(T)
+    rows, t_idx = np.nonzero(T)     # seed-major, times ascending per seed
+    s_idx = selection.indices[rows]
     total = int(counts.sum())
     if total == 0:
         raise EmptySelection(f"E_n^{{M={M},m={m}}} empty for every retained seed")
@@ -205,8 +187,8 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
             "n_seeds": selection.n_selected,
             "map": pool.provenance.get("g"), "p": selection.p}
     return EmpiricalMeasure(
-        atoms=np.array(atoms), weights=w, meta=meta,
-        seed_idx=np.array(s_idx, dtype=int), time_idx=np.array(t_idx, dtype=int),
+        atoms=pool.points[t_idx, s_idx], weights=w, meta=meta,
+        seed_idx=s_idx, time_idx=t_idx,
         pool=pool, per_seed_counts=counts, per_seed_boundary=bounds)
 
 
@@ -235,7 +217,7 @@ def invariance_defect(mu, g, probes=None):
     else:
         bound = float("nan")
     return {"defect": defect, "bound": bound,
-            "ok": not np.isfinite(bound) or defect <= bound + 1e-12}
+            "ok": bool(np.isfinite(bound)) and defect <= bound + 1e-12}
 
 
 @dataclass
@@ -338,10 +320,14 @@ def positive_exponent_proxy(mu, log10=np.log(10.0)):
     if mu.pool is None:
         raise InsufficientAtoms("measure carries no pool provenance")
     pool = mu.pool
+    ls = np.arange(pool.time_mask.shape[1])
+    step = max(1, 2 ** 18 // ls.size)    # atoms per block of ~2 MB floats
     ok = 0
-    for s, i in zip(mu.seed_idx, mu.time_idx):
-        later = [l for l in pool.times[s] if l > i]
-        good = any(pool.chain[l, s] - pool.chain[i, s] >= (l - i) * log10 - 1e-9
-                   for l in later)
-        ok += bool(good)
+    for a in range(0, mu.n_atoms, step):
+        s, i = mu.seed_idx[a:a + step], mu.time_idx[a:a + step]
+        later = pool.time_mask[s] & (ls > i[:, None])
+        with np.errstate(invalid="ignore"):
+            good = (pool.chain[:, s].T - pool.chain[i, s][:, None]
+                    >= (ls - i[:, None]) * log10 - 1e-9)
+        ok += int(np.count_nonzero((later & good).any(axis=1)))
     return ok / max(1, mu.n_atoms)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["probe_functions", "weak_star_distance"]
+__all__ = ["probe_functions"]
 
 
 def _bump(center, width):
@@ -38,13 +38,3 @@ def probe_functions():
     funcs.append(_bump(0.1, 0.1))
     return funcs
 
-
-def weak_star_distance(xs_a, w_a, xs_b, w_b, probes=None):
-    """max over the dictionary of |int psi d(a) - int psi d(b)|."""
-    probes = probes or probe_functions()
-    best = 0.0
-    for psi in probes:
-        da = float(np.sum(w_a * psi(xs_a)))
-        db = float(np.sum(w_b * psi(xs_b)))
-        best = max(best, abs(da - db))
-    return best

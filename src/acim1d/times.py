@@ -11,6 +11,11 @@ integers below a horizon n:
                (components with no valid L are dropped),
   - boundary:  dE = E symmetric-difference (E+1).
 
+A pool's time sets are one boolean seed x time matrix (row s, column t:
+t in E(x_s)).  density_rows, clip_mask, trim_mask and boundary_counts work
+on all rows at once; the set-based functions above and the *_bruteforce
+ones are their test oracles.
+
 Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
 times l whose past is uniformly expanded, |(g^{l-k})'(g^k x)| >=
@@ -29,7 +34,8 @@ __all__ = [
     "TimeSet", "TimeSetDerived", "clip", "trim", "boundary_set",
     "components", "verify_enm", "hyperbolic_surrogate_times",
     "surrogate_times_from_logs", "verify_hyperbolic", "density",
-    "geometric_times_tree",
+    "geometric_times_tree", "mask_from_lists", "density_rows", "clip_mask",
+    "trim_mask", "boundary_counts", "surrogate_mask",
 ]
 
 LOG10 = float(np.log(10.0))
@@ -135,6 +141,62 @@ def boundary_set(S):
     return S ^ {s + 1 for s in S}
 
 
+def mask_from_lists(sets, width):
+    """Boolean (len(sets), width) matrix; row s marks sets[s] (all < width)."""
+    mask = np.zeros((len(sets), width), dtype=bool)
+    for s, E in enumerate(sets):
+        mask[s, list(E)] = True
+    return mask
+
+
+def density_rows(E, n):
+    """d_n of every row: #(E cap [0,n)) / n."""
+    return np.count_nonzero(np.asarray(E, dtype=bool)[:, :n], axis=1) / n
+
+
+def clip_mask(E, n, M):
+    """Row-wise clip: t is kept iff the last element <= t and the next
+    element > t (both below n) are at most M apart."""
+    E = np.asarray(E, dtype=bool)[:, :n]
+    t = np.arange(E.shape[1])
+    prev = np.maximum.accumulate(np.where(E, t, -1), axis=1)
+    nxt = np.minimum.accumulate(np.where(E, t, t.size + M)[:, :0:-1],
+                                axis=1)[:, ::-1]   # first element > t
+    out = np.zeros(E.shape, dtype=bool)
+    out[:, :-1] = (prev[:, :-1] >= 0) & (nxt - prev[:, :-1] <= M)
+    return out
+
+
+def trim_mask(E, n, M, m):
+    """Row-wise trim: each clip component [[k;l[[ becomes [[k;l-L[[ for the
+    least L in [m-1, M+m-2] with l-L > k and l-L in E, or is dropped."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    E = np.asarray(E, dtype=bool)[:, :n]
+    S, W = E.shape
+    edges = np.diff(clip_mask(E, n, M).astype(np.int8), axis=1,
+                    prepend=0, append=0)
+    rows, k = np.nonzero(edges == 1)
+    l = np.nonzero(edges == -1)[1]
+    end = np.full(k.shape, -1)
+    for L in range(m - 1, M + m - 1):
+        cand = l - L
+        ok = (end < 0) & (cand > k)
+        ok[ok] = E[rows[ok], cand[ok]]
+        end[ok] = cand[ok]
+    keep = end >= 0
+    fill = np.zeros((S, W + 1), dtype=np.int8)
+    fill[rows[keep], k[keep]] = 1
+    fill[rows[keep], end[keep]] = -1
+    return np.cumsum(fill, axis=1, dtype=np.int8)[:, :W] > 0
+
+
+def boundary_counts(T):
+    """#(T symmetric-difference (T+1)) per row: the row's 0/1 transitions."""
+    return np.count_nonzero(np.diff(np.asarray(T, dtype=np.int8), axis=1,
+                                    prepend=0, append=0), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles (kept alongside the fast paths; tests compare them)
 # ---------------------------------------------------------------------------
@@ -198,26 +260,29 @@ def verify_enm(E, n, M, Mprime, m):
 # ---------------------------------------------------------------------------
 
 
-def surrogate_times_from_logs(log_derivs, c_expansion=10.0):
-    """Surrogate hyperbolic times from a log|g'| sequence.
+def surrogate_mask(log_derivs, c_expansion=10.0):
+    """Surrogate hyperbolic times of every seed column of log|g'|.
 
-    l qualifies iff S_l - S_k >= (l-k) log c for every k < l, where S is
-    the prefix sum.  Equivalently S_l - l log c must reach a new running
-    maximum over {S_k - k log c : k < l}; that gives the O(n) pass.
-    A -inf log-derivative (critical hit) kills every later time.
+    log_derivs has shape (n, S); returns a boolean (S, n+1) matrix.  l
+    qualifies iff S_l - S_k >= (l-k) log c for every k < l, where S is the
+    prefix sum.  Equivalently S_l - l log c must reach a new running
+    maximum over {S_k - k log c : k < l}; that gives the O(n) pass.  A
+    -inf log-derivative (critical hit) kills every later time.
     """
     lds = np.asarray(log_derivs, dtype=float)
-    n = lds.shape[0]
+    n, S = lds.shape
     logc = float(np.log(c_expansion))
-    S = np.concatenate(([0.0], np.cumsum(lds)))
-    out = []
-    run_max = S[0]  # max over k < l of S_k - k logc; starts with k=0
-    for l in range(1, n + 1):
-        t = S[l] - l * logc
-        if np.isfinite(t) and t >= run_max - 1e-12:
-            out.append(l)
-        run_max = max(run_max, t)
-    return out
+    prefix = np.vstack([np.zeros(S), np.cumsum(lds, axis=0)])
+    t = prefix - logc * np.arange(n + 1)[:, None]
+    run_max = np.maximum.accumulate(t, axis=0)
+    before = np.vstack([np.full(S, np.inf), run_max[:-1]])   # max over k < l
+    return np.ascontiguousarray((np.isfinite(t) & (t >= before - 1e-12)).T)
+
+
+def surrogate_times_from_logs(log_derivs, c_expansion=10.0):
+    """Surrogate hyperbolic times (a sorted list) from one log|g'| sequence."""
+    lds = np.asarray(log_derivs, dtype=float)[:, None]
+    return np.flatnonzero(surrogate_mask(lds, c_expansion)[0]).tolist()
 
 
 def hyperbolic_surrogate_times(g, x, n_max, c_expansion=10.0):
@@ -268,24 +333,17 @@ def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
         log_sup_gprime = float(np.log(
             estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))
 
-    margin_i = np.inf
-    for l in elems:
-        if l == 0:
-            continue
-        ks = np.arange(0, l)
-        margin_i = min(margin_i,
-                       float(np.min((S[l] - S[ks]) - (l - ks) * LOG10)))
+    margin_i = min([np.inf] + [
+        float(np.min((S[l] - S[:l]) - (l - np.arange(l)) * LOG10))
+        for l in elems if l > 0])
 
     T = trim(elems, n, M, m)
-    margin_ii = np.inf
-    margin_iii = np.inf
+    margin_ii = margin_iii = np.inf
     for a, b in components(T):
         margin_ii = min(margin_ii, float(S[b] - S[a] - (b - a) * LOG10))
-        for k in range(a, b):
-            for l in range(k + 1, b + 1):
-                lhs = S[l] - S[k]
-                rhs = (l - k) * LOG10 - M * log_sup_gprime
-                margin_iii = min(margin_iii, float(lhs - rhs))
+        k, l = np.add(np.triu_indices(b - a + 1, 1), a)
+        margin_iii = min(margin_iii, float(np.min(
+            (S[l] - S[k]) - ((l - k) * LOG10 - M * log_sup_gprime))))
     return {
         "i_margin": margin_i,
         "ii_margin": margin_ii,

@@ -315,7 +315,7 @@ def test_criterion_7_gibbs_inequality():
                                             replace=len(sel.indices) < 100)
     passed = 0
     for s in picks:
-        r = gibbs_check(g, float(pool.seeds[s]), pool.times[s], q=4,
+        r = gibbs_check(g, float(pool.seeds[s]), pool.time_list(s), q=4,
                         eps=eps, n=40, M=3, m=2, beta=0.05, b=0.45, p=p,
                         bp=bp, n_samples=10000,
                         rng=np.random.default_rng(int(s)), atom_checks=False)

@@ -118,3 +118,32 @@ def test_locate_many_consistent():
     idx = part.locate_many(xs)
     for x, i in zip(xs, idx):
         assert i == part.locate(float(x))
+
+
+def test_locate_many_matches_scalar_locate():
+    # doubling^4 (circle, 16 branches), an affine circle map whose second
+    # branch wraps past 1, and logistic^6 (interval, 64 branches)
+    from acim1d.maps import CIRCLE
+
+    maps = (power_map(make_map("doubling"), 4),
+            make_map("affine", c0=0.3, c1=2.0, domain=CIRCLE),
+            power_map(make_map("logistic"), 6))
+    rng = np.random.default_rng(5)
+    below_one = np.nextafter(1.0, 0.0)
+    for g in maps:
+        part = monotone_branches(g)
+        cuts = np.array([p for p, _ in part.cut_points], dtype=float)
+        ends = np.array([br.a + br.length for br in part.branches])
+        xs = np.concatenate([
+            rng.uniform(0.0, 1.0, 2000), cuts, np.nextafter(cuts, 2.0),
+            np.nextafter(cuts[cuts > 0.0], -1.0), ends % 1.0,
+            [0.0, below_one, 0.5]])
+        xs = xs[xs < 1.0]
+        if part.is_circle:
+            xs = np.concatenate([xs, xs + 1.0])
+        got = part.locate_many(xs)
+        want = [part.locate(float(x)) for x in xs]
+        assert got.tolist() == want, g.name
+        assert part.locate_many(np.float64(0.0)) == part.locate(0.0)
+    wrapping = monotone_branches(maps[1]).branches
+    assert any(br.a + br.length > 1.0 for br in wrapping)

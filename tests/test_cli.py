@@ -144,6 +144,50 @@ def test_verdict_flips_on_failed_check(tmp_path):
         "not-AC"
 
 
+def test_verdict_fails_closed_on_missing_required_row(tmp_path):
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=3,
+                                             out=tmp_path / "o"))
+    st = run_pipeline(load_config(p))
+    rows = list(csv.reader(open(st.out / "checks.csv")))
+    assert compute_verdict(st.out / "entropy.csv", st.out / "checks.csv") == \
+        "AC-consistent"
+    for name in ("invariance_defect", "mane_sete", "mane_hq"):
+        kept = [row for row in rows if row[0] != name]
+        with open(st.out / "checks.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(kept)
+        assert compute_verdict(st.out / "entropy.csv",
+                               st.out / "checks.csv") == "not-AC", name
+
+
+def test_pipeline_time_tables_match_set_oracles(tmp_path):
+    # density.csv, betas.csv and per-seed atom counts recomputed from the
+    # pool's per-seed lists with the set-based oracles
+    from acim1d.times import density, trim
+
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=5,
+                                             out=tmp_path / "o"))
+    st = run_pipeline(load_config(p))
+    cfg, pool = st.cfg, st.pool
+    lists = [pool.time_list(s) for s in range(pool.n_seeds)]
+    M_fin, m_fin = max(cfg.M_list), min(cfg.m_list)
+    dens = list(csv.reader(open(st.out / "density.csv")))[1:]
+    assert len(dens) == max(cfg.n_list)
+    for row in dens:
+        n = int(row[0])
+        assert float(row[1]) == float(np.mean([density(E, n) for E in lists]))
+        assert float(row[2]) == float(np.mean(
+            [len(trim(E, n, M_fin, m_fin)) / n for E in lists]))
+    sel = st.selection.indices
+    for n, M, m, v in list(csv.reader(open(st.out / "betas.csv")))[1:]:
+        n, M, m = int(n), int(M), int(m)
+        want = float(np.mean([len(trim(lists[s], n, M, m))
+                              for s in sel])) / n
+        assert float(v) == want
+    counts = [len(trim(lists[s], max(cfg.n_list), M_fin, m_fin)) for s in sel]
+    assert st.mu.per_seed_counts.tolist() == counts
+    assert st.mu.n_atoms == sum(counts)
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[map]\npreset = nosuchmap\n\n[run]\nn = 5\n")
@@ -176,6 +220,11 @@ def test_cli_norms_subcommand(tmp_path, capsys):
             list(csv.reader(open(tmp_path / "o" / "norms.csv")))[1:]}
     assert float(rows[("f", "1")]) == 2.0
     assert abs(float(rows[("f", "R_estimate")]) - math.log(2.0)) < 1e-12
+    assert not (tmp_path / "o" / "times.csv").exists()
+    # a subcommand runs the stages up to its own and no further
+    assert main(["--config", str(p), "times"]) == 0
+    assert (tmp_path / "o" / "density.csv").exists()
+    assert not (tmp_path / "o" / "measure.csv").exists()
 
 
 def test_cli_bound_subcommand(capsys):

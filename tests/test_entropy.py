@@ -305,7 +305,7 @@ def test_gibbs_logistic_power_instance():
     sel = select_An(pool, 30, 0.05, 0.45, p)
     s = sel.indices[0]
     x = float(pool.seeds[s])
-    rep = gibbs_check(g, x, pool.times[s], q=4, eps=eps, n=30, M=3, m=2,
+    rep = gibbs_check(g, x, pool.time_list(s), q=4, eps=eps, n=30, M=3, m=2,
                       beta=0.05, b=0.45, p=p, n_samples=3000,
                       rng=np.random.default_rng(3))
     assert rep["ok"]

@@ -26,7 +26,8 @@ def _doubling_pool(n=10, seeds=2000, p=4, seed=0):
 def test_pool_surrogate_times_full_for_strong_expansion():
     pool, _ = _doubling_pool()
     # 2^4 = 16 > 10: every time is a surrogate time
-    assert all(E == list(range(1, pool.n_orbit + 1)) for E in pool.times)
+    assert all(pool.time_list(s) == list(range(1, pool.n_orbit + 1))
+               for s in range(pool.n_seeds))
 
 
 def test_select_all_pass_doubling():
@@ -173,3 +174,28 @@ def test_positive_exponent_proxy_doubling():
     sel = select_An(pool, 10, 0.5, 0.5, 4)
     mu = empirical_measure(sel, M=2, m=1)
     assert positive_exponent_proxy(mu) == 1.0
+
+
+def test_positive_exponent_proxy_matches_per_atom_definition():
+    # times detected at expansion 4 < 10 leave atoms without a 10-expanding
+    # later segment; more atoms than one block of the batched evaluation
+    pool = build_seed_pool(make_map("logistic"), 3, 20, 1500,
+                           np.random.default_rng(3), c_expansion=4.0)
+    mu = empirical_measure(select_An(pool, 20, 0.1, 0.0, 3), M=3, m=1)
+    assert mu.n_atoms > 2 ** 18 // pool.time_mask.shape[1]
+    log10 = np.log(10.0)
+    ok = sum(
+        any(pool.chain[l, s] - pool.chain[i, s] >= (l - i) * log10 - 1e-9
+            for l in pool.time_list(s) if l > i)
+        for s, i in zip(mu.seed_idx, mu.time_idx))
+    assert 0.0 < positive_exponent_proxy(mu) == ok / mu.n_atoms < 1.0
+
+
+def test_invariance_defect_fails_closed_without_bound():
+    # no per-seed boundary counts: the bound is NaN, which must not pass
+    f = make_map("doubling")
+    xs = (np.arange(64) + 0.5) / 64
+    mu = EmpiricalMeasure(atoms=xs, weights=np.full(64, 1.0 / 64), meta={})
+    rep = invariance_defect(mu, f)
+    assert math.isnan(rep["bound"])
+    assert rep["ok"] is False

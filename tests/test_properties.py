@@ -100,5 +100,5 @@ def test_empirical_atoms_are_orbit_points():
     mu = empirical_measure(sel, M=2, m=1)
     for a, s, i in zip(mu.atoms, mu.seed_idx, mu.time_idx):
         assert a == pool.points[i, s]
-        T = trim(pool.times[s], 10, 2, 1)
+        T = trim(pool.time_list(s), 10, 2, 1)
         assert i in T

@@ -3,13 +3,15 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from acim1d.maps import eval_orbit, make_map, power_map
 from acim1d.times import (
-    boundary_set, clip, clip_bruteforce, components, density,
-    hyperbolic_surrogate_times, surrogate_times_from_logs, trim,
-    trim_bruteforce, verify_enm, verify_hyperbolic,
+    boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
+    components, density, density_rows, hyperbolic_surrogate_times,
+    mask_from_lists, surrogate_mask, surrogate_times_from_logs, trim,
+    trim_bruteforce, trim_mask, verify_enm, verify_hyperbolic,
 )
 
 time_sets = st.frozensets(st.integers(min_value=0, max_value=11), max_size=12)
@@ -136,3 +138,70 @@ def test_verify_hyperbolic_exact_linear():
 def test_density_helper():
     assert density({0, 1, 2}, 6) == 0.5
     assert density(set(), 5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the set-based oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def time_matrices(draw):
+    """Random boolean seed x time matrices plus an all-true and an
+    all-false row; the horizon n may be below or above the width."""
+    width = draw(st.integers(1, 14))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                  max_size=width), max_size=6))
+    E = np.array(rows + [[True] * width, [False] * width], dtype=bool)
+    n = draw(st.integers(1, width + 2))
+    return E, n
+
+
+def _row_sets(E):
+    return [set(np.flatnonzero(row).tolist()) for row in E]
+
+
+@given(time_matrices(), st.integers(0, 5), st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_kernels_match_set_oracles(En, M, m):
+    E, n = En
+    C = clip_mask(E, n, M)
+    T = trim_mask(E, n, M, m)
+    width = min(n, E.shape[1])
+    assert C.shape == T.shape == (E.shape[0], width)
+    dT = boundary_counts(T)
+    d_n = density_rows(E, n)
+    for r, Es in enumerate(_row_sets(E)):
+        want = trim(Es, n, M, m)
+        assert set(np.flatnonzero(C[r]).tolist()) == clip(Es, n, M)
+        assert set(np.flatnonzero(T[r]).tolist()) == want
+        assert want == trim_bruteforce(Es, n, M, m)
+        assert dT[r] == len(boundary_set(want))
+        assert d_n[r] == density(Es, n)
+
+
+def test_kernels_edge_cases():
+    E = mask_from_lists([[0], [0, 1], list(range(12)), [], [3, 11]], 12)
+    # n = 1: only element 0 is below the horizon, so every clip is empty
+    assert not clip_mask(E, 1, 3).any() and not trim_mask(E, 1, 3, 1).any()
+    assert density_rows(E, 1).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    # M = 0: no pair of distinct elements is within distance 0
+    assert not clip_mask(E, 12, 0).any() and not trim_mask(E, 12, 0, 2).any()
+    # element 0 starts a component; elements >= n are ignored
+    assert np.flatnonzero(trim_mask(E, 12, 1, 1)[1]).tolist() == [0]
+    assert np.flatnonzero(trim_mask(E, 4, 1, 1)[2]).tolist() == [0, 1, 2]
+    assert boundary_counts(trim_mask(E, 12, 1, 1)).tolist() == [0, 2, 2, 0, 0]
+    with pytest.raises(ValueError):
+        trim_mask(E, 12, 2, 0)
+
+
+def test_surrogate_mask_columns_match_single_seed_detector():
+    g = power_map(make_map("logistic"), 6)
+    rng = np.random.default_rng(4)
+    recs = [eval_orbit(g, float(x), 40) for x in rng.uniform(0, 1, 25)]
+    lds = np.column_stack([rec.log_derivs for rec in recs])
+    mask = surrogate_mask(lds, 10.0)
+    assert mask.shape == (25, 41) and not mask[:, 0].any()
+    for s, rec in enumerate(recs):
+        assert np.flatnonzero(mask[s]).tolist() == \
+            surrogate_times_from_logs(rec.log_derivs, 10.0)
