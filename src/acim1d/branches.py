@@ -77,7 +77,8 @@ class BranchPartition:
         if not self.branches:
             return np.full(xs.shape, -1, dtype=int)
         if self.is_circle:
-            xs = xs % 1.0
+            xs = xs % 1.0           # rounds to 1.0 for x in about (-1e-16, 0)
+            xs = np.where(xs == 1.0, 0.0, xs)
         lefts = np.array([br.a for br in self.branches])
         lengths = np.array([br.length for br in self.branches])
         order = np.argsort(lefts)

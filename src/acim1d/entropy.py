@@ -784,13 +784,14 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
         proxy = positive_exponent_proxy(mu)
     else:
         proxy = 1.0 if int_phi_g > 0 else 0.0
+    residual_ok = abs(residual_f) <= tol
     exponent_positive = int_phi_g > 0 and proxy >= 0.95
-    verdict = "AC-consistent" if (abs(residual_f) <= tol and
-                                  exponent_positive) else "not-AC"
+    verdict = ("AC-consistent" if residual_ok and exponent_positive
+               else "not-AC")
     return {
         "h_g_est": h_g, "int_phi_g": int_phi_g, "residual_g": residual_g,
         "h_f_est": h_f, "int_phi_f": int_phi_f, "residual_f": residual_f,
         "p": p, "slopes": slopes, "tables": tables,
         "exponent_proxy": proxy, "exponent_positive": exponent_positive,
-        "verdict": verdict, "tol": tol,
+        "verdict": verdict, "tol": tol, "residual_ok": residual_ok,
     }

@@ -42,7 +42,6 @@ class SamplePool:
 
     seeds: np.ndarray          # (S,)
     points: np.ndarray         # (n_orbit+1, S)
-    log_derivs: np.ndarray     # (n_orbit, S)
     chain: np.ndarray          # (n_orbit+1, S) prefix sums of log|g'|
     time_mask: np.ndarray      # (S, n_orbit+1) bool: t in raw E(x_s)
     provenance: dict
@@ -92,8 +91,8 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
             agree = np.count_nonzero(times & walked, axis=1) / union
             prov["tree_agreement_rate"] = \
                 float(np.mean(agree)) if n_seeds else 1.0
-    return SamplePool(seeds=seeds, points=pts, log_derivs=lds, chain=chain,
-                      time_mask=times, provenance=prov, n_orbit=n_orbit)
+    return SamplePool(seeds=seeds, points=pts, chain=chain, time_mask=times,
+                      provenance=prov, n_orbit=n_orbit)
 
 
 @dataclass

@@ -12,9 +12,9 @@ integers below a horizon n:
   - boundary:  dE = E symmetric-difference (E+1).
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
-t in E(x_s)).  density_rows, clip_mask, trim_mask and boundary_counts work
-on all rows at once; the set-based functions above and the *_bruteforce
-ones are their test oracles.
+t in E(x_s)).  density_rows, clip_mask, trim_mask, boundary_counts and
+verify_enm_rows work on all rows at once; the set-based functions above
+and the *_bruteforce ones are their test oracles.
 
 Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
@@ -26,16 +26,16 @@ the hyperbolic-time inequalities by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "TimeSet", "TimeSetDerived", "clip", "trim", "boundary_set",
+    "TimeSet", "clip", "trim", "boundary_set",
     "components", "verify_enm", "hyperbolic_surrogate_times",
     "surrogate_times_from_logs", "verify_hyperbolic", "density",
     "geometric_times_tree", "mask_from_lists", "density_rows", "clip_mask",
-    "trim_mask", "boundary_counts", "surrogate_mask",
+    "trim_mask", "boundary_counts", "surrogate_mask", "verify_enm_rows",
 ]
 
 LOG10 = float(np.log(10.0))
@@ -58,26 +58,6 @@ class TimeSet:
 
     def __len__(self):
         return len(self.elems)
-
-
-@dataclass
-class TimeSetDerived:
-    """E together with its clipped/trimmed/boundary companions at (n, M, m)."""
-
-    base: TimeSet
-    n: int
-    M: int
-    m: int
-    clipped: frozenset = field(init=False)
-    trimmed: frozenset = field(init=False)
-    boundary: frozenset = field(init=False)
-    density: float = field(init=False)
-
-    def __post_init__(self):
-        self.clipped = frozenset(clip(self.base.elems, self.n, self.M))
-        self.trimmed = frozenset(trim(self.base.elems, self.n, self.M, self.m))
-        self.boundary = frozenset(boundary_set(self.trimmed))
-        self.density = density(self.trimmed, self.n)
 
 
 def density(S, n):
@@ -253,6 +233,26 @@ def verify_enm(E, n, M, Mprime, m):
         "iv_ok": iv_margin >= 0,
         "monotone_in_M": S <= Sp,
     }
+
+
+def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
+    """verify_enm on every row of the boolean matrix E (same keys, arrays).
+    S and Sp, if given, are trim_mask(E, n, M, m) and trim_mask(E, n,
+    Mprime, m), so a caller can reuse one trim across several M'."""
+    if M > Mprime:
+        raise ValueError("need M <= Mprime")
+    E = np.asarray(E, dtype=bool)
+    S = trim_mask(E, n, M, m) if S is None else S
+    Sp = trim_mask(E, n, Mprime, m) if Sp is None else Sp
+    pad = np.pad(S, ((0, 0), (1, 1)))
+    dS = pad[:, 1:] ^ pad[:, :-1]              # S symmetric-difference (S+1)
+    Ew = np.pad(E, ((0, 0), (0, 1)))[:, :dS.shape[1]]   # E on dS's columns
+    nd, ndp = boundary_counts(S), boundary_counts(Sp)
+    iii = (n + M) - M * nd / 2
+    iv = np.count_nonzero(Sp & ~S, axis=1) - M * (nd - ndp) / 2
+    return {"i_boundary_subset": ~np.any(dS & ~Ew, axis=1),
+            "iii_margin": iii, "iii_ok": iii >= 0, "iv_margin": iv,
+            "iv_ok": iv >= 0, "monotone_in_M": ~np.any(S & ~Sp, axis=1)}
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,8 @@ def test_locate_many_consistent():
 
 def test_locate_many_matches_scalar_locate():
     # doubling^4 (circle, 16 branches), an affine circle map whose second
-    # branch wraps past 1, and logistic^6 (interval, 64 branches)
+    # branch wraps past 1, and logistic^6 (interval, 64 branches); negative
+    # inputs include x just below 0, where x % 1.0 rounds to 1.0
     from acim1d.maps import CIRCLE
 
     maps = (power_map(make_map("doubling"), 4),
@@ -141,6 +142,8 @@ def test_locate_many_matches_scalar_locate():
         xs = xs[xs < 1.0]
         if part.is_circle:
             xs = np.concatenate([xs, xs + 1.0])
+        xs = np.concatenate([xs, [-5e-324, np.nextafter(0.0, -1.0), -1e-17],
+                             cuts - 1.0, rng.uniform(-1.0, 0.0, 500)])
         got = part.locate_many(xs)
         want = [part.locate(float(x)) for x in xs]
         assert got.tolist() == want, g.name

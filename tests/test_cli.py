@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import acim1d.cli as cli
 from acim1d.cli import (
     basin_probe, bound_analytic, bound_calculator, bound_smooth,
-    compute_verdict, main, reparam_count_constant, run_pipeline,
+    compute_verdict, main, reparam_count_constant, run_pipeline, run_verify,
 )
 from acim1d.config import ExperimentConfig, load_config
 from acim1d.errors import ConfigError
@@ -234,15 +235,65 @@ def test_cli_bound_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def _check_rows(out):
+    return {r[0]: r for r in list(csv.reader(open(out / "checks.csv")))[1:]}
+
+
 def test_cli_verify_subcommand(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "--rng-seed", "5", "verify",
                  "--quick"])
     assert code == 0
-    rows = {r[0]: r for r in
-            list(csv.reader(open(tmp_path / "checks.csv")))[1:]}
+    rows = _check_rows(tmp_path)
     assert rows["enm_oracle_equivalence"][-1] == "1"
     assert rows["misiurewicz_random"][-1] == "1"
     assert rows["tree_distortion"][-1] == "1"
+
+
+def test_run_verify_quick_counts_match_per_set_loop(tmp_path):
+    from acim1d.times import (
+        clip, clip_bruteforce, trim, trim_bruteforce, verify_enm,
+    )
+
+    assert run_verify(tmp_path, quick=True)
+    n = 8
+    mism = viol = total = 0
+    for bits in range(1 << n):
+        E = {i for i in range(n) if bits >> i & 1}
+        for M in range(5):
+            mism += clip(E, n, M) != clip_bruteforce(E, n, M)
+            for m in range(1, 5):
+                mism += trim(E, n, M, m) != trim_bruteforce(E, n, M, m)
+            for Mp in range(M, 5):
+                for m in range(1, 5):
+                    rep = verify_enm(E, n, M, Mp, m)
+                    total += 1
+                    viol += not (rep["i_boundary_subset"] and rep["iii_ok"]
+                                 and rep["iv_ok"] and rep["monotone_in_M"])
+    rows = _check_rows(tmp_path)
+    assert rows["enm_oracle_equivalence"][1:3] == [f"2^{n} sets", str(mism)]
+    assert rows["enm_lemma"][1:3] == [f"{total} instances", str(viol)]
+
+
+def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
+                                                  capsys):
+    from acim1d.times import components
+
+    real = cli.trim_mask
+
+    def drop_first_component(E, n, M, m):
+        T = real(E, n, M, m)
+        hit = np.flatnonzero(T.any(axis=1))
+        if hit.size:
+            k, l = components(np.flatnonzero(T[hit[0]]).tolist())[0]
+            T[hit[0], k:l] = False
+        return T
+
+    monkeypatch.setattr(cli, "trim_mask", drop_first_component)
+    assert not run_verify(tmp_path, quick=True)
+    row = _check_rows(tmp_path)["enm_oracle_equivalence"]
+    assert int(row[2]) > 0 and row[-1] == "0"
+    assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
+    assert "FAILURES" in capsys.readouterr().out
 
 
 def test_basin_probe_logistic():

@@ -1,4 +1,4 @@
-"""Cross-module invariants: derived time sets, measure monotonicity,
+"""Cross-module invariants: trimmed time sets, measure monotonicity,
 integrability bounds, entropy monotonicity, label bookkeeping."""
 
 import math
@@ -11,24 +11,23 @@ from acim1d.maps import estimate_norms, make_map, power_map
 from acim1d.measures import (
     EmpiricalMeasure, build_seed_pool, empirical_measure, select_An,
 )
-from acim1d.times import TimeSet, TimeSetDerived, boundary_set, clip, trim
+from acim1d.times import boundary_set, clip, density, trim
 from acim1d.tree import orbit_labels
 
 
 def test_timeset_derived_invariants():
-    E = TimeSet((0, 2, 3, 7, 8, 11), 12)
+    E = (0, 2, 3, 7, 8, 11)
     for M in (1, 2, 4):
-        d1 = TimeSetDerived(E, 12, M, 1)
-        assert d1.trimmed == d1.clipped  # E_n^{M,1} = E_n^M
+        assert trim(E, 12, M, 1) == clip(E, 12, M)  # E_n^{M,1} = E_n^M
         for m in (2, 3):
-            d = TimeSetDerived(E, 12, M, m)
-            assert d.boundary <= set(E.elems)
-            assert M * len(d.boundary) / 2 <= 12 + M
-            assert 0.0 <= d.density <= 1.0
+            T = trim(E, 12, M, m)
+            assert boundary_set(T) <= set(E)
+            assert M * len(boundary_set(T)) / 2 <= 12 + M
+            assert 0.0 <= density(T, 12) <= 1.0
     # monotone in M at fixed (n, m)
     prev = set()
     for M in (1, 2, 3, 4):
-        cur = TimeSetDerived(E, 12, M, 2).trimmed
+        cur = trim(E, 12, M, 2)
         assert prev <= cur
         prev = cur
 

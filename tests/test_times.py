@@ -11,7 +11,8 @@ from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
     components, density, density_rows, hyperbolic_surrogate_times,
     mask_from_lists, surrogate_mask, surrogate_times_from_logs, trim,
-    trim_bruteforce, trim_mask, verify_enm, verify_hyperbolic,
+    trim_bruteforce, trim_mask, verify_enm, verify_enm_rows,
+    verify_hyperbolic,
 )
 
 time_sets = st.frozensets(st.integers(min_value=0, max_value=11), max_size=12)
@@ -193,6 +194,35 @@ def test_kernels_edge_cases():
     assert boundary_counts(trim_mask(E, 12, 1, 1)).tolist() == [0, 2, 2, 0, 0]
     with pytest.raises(ValueError):
         trim_mask(E, 12, 2, 0)
+
+
+@given(time_matrices(), st.integers(0, 4), st.integers(0, 3),
+       st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_verify_enm_rows_matches_per_row_oracle(En, M, Mextra, m):
+    # Mextra = 0 covers M == M'; rows may hold elements >= n
+    E, n = En
+    Mp = M + Mextra
+    rep = verify_enm_rows(E, n, M, Mp, m)
+    reused = verify_enm_rows(E, n, M, Mp, m, trim_mask(E, n, M, m),
+                             trim_mask(E, n, Mp, m))
+    for r, Es in enumerate(_row_sets(E)):
+        for key, want in verify_enm(Es, n, M, Mp, m).items():
+            assert rep[key][r] == want, key
+            assert reused[key][r] == want, key
+
+
+def test_verify_enm_rows_flags_violations():
+    # trimmed sets passed in directly: dS = {1, 3} is not inside E = {0, 5},
+    # and S = {1, 2} is not inside S' = {}
+    E = mask_from_lists([[0, 5]], 8)
+    S = mask_from_lists([[1, 2]], 8)
+    rep = verify_enm_rows(E, 8, 2, 3, 1, S, np.zeros_like(S))
+    assert not rep["i_boundary_subset"][0] and not rep["monotone_in_M"][0]
+    assert rep["iii_margin"][0] == 8 and rep["iv_margin"][0] == -2
+    assert not rep["iv_ok"][0]
+    with pytest.raises(ValueError):
+        verify_enm_rows(E, 8, 3, 2, 1)
 
 
 def test_surrogate_mask_columns_match_single_seed_detector():
