@@ -2,8 +2,8 @@
 
 Subcommands: norms, branches, tree, times, measure, entropy, verify,
 bound, pipeline.  Each stage emits CSV files into the output directory;
-verdict.txt is computed purely from checks.csv + entropy.csv (the
-decision rule lives in compute_verdict and reads the files back).
+verdict.txt is computed purely from checks.csv + entropy.csv
+(compute_verdict reads the files back and applies entropy.ac_verdict).
 Exit codes: 0 success, 1 verify failures (some check in checks.csv
 failed), 2 config error, 3 empty selection, 4 tree budget exceeded.
 
@@ -27,7 +27,7 @@ import numpy as np
 from .branches import monotone_branches
 from .config import load_config
 from .entropy import (
-    entropy_formula_residual, gibbs_check, verify_mane_bounds,
+    ac_verdict, entropy_formula_residual, gibbs_check, verify_mane_bounds,
     verify_misiurewicz,
 )
 from .errors import (
@@ -342,7 +342,7 @@ def stage_checks(st):
 
 
 def compute_verdict(entropy_csv, checks_csv):
-    """Pure decision rule over the two emitted files.
+    """The decision rule (entropy.ac_verdict) over the two emitted files.
 
     AC-consistent iff the entropy summary has residual_ok and
     exponent_ok, and the invariance/Mane check rows are all present and
@@ -360,8 +360,7 @@ def compute_verdict(entropy_csv, checks_csv):
         rows = [(row["check_name"], row["pass"] == "1")
                 for row in csv.DictReader(fh) if row["check_name"] in required]
     req_ok = all(ok for _, ok in rows) and {r[0] for r in rows} == required
-    return "AC-consistent" if (residual_ok and exponent_ok and req_ok) \
-        else "not-AC"
+    return ac_verdict(residual_ok, exponent_ok, req_ok)
 
 
 def _stages():

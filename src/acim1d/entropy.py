@@ -41,7 +41,7 @@ __all__ = [
     "Partition1D", "EntropyReport", "build_Qq", "choose_offset", "join",
     "refine", "partition_entropy", "itinerary_entropy", "verify_misiurewicz",
     "verify_mane_bounds", "change_of_variable_check", "gibbs_check",
-    "entropy_formula_residual", "C0_MANE", "qbin_label",
+    "entropy_formula_residual", "ac_verdict", "C0_MANE", "qbin_label",
 ]
 
 C0_MANE = 4.0 / (math.e * (1.0 - math.exp(-0.5)))
@@ -735,6 +735,12 @@ def _gap_atom_checks(g, rec, T, eps, bp, max_depth=3):
 # ---------------------------------------------------------------------------
 
 
+def ac_verdict(residual_ok, exponent_ok, checks_ok=True):
+    """The decision rule: AC-consistent iff every condition holds."""
+    return "AC-consistent" if residual_ok and exponent_ok and checks_ok \
+        else "not-AC"
+
+
 def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
                              rng=None, min_atoms=10 ** 4, bp=None,
                              exponent_proxy=None):
@@ -786,8 +792,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
         proxy = 1.0 if int_phi_g > 0 else 0.0
     residual_ok = abs(residual_f) <= tol
     exponent_positive = int_phi_g > 0 and proxy >= 0.95
-    verdict = ("AC-consistent" if residual_ok and exponent_positive
-               else "not-AC")
+    verdict = ac_verdict(residual_ok, exponent_positive)
     return {
         "h_g_est": h_g, "int_phi_g": int_phi_g, "residual_g": residual_g,
         "h_f_est": h_f, "int_phi_f": int_phi_f, "residual_f": residual_f,

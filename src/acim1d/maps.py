@@ -30,6 +30,7 @@ from .errors import UnresolvedCritical
 from .jets import Jet, variable
 
 LOG_FLOOR = -700.0  # log-derivative floor: |f'| below e^-700 counts as 0
+FAA_DI_BRUNO_CONST = 2.0  # A in the Hoelder-norm bound of PowerMap
 
 __all__ = [
     "Domain", "UNIT_INTERVAL", "CIRCLE", "SmoothMap1D", "MapNorms",
@@ -54,12 +55,6 @@ class Domain:
         if self.is_circle:
             return x - np.floor(x)
         return x
-
-    def distance(self, x, y):
-        d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        if self.is_circle:
-            return np.minimum(d, 1.0 - d)
-        return d
 
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
@@ -223,10 +218,6 @@ class PerturbedCircleMap(SmoothMap1D):
         k = math.floor(r)
         holder = abs(delta) * (2 * math.pi) ** (k + 1) if r > k else \
             abs(delta) * (2 * math.pi) ** k
-        # Hoelder const of d^k f: bounded by sup|d^(k+1) f| when r is an
-        # integer is wrong; use sup|d^k f| oscillation bound instead.
-        if r == k:
-            holder = abs(delta) * (2 * math.pi) ** k
         super().__init__(CIRCLE, r, holder,
                          f"perturbed_circle({d:g},{delta:g})")
 
@@ -298,10 +289,10 @@ class PowerMap(SmoothMap1D):
     """g = f^p by composition; derivatives by jet propagation (chain rule).
 
     The Hoelder norm is propagated by the Faa di Bruno-style bound
-    ||(f^p)'||_{r-1} <= A^{p r} ||f'||_{r-1}^{p r} with a configurable A.
+    ||(f^p)'||_{r-1} <= A^{p r} ||f'||_{r-1}^{p r} with A = FAA_DI_BRUNO_CONST.
     """
 
-    def __init__(self, base, p, faa_di_bruno_const=2.0):
+    def __init__(self, base, p):
         if p < 1:
             raise ValueError("power must be >= 1")
         self.base = base
@@ -309,7 +300,7 @@ class PowerMap(SmoothMap1D):
         base_norm = max(_quick_norm(base, k) for k in range(1, base.r_floor + 1))
         base_norm = max(base_norm, base.holder_const)
         r = base.smoothness_r
-        holder = (faa_di_bruno_const * max(base_norm, 1.0)) ** (self.p * r)
+        holder = (FAA_DI_BRUNO_CONST * max(base_norm, 1.0)) ** (self.p * r)
         super().__init__(base.domain, r, holder, f"{base.name}^{p}")
 
     def _eval_raw(self, x):
@@ -340,11 +331,11 @@ class PowerMap(SmoothMap1D):
         return jet
 
 
-def power_map(f, p, faa_di_bruno_const=2.0):
+def power_map(f, p):
     """p-fold composition of f with derivative and norm propagation."""
     if p == 1:
         return f
-    return PowerMap(f, p, faa_di_bruno_const)
+    return PowerMap(f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +527,6 @@ class MapNorms:
     f_prime_r_minus_1: float   # max over the index set
     R_estimate: float
     n_used: int
-    is_lower_bound: bool = True
     upper_hints: dict = field(default_factory=dict)
 
 

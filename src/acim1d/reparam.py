@@ -35,7 +35,7 @@ from .maps import estimate_norms
 __all__ = [
     "Reparametrization", "BoundednessCertificate", "affine_reparam",
     "check_bounded", "distortion_ratio", "choose_epsilon",
-    "taylor_window_check", "split_reparam", "verify_split",
+    "taylor_window_check", "cover_centers", "split_reparam", "verify_split",
 ]
 
 
@@ -84,12 +84,6 @@ class Reparametrization:
         v = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
                                              self.poly())
         return domain.reduce(v) if domain is not None else v
-
-    def image(self):
-        """Unreduced image interval of [-1,1] (polynomial extrema on grid)."""
-        ts = np.linspace(-1.0, 1.0, 257)
-        vals = self.point(ts)
-        return float(np.min(vals)), float(np.max(vals))
 
 
 def affine_reparam(center, slope, name="sigma"):
@@ -276,16 +270,33 @@ def taylor_window_check(g, eps, samples=64, rng=None):
 # ---------------------------------------------------------------------------
 
 
-def split_reparam(gamma, eps, target_map=None, power=0, grid=1001,
-                  rate_cap=None):
+def cover_centers(u0, u1, rho):
+    """Centers of the radius-rho pieces of the splitting layout on [u0, u1].
+
+    Returns (expanding, plain): expanding centers step by 2 rho / 3 from
+    u0 + rho to u1 - rho, so their middle thirds cover [u0 + 2 rho / 3,
+    u1 - 2 rho / 3]; the two plain end caps sit at u0 + rho and u1 - rho.
+    """
+    expanding = []
+    c = u0 + rho
+    last = u1 - rho
+    step = 2.0 * rho / 3.0
+    while c < last - 1e-15:
+        expanding.append(c)
+        c += step
+    expanding.append(last)
+    return expanding, [u0 + rho, u1 - rho]
+
+
+def split_reparam(gamma, eps, target_map=None, power=0, grid=1001):
     """Affine pieces making gamma (or g^power o gamma) eps-bounded.
 
     Returns {"L_plain": [(alpha, rho), ...], "L_exp": [...]} with the
     covering convention: plain pieces count with their full images,
-    expanding pieces with the middle third.  Piece rate is
-    min(1/2, (2/3) eps / sup|gamma'|) so that eps-boundedness and the
-    eps/6 center derivative both follow from the 3/2 distortion bound;
-    an explicit rate_cap (the tree uses 1/100) shrinks pieces further.
+    expanding pieces with the middle third (layout from cover_centers).
+    Piece rate is min(1/2, (2/3) eps / sup|gamma'|) so that
+    eps-boundedness and the eps/6 center derivative both follow from the
+    3/2 distortion bound.
     """
     r = target_map.smoothness_r if target_map is not None else 2.0
     order = max(2, int(math.floor(r)))
@@ -300,19 +311,9 @@ def split_reparam(gamma, eps, target_map=None, power=0, grid=1001,
         return {"L_plain": [(0.0, 1.0)], "L_exp": [], "rate": 1.0, "sup1": K}
 
     rho = min(0.5, (2.0 / 3.0) * eps / K)
-    if rate_cap is not None:
-        rho = min(rho, rate_cap)
-    exp_pieces = []
-    c = -1.0 + rho
-    step = 2.0 * rho / 3.0
-    last = 1.0 - rho
-    while c < last - 1e-15:
-        exp_pieces.append((c, rho))
-        c += step
-    exp_pieces.append((last, rho))
-    plain_pieces = [(-1.0 + rho, rho), (1.0 - rho, rho)]
-    return {"L_plain": plain_pieces, "L_exp": exp_pieces,
-            "rate": rho, "sup1": K}
+    exp_c, plain_c = cover_centers(-1.0, 1.0, rho)
+    return {"L_plain": [(c, rho) for c in plain_c],
+            "L_exp": [(c, rho) for c in exp_c], "rate": rho, "sup1": K}
 
 
 def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,

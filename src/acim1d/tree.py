@@ -14,9 +14,11 @@ Construction per level and parent:
      (g^n o sigma o theta)(t) = 0 (marked-point rule; pieces touching
      such a cut are orientation-flipped so the cut is the image of -1),
   2. where the local first-derivative sup K_S of g^n o sigma o theta
-     exceeds 81*eps, emit expanding children of rate 0.8*eps/K_S < 1/100
-     covering the segment with middle thirds (plus two plain end caps);
-     otherwise tile the segment with plain children of rate 1/100.
+     exceeds 81*eps, tile the segment with the splitting construction's
+     layout (reparam.cover_centers) at rate 0.8*eps/K_S < 1/100:
+     expanding children covering through their middle thirds plus two
+     plain end caps; otherwise tile the segment with plain children of
+     rate at most 1/100.
 
 The rate threshold is where eps-boundedness, the 1/100 cap, and the
 eps/6 center bound become simultaneously certifiable: on a label run the
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import TreeBudgetExceeded
 from .jets import Jet, jet_of_polynomial
-from .maps import estimate_norms, power_map
-from .reparam import Reparametrization, check_bounded
+from .maps import estimate_norms, eval_orbit, power_map
+from .reparam import Reparametrization, check_bounded, cover_centers
 
 __all__ = ["TreeVertex", "ReparamTree", "build_tree", "verify_tree"]
 
@@ -45,6 +47,10 @@ EXPAND_THRESHOLD = 81.0   # K_S / eps above which a segment splits expandingly
 EXPAND_SUP = 0.8          # post-split sup target, as a fraction of eps
 PLAIN_SUP = 0.9           # plain-piece sup budget, as a fraction of eps
 RATE_CAP = 1.0 / 100.0
+KPRIME_CAP = 60           # parameters with -log|g'| above this get no child
+SEG_GRID = 193            # parent-parameter grid for label runs and sups
+CERT_GRID = 33            # per-child grid for the build-time certificates
+ACTIVE_CAP = 16           # vertices kept per level by the geometric-time walk
 
 
 @dataclass
@@ -75,23 +81,16 @@ class TreeVertex:
 class ReparamTree:
     """Leveled tree of affine contractions for g = f^p over a seed sigma."""
 
-    def __init__(self, f, p, sigma, eps, C_r=1000.0, rate_cap=RATE_CAP,
-                 level_budget=10 ** 6, kprime_cap=60, seg_grid=193,
-                 cert_grid=33):
+    def __init__(self, f, p, sigma, eps, C_r=1000.0, level_budget=10 ** 6):
         self.f = f
         self.p = int(p)
         self.g = power_map(f, p)
         self.sigma = sigma
         self.eps = float(eps)
         self.C_r = float(C_r)
-        self.rate_cap = float(rate_cap)
         self.level_budget = int(level_budget)
-        self.kprime_cap = int(kprime_cap)
-        self.seg_grid = int(seg_grid)
-        self.cert_grid = int(cert_grid)
         norms = estimate_norms(self.g, grid_size=4096, refine_iters=2, n_used=2)
         self.log_sup_gprime = float(np.log(max(norms.sup_abs_deriv[1], 1e-300)))
-        self._order = max(2, self.g.r_floor)
 
         base = sigma.poly()
         if base.shape[0] > 2:
@@ -151,19 +150,17 @@ class ReparamTree:
     def _make_children(self, parent):
         n = parent.level + 1
         half = 1.0 / 3.0 if parent.vtype == "Expanding" else 1.0
-        ts = np.linspace(-half, half, self.seg_grid)
+        ts = np.linspace(-half, half, SEG_GRID)
         A, R = parent.theta_alpha, parent.theta_rho
         jet, ld = self._curve_jets(A, R, ts, n, order=1, want_labels=True)
         phi_vals = jet.value
         phi_d1 = np.abs(jet.deriv(1))
 
-        with np.errstate(invalid="ignore"):
-            k_arr = np.floor(np.maximum(0.0, ld)).astype(int)
-            kp_arr = np.floor(np.maximum(0.0, -ld)).astype(int)
-        excluded = ~np.isfinite(ld) | (-ld > self.kprime_cap)
+        k_arr, kp_arr = _labels(ld)
+        excluded = (kp_arr < 0) | (-ld > KPRIME_CAP)
 
-        cuts = {0, self.seg_grid - 1}
-        for i in range(self.seg_grid - 1):
+        cuts = {0, SEG_GRID - 1}
+        for i in range(SEG_GRID - 1):
             if excluded[i] != excluded[i + 1] or \
                     (not excluded[i] and not excluded[i + 1] and
                      (k_arr[i] != k_arr[i + 1] or kp_arr[i] != kp_arr[i + 1])):
@@ -172,7 +169,7 @@ class ReparamTree:
         marked_idx = set()
         for tm in marked_ts:
             i = int(np.searchsorted(ts, tm))
-            if 0 < i < self.seg_grid:
+            if 0 < i < SEG_GRID:
                 cuts.add(i)
                 marked_idx.add(i)
         cut_list = sorted(cuts)
@@ -201,8 +198,7 @@ class ReparamTree:
                 specs.extend(self._tile_expanding(u0, u1, rho, k, kp,
                                                   left_marked, right_marked))
             else:
-                rho = min(self.rate_cap, PLAIN_SUP * self.eps / max(Kseg, 1e-300))
-                rho = min(rho, self.rate_cap)
+                rho = min(RATE_CAP, PLAIN_SUP * self.eps / max(Kseg, 1e-300))
                 specs.extend(self._tile_plain(u0, u1, rho, k, kp,
                                               left_marked, right_marked))
 
@@ -225,44 +221,28 @@ class ReparamTree:
     @staticmethod
     def _tile_expanding(u0, u1, rho, k, kp, left_marked, right_marked):
         w = u1 - u0
-        out = []
         if w <= 2 * rho:
-            out.append((0.5 * (u0 + u1), 0.5 * w, k, kp, "Plain", False))
-            return _orient(out, u0, u1, left_marked, right_marked)
-        c = u0 + rho
-        last = u1 - rho
-        step = 2.0 * rho / 3.0
-        while c < last - 1e-15:
-            out.append((c, rho, k, kp, "Expanding", False))
-            c += step
-        out.append((last, rho, k, kp, "Expanding", False))
-        out.append((u0 + rho, rho, k, kp, "Plain", False))
-        out.append((u1 - rho, rho, k, kp, "Plain", False))
+            out = [(0.5 * (u0 + u1), 0.5 * w, k, kp, "Plain", False)]
+        else:
+            exp_c, plain_c = cover_centers(u0, u1, rho)
+            out = [(c, rho, k, kp, "Expanding", False) for c in exp_c] + \
+                  [(c, rho, k, kp, "Plain", False) for c in plain_c]
         return _orient(out, u0, u1, left_marked, right_marked)
 
     def _certify_children(self, parent, specs, n):
         if not specs:
             return []
         A, R = parent.theta_alpha, parent.theta_rho
-        tloc = np.linspace(-1.0, 1.0, self.cert_grid)
-        mid = self.cert_grid // 2
+        tloc = np.linspace(-1.0, 1.0, CERT_GRID)
         alphas = np.array([s[0] for s in specs])
         rhos = np.array([s[1] for s in specs])
         thA = A + R * alphas
         thR = R * rhos
-        pts_t = thA[:, None] + thR[:, None] * tloc[None, :]
-        flat = pts_t.reshape(-1)
-        jet = jet_of_polynomial(np.array([self.sigma_c, self.sigma_s]),
-                                flat, 1)
-        c = jet.c.copy()
-        c[1] = c[1] * np.repeat(thR, self.cert_grid)
-        jet = Jet(c)
-        for _ in range(n):
-            jet = self.g.jet_apply(jet)
-        d1 = np.abs(jet.deriv(1)).reshape(len(specs), self.cert_grid)
+        jet, _ = self._curve_jets(thA[:, None], thR[:, None], tloc, n)
+        d1 = np.abs(jet.deriv(1))
         sup1 = d1.max(axis=1)
         min1 = d1.min(axis=1)
-        center1 = d1[:, mid]
+        center1 = d1[:, CERT_GRID // 2]
 
         kids = []
         for i, (a, rho, k, kp, vtype, passthrough) in enumerate(specs):
@@ -342,16 +322,10 @@ class ReparamTree:
             xl = A + (((x - A) + 0.5) % 1.0) - 0.5
         return (xl - A) / Rr
 
-    def walk_geometric_times(self, x, n_max, active_cap=16):
+    def walk_geometric_times(self, x, n_max):
         """Levels m <= n_max at which x sits in the middle third of an
         expanding vertex whose k'-labels match the orbit of x."""
-        from .maps import eval_orbit
-
-        rec = eval_orbit(self.g, float(x), n_max)
-        lds = rec.log_derivs
-        kp_x = np.where(np.isfinite(lds),
-                        np.floor(np.maximum(0.0, -lds)), -1).astype(int)
-
+        _, kp_x = orbit_labels(self.g, x, n_max)
         root = self.levels[0][0]
         t0 = self.param_of(x, root.theta_alpha, root.theta_rho)
         if not np.isfinite(t0) or abs(t0) > 1.0 + 1e-12:
@@ -359,9 +333,9 @@ class ReparamTree:
         active = [root]
         out = []
         for m in range(1, n_max + 1):
-            if not np.isfinite(lds[m - 1]):
+            want_kp = kp_x[m - 1]
+            if want_kp < 0:
                 break
-            want_kp = int(kp_x[m - 1])
             nxt = []
             hit = False
             for par in active:
@@ -377,7 +351,7 @@ class ReparamTree:
             if hit:
                 out.append(m)
             nxt.sort(key=lambda p: (p[0], p[1].vid))
-            active = [ch for _, ch in nxt[:active_cap]]
+            active = [ch for _, ch in nxt[:ACTIVE_CAP]]
             if not active:
                 break
         return out
@@ -410,25 +384,25 @@ def _orient(pieces, u0, u1, left_marked, right_marked):
     return out
 
 
-def build_tree(f, p, sigma, n_levels, eps, C_r=1000.0, level_budget=10 ** 6,
-               **kw):
+def build_tree(f, p, sigma, n_levels, eps, C_r=1000.0, level_budget=10 ** 6):
     """Construct and materialize a reparametrization tree for g = f^p."""
-    tree = ReparamTree(f, p, sigma, eps, C_r=C_r, level_budget=level_budget,
-                       **kw)
+    tree = ReparamTree(f, p, sigma, eps, C_r=C_r, level_budget=level_budget)
     return tree.build(n_levels)
 
 
-def orbit_labels(g, z, n):
-    """Label vectors (k_i, k'_i) = (floor log+|g'|, floor log-|g'|) along
-    the orbit of z, i = 1..n; -1 marks a critical hit."""
-    from .maps import eval_orbit
+def _labels(lds):
+    """(k, k') = (floor log+|g'|, floor log-|g'|) from log|g'| values;
+    -1 in both where log|g'| is not finite (a critical hit)."""
+    fin = np.isfinite(lds)
+    ks = np.where(fin, np.floor(np.maximum(0.0, lds)), -1).astype(int)
+    kps = np.where(fin, np.floor(np.maximum(0.0, -lds)), -1).astype(int)
+    return ks, kps
 
-    rec = eval_orbit(g, float(z), n)
-    lds = rec.log_derivs
-    ks = np.where(np.isfinite(lds),
-                  np.floor(np.maximum(0.0, lds)), -1).astype(int)
-    kps = np.where(np.isfinite(lds),
-                   np.floor(np.maximum(0.0, -lds)), -1).astype(int)
+
+def orbit_labels(g, z, n):
+    """Label vectors (k_i, k'_i) along the orbit of z, i = 1..n; -1 marks
+    a critical hit."""
+    ks, kps = _labels(eval_orbit(g, float(z), n).log_derivs)
     return ks.tolist(), kps.tolist()
 
 
@@ -482,7 +456,6 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     worst3 = np.inf
     bad3 = []
     worst_eps = np.inf
-    worst_dist = 0.0
     for lv in tree.levels[1:]:
         for v in lv:
             if v.vtype == "Expanding":
@@ -491,14 +464,13 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
                 if m < -1e-12:
                     bad3.append(v.vid)
             worst_eps = min(worst_eps, v.eps_margin)
-            if v.min1 > 0:
-                worst_dist = max(worst_dist, v.sup1 / v.min1)
     report["item3"] = {"worst_margin": worst3, "violations": bad3,
                        "ok": not bad3}
     report["eps_bound"] = {"worst_margin": worst_eps,
                            "ok": worst_eps >= -1e-12}
-    report["distortion"] = {"worst_ratio": worst_dist,
-                            "ok": worst_dist <= 1.5 + 1e-9}
+    ratios, dist_ok = distortion_suite(tree)
+    report["distortion"] = {"worst_ratio": float(ratios.max(initial=0.0)),
+                            "ok": dist_ok}
 
     # item 1: sampled full certificates through every k <= level
     all_vs = [v for lv in tree.levels[1:] for v in lv]
@@ -548,22 +520,18 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     # items 4 and 6: witness covering on sampled sigma-parameters
     n_levels = len(tree.levels) - 1
     if n_levels >= 1:
-        from .maps import eval_orbit
-
         tsamp = rng.uniform(-0.98, 0.98, witness_samples)
         xs = tree.sigma.point(tsamp, g.domain)
         hits4 = np.zeros(n_levels)
         hits6 = np.zeros(n_levels)
         valid = np.zeros(n_levels)
         for x in xs:
-            rec = eval_orbit(g, float(x), n_levels)
-            lds = rec.log_derivs
+            kxs_all, kpxs_all = orbit_labels(g, x, n_levels)
             for n in range(1, n_levels + 1):
-                if not np.all(np.isfinite(lds[:n])):
+                kxs, kpxs = kxs_all[:n], kpxs_all[:n]
+                if min(kpxs) < 0:
                     continue
                 valid[n - 1] += 1
-                kxs = np.floor(np.maximum(0.0, lds[:n])).astype(int)
-                kpxs = np.floor(np.maximum(0.0, -lds[:n])).astype(int)
                 got4 = False
                 got6 = False
                 for v in tree.levels[n]:
@@ -573,7 +541,7 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
                         continue
                     got6 = True
                     ks, kps = tree.label_path(v)
-                    if list(kps) != list(kpxs) or list(ks) != list(kxs):
+                    if kps != kpxs or ks != kxs:
                         continue
                     if v.vtype == "Expanding":
                         if abs(t) <= 1.0 / 3.0 + 1e-9:

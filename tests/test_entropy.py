@@ -1,5 +1,6 @@
 """Partitions, entropies, and the inequality suites."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from acim1d.entropy import (
-    C0_MANE, EntropyReport, build_Qq, change_of_variable_check, choose_offset,
-    entropy_formula_residual, gibbs_check, itinerary_entropy, join,
-    partition_entropy, partition_from_branches, qbin_label, refine,
+    C0_MANE, EntropyReport, ac_verdict, build_Qq, change_of_variable_check,
+    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
+    join, partition_entropy, partition_from_branches, qbin_label, refine,
     sete_inequality, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
@@ -342,3 +343,12 @@ def test_entropy_formula_needs_atoms():
                           meta={})
     with pytest.raises(InsufficientAtoms):
         entropy_formula_residual(f, mu, [2], [1, 2], p=1)
+
+
+@pytest.mark.parametrize("conditions", list(itertools.product(
+    [False, True], repeat=3)))
+def test_ac_verdict_truth_table(conditions):
+    want = "AC-consistent" if conditions == (True, True, True) else "not-AC"
+    assert ac_verdict(*conditions) == want
+    if conditions[2]:  # checks_ok defaults to True
+        assert ac_verdict(*conditions[:2]) == want

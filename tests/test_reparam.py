@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from acim1d.errors import NotBounded
 from acim1d.maps import make_map, power_map
 from acim1d.reparam import (
     Reparametrization, affine_reparam, check_bounded, choose_epsilon,
-    distortion_ratio, split_reparam, taylor_window_check, verify_split,
+    cover_centers, distortion_ratio, split_reparam, taylor_window_check,
+    verify_split,
 )
 
 EPS = 1.0 / 16.0
@@ -119,6 +121,29 @@ def test_split_nonaffine_five_eps():
     assert rep["i_eps_margin"] >= -1e-12
     assert rep["i_center_margin"] >= 0.0
     assert rep["iv_ok"]
+
+
+@given(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0),
+       st.floats(1e-3, 0.5, exclude_max=True))
+@settings(max_examples=300)
+def test_cover_centers_layout(u0, width, frac):
+    u1 = u0 + width
+    rho = frac * (u1 - u0)
+    assume(0.0 < rho < (u1 - u0) / 2.0)
+    exp_c, plain_c = cover_centers(u0, u1, rho)
+    tol = 1e-12  # the covering tolerance of verify_split
+    assert len(plain_c) == 2
+    assert len(exp_c) <= 3.0 * (u1 - u0) / (2.0 * rho) + 1.0
+    for c in exp_c + plain_c:
+        assert u0 - tol <= c - rho and c + rho <= u1 + tol
+    # plain pieces count with full images, expanding ones with middle thirds
+    spans = sorted([(c - rho, c + rho) for c in plain_c] +
+                   [(c - rho / 3.0, c + rho / 3.0) for c in exp_c])
+    reach = u0
+    for lo, hi in spans:
+        assert lo <= reach + tol, (lo, reach)
+        reach = max(reach, hi)
+    assert reach >= u1 - tol
 
 
 def test_split_requires_bounded():
