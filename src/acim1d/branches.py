@@ -46,10 +46,6 @@ class Branch:
             return (x - self.a) % 1.0 < self.length
         return self.a <= x < self.b
 
-    def midpoint(self, circle):
-        m = self.a + 0.5 * self.length
-        return m % 1.0 if circle else m
-
 
 @dataclass
 class BranchPartition:

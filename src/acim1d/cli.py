@@ -60,12 +60,33 @@ def _fmt(v):
     return str(v)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, rows=(), chunks=()):
+    """Header and rows via csv.writer, then text chunks of rows alike."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows([_fmt(v) for v in row] for row in rows)
+        fh.writelines(chunks)
+
+
+def _chunks(text_of, *cols, size=1 << 16):
+    """text_of of each size-row slice of cols: bounds the text held at once"""
+    for i in range(0, len(cols[0]), size):
+        yield text_of(*(c[i:i + size] for c in cols))
+
+
+def _measure_body(atoms, weights):
+    """measure.csv rows (point, weight) as CSV text."""
+    return "".join(map("{:.17g},{:.17g}\r\n".format, atoms.tolist(),
+                       weights.tolist()))
+
+
+def _times_body(seeds, time_mask):
+    """times.csv rows (x, ;-joined raw times of x) as CSV text."""
+    ts = list(map(str, np.nonzero(time_mask)[1].tolist()))
+    ends = np.cumsum(np.count_nonzero(time_mask, axis=1)).tolist()
+    return "".join("{:.17g},{}\r\n".format(x, ";".join(ts[a:b]))
+                   for x, a, b in zip(seeds.tolist(), [0] + ends, ends))
 
 
 def parallel_map(fn, items, jobs=1):
@@ -209,8 +230,7 @@ def stage_times(st):
         st.check("detector_agreement", "tree_vs_surrogate", rate,
                  float("nan"), float("nan"), True)
     _write_csv(st.out / "times.csv", ("x", "times"),
-               [(float(x), ";".join(map(str, st.pool.time_list(s))))
-                for s, x in enumerate(st.pool.seeds)])
+               chunks=_chunks(_times_body, st.pool.seeds, st.pool.time_mask))
 
     E = st.pool.time_mask
     M_fin, m_fin = max(cfg.M_list), min(cfg.m_list)
@@ -242,7 +262,8 @@ def stage_measure(st):
 
     st.mu = empirical_measure(st.selection, max(cfg.M_list), min(cfg.m_list),
                               normalization="mu")
-    _write_csv(st.out / "measure.csv", ("point", "weight"), st.mu.to_rows())
+    _write_csv(st.out / "measure.csv", ("point", "weight"),
+               chunks=_chunks(_measure_body, st.mu.atoms, st.mu.weights))
 
     est = density_estimate(st.mu, cfg.bins)
     ref = {"uniform": ref_uniform, "logistic": ref_logistic_acip}.get(

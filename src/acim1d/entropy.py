@@ -178,23 +178,19 @@ def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
 
     The Q_q borders sit where q (log|g'(x)| - a) is an integer; the J
     borders do not depend on a, so no draw can clear them: points on a
-    branch cut are tolerated up to mass j_mass_tol (exactly-dyadic maps
-    quantize late orbit points onto cuts) and OffsetNotFound is raised
-    only when their fraction is material.
+    branch cut (mod 1 on the circle) are tolerated up to mass j_mass_tol
+    (exactly-dyadic maps quantize late orbit points onto cuts) and
+    OffsetNotFound is raised only when their fraction is material.
     """
     rng = rng or np.random.default_rng(0)
     atoms = np.asarray(orbit_atoms, dtype=float)
-    if cut_points is not None and len(cut_points):
-        cp = np.sort(np.asarray(
-            [p for p in cut_points if not isinstance(p, tuple)]))
-        if cp.size:
-            j = np.clip(np.searchsorted(cp, atoms), 1, cp.size - 1)
-            dj = np.minimum(np.abs(atoms - cp[j - 1]), np.abs(atoms - cp[j]))
-            frac = float(np.mean(dj < min_dist))
-            if frac > j_mass_tol:
-                raise OffsetNotFound(
-                    f"fraction {frac:.3g} of orbit points sit on branch "
-                    f"cuts (> {j_mass_tol})")
+    cp = [p for p in cut_points or () if not isinstance(p, tuple)]
+    if cp:
+        frac = float(np.mean(g.domain.nearest_distance(atoms, cp) < min_dist))
+        if frac > j_mass_tol:
+            raise OffsetNotFound(
+                f"fraction {frac:.3g} of orbit points sit on branch cuts "
+                f"(> {j_mass_tol})")
     u = g.log_abs_deriv(atoms)
     u = u[np.isfinite(u)]
     for _ in range(n_draws):
@@ -328,8 +324,8 @@ def _entropy_of_masses(masses):
 def partition_entropy(measure, P, measure_id="mu", m=1):
     """H(P) = sum -lambda(P) log lambda(P) on atom masses."""
     ids = P.locate_many(measure.atoms)
-    masses = np.zeros(P.n_atoms + 1)
-    np.add.at(masses, np.where(ids >= 0, ids, P.n_atoms), measure.weights)
+    masses = np.bincount(np.where(ids >= 0, ids, P.n_atoms),
+                         weights=measure.weights, minlength=P.n_atoms + 1)
     H = _entropy_of_masses(masses)
     return EntropyReport(H_value=H, partition_id=P.name, measure_id=measure_id,
                          m=m, per_atom_masses=masses)
@@ -343,27 +339,22 @@ def itinerary_entropy(mu, label_fns, m, g=None):
     provenance the forward points come from the recorded orbits;
     otherwise g is iterated from the atoms directly.
     """
-    n_atoms = mu.n_atoms
-    cols = []
-    if mu.pool is not None:
-        pts = mu.pool.points
-        for j in range(m):
-            xj = pts[mu.time_idx + j, mu.seed_idx]
-            for fn in label_fns:
-                cols.append(fn(xj))
-    else:
-        if g is None:
-            raise ValueError("need g to iterate a pool-free measure")
-        xj = mu.atoms.copy()
-        for j in range(m):
-            for fn in label_fns:
-                cols.append(fn(xj))
-            if j < m - 1:
-                xj = g.eval(xj)
-    code = np.stack(cols, axis=1)
-    _, inv = np.unique(code, axis=0, return_inverse=True)
-    masses = np.bincount(inv, weights=mu.weights)
-    return _entropy_of_masses(masses)
+    if mu.pool is None and g is None:
+        raise ValueError("need g to iterate a pool-free measure")
+    # rank fold over the label columns J_0, Q_0, J_1, ...: inv ends as the
+    # lexicographic row rank, np.unique(axis=0)'s inverse; inv, r < atoms,
+    # so the key stays below atoms^2 and fits int64 up to ~3e9 atoms
+    inv, xj = 0, mu.atoms
+    for j in range(m):
+        if mu.pool is not None:
+            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
+        elif j:
+            xj = g.eval(xj)
+        for fn in label_fns:
+            _, r = np.unique(fn(xj), return_inverse=True)
+            _, inv = np.unique(inv * (r.max(initial=0) + 1) + r,
+                               return_inverse=True)
+    return _entropy_of_masses(np.bincount(inv, weights=mu.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +449,12 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
     """
     rng = rng or np.random.default_rng(0)
     a = a if a is not None else choose_offset(g, q, measure.atoms, rng)
-    labfn = qbin_label(g, q, a)
-    ks = labfn(measure.atoms)
-    masses = {}
-    for k, w in zip(ks, measure.weights):
-        masses[int(k)] = masses.get(int(k), 0.0) + float(w)
-    xs = np.array(list(masses.values()))
-    kk = np.array(list(masses.keys()), dtype=float)
+    # bin masses in order of first appearance, each summed in atom order
+    kk, first, inv = np.unique(qbin_label(g, q, a)(measure.atoms),
+                               return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    xs = np.bincount(inv, weights=measure.weights)[order]
+    kk = kk[order].astype(float)
     lhs = _entropy_of_masses(xs)
     rhs1 = float(np.sum(np.abs(kk) * xs)) + C0_MANE
     u = g.log_abs_deriv(measure.atoms)

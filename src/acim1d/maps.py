@@ -56,6 +56,20 @@ class Domain:
             return x - np.floor(x)
         return x
 
+    def nearest_distance(self, x, pts):
+        """min over c in pts (non-empty) of |x - c|, on the circle of
+        min(|x - c|, 1 - |x - c|).  Rounding is monotone, so the sorted
+        neighbours of x (and the extremes of pts, for the wrap) give it."""
+        x = np.asarray(x, dtype=float)
+        c = np.sort(np.asarray(pts, dtype=float))
+        j = np.searchsorted(c, x)
+        d = np.minimum(np.abs(x - c[np.maximum(j - 1, 0)]),
+                       np.abs(x - c[np.minimum(j, c.size - 1)]))
+        if self.is_circle:
+            d = np.minimum(d, 1.0 - np.maximum(np.abs(x - c[0]),
+                                               np.abs(x - c[-1])))
+        return d
+
     def contains(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float)
         if self.is_circle:

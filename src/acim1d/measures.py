@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelection, InsufficientAtoms
-from .maps import estimate_norms, orbit_grid, power_map
+from .maps import UNIT_INTERVAL, estimate_norms, orbit_grid, power_map
 from .probes import probe_functions
 from .times import (
     boundary_counts, density_rows, mask_from_lists, surrogate_mask, trim_mask,
@@ -156,9 +156,6 @@ class EmpiricalMeasure:
     def total_mass(self):
         return float(np.sum(self.weights))
 
-    def to_rows(self):
-        return list(zip(self.atoms.tolist(), self.weights.tolist()))
-
 
 def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
     """Assemble mu_n^{M,m} or nu_n^{M,m} from a seed selection."""
@@ -285,18 +282,11 @@ def support_gap_from_critical(mu, critical_pts, g=None, M=None,
     supplied, also checks log|g'| >= -M log||g'||_inf at every atom (the
     hyperbolic-time floor on the derivative along kept times).
     """
-    pts = [c for c in critical_pts if not isinstance(c, tuple)]
-    for c in critical_pts:
-        if isinstance(c, tuple):
-            pts.extend(c)
-    if not pts:
-        gap = float("inf")
-    else:
-        pts = np.asarray(pts, dtype=float)
-        d = np.abs(mu.atoms[:, None] - pts[None, :])
-        if g is not None and g.domain.is_circle:
-            d = np.minimum(d, 1.0 - d)
-        gap = float(np.min(d))
+    pts = [p for c in critical_pts
+           for p in (c if isinstance(c, tuple) else (c,))]
+    domain = g.domain if g is not None else UNIT_INTERVAL
+    gap = float(np.min(domain.nearest_distance(mu.atoms, pts))) if pts \
+        else float("inf")
     rep = {"gap": gap, "flagged_zero": gap <= 1e-12}
     if g is not None and M is not None:
         if log_sup_gprime is None:

@@ -116,12 +116,16 @@ class BoundednessCertificate:
 _HOLDER_STRIDES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
-def _composition_jets(sig, target_map, k, ts, order):
-    jet = jet_of_polynomial(sig.poly(), ts, order)
+def _composition(sig, target_map, k, ts, eps=np.inf):
+    """Jet of psi = g^k o sig on ts (g = target_map, or psi = sig without
+    one) to order max(2, floor r), and psi's certificate."""
+    r = target_map.smoothness_r if target_map is not None else 2.0
+    jet = jet_of_polynomial(sig.poly(), ts, max(2, int(math.floor(r))))
     if target_map is not None:
         for _ in range(k):
             jet = target_map.jet_apply(jet)
-    return jet
+    return jet, _cert_from_jet(jet, ts, r, eps,
+                               target_map.domain if target_map else None)
 
 
 def _cert_from_jet(jet, ts, r, eps, domain=None, marked=0.0):
@@ -201,12 +205,7 @@ def distortion_ratio(sig, target_map=None, k=0, grid=1001):
     Requires the composition to be bounded; bounded reparametrizations
     satisfy ratio <= 3/2.
     """
-    r = target_map.smoothness_r if target_map is not None else 2.0
-    order = max(2, int(math.floor(r)))
-    ts = np.linspace(-1.0, 1.0, grid)
-    jet = _composition_jets(sig, target_map, k, ts, order)
-    cert = _cert_from_jet(jet, ts, r, np.inf,
-                          target_map.domain if target_map else None)
+    _, cert = _composition(sig, target_map, k, np.linspace(-1.0, 1.0, grid))
     if not cert.is_bounded:
         raise NotBounded(
             f"distortion requested for an unbounded reparametrization "
@@ -257,7 +256,7 @@ def taylor_window_check(g, eps, samples=64, rng=None):
     order = max(2, g.r_floor)
     for x in xs:
         window = Reparametrization(np.array([x, 2.0 * eps]))
-        jet = _composition_jets(window, g, 1, ts, order)
+        jet = g.jet_apply(jet_of_polynomial(window.poly(), ts, order))
         rhs = 3.0 * eps * max(1.0, abs(float(g.deriv(1, x))))
         for s in range(1, order + 1):
             lhs = float(np.max(np.abs(jet.deriv(s))))
@@ -298,12 +297,8 @@ def split_reparam(gamma, eps, target_map=None, power=0, grid=1001):
     eps-boundedness and the eps/6 center derivative both follow from the
     3/2 distortion bound.
     """
-    r = target_map.smoothness_r if target_map is not None else 2.0
-    order = max(2, int(math.floor(r)))
-    ts = np.linspace(-1.0, 1.0, grid)
-    jet = _composition_jets(gamma, target_map, power, ts, order)
-    cert = _cert_from_jet(jet, ts, r, eps,
-                          target_map.domain if target_map else None)
+    _, cert = _composition(gamma, target_map, power,
+                           np.linspace(-1.0, 1.0, grid), eps)
     if not cert.is_bounded:
         raise NotBounded("split requires a bounded reparametrization")
     K = cert.sup_first_deriv
@@ -326,12 +321,8 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
     (iv) at most 100 pieces meet any eps-ball around a point of the image.
     """
     rng = rng or np.random.default_rng(0)
-    r = target_map.smoothness_r if target_map is not None else 2.0
-    order = max(2, int(math.floor(r)))
     ts = np.linspace(-1.0, 1.0, grid)
-    jet = _composition_jets(gamma, target_map, power, ts, order)
-    parent_cert = _cert_from_jet(jet, ts, r, eps,
-                                 target_map.domain if target_map else None)
+    jet, parent_cert = _composition(gamma, target_map, power, ts, eps)
 
     all_pieces = [(a, rho, "plain") for a, rho in pieces["L_plain"]] + \
                  [(a, rho, "exp") for a, rho in pieces["L_exp"]]
@@ -340,10 +331,8 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
     bounded_ok = True
     tloc = np.linspace(-1.0, 1.0, 129)
     for a, rho, _ in all_pieces:
-        child = gamma.child(a, rho)
-        cj = _composition_jets(child, target_map, power, tloc, order)
-        cc = _cert_from_jet(cj, tloc, r, eps,
-                            target_map.domain if target_map else None)
+        cj, cc = _composition(gamma.child(a, rho), target_map, power, tloc,
+                              eps)
         bounded_ok &= cc.is_bounded
         worst_eps_margin = min(worst_eps_margin, eps - cc.sup_first_deriv)
         center = abs(float(cj.deriv(1)[64]))

@@ -189,6 +189,36 @@ def test_pipeline_time_tables_match_set_oracles(tmp_path):
     assert st.mu.n_atoms == sum(counts)
 
 
+def test_array_writers_match_csv_writer_bytes(tmp_path):
+    # the rows the csv.writer path took: (atom, weight) pairs and, per
+    # seed, (x, ";"-joined raw times), formatted by _fmt
+    vals = np.array([0.1, -0.0, 0.0, 5e-324, 1e300, -1e300, float("nan"),
+                     float("inf"), -float("inf"), 1.0 / 3.0, 2.0 ** 53, 1.0])
+    rng = np.random.default_rng(4)
+    weights = rng.permutation(vals)
+    mask = rng.random((vals.size, 7)) < 0.4
+    mask[0] = False
+    mask[1] = True
+    old_times = [(float(x), ";".join(map(str, np.flatnonzero(row).tolist())))
+                 for x, row in zip(vals, mask)]
+    no_times = np.zeros((vals.size, 0), dtype=bool)
+    cases = [
+        (("point", "weight"), list(zip(vals.tolist(), weights.tolist())),
+         cli._measure_body, (vals, weights)),
+        (("x", "times"), old_times, cli._times_body, (vals, mask)),
+        (("x", "times"), [], cli._times_body, (vals[:0], mask[:0])),
+        (("x", "times"), [(x, "") for x in vals.tolist()], cli._times_body,
+         (vals, no_times)),
+    ]
+    for header, rows, text_of, cols in cases:
+        cli._write_csv(tmp_path / "old.csv", header, rows)
+        want = (tmp_path / "old.csv").read_bytes()
+        for size in (1, 5, 1 << 16):
+            cli._write_csv(tmp_path / "new.csv", header,
+                           chunks=cli._chunks(text_of, *cols, size=size))
+            assert (tmp_path / "new.csv").read_bytes() == want
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[map]\npreset = nosuchmap\n\n[run]\nn = 5\n")

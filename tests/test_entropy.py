@@ -6,18 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acim1d.entropy import (
-    C0_MANE, EntropyReport, ac_verdict, build_Qq, change_of_variable_check,
-    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
+    C0_MANE, EntropyReport, _entropy_of_masses, ac_verdict, build_Qq,
+    change_of_variable_check, choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
     join, partition_entropy, partition_from_branches, qbin_label, refine,
     sete_inequality, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
-from acim1d.errors import InsufficientAtoms
+from acim1d.errors import InsufficientAtoms, OffsetNotFound
 from acim1d.maps import make_map, power_map
 from acim1d.measures import (
-    EmpiricalMeasure, build_seed_pool, empirical_measure, select_An,
+    EmpiricalMeasure, SamplePool, build_seed_pool, empirical_measure,
+    select_An,
 )
 from acim1d.reparam import choose_epsilon
 
@@ -179,6 +181,139 @@ def test_itinerary_matches_geometric_refinement():
     H_code = itinerary_entropy(mu_plain, [lambda xs: bp.locate_many(xs)], 3,
                                g=f)
     assert abs(H_geom - H_code) < 1e-9
+
+
+def _itinerary_oracle(mu, label_fns, m, g=None):
+    """The row-unique coding: stack the label columns, np.unique(axis=0)."""
+    cols = []
+    if mu.pool is not None:
+        pts = mu.pool.points
+        for j in range(m):
+            xj = pts[mu.time_idx + j, mu.seed_idx]
+            for fn in label_fns:
+                cols.append(fn(xj))
+    else:
+        xj = mu.atoms.copy()
+        for j in range(m):
+            for fn in label_fns:
+                cols.append(fn(xj))
+            if j < m - 1:
+                xj = g.eval(xj)
+    code = np.stack(cols, axis=1)
+    _, inv = np.unique(code, axis=0, return_inverse=True)
+    masses = np.bincount(inv, weights=mu.weights)
+    return _entropy_of_masses(masses)
+
+
+class _Shift:
+    """Stand-in map on point ids: x -> x + step."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def eval(self, x):
+        return x + self.step
+
+
+_LABELS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-1, -10 ** 9 - 1, 2 ** 62, -2 ** 62, 2 ** 62 - 1]))
+
+
+@st.composite
+def _coded_measures(draw):
+    """A measure whose atoms and forward points are integer ids, with
+    label functions that read random label tables by id."""
+    n = draw(st.integers(0, 30))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    use_pool = draw(st.booleans())
+    width = (m + 1) * (n + 1)      # ids read by either path stay below
+    tables = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            tables.append(np.full(width, draw(_LABELS), dtype=np.int64))
+        else:
+            tables.append(np.array(draw(st.lists(
+                _LABELS, min_size=width, max_size=width)), dtype=np.int64))
+    fns = [lambda xs, t=t: t[np.asarray(xs).astype(np.int64)]
+           for t in tables]
+    w = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n,
+                               max_size=n)), dtype=float)
+    if use_pool:
+        S = max(n, 1)
+        pts = np.arange((m + 1) * S, dtype=float).reshape(m + 1, S)
+        pool = SamplePool(seeds=np.zeros(S), points=pts,
+                          chain=np.zeros_like(pts),
+                          time_mask=np.zeros((S, m + 1), dtype=bool),
+                          provenance={}, n_orbit=m)
+        seed_idx = np.array(draw(st.lists(st.integers(0, S - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+        time_idx = np.zeros(n, dtype=np.int64)
+        mu = EmpiricalMeasure(atoms=pts[0, seed_idx], weights=w, meta={},
+                              seed_idx=seed_idx, time_idx=time_idx, pool=pool)
+        return mu, fns, m, None
+    atoms = np.array(draw(st.lists(st.integers(0, n), min_size=n,
+                                   max_size=n)), dtype=float)
+    mu = EmpiricalMeasure(atoms=atoms, weights=w, meta={})
+    return mu, fns, m, _Shift(n + 1)
+
+
+@given(_coded_measures())
+@settings(max_examples=300, deadline=None)
+def test_itinerary_entropy_matches_row_unique_oracle(case):
+    mu, fns, m, g = case
+    H = itinerary_entropy(mu, fns, m, g=g)
+    assert H == _itinerary_oracle(mu, fns, m, g=g)
+    if mu.n_atoms == 0:
+        assert H == 0.0
+
+
+def test_itinerary_entropy_pool_path_matches_oracle_on_a_run():
+    f, mu = _doubling_measure(seeds=3000)
+    g = power_map(f, 4)
+    bp = monotone_branches(g)
+    fns = [lambda xs: bp.locate_many(xs), qbin_label(g, 4, -0.1)]
+    for m in (1, 2, 3):
+        assert itinerary_entropy(mu, fns, m) == _itinerary_oracle(mu, fns, m)
+
+
+def test_choose_offset_counts_cut_at_zero_from_below_on_circle():
+    # doubling^4 cuts at j/16; the only cut near 1 is 0.0, so atoms just
+    # below 1 sit on it exactly as atoms just above 0 do
+    g = power_map(make_map("doubling"), 4)
+    cuts = [pt for pt, _ in monotone_branches(g).cut_points]
+    for x in (1e-12, 1.0 - 1e-12):
+        with pytest.raises(OffsetNotFound, match="fraction 1 "):
+            choose_offset(g, 2, np.full(100, x), cut_points=cuts)
+    # one atom in 100 on the cut stays within the 1% tolerance
+    atoms = np.append(np.random.default_rng(0).uniform(0.0, 1.0, 99),
+                      1.0 - 1e-12)
+    assert -0.5 < choose_offset(g, 2, atoms, cut_points=cuts) < 0.0
+
+
+def _mane_oracle_sums(measure, g, q, a):
+    """The bin-mass dict loop: masses in first-appearance order."""
+    masses = {}
+    for k, w in zip(qbin_label(g, q, a)(measure.atoms), measure.weights):
+        masses[int(k)] = masses.get(int(k), 0.0) + float(w)
+    xs = np.array(list(masses.values()))
+    kk = np.array(list(masses.keys()), dtype=float)
+    return _entropy_of_masses(xs), float(np.sum(np.abs(kk) * xs)) + C0_MANE
+
+
+def test_mane_masses_match_dict_loop_oracle():
+    g = power_map(make_map("logistic", smoothness_r=4.0), 3)
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 5000):
+        atoms = rng.uniform(0.0, 1.0, n)
+        mu = EmpiricalMeasure(atoms=atoms, weights=rng.uniform(0, 1, n) / n,
+                              meta={})
+        for q in (1, 4, 9):
+            rep = verify_mane_bounds(mu, g, q, a=-0.37 / q)
+            lhs, rhs = _mane_oracle_sums(mu, g, q, -0.37 / q)
+            assert rep["sete_lhs"] == rep["hq_lhs"] == lhs
+            assert rep["sete_rhs"] == rhs
 
 
 def test_misiurewicz_identity_case():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acim1d.errors import EmptySelection
 from acim1d.maps import CIRCLE, make_map, power_map
@@ -167,6 +168,57 @@ def test_support_gap_artificial_atom_flagged():
                           meta={})
     rep = support_gap_from_critical(mu, [0.5])
     assert rep["gap"] == 0.0 and rep["flagged_zero"]
+
+
+def _gap_oracle(atoms, critical_pts, circle):
+    """The full atoms x critical-points distance matrix, minimized."""
+    pts = [c for c in critical_pts if not isinstance(c, tuple)]
+    for c in critical_pts:
+        if isinstance(c, tuple):
+            pts.extend(c)
+    d = np.abs(atoms[:, None] - np.asarray(pts, dtype=float)[None, :])
+    if circle:
+        d = np.minimum(d, 1.0 - d)
+    return float(np.min(d))
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _atoms_near_criticals(draw):
+    crit = draw(st.lists(st.one_of(
+        _UNIT, st.sampled_from([0.0, 0.5, 1.0 - 2 ** -53]),
+        st.tuples(_UNIT, _UNIT)), min_size=1, max_size=6))
+    flat = [p for c in crit for p in (c if isinstance(c, tuple) else (c,))]
+    near = st.sampled_from(flat).flatmap(lambda c: st.sampled_from(
+        [c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)]))
+    atoms = draw(st.lists(st.one_of(
+        _UNIT, near, st.sampled_from([0.0, 1.0 - 2 ** -53])),
+        min_size=1, max_size=40))
+    return np.clip(np.array(atoms, dtype=float), 0.0, 1.0 - 2 ** -53), crit
+
+
+@given(_atoms_near_criticals(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_support_gap_matches_full_matrix_minimum(case, circle):
+    atoms, crit = case
+    g = make_map("doubling" if circle else "logistic")
+    mu = EmpiricalMeasure(atoms=atoms, weights=np.full(atoms.size, 1.0),
+                          meta={})
+    assert support_gap_from_critical(mu, crit, g=g)["gap"] == \
+        _gap_oracle(atoms, crit, circle)
+    if not circle:
+        assert support_gap_from_critical(mu, crit)["gap"] == \
+            _gap_oracle(atoms, crit, False)
+
+
+def test_support_gap_wraps_on_the_circle():
+    mu = EmpiricalMeasure(atoms=np.array([1.0 - 2 ** -53, 0.25]),
+                          weights=np.array([0.5, 0.5]), meta={})
+    assert support_gap_from_critical(mu, [0.0], g=make_map("doubling"))[
+        "gap"] == 2 ** -53
+    assert support_gap_from_critical(mu, [0.0])["gap"] == 0.25
 
 
 def test_positive_exponent_proxy_doubling():
