@@ -53,9 +53,9 @@ class BranchPartition:
 
     map_name: str
     branches: list
-    cut_points: list  # (point_or_interval, reason) pairs
+    cut_points: list  # (point_or_interval, reason) pairs, deduplicated
     is_circle: bool
-    flat_pieces: list
+    critical: list    # critical_set(g) as computed: points and flat pieces
 
     def locate(self, x):
         """Index of the branch containing x, or -1 (cut point / flat piece)."""
@@ -207,7 +207,7 @@ def monotone_branches(g, tol=1e-12, grid_size=8192):
         branches=branches,
         cut_points=dedup,
         is_circle=circle,
-        flat_pieces=flat_pieces,
+        critical=crits,
     )
 
 
@@ -317,6 +317,6 @@ def refine_branches(g, n, tol=1e-12, grid_size=8192):
         branches=branches,
         cut_points=[(p, "pullback") for p in pts],
         is_circle=circle,
-        flat_pieces=base.flat_pieces,
+        critical=base.critical,
     )
 

@@ -33,15 +33,12 @@ from .entropy import (
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, TreeBudgetExceeded,
 )
-from .maps import (
-    critical_set, estimate_norms, lyapunov_ft, make_map, orbit_grid, power_map,
-)
+from .maps import estimate_norms, lyapunov_ft, make_map, power_map
 from .measures import (
     build_seed_pool, compare_density, density_estimate, empirical_measure,
     invariance_defect, positive_exponent_proxy, ref_logistic_acip,
     ref_uniform, select_An, support_gap_from_critical,
 )
-from .probes import probe_functions
 from .reparam import affine_reparam, choose_epsilon
 from .times import (
     clip_bruteforce, clip_mask, density_rows, mask_from_lists, trim_bruteforce,
@@ -50,8 +47,7 @@ from .times import (
 from .tree import ReparamTree, distortion_suite
 
 __all__ = ["main", "run_pipeline", "bound_calculator", "bound_analytic",
-           "bound_smooth", "basin_probe", "compute_verdict",
-           "reparam_count_constant"]
+           "bound_smooth", "compute_verdict", "reparam_count_constant"]
 
 
 def _fmt(v):
@@ -76,9 +72,13 @@ def _chunks(text_of, *cols, size=1 << 16):
 
 
 def _measure_body(atoms, weights):
-    """measure.csv rows (point, weight) as CSV text."""
-    return "".join(map("{:.17g},{:.17g}\r\n".format, atoms.tolist(),
-                       weights.tolist()))
+    """measure.csv rows (point, weight) as CSV text.  Each distinct weight
+    is formatted once; distinct means by bits, as -0.0 and 0.0 print apart."""
+    bits, inv = np.unique(np.ascontiguousarray(weights, dtype=float).view(
+        np.uint64), return_inverse=True)
+    tails = [",{:.17g}\r\n".format(w) for w in bits.view(float).tolist()]
+    return "".join([format(x, ".17g") + tails[i]
+                    for x, i in zip(atoms.tolist(), inv.tolist())])
 
 
 def _times_body(seeds, time_mask):
@@ -142,7 +142,8 @@ class PipelineState:
         self.out = Path(out_dir) if out_dir is not None else cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         seq = np.random.SeedSequence(cfg.rng_seed)
-        (self.seq_pool, self.seq_offset, self.seq_gibbs, self.seq_probe,
+        # the fourth stream is unused; spawning it keeps seq_misc's draws
+        (self.seq_pool, self.seq_offset, self.seq_gibbs, _,
          self.seq_misc) = seq.spawn(5)
         self.f = self.g = self.p = self.norms_f = self.norms_g = None
         self.eps = self.tree = self.pool = self.selection = self.mu = None
@@ -280,10 +281,11 @@ def stage_measure(st):
     rep = invariance_defect(st.mu, st.g)
     st.check("invariance_defect", "mu", rep["defect"], rep["bound"],
              rep["bound"] - rep["defect"], rep["ok"])
-    crit = critical_set(st.g, grid_size=2 ** 14)
-    gap = support_gap_from_critical(st.mu, crit, g=st.g, M=max(cfg.M_list),
-                                    log_sup_gprime=math.log(
-                                        st.norms_g.sup_abs_deriv[1]))
+    st.log_derivs = st.g.log_abs_deriv(st.mu.atoms)   # once, for every use
+    gap = support_gap_from_critical(
+        st.mu, st.bp.critical, g=st.g, M=max(cfg.M_list),
+        log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]),
+        log_derivs=st.log_derivs)
     st.check("support_gap", "min_distance", gap["gap"], 0.0, gap["gap"],
              not gap["flagged_zero"])
     if "deriv_floor_margin" in gap:
@@ -296,7 +298,8 @@ def stage_measure(st):
 
     mane = verify_mane_bounds(st.mu, st.g, max(cfg.q_list), bp=st.bp,
                               norms=st.norms_g,
-                              rng=np.random.default_rng(st.seq_offset))
+                              rng=np.random.default_rng(st.seq_offset),
+                              log_derivs=st.log_derivs)
     st.check("mane_sete", f"q={max(cfg.q_list)}", mane["sete_lhs"],
              mane["sete_rhs"], mane["sete_margin"], mane["sete_ok"])
     st.check("mane_hq", f"q={max(cfg.q_list)}", mane["hq_lhs"],
@@ -338,7 +341,7 @@ def stage_entropy(st):
     rep = entropy_formula_residual(
         st.f, st.mu, cfg.q_list, cfg.entropy_m, p=st.p,
         tol=cfg.tol_residual, rng=np.random.default_rng(st.seq_offset),
-        bp=st.bp, exponent_proxy=st.exponent_proxy)
+        bp=st.bp, exponent_proxy=st.exponent_proxy, log_derivs=st.log_derivs)
     st.entropy_rep = rep
     rows = []
     for q, tab in rep["tables"].items():
@@ -396,43 +399,6 @@ def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=None):
     for stage in _stages():
         stage(st)
     return st
-
-
-# ---------------------------------------------------------------------------
-# basin probe
-# ---------------------------------------------------------------------------
-
-
-def basin_probe(st, n_probe=10 ** 4, n_seeds=100, tolerance=0.05):
-    """Fraction of fresh above-threshold seeds whose orbit measure is
-    probe-close to the stored measure.
-
-    Sampled basin-coverage evidence only: seeds below the finite-time
-    exponent threshold R/r + delta are excluded from the denominator.
-    Binary-shift maps (doubling) lose a mantissa bit per step, so keep
-    n_probe below ~45 there or read the caveat in the ledger.
-    """
-    cfg = st.cfg
-    rng = np.random.default_rng(st.seq_probe)
-    seeds = rng.uniform(0.0, 1.0, n_seeds)
-    thresh = st.norms_f.R_estimate / cfg.r + cfg.delta
-    probes = probe_functions()
-    mu_vals = np.array([float(np.sum(st.mu.weights * psi(st.mu.atoms)))
-                        for psi in probes])
-    pts, lds = orbit_grid(st.f, seeds, n_probe)
-    rates = np.sum(np.where(np.isfinite(lds), lds, -np.inf), axis=0) / n_probe
-    used_mask = rates > thresh
-    used = int(np.sum(used_mask))
-    if used == 0:
-        return {"n_used": 0, "n_close": 0, "fraction": float("nan"),
-                "threshold": thresh, "tolerance": tolerance}
-    orb = pts[:-1, used_mask]
-    dists = np.zeros(used)
-    for psi, mv in zip(probes, mu_vals):
-        dists = np.maximum(dists, np.abs(np.mean(psi(orb), axis=0) - mv))
-    close = int(np.sum(dists <= tolerance))
-    return {"n_used": used, "n_close": close, "fraction": close / used,
-            "threshold": thresh, "tolerance": tolerance}
 
 
 # ---------------------------------------------------------------------------

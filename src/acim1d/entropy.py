@@ -9,9 +9,10 @@ has zero measure").
 Entropy of an empirical measure under P_q^m is computed by itinerary
 coding: an atom at orbit position (seed, i) belongs to the P_q^m cell
 determined by its labels at times i..i+m-1, so cell masses are exact
-for purely atomic measures and no interval bookkeeping is needed.  The
-geometric join/refine path (interval endpoints through branch
-inverses) is kept for small cases and cross-checks the coding.
+for purely atomic measures and no interval bookkeeping is needed; one
+fold over the labels in time order gives every H(P_q^1..m) as a
+prefix.  The geometric join/refine path (interval endpoints through
+branch inverses) is kept for small cases and cross-checks the coding.
 
 Inequality suites: the block-entropy lower bound for shifted averages
 (exact rational masses, high-precision logs), the countable-partition
@@ -165,15 +166,18 @@ def qbin_label(g, q, a, k_lo=-10 ** 9):
     Values below k_lo (or at criticals) are lumped into the tail index
     k_lo - 1, matching the tail atom of build_Qq.
     """
-    def fn(xs):
-        u = g.log_abs_deriv(np.asarray(xs, dtype=float))
-        k = np.where(np.isfinite(u), np.ceil(q * (u - a)) - 1.0, k_lo - 1)
-        return np.maximum(k, k_lo - 1).astype(np.int64)
-    return fn
+    return lambda xs: _qbins(g.log_abs_deriv(np.asarray(xs, dtype=float)),
+                             q, a, k_lo)
+
+
+def _qbins(u, q, a, k_lo=-10 ** 9):
+    """qbin_label's index from the values u = log|g'(x)|."""
+    k = np.where(np.isfinite(u), np.ceil(q * (u - a)) - 1.0, k_lo - 1)
+    return np.maximum(k, k_lo - 1).astype(np.int64)
 
 
 def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
-                  cut_points=None, j_mass_tol=0.01):
+                  cut_points=None, j_mass_tol=0.01, log_derivs=None):
     """Draw a in ]-1/q, 0[ keeping orbit points away from atom borders.
 
     The Q_q borders sit where q (log|g'(x)| - a) is an integer; the J
@@ -181,6 +185,7 @@ def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
     branch cut (mod 1 on the circle) are tolerated up to mass j_mass_tol
     (exactly-dyadic maps quantize late orbit points onto cuts) and
     OffsetNotFound is raised only when their fraction is material.
+    log_derivs, if known, is log|g'| at orbit_atoms.
     """
     rng = rng or np.random.default_rng(0)
     atoms = np.asarray(orbit_atoms, dtype=float)
@@ -191,7 +196,7 @@ def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
             raise OffsetNotFound(
                 f"fraction {frac:.3g} of orbit points sit on branch cuts "
                 f"(> {j_mass_tol})")
-    u = g.log_abs_deriv(atoms)
+    u = g.log_abs_deriv(atoms) if log_derivs is None else log_derivs
     u = u[np.isfinite(u)]
     for _ in range(n_draws):
         a = -rng.uniform(0.0, 1.0) / q
@@ -331,30 +336,45 @@ def partition_entropy(measure, P, measure_id="mu", m=1):
                          m=m, per_atom_masses=masses)
 
 
-def itinerary_entropy(mu, label_fns, m, g=None):
-    """H_mu(P^m) by coding atoms with their forward labels.
-
-    label_fns is a list of vectorized point-to-integer label functions
-    (one per joined partition).  When the measure carries pool
-    provenance the forward points come from the recorded orbits;
-    otherwise g is iterated from the atoms directly.
-    """
+def _forward_points(mu, m, g=None):
+    """g^j of the atoms, j < m: from the pool's orbits, else iterating g."""
     if mu.pool is None and g is None:
         raise ValueError("need g to iterate a pool-free measure")
-    # rank fold over the label columns J_0, Q_0, J_1, ...: inv ends as the
-    # lexicographic row rank, np.unique(axis=0)'s inverse; inv, r < atoms,
-    # so the key stays below atoms^2 and fits int64 up to ~3e9 atoms
-    inv, xj = 0, mu.atoms
+    xj = mu.atoms
     for j in range(m):
         if mu.pool is not None:
             xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
         elif j:
             xj = g.eval(xj)
-        for fn in label_fns:
-            _, r = np.unique(fn(xj), return_inverse=True)
-            _, inv = np.unique(inv * (r.max(initial=0) + 1) + r,
-                               return_inverse=True)
-    return _entropy_of_masses(np.bincount(inv, weights=mu.weights))
+        yield xj
+
+
+def _ranks(labels):
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def itinerary_entropy(mu, labels, m, g=None):
+    """[H_mu(P^1), ..., H_mu(P^m)] by coding atoms with their forward labels.
+
+    labels lists the joined partitions, each as a vectorized
+    point-to-integer label function or as the list of its label ranks
+    (np.unique inverses) at j = 0..m-1, for callers that share them.
+    When the measure carries pool provenance the forward points come
+    from the recorded orbits; otherwise g is iterated from the atoms.
+    """
+    # rank fold over the columns J_0, Q_0, J_1, ...: after step j, inv is
+    # the row rank (np.unique(axis=0)'s inverse) of the columns so far;
+    # inv, r < atoms, so keys stay below atoms^2: int64 to ~3e9 atoms
+    inv, Hs = 0, []
+    for j, xj in enumerate(_forward_points(mu, m, g)):
+        for lab in labels:
+            r = lab[j] if isinstance(lab, list) else _ranks(lab(xj))
+            key = inv * (r.max(initial=0) + 1) + r
+            del inv, r      # only key is held while np.unique sorts it
+            inv = _ranks(key)
+            del key
+        Hs.append(_entropy_of_masses(np.bincount(inv, weights=mu.weights)))
+    return Hs
 
 
 # ---------------------------------------------------------------------------
@@ -439,25 +459,27 @@ def verify_misiurewicz(lam, T, R, F, m, dps=40):
 
 
 def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
-                       rng=None):
+                       rng=None, log_derivs=None):
     """The countable-partition entropy bounds on a finite-atom measure.
 
     (1) sum_k -x_k log x_k <= sum_k |k| x_k + c_0 for the Q_q bin masses
         (c_0 = 4 (e (1 - e^{-1/2}))^{-1}),
     (2) H(Q_q) <= c_0 + 1 + q * int |log|g'|| d(measure),
     (3) per atom: branch length >= (|g'(x)| / ||d^{r'} g||)^{1/(r'-1)}.
+    log_derivs, if known, is log|g'| at the atoms.
     """
     rng = rng or np.random.default_rng(0)
-    a = a if a is not None else choose_offset(g, q, measure.atoms, rng)
+    u = g.log_abs_deriv(measure.atoms) if log_derivs is None else log_derivs
+    a = a if a is not None else choose_offset(g, q, measure.atoms, rng,
+                                              log_derivs=u)
     # bin masses in order of first appearance, each summed in atom order
-    kk, first, inv = np.unique(qbin_label(g, q, a)(measure.atoms),
-                               return_index=True, return_inverse=True)
+    kk, first, inv = np.unique(_qbins(u, q, a), return_index=True,
+                               return_inverse=True)
     order = np.argsort(first)
     xs = np.bincount(inv, weights=measure.weights)[order]
     kk = kk[order].astype(float)
     lhs = _entropy_of_masses(xs)
     rhs1 = float(np.sum(np.abs(kk) * xs)) + C0_MANE
-    u = g.log_abs_deriv(measure.atoms)
     int_abs = float(np.sum(measure.weights * np.abs(
         np.where(np.isfinite(u), u, 0.0))))
     rhs2 = C0_MANE + 1.0 + q * int_abs
@@ -592,7 +614,7 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
     right-hand side.  Companion checks on the gap atoms (distortion
     9/4, image length eps/27) are run when atom_checks is set.
     """
-    from .maps import eval_orbit, orbit_grid
+    from .maps import eval_orbit
 
     rng = rng or np.random.default_rng(0)
     bp = bp or monotone_branches(g)
@@ -615,18 +637,23 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
     jx = bp.locate_many(rec.points[T])
     qx = labQ(rec.points[T])
 
-    ys = rng.uniform(0.0, 1.0, n_samples)
-    pts, lds = orbit_grid(g, ys, n)
-    mask = np.ones(n_samples, dtype=bool)
-    for col, i in enumerate(T):
-        mask &= bp.locate_many(pts[i]) == jx[col]
-        mask &= labQ(pts[i]) == qx[col]
-        if not mask.any():
-            break
+    # sample orbits step by step; at i in T the samples off x's labels
+    # leave, so only survivors (~1/256 a column on logistic^6) iterate on
+    ys = g.domain.reduce(rng.uniform(0.0, 1.0, n_samples))
+    rows, labels_x = [], dict(zip(T, zip(jx, qx)))   # rows: survivors' orbits
+    for i in range(n):
+        ys = g.eval(ys) if i else ys
+        if i in labels_x:
+            keep = ((bp.locate_many(ys) == labels_x[i][0])
+                    & (labQ(ys) == labels_x[i][1]))
+            ys, rows = ys[keep], [r[keep] for r in rows]
+            if not ys.size:
+                break
+        rows.append(ys)
     # A_n and equal trimmed set, on survivors only
     hits = 0
-    if mask.any():
-        lds = lds[:, mask]
+    if ys.size:
+        lds = g.log_abs_deriv(np.array(rows))
         Ey = surrogate_mask(lds, c_expansion)
         hits = int(np.count_nonzero(
             (density_rows(Ey, n) > beta)
@@ -733,7 +760,7 @@ def ac_verdict(residual_ok, exponent_ok, checks_ok=True):
 
 def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
                              rng=None, min_atoms=10 ** 4, bp=None,
-                             exponent_proxy=None):
+                             exponent_proxy=None, log_derivs=None):
     """Estimate h(g, P_q) by refinement slopes and compare with int log|g'|.
 
     h_est is the largest over q of the least-squares slope of
@@ -742,6 +769,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     through p h_f = h_{f^p}, at the f level.  The verdict is
     AC-consistent when the f-level residual is within tol and the
     positive-exponent proxy (exponent_proxy, if already computed) holds.
+    log_derivs, if known, is log|g'| at the atoms.
     """
     from .measures import positive_exponent_proxy
 
@@ -751,15 +779,20 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     p = p or mu.meta.get("p", 1)
     g = power_map(f, p)
     bp = bp or monotone_branches(g, grid_size=2 ** 14)
-    labJ = lambda xs: bp.locate_many(xs)
+    u = g.log_abs_deriv(mu.atoms) if log_derivs is None else log_derivs
+    m_top = max(m_list)
+    # the J_j ranks do not depend on q: one list serves every q's fold
+    ranks_J = [_ranks(bp.locate_many(x))
+               for x in _forward_points(mu, m_top, g)]
 
     tables = {}
     slopes = {}
     for q in q_list:
         a = choose_offset(g, q, mu.atoms, rng, cut_points=[
-            pt for pt, _ in bp.cut_points])
-        labQ = qbin_label(g, q, a)
-        Hs = [itinerary_entropy(mu, [labJ, labQ], m, g=g) for m in m_list]
+            pt for pt, _ in bp.cut_points], log_derivs=u)
+        H_top = itinerary_entropy(mu, [ranks_J, qbin_label(g, q, a)], m_top,
+                                  g=g)
+        Hs = [H_top[m - 1] for m in m_list]
         tables[q] = {"a": a, "m": list(m_list), "H": Hs}
         tail = min(3, len(m_list))
         ms = np.asarray(m_list[-tail:], dtype=float)
@@ -767,7 +800,6 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
         slopes[q] = float(np.polyfit(ms, hs, 1)[0]) if tail > 1 else \
             float(hs[0] / ms[0])
     h_g = max(slopes.values())
-    u = g.log_abs_deriv(mu.atoms)
     int_phi_g = float(np.sum(mu.weights * np.where(np.isfinite(u), u, -745.0)))
     residual_g = h_g - int_phi_g
     h_f = h_g / p

@@ -275,12 +275,13 @@ def ref_logistic_acip(x):
 
 
 def support_gap_from_critical(mu, critical_pts, g=None, M=None,
-                              log_sup_gprime=None):
+                              log_sup_gprime=None, log_derivs=None):
     """Distance of the support to the critical set, plus the M-floor check.
 
     Returns +inf when the critical set is empty.  When g and M are
     supplied, also checks log|g'| >= -M log||g'||_inf at every atom (the
-    hyperbolic-time floor on the derivative along kept times).
+    hyperbolic-time floor on the derivative along kept times); log_derivs,
+    if known, is log|g'| at the atoms.
     """
     pts = [p for c in critical_pts
            for p in (c if isinstance(c, tuple) else (c,))]
@@ -292,7 +293,7 @@ def support_gap_from_critical(mu, critical_pts, g=None, M=None,
         if log_sup_gprime is None:
             log_sup_gprime = float(np.log(
                 estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))
-        ld = g.log_abs_deriv(mu.atoms)
+        ld = g.log_abs_deriv(mu.atoms) if log_derivs is None else log_derivs
         floor = -M * log_sup_gprime
         rep["deriv_floor_margin"] = float(np.min(ld) - floor)
         rep["deriv_floor_ok"] = bool(np.min(ld) >= floor - 1e-9)

@@ -1,6 +1,6 @@
 """Fixed dictionary of 20 smooth test functions with sup norm <= 1.
 
-Used for weak-* distances: invariance defects, basin probes.  Sixteen
+Used for weak-* distances (invariance defects).  Sixteen
 trigonometric modes plus four C-infinity bumps; the dictionary order is
 fixed so reports are reproducible.
 """

@@ -9,7 +9,7 @@ import pytest
 
 import acim1d.cli as cli
 from acim1d.cli import (
-    basin_probe, bound_analytic, bound_calculator, bound_smooth,
+    bound_analytic, bound_calculator, bound_smooth,
     compute_verdict, main, reparam_count_constant, run_pipeline, run_verify,
 )
 from acim1d.config import ExperimentConfig, load_config
@@ -202,9 +202,19 @@ def test_array_writers_match_csv_writer_bytes(tmp_path):
     old_times = [(float(x), ";".join(map(str, np.flatnonzero(row).tolist())))
                  for x, row in zip(vals, mask)]
     no_times = np.zeros((vals.size, 0), dtype=bool)
+    # _measure_body formats each distinct weight once: a constant and two
+    # two-valued weight arrays, one of them -0.0 and 0.0, which compare
+    # equal but print apart
+    weight_sets = [weights, np.full(vals.size, 5e-324),
+                   np.resize([-0.0, float("nan"), float("nan")], vals.size),
+                   np.resize([0.0, -0.0, -0.0], vals.size)]
+    for w in weight_sets:
+        assert cli._measure_body(vals, w) == "".join(map(
+            "{:.17g},{:.17g}\r\n".format, vals.tolist(), w.tolist()))
     cases = [
-        (("point", "weight"), list(zip(vals.tolist(), weights.tolist())),
-         cli._measure_body, (vals, weights)),
+        (("point", "weight"), list(zip(vals.tolist(), w.tolist())),
+         cli._measure_body, (vals, w)) for w in weight_sets
+    ] + [
         (("x", "times"), old_times, cli._times_body, (vals, mask)),
         (("x", "times"), [], cli._times_body, (vals[:0], mask[:0])),
         (("x", "times"), [(x, "") for x in vals.tolist()], cli._times_body,
@@ -324,40 +334,6 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
     assert int(row[2]) > 0 and row[-1] == "0"
     assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
     assert "FAILURES" in capsys.readouterr().out
-
-
-def test_basin_probe_logistic():
-    ini = """\
-[map]
-preset = logistic
-a = 4.0
-r = 4.0
-
-[run]
-p = 6
-delta = 0.1
-beta = 0.1
-n = 40
-M = 2
-m = 1
-q = 2
-seeds = 600
-rng_seed = 5
-detector = surrogate
-entropy_m = 1, 2
-reference = logistic
-
-[output]
-dir = {out}
-"""
-    import tempfile
-    with tempfile.TemporaryDirectory() as td:
-        p = Path(td) / "cfg.ini"
-        p.write_text(ini.format(out=Path(td) / "o"))
-        st = run_pipeline(load_config(p))
-        rep = basin_probe(st, n_probe=4000, n_seeds=40, tolerance=0.05)
-        assert rep["n_used"] > 0
-        assert rep["fraction"] >= 0.9
 
 
 def test_determinism_byte_identical(tmp_path):

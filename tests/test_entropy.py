@@ -166,8 +166,9 @@ def test_doubling_refined_entropy_matches_m_log2():
     bp = monotone_branches(f)
     labJ = lambda xs: bp.locate_many(xs)
     mu_plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
+    Hs = itinerary_entropy(mu_plain, [labJ], 5, g=f)
     for m in (1, 3, 5):
-        H = itinerary_entropy(mu_plain, [labJ], m, g=f)
+        H = Hs[m - 1]
         assert abs(H - m * LOG2) < 0.02
 
 
@@ -179,7 +180,7 @@ def test_itinerary_matches_geometric_refinement():
     mu_plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
     H_geom = partition_entropy(mu_plain, P3).H_value
     H_code = itinerary_entropy(mu_plain, [lambda xs: bp.locate_many(xs)], 3,
-                               g=f)
+                               g=f)[-1]
     assert abs(H_geom - H_code) < 1e-9
 
 
@@ -263,10 +264,10 @@ def _coded_measures(draw):
 @settings(max_examples=300, deadline=None)
 def test_itinerary_entropy_matches_row_unique_oracle(case):
     mu, fns, m, g = case
-    H = itinerary_entropy(mu, fns, m, g=g)
-    assert H == _itinerary_oracle(mu, fns, m, g=g)
+    Hs = itinerary_entropy(mu, fns, m, g=g)
+    assert Hs == [_itinerary_oracle(mu, fns, k, g=g) for k in range(1, m + 1)]
     if mu.n_atoms == 0:
-        assert H == 0.0
+        assert Hs[-1] == 0.0
 
 
 def test_itinerary_entropy_pool_path_matches_oracle_on_a_run():
@@ -274,8 +275,63 @@ def test_itinerary_entropy_pool_path_matches_oracle_on_a_run():
     g = power_map(f, 4)
     bp = monotone_branches(g)
     fns = [lambda xs: bp.locate_many(xs), qbin_label(g, 4, -0.1)]
+    Hs = itinerary_entropy(mu, fns, 3)
     for m in (1, 2, 3):
-        assert itinerary_entropy(mu, fns, m) == _itinerary_oracle(mu, fns, m)
+        assert Hs[m - 1] == _itinerary_oracle(mu, fns, m)
+
+
+def _per_m_fold(mu, label_fns, m, g=None):
+    """H_mu(P^m) alone by the rank fold over J_0, Q_0, ..., J_{m-1},
+    Q_{m-1}, recomputing every column (the one-m-per-call coding)."""
+    inv, xj = 0, mu.atoms
+    for j in range(m):
+        if mu.pool is not None:
+            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
+        elif j:
+            xj = g.eval(xj)
+        for fn in label_fns:
+            _, r = np.unique(fn(xj), return_inverse=True)
+            _, inv = np.unique(inv * (r.max(initial=0) + 1) + r,
+                               return_inverse=True)
+    return _entropy_of_masses(np.bincount(inv, weights=mu.weights))
+
+
+def _rank_columns(mu, fn, m, g=None):
+    """fn's label ranks at the forward points j = 0..m-1 of the atoms."""
+    cols, xj = [], mu.atoms
+    for j in range(m):
+        if mu.pool is not None:
+            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
+        elif j:
+            xj = g.eval(xj)
+        cols.append(np.unique(fn(xj), return_inverse=True)[1])
+    return cols
+
+
+@given(_coded_measures(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_itinerary_prefixes_equal_per_m_fold(case, data):
+    # the prefix list equals the per-m fold at each m, with any subset of
+    # the labels passed as precomputed rank columns
+    mu, fns, m, g = case
+    labels = [_rank_columns(mu, fn, m, g) if data.draw(st.booleans()) else fn
+              for fn in fns]
+    want = [_per_m_fold(mu, fns, k, g=g) for k in range(1, m + 1)]
+    assert itinerary_entropy(mu, labels, m, g=g) == want
+    assert itinerary_entropy(mu, fns, m, g=g) == want
+
+
+def test_itinerary_prefixes_equal_per_m_fold_on_a_run():
+    f, mu = _doubling_measure(seeds=3000)
+    g = power_map(f, 4)
+    bp = monotone_branches(g)
+    labJ, labQ = (lambda xs: bp.locate_many(xs)), qbin_label(g, 4, -0.1)
+    plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
+    for meas, gg in ((mu, None), (plain, g)):
+        want = [_per_m_fold(meas, [labJ, labQ], k, g=gg) for k in (1, 2, 3)]
+        assert itinerary_entropy(meas, [labJ, labQ], 3, g=gg) == want
+        ranks_J = _rank_columns(meas, labJ, 3, gg)
+        assert itinerary_entropy(meas, [ranks_J, labQ], 3, g=gg) == want
 
 
 def test_choose_offset_counts_cut_at_zero_from_below_on_circle():
@@ -430,6 +486,113 @@ def test_gibbs_linear_closed_form():
     # closed form: the T-cylinder of the linear map has measure 9^-#T;
     # it is below the bound with room to spare
     assert 9.0 ** -len(T) <= rep["rhs"]
+
+
+def _gibbs_full_grid(g, x, E, q, eps, *, n, M, m, beta, b, p, bp, n_samples,
+                     rng, c_expansion=10.0):
+    """gibbs_check's Monte Carlo over whole sample orbits: orbit_grid on all
+    samples for all n steps, then the label mask column by column.  Also
+    returns the survivor count after each column of T."""
+    from acim1d.entropy import GIBBS_C, _wilson
+    from acim1d.maps import eval_orbit, orbit_grid
+    from acim1d.times import (
+        boundary_counts, density_rows, mask_from_lists, surrogate_mask,
+        trim_mask,
+    )
+
+    labQ = qbin_label(g, q, -0.5 / q)
+    Tx = trim_mask(mask_from_lists([E], max([n - 1, *E]) + 1), n, M, m)
+    T = np.flatnonzero(Tx[0]).tolist()
+    if not T:
+        return None, []
+    rec = eval_orbit(g, float(x), n)
+    n_boundary = int(boundary_counts(Tx)[0])
+    phi_E = float(sum(rec.log_derivs[i] for i in T))
+    rhs = (GIBBS_C / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
+    jx = bp.locate_many(rec.points[T])
+    qx = labQ(rec.points[T])
+    ys = rng.uniform(0.0, 1.0, n_samples)
+    pts, lds = orbit_grid(g, ys, n)
+    mask = np.ones(n_samples, dtype=bool)
+    alive = []
+    for col, i in enumerate(T):
+        mask &= bp.locate_many(pts[i]) == jx[col]
+        mask &= labQ(pts[i]) == qx[col]
+        alive.append(int(np.count_nonzero(mask)))
+    hits = 0
+    if mask.any():
+        lds = lds[:, mask]
+        Ey = surrogate_mask(lds, c_expansion)
+        hits = int(np.count_nonzero(
+            (density_rows(Ey, n) > beta)
+            & (np.cumsum(lds, axis=0)[n - 1] >= n * p * b - 1e-12)
+            & (trim_mask(Ey, n, M, m) == Tx).all(axis=1)))
+    ci = _wilson(hits, n_samples)
+    return {"leb_hat": hits / n_samples, "ci": ci, "rhs": rhs,
+            "ok": ci[0] <= rhs + 1e-12, "T": T, "phi_E": phi_E,
+            "n_boundary": n_boundary, "trivial": False}, alive
+
+
+_GIBBS_MAPS = {
+    "doubling": (make_map("doubling"), 1),
+    "doubling^2": (make_map("doubling"), 2),
+    "doubling^4": (make_map("doubling"), 4),
+    "logistic^2": (make_map("logistic", smoothness_r=4.0), 2),
+}
+
+
+def _gibbs_pair(name, x, E, n, M, m, n_samples, seed, q=2, beta=0.1, b=0.1):
+    f, p = _GIBBS_MAPS[name]
+    g = power_map(f, p)
+    bp = monotone_branches(g)
+    kw = dict(q=q, eps=0.01, n=n, M=M, m=m, beta=beta, b=b, p=p, bp=bp,
+              n_samples=n_samples)
+    got = gibbs_check(g, x, E, rng=np.random.default_rng(seed),
+                      atom_checks=False, **kw)
+    want, alive = _gibbs_full_grid(g, x, E, rng=np.random.default_rng(seed),
+                                   **kw)
+    return got, want, alive
+
+
+@given(st.sampled_from(sorted(_GIBBS_MAPS)), st.floats(0.0, 1.0),
+       st.integers(2, 10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gibbs_check_matches_full_grid_oracle(name, x, n, data):
+    E = data.draw(st.lists(st.integers(0, n + 2), max_size=n + 3))
+    M, m = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    got, want, _ = _gibbs_pair(name, x, sorted(set(E)), n, M, m,
+                               data.draw(st.one_of(st.integers(1, 8),
+                                                   st.integers(1, 3000))),
+                               data.draw(st.integers(0, 2 ** 32 - 1)))
+    assert got["trivial"] if want is None else got == want
+
+
+def test_gibbs_check_matches_full_grid_oracle_at_the_edges():
+    # T = [0, n - 1), the widest set trim keeps (clip needs a later time
+    # below n): the first and the last possible column both filter, and
+    # the survivors are iterated one step past T
+    n = 8
+    got, want, alive = _gibbs_pair("doubling", 0.3, list(range(n + 1)), n,
+                                   M=2, m=1, n_samples=4000, seed=5)
+    assert want["T"] == list(range(n - 1)) and alive[-1] > 0
+    assert got == want
+    # one sample left after the last column
+    got, want, alive = _gibbs_pair("doubling", 0.3, list(range(n + 1)), n,
+                                   M=2, m=1, n_samples=300, seed=4)
+    assert alive[-1] == 1
+    assert got == want
+    # survivors that count as hits (0 is never a surrogate time, so T
+    # starts at 1; slope 16 > 10 makes every later time one)
+    got, want, alive = _gibbs_pair("doubling^4", 0.3, list(range(1, 5)), 4,
+                                   M=2, m=1, n_samples=4000, seed=5)
+    assert want["T"] == [1, 2] and want["leb_hat"] > 0
+    assert got == want
+    # x at the logistic critical point: Q_0 is the tail bin, which no
+    # sample shares, so the first column kills every sample
+    got, want, alive = _gibbs_pair("logistic^2", 0.5, list(range(n + 1)), n,
+                                   M=2, m=1, n_samples=4000, seed=6)
+    assert want["T"][0] == 0 and alive[0] == 0
+    assert got == want
 
 
 def test_gibbs_logistic_power_instance():

@@ -73,7 +73,7 @@ def test_refined_entropy_monotone_in_m():
     bp = monotone_branches(g, grid_size=2 ** 14)
     labJ = lambda xs: bp.locate_many(xs)
     labQ = qbin_label(g, 4, -0.11)
-    Hs = [itinerary_entropy(mu, [labJ, labQ], m) for m in (1, 2, 3)]
+    Hs = itinerary_entropy(mu, [labJ, labQ], 3)
     # H(P^m) is non-decreasing in m
     assert Hs[0] <= Hs[1] + 1e-12 and Hs[1] <= Hs[2] + 1e-12
     # (1/m) H(P^m) non-increasing up to estimator noise 2/sqrt(atoms)
