@@ -1,4 +1,4 @@
-"""Monotone-branch partitions, the counting bound, branch refinement.
+"""Monotone-branch partitions, the counting bound, branches of powers.
 
 Run:  python3 demos/02_monotone_branches.py
 """
@@ -6,7 +6,7 @@ Run:  python3 demos/02_monotone_branches.py
 import math
 
 from acim1d import count_branches_with_min_slope, make_map, \
-    monotone_branches, power_map, refine_branches
+    monotone_branches, power_map
 
 print("== branches of basic maps ==")
 for name, kw in [("doubling", {}), ("logistic", {}),
@@ -27,11 +27,11 @@ for p in (1, 2, 3):
         print(f"  logistic^{p}, s={s}: count={count:3d} "
               f"bound={rep['bound']:9.2f} ok={rep['within_bound']}")
 
-print("\n== refinement: the join of pulled-back branch partitions ==")
+print("\n== refinement: J^n is the branch partition of g^n ==")
 for n in (1, 2, 3):
-    part = refine_branches(make_map("doubling"), n)
+    part = monotone_branches(power_map(make_map("doubling"), n))
     print(f"  doubling, J^{n}: {len(part.branches)} arcs")
-part = refine_branches(make_map("logistic"), 2)
+part = monotone_branches(power_map(make_map("logistic"), 2))
 rho = (2 - math.sqrt(2)) / 4
 print(f"  logistic, J^2 interior cuts: "
       + ", ".join(f"{p:.6f}" for p, _ in part.cut_points if 0 < p < 1))

@@ -1,4 +1,4 @@
-"""Partition entropy, the inequality checks, and the ACIM verdict.
+"""Partition labels, the inequality checks, and the ACIM verdict.
 
 Run:  python3 demos/07_entropy_and_verdict.py
 """
@@ -10,15 +10,17 @@ import numpy as np
 
 from acim1d import make_map, power_map
 from acim1d.entropy import (
-    C0_MANE, build_Qq, change_of_variable_check, entropy_formula_residual,
-    gibbs_check, verify_mane_bounds, verify_misiurewicz,
+    C0_MANE, change_of_variable_check, entropy_formula_residual, gibbs_check,
+    qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.measures import build_seed_pool, empirical_measure, select_An
 
 print("== the level-set partition Q_q ==")
-part = build_Qq(make_map("logistic"), q=2, a=-0.3)
-print(f"  logistic, q=2: {part.n_atoms} populated atoms; labels "
-      f"{part.labels}")
+label = qbin_label(make_map("logistic"), q=2, a=-0.3, k_lo=-20)
+k = np.unique(label(np.linspace(0.0, 1.0, 2 ** 14 + 1)))
+print(f"  logistic, q=2, 2^14 + 1 grid points: {k.size} populated bins "
+      f"k = {k.tolist()}")
+print("  (k = -21 is the tail bin: the critical point 1/2)")
 
 print("\n== block-entropy inequality (exact masses) ==")
 T = [(2 * s) % 8 for s in range(8)]

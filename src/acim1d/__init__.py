@@ -4,12 +4,10 @@ geometric/hyperbolic times, empirical measures, partition entropy."""
 
 from .branches import (
     BranchPartition, count_branches_with_min_slope, monotone_branches,
-    refine_branches,
 )
 from .entropy import (
-    build_Qq, change_of_variable_check, choose_offset,
-    entropy_formula_residual, gibbs_check, itinerary_entropy, join,
-    partition_entropy, refine, verify_mane_bounds, verify_misiurewicz,
+    change_of_variable_check, choose_offset, entropy_formula_residual,
+    gibbs_check, itinerary_entropy, verify_mane_bounds, verify_misiurewicz,
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, InsufficientAtoms,

@@ -17,15 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import InverseNotBracketed
 from .maps import critical_set, estimate_norms
+from .solvers import brentq, minimize_bounded
 
 __all__ = [
     "Branch", "BranchPartition", "monotone_branches",
-    "count_branches_with_min_slope", "refine_branches",
+    "count_branches_with_min_slope",
 ]
+
+_SLICE = 1 << 16    # points per locate_many slice
 
 
 @dataclass(frozen=True)
@@ -68,26 +70,33 @@ class BranchPartition:
 
     def locate_many(self, xs):
         """Vectorized locate: the candidate branch is the one with the last
-        left endpoint <= x, tested with the arithmetic of Branch.contains."""
+        left endpoint <= x, tested with the arithmetic of Branch.contains.
+        Runs over 2^16-point slices, so its temporaries stay O(2^16)."""
         xs = np.asarray(xs, dtype=float)
+        out = np.full(xs.shape, -1, dtype=int)
         if not self.branches:
-            return np.full(xs.shape, -1, dtype=int)
-        if self.is_circle:
-            xs = xs % 1.0           # rounds to 1.0 for x in about (-1e-16, 0)
-            xs = np.where(xs == 1.0, 0.0, xs)
+            return out
         lefts = np.array([br.a for br in self.branches])
         lengths = np.array([br.length for br in self.branches])
         order = np.argsort(lefts)
-        idx = np.searchsorted(lefts[order], xs, side="right") - 1
-        if self.is_circle:
-            idx = np.where(idx < 0, len(self.branches) - 1, idx)
-        cand = order[np.maximum(idx, 0)]
-        a, span = lefts[cand], lengths[cand]
-        if self.is_circle:
-            inside = ((xs - a) % 1.0 < span) | ((xs + 1.0 - a) % 1.0 < span)
-        else:
-            inside = (a <= xs) & (xs < a + span)
-        return np.where((idx >= 0) & inside, cand, -1)
+        sorted_lefts = lefts[order]
+        flat, res = xs.reshape(-1), out.reshape(-1)
+        for i in range(0, flat.size, _SLICE):
+            x = flat[i:i + _SLICE]
+            if self.is_circle:
+                x = x % 1.0         # rounds to 1.0 for x in about (-1e-16, 0)
+                x[x == 1.0] = 0.0
+            idx = np.searchsorted(sorted_lefts, x, side="right") - 1
+            if self.is_circle:
+                idx[idx < 0] = len(self.branches) - 1
+            cand = order[np.maximum(idx, 0)]
+            a, span = lefts[cand], lengths[cand]
+            if self.is_circle:
+                inside = ((x - a) % 1.0 < span) | ((x + 1.0 - a) % 1.0 < span)
+            else:
+                inside = (a <= x) & (x < a + span)
+            res[i:i + _SLICE] = np.where((idx >= 0) & inside, cand, -1)
+        return out
 
     def to_rows(self):
         """CSV rows (map, index, a, b, sign, sup_slope)."""
@@ -135,10 +144,9 @@ def _sup_slope(g, lo, hi, samples=64):
     a = max(lo, ts[max(0, i - 1)])
     b = min(hi, ts[min(samples - 1, i + 1)])
     if b > a:
-        res = minimize_scalar(
+        best = max(best, float(-minimize_bounded(
             lambda t: -abs(float(g.deriv(1, float(g.domain.reduce(np.asarray(t)))))),
-            bounds=(a, b), method="bounded", options={"xatol": 1e-12})
-        best = max(best, float(-res.fun))
+            a, b, 1e-12)))
     return best
 
 
@@ -266,57 +274,3 @@ def branch_preimages(g, partition, c, tol=1e-13):
                 f"target {c} not bracketed on branch [{br.a}, {br.b})") from exc
         roots.append(t % 1.0 if circle else t)
     return roots
-
-
-def refine_branches(g, n, tol=1e-12, grid_size=8192):
-    """The join J^n = v_{i<n} g^{-i} J via branch-wise pullback of cuts."""
-    base = monotone_branches(g, tol=tol, grid_size=grid_size)
-    if n == 1:
-        return base
-    circle = g.domain.is_circle
-    cuts = {round(p % 1.0 if circle else p, 13) for p, _ in base.cut_points}
-    frontier = set(cuts)
-    for _ in range(n - 1):
-        new = set()
-        for c in frontier:
-            for x in branch_preimages(g, base, c):
-                new.add(round(x % 1.0 if circle else x, 13))
-        frontier = new - cuts
-        cuts |= new
-
-    pts = sorted(cuts)
-    branches = []
-    if circle:
-        segs = [(pts[i], pts[i + 1] if i + 1 < len(pts) else pts[0] + 1.0)
-                for i in range(len(pts))]
-    else:
-        pts = sorted({0.0, 1.0} | set(pts))
-        segs = list(zip(pts, pts[1:]))
-    for lo, hi in segs:
-        if hi - lo <= 100 * tol:
-            continue
-        mid = (lo + hi) / 2.0
-        midr = mid % 1.0 if circle else mid
-        sgn = 1.0
-        ok = True
-        y = midr
-        for _ in range(n):
-            d = float(g.deriv(1, y))
-            if d == 0.0:
-                ok = False
-                break
-            sgn *= np.sign(d)
-            y = float(g.eval(y))
-        if not ok:
-            continue
-        branches.append(Branch(
-            a=lo % 1.0 if circle else lo, length=hi - lo,
-            sign=int(sgn), sup_slope=float("nan")))
-    return BranchPartition(
-        map_name=f"{g.name}^{n}-join",
-        branches=branches,
-        cut_points=[(p, "pullback") for p in pts],
-        is_circle=circle,
-        critical=base.critical,
-    )
-

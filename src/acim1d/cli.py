@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; every run draws from it
 
 from .branches import monotone_branches
 from .config import load_config

@@ -11,8 +11,7 @@ coding: an atom at orbit position (seed, i) belongs to the P_q^m cell
 determined by its labels at times i..i+m-1, so cell masses are exact
 for purely atomic measures and no interval bookkeeping is needed; one
 fold over the labels in time order gives every H(P_q^1..m) as a
-prefix.  The geometric join/refine path (interval endpoints through
-branch inverses) is kept for small cases and cross-checks the coding.
+prefix.
 
 Inequality suites: the block-entropy lower bound for shifted averages
 (exact rational masses, high-precision logs), the countable-partition
@@ -23,24 +22,21 @@ variable bound, and the Gibbs cylinder bound with C = 8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches
 from .maps import estimate_norms, power_map
+from .solvers import minimize_bounded
 from .times import (
     boundary_counts, components, density_rows, mask_from_lists,
     surrogate_mask, trim_mask,
 )
 
 __all__ = [
-    "Partition1D", "EntropyReport", "build_Qq", "choose_offset", "join",
-    "refine", "partition_entropy", "itinerary_entropy", "verify_misiurewicz",
+    "choose_offset", "itinerary_entropy", "verify_misiurewicz",
     "verify_mane_bounds", "change_of_variable_check", "gibbs_check",
     "entropy_formula_residual", "ac_verdict", "C0_MANE", "qbin_label",
 ]
@@ -50,121 +46,15 @@ GIBBS_C = 8.0
 
 
 # ---------------------------------------------------------------------------
-# partitions as interval unions
+# partition labels
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Partition1D:
-    """Atoms are finite unions of half-open intervals with labels."""
-
-    atoms: list                 # list of [(a, b), ...]
-    labels: list
-    offset_a: float = None
-    name: str = ""
-
-    def __post_init__(self):
-        segs = []
-        for i, ivs in enumerate(self.atoms):
-            for (a, b) in ivs:
-                if b > a:
-                    segs.append((a, b, i))
-        segs.sort()
-        self._lefts = np.array([s[0] for s in segs])
-        self._rights = np.array([s[1] for s in segs])
-        self._ids = np.array([s[2] for s in segs], dtype=int)
-
-    @property
-    def n_atoms(self):
-        return len(self.atoms)
-
-    def locate_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        j = np.searchsorted(self._lefts, xs, side="right") - 1
-        out = np.full(xs.shape, -1, dtype=int)
-        ok = j >= 0
-        jj = np.clip(j, 0, None)
-        inside = ok & (xs < self._rights[jj])
-        out[inside] = self._ids[jj[inside]]
-        return out
-
-    def total_length(self):
-        return float(np.sum(self._rights - self._lefts))
-
-
-def build_Qq(g, q, a, grid_size=16384, k_lo=None, k_hi=None):
-    """Level-set partition Q_q of log|g'| with bins ]k/q,(k+1)/q] + a.
-
-    Enumerates bins intersecting the observed range of log|g'| (clipped
-    to [k_lo, k_hi] when given); everything below the lowest enumerated
-    bin is lumped into a single tail atom, flagged by label ('tail',).
-    On every enumerated atom log|g'| varies by at most 1/q.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not -1.0 / q < a < 0.0:
-        raise ValueError("offset a must lie in ]-1/q, 0[")
-    xs = np.linspace(0.0, 1.0, grid_size + 1)
-    with np.errstate(divide="ignore"):
-        u = g.log_abs_deriv(xs)
-    finite = u[np.isfinite(u)]
-    if finite.size == 0:
-        raise ValueError("derivative vanishes everywhere on the grid")
-    lo = math.floor(q * (float(np.min(finite)) - a)) - 1
-    hi = math.ceil(q * (float(np.max(finite)) - a)) + 1
-    if k_lo is not None:
-        lo = max(lo, k_lo)
-    if k_hi is not None:
-        hi = min(hi, k_hi)
-
-    # crossing points of u against every bin edge, then constant-label runs
-    cut_ts = {0.0, 1.0}
-    for k in range(lo, hi + 2):
-        c = k / q + a
-        s = u - c
-        for i in range(grid_size):
-            a0, a1 = s[i], s[i + 1]
-            if np.isfinite(a0) and np.isfinite(a1) and a0 * a1 < 0:
-                try:
-                    t = brentq(lambda t: float(g.log_abs_deriv(
-                        np.asarray(t))) - c, xs[i], xs[i + 1], xtol=1e-13)
-                    cut_ts.add(t)
-                except ValueError:
-                    pass
-    cuts = sorted(cut_ts)
-    per_label = {}
-    for x0, x1 in zip(cuts, cuts[1:]):
-        if x1 - x0 < 1e-13:
-            continue
-        mid = 0.5 * (x0 + x1)
-        um = float(g.log_abs_deriv(np.asarray(mid)))
-        if not np.isfinite(um):
-            lab = ("tail",)
-        else:
-            k = math.ceil(q * (um - a)) - 1
-            lab = ("tail",) if k < lo else ("Q", min(k, hi))
-        per_label.setdefault(lab, []).append((x0, x1))
-    labels = sorted(per_label, key=str)
-    atoms = [_merge(per_label[lab]) for lab in labels]
-    return Partition1D(atoms=atoms, labels=labels, offset_a=a,
-                       name=f"Q_{q}")
-
-
-def _merge(intervals):
-    out = []
-    for a, b in sorted(intervals):
-        if out and a - out[-1][1] < 1e-12:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return out
 
 
 def qbin_label(g, q, a, k_lo=-10 ** 9):
     """Vectorized Q_q bin index of points: k with log|g'(x)| in I_{q,k}.
 
     Values below k_lo (or at criticals) are lumped into the tail index
-    k_lo - 1, matching the tail atom of build_Qq.
+    k_lo - 1.
     """
     return lambda xs: _qbins(g.log_abs_deriv(np.asarray(xs, dtype=float)),
                              q, a, k_lo)
@@ -208,132 +98,15 @@ def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
     raise OffsetNotFound(f"no admissible offset after {n_draws} draws")
 
 
-def join(P, Q):
-    """Common refinement: pairwise intersections with combined labels."""
-    atoms, labels = [], []
-    for ai, la in zip(P.atoms, P.labels):
-        for bi, lb in zip(Q.atoms, Q.labels):
-            inter = _intersect_unions(ai, bi)
-            if inter:
-                atoms.append(inter)
-                labels.append((la, lb))
-    return Partition1D(atoms=atoms, labels=labels, offset_a=Q.offset_a,
-                       name=f"{P.name}v{Q.name}")
-
-
-def _intersect_unions(A, B):
-    out = []
-    for (a0, a1) in A:
-        for (b0, b1) in B:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi - lo > 1e-13:
-                out.append((lo, hi))
-    return sorted(out)
-
-
-def partition_from_branches(bp):
-    """Monotone branches as a Partition1D (circle arcs split at the wrap)."""
-    atoms, labels = [], []
-    for i, br in enumerate(bp.branches):
-        if br.b <= 1.0 + 1e-12:
-            atoms.append([(br.a, min(br.b, 1.0))])
-        else:
-            atoms.append([(br.a, 1.0), (0.0, br.b - 1.0)])
-        labels.append(("J", i))
-    return Partition1D(atoms=atoms, labels=labels, name="J")
-
-
-def pullback(P, g, bp):
-    """g^{-1} P through branch-wise inverses."""
-    atoms, labels = [], []
-    for ivs, lab in zip(P.atoms, P.labels):
-        pre = []
-        for (a, b) in ivs:
-            for br in bp.branches:
-                seg = _pullback_interval(g, br, a, b)
-                if seg is not None:
-                    pre.append(seg)
-        if pre:
-            atoms.append(sorted(pre))
-            labels.append(lab)
-    return Partition1D(atoms=atoms, labels=labels, offset_a=P.offset_a,
-                       name=f"g^-1({P.name})")
-
-
-def _pullback_interval(g, br, a, b):
-    circle = g.domain.is_circle
-    lo = br.a + 1e-13
-    hi = br.a + br.length - 1e-13
-
-    def u(t):
-        return float(g.eval(t % 1.0 if circle else t))
-
-    ulo, uhi = u(lo), u(hi)
-    vmin, vmax = min(ulo, uhi), max(ulo, uhi)
-    aa, bb = max(a, vmin), min(b, vmax)
-    if bb - aa < 1e-13:
-        return None
-
-    def inv(c):
-        if c <= vmin:
-            return lo if ulo < uhi else hi
-        if c >= vmax:
-            return hi if ulo < uhi else lo
-        return brentq(lambda t: u(t) - c, lo, hi, xtol=1e-13)
-
-    x0, x1 = inv(aa), inv(bb)
-    if x0 > x1:
-        x0, x1 = x1, x0
-    if x1 - x0 < 1e-13:
-        return None
-    return (x0, x1)
-
-
-def refine(P, g, m, bp=None):
-    """P^m = v_{j<m} g^{-j} P via iterated pullback and join."""
-    bp = bp or monotone_branches(g)
-    out = P
-    level = P
-    for _ in range(m - 1):
-        level = pullback(level, g, bp)
-        out = join(out, level)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # entropies
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EntropyReport:
-    H_value: float
-    partition_id: str
-    measure_id: str
-    m: int
-    per_atom_masses: np.ndarray = field(repr=False, default=None)
-
-    def check_invariants(self):
-        p = self.per_atom_masses[self.per_atom_masses > 0]
-        h = float(-np.sum(p * np.log(p)))
-        return (abs(h - self.H_value) < 1e-12
-                and self.H_value <= math.log(max(1, p.size)) + 1e-12)
 
 
 def _entropy_of_masses(masses):
     p = np.asarray(masses, dtype=float)
     p = p[p > 0]
     return float(-np.sum(p * np.log(p)))
-
-
-def partition_entropy(measure, P, measure_id="mu", m=1):
-    """H(P) = sum -lambda(P) log lambda(P) on atom masses."""
-    ids = P.locate_many(measure.atoms)
-    masses = np.bincount(np.where(ids >= 0, ids, P.n_atoms),
-                         weights=measure.weights, minlength=P.n_atoms + 1)
-    H = _entropy_of_masses(masses)
-    return EntropyReport(H_value=H, partition_id=P.name, measure_id=measure_id,
-                         m=m, per_atom_masses=masses)
 
 
 def _forward_points(mu, m, g=None):
@@ -383,6 +156,8 @@ def itinerary_entropy(mu, labels, m, g=None):
 
 
 def _H_exact(mass_by_label):
+    import mpmath           # only the exact battery pays for the import
+
     total = sum(mass_by_label.values(), Fraction(0))
     if total == 0:
         return mpmath.mpf(0)
@@ -406,6 +181,8 @@ def verify_misiurewicz(lam, T, R, F, m, dps=40):
     with lam^F = (1/#F) sum_{k in F} T^k_* lam.  Masses are exact
     rationals; entropies are evaluated with mpmath at dps digits.
     """
+    import mpmath
+
     with mpmath.workdps(dps):
         N = len(T)
         lam = [Fraction(v).limit_denominator(10 ** 12)
@@ -536,7 +313,8 @@ def change_of_variable_check(g, k, J_branch, A_set, B_set, target_err=1e-4,
     """
     gk = power_map(g, k) if k > 1 else g
     a0, b0 = J_branch
-    JA = _intersect_unions([(a0, b0)], sorted(A_set))
+    JA = sorted((max(a0, a), min(b0, b)) for a, b in A_set
+                if min(b0, b) - max(a0, a) > 1e-13)
     lebB = _leb_of_intervals(B_set)
     if not JA:
         return {"lhs": 0.0, "rhs": float("inf"), "margin": float("inf"),
@@ -578,10 +356,9 @@ def change_of_variable_check(g, k, J_branch, A_set, B_set, target_err=1e-4,
         i = int(np.argmin(vals))
         lo = max(a, ts[max(0, i - 1)])
         hi = min(b, ts[min(len(ts) - 1, i + 1)])
-        res = minimize_scalar(lambda t: abs(float(gk.deriv(1, t))),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-13})
-        inf_d = min(inf_d, float(np.min(vals)), float(res.fun))
+        res = minimize_bounded(lambda t: abs(float(gk.deriv(1, t))),
+                               lo, hi, 1e-13)
+        inf_d = min(inf_d, float(np.min(vals)), float(res))
     rhs = lebB / inf_d if inf_d > 0 else float("inf")
     margin = rhs - lhs
     return {"lhs": lhs, "rhs": rhs, "inf_deriv": inf_d, "err": err,

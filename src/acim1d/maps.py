@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import UnresolvedCritical
 from .jets import Jet, variable
+from .solvers import brentq, minimize_bounded
 
 LOG_FLOOR = -700.0  # log-derivative floor: |f'| below e^-700 counts as 0
 FAA_DI_BRUNO_CONST = 2.0  # A in the Hoelder-norm bound of PowerMap
@@ -545,12 +545,10 @@ class MapNorms:
 
 
 def _refine_max(fun, lo, hi):
-    """Golden-section polish of a grid maximum of |fun| on [lo, hi]."""
+    """Bounded-Brent polish of a grid maximum of |fun| on [lo, hi]."""
     if hi <= lo:
         return abs(fun(lo))
-    res = minimize_scalar(lambda t: -abs(fun(t)), bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-12})
-    return float(-res.fun)
+    return float(-minimize_bounded(lambda t: -abs(fun(t)), lo, hi, 1e-12))
 
 
 def _quick_norm(f, k, grid_size=1024):
@@ -561,7 +559,7 @@ def _quick_norm(f, k, grid_size=1024):
 def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
     """Estimate ||d^k f||_inf for k in [1, floor(r)] u {r} and R(f).
 
-    Each sup is a grid scan plus golden-section refinement around the
+    Each sup is a grid scan plus bounded-Brent refinement around the
     best grid cells; R_estimate is (1/n) log+ of the refined sup of
     |(f^n)'| for the recorded n_used.
     """
@@ -609,9 +607,8 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
     if finite.size:
         i = int(np.nanargmax(np.where(np.isfinite(chain), chain, -np.inf)))
         lo, hi = max(0.0, xs[i] - h), min(1.0, xs[i] + h)
-        res = minimize_scalar(lambda t: -chain_at(t), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12})
-        sup_log = max(sup_log, float(-res.fun))
+        sup_log = max(sup_log, float(
+            -minimize_bounded(lambda t: -chain_at(t), lo, hi, 1e-12)))
     R_est = max(0.0, sup_log / n_used)
 
     return MapNorms(
@@ -672,40 +669,3 @@ def critical_set(f, tol=1e-12, grid_size=8192, flat_tol=1e-9):
             f"({len(roots)}/{len(flats)} vs {len(roots2)}/{len(flats2)})")
     return sorted(roots2) + sorted(flats2)
 
-
-# ---------------------------------------------------------------------------
-# invariant checks (used by tests; sampled, reported, not silently trusted)
-# ---------------------------------------------------------------------------
-
-
-def check_map_invariants(f, samples=256, rng=None):
-    """Sampled verification of the SmoothMap1D contract; returns a report."""
-    rng = rng or np.random.default_rng(0)
-    xs = rng.uniform(0.0, 1.0, samples)
-    ys = f.eval(xs)
-    in_domain = bool(f.domain.contains(ys))
-
-    h = 1e-6
-    interior = xs[(xs > 2 * h) & (xs < 1 - 2 * h)]
-    fd = (f._eval_raw(interior + h) - f._eval_raw(interior - h)) / (2 * h)
-    d1 = f.deriv(1, interior)
-    denom = np.maximum(np.abs(d1), 1.0)
-    fd_rel = np.abs(fd - d1) / denom
-    fd_ok_frac = float(np.mean(fd_rel < 1e-5))
-
-    k = f.r_floor
-    expo = f.smoothness_r - k
-    pairs = rng.uniform(0.0, 1.0, (samples, 2))
-    dk = np.abs(f.deriv(k, pairs[:, 0]) - f.deriv(k, pairs[:, 1]))
-    gap = np.abs(pairs[:, 0] - pairs[:, 1])
-    bound = f.holder_const * gap ** expo if expo > 0 else \
-        np.full(samples, 2 * f.holder_const if f.holder_const else np.inf)
-    if f.holder_const == 0.0 and expo == 0:
-        holder_ok = bool(np.all(dk < 1e-9))
-    else:
-        holder_ok = bool(np.all(dk <= bound + 1e-9))
-    return {
-        "maps_into_domain": in_domain,
-        "fd_match_fraction": fd_ok_frac,
-        "holder_ok": holder_ok,
-    }

@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 
-from acim1d.branches import (
-    count_branches_with_min_slope, monotone_branches, refine_branches,
-)
+from acim1d.branches import count_branches_with_min_slope, monotone_branches
 from acim1d.maps import make_map, power_map
+from partition_oracle import refine_branches
 
 
 def _sorted_lefts(part):
@@ -118,6 +117,24 @@ def test_locate_many_consistent():
     idx = part.locate_many(xs)
     for x, i in zip(xs, idx):
         assert i == part.locate(float(x))
+
+
+def test_locate_many_over_slices():
+    # three 2^16-point slices and a remainder, given as a 2-D array: the
+    # labels equal those of small calls, and locate's at the slice seams
+    for g in (power_map(make_map("doubling"), 4),
+              power_map(make_map("logistic"), 2)):
+        part = monotone_branches(g)
+        xs = np.random.default_rng(7).uniform(-1.0, 2.0, (4, 50000))
+        got = part.locate_many(xs)
+        assert got.shape == xs.shape and got.dtype == np.int64
+        flat, got = xs.reshape(-1), got.reshape(-1)
+        want = np.concatenate([part.locate_many(flat[i:i + 999])
+                               for i in range(0, flat.size, 999)])
+        assert np.array_equal(got, want)
+        for i in (0, 65535, 65536, 131071, 131072, 196608, flat.size - 1):
+            assert got[i] == part.locate(float(flat[i]))
+        assert part.locate_many(np.empty(0)).shape == (0,)
 
 
 def test_locate_many_matches_scalar_locate():

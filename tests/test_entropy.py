@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acim1d.entropy import (
-    C0_MANE, EntropyReport, _entropy_of_masses, ac_verdict, build_Qq,
-    change_of_variable_check, choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
-    join, partition_entropy, partition_from_branches, qbin_label, refine,
-    sete_inequality, verify_mane_bounds, verify_misiurewicz,
+    C0_MANE, _entropy_of_masses, ac_verdict, change_of_variable_check,
+    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
+    qbin_label, sete_inequality, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
 from acim1d.errors import InsufficientAtoms, OffsetNotFound
@@ -22,6 +21,10 @@ from acim1d.measures import (
     select_An,
 )
 from acim1d.reparam import choose_epsilon
+from partition_oracle import (
+    EntropyReport, build_Qq, join, partition_entropy, partition_from_branches,
+    refine,
+)
 
 LOG2 = math.log(2.0)
 

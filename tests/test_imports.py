@@ -1,0 +1,60 @@
+"""What a run imports: scipy never, mpmath only for the exact battery."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+TINY_INI = """\
+[map]
+preset = logistic
+a = 4.0
+r = 4.0
+
+[run]
+p = 6
+delta = 0.1
+beta = 0.1
+n = 40
+M = 3
+m = 1
+q = 2
+seeds = 300
+rng_seed = 1
+detector = surrogate
+entropy_m = 1
+bins = 20
+reference = logistic
+gibbs_instances = 1
+gibbs_samples = 200
+"""
+
+SCRIPT = """\
+import sys
+from pathlib import Path
+
+import acim1d.cli as cli
+from acim1d.config import load_config
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.split(".")[0] == prefix)
+
+assert not loaded("mpmath"), loaded("mpmath")
+assert cli.run_verify("verify", quick=True)
+cli.run_pipeline(load_config("tiny.ini"), out_dir="out")
+assert (Path("out") / "verdict.txt").exists()
+print(loaded("scipy"))
+"""
+
+
+def test_runs_import_no_scipy(tmp_path):
+    (tmp_path / "tiny.ini").write_text(TINY_INI)
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ import pytest
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
-    CIRCLE, UNIT_INTERVAL, check_map_invariants, critical_set, estimate_norms,
-    eval_orbit, lyapunov_ft, make_map, power_map,
+    CIRCLE, UNIT_INTERVAL, critical_set, estimate_norms, eval_orbit,
+    lyapunov_ft, make_map, power_map,
 )
 
 LOG2 = math.log(2.0)
@@ -177,6 +177,39 @@ def test_expression_language_rejects_junk():
         make_map("expr", expression="__import__('os')")
     with pytest.raises(ValueError):
         make_map("expr", expression="x + y")
+
+
+def check_map_invariants(f, samples=256, rng=None):
+    """Sampled verification of the SmoothMap1D contract; returns a report."""
+    rng = rng or np.random.default_rng(0)
+    xs = rng.uniform(0.0, 1.0, samples)
+    ys = f.eval(xs)
+    in_domain = bool(f.domain.contains(ys))
+
+    h = 1e-6
+    interior = xs[(xs > 2 * h) & (xs < 1 - 2 * h)]
+    fd = (f._eval_raw(interior + h) - f._eval_raw(interior - h)) / (2 * h)
+    d1 = f.deriv(1, interior)
+    denom = np.maximum(np.abs(d1), 1.0)
+    fd_rel = np.abs(fd - d1) / denom
+    fd_ok_frac = float(np.mean(fd_rel < 1e-5))
+
+    k = f.r_floor
+    expo = f.smoothness_r - k
+    pairs = rng.uniform(0.0, 1.0, (samples, 2))
+    dk = np.abs(f.deriv(k, pairs[:, 0]) - f.deriv(k, pairs[:, 1]))
+    gap = np.abs(pairs[:, 0] - pairs[:, 1])
+    bound = f.holder_const * gap ** expo if expo > 0 else \
+        np.full(samples, 2 * f.holder_const if f.holder_const else np.inf)
+    if f.holder_const == 0.0 and expo == 0:
+        holder_ok = bool(np.all(dk < 1e-9))
+    else:
+        holder_ok = bool(np.all(dk <= bound + 1e-9))
+    return {
+        "maps_into_domain": in_domain,
+        "fd_match_fraction": fd_ok_frac,
+        "holder_ok": holder_ok,
+    }
 
 
 def test_map_invariants_report():
