@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InverseNotBracketed
 from .maps import critical_set, estimate_norms
 from .solvers import brentq, minimize_bounded
 
@@ -243,34 +242,3 @@ def count_branches_with_min_slope(g, s, partition=None, norms=None):
         "rprime": rprime,
         "within_bound": count <= bound + 1e-9,
     }
-
-
-def branch_preimages(g, partition, c, tol=1e-13):
-    """Solutions of g(x) = c, one per branch where c is attained.
-
-    Circle maps: on a branch interior g never crosses the marked point,
-    so g mod 1 is continuous and monotone there; the bracket check works
-    directly on reduced values.
-    """
-    circle = g.domain.is_circle
-    roots = []
-    for br in partition.branches:
-        lo = br.a + 1e-14
-        hi = br.a + br.length - 1e-14
-        def u(t):
-            return float(g.eval(t % 1.0 if circle else t))
-        ulo, uhi = u(lo), u(hi)
-        a, b = (ulo, uhi) if ulo <= uhi else (uhi, ulo)
-        if not (a - tol <= c <= b + tol):
-            continue
-        if not (a <= c <= b):
-            # grazing contact at branch end; clamp
-            roots.append(lo if abs(ulo - c) < abs(uhi - c) else hi)
-            continue
-        try:
-            t = brentq(lambda t: u(t) - c, lo, hi, xtol=tol)
-        except ValueError as exc:
-            raise InverseNotBracketed(
-                f"target {c} not bracketed on branch [{br.a}, {br.b})") from exc
-        roots.append(t % 1.0 if circle else t)
-    return roots

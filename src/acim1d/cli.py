@@ -123,9 +123,13 @@ def bound_smooth(norm_value, c_const, delta):
     return norm_value ** (c_const / delta ** 3)
 
 
-def reparam_count_constant(r, c_universal=1.0):
-    """The C r^{2r} form of the reparametrization counting constant."""
-    return c_universal * r ** (2.0 * r)
+REPARAM_C = 1.0   # the universal C of reparam_count_constant
+
+
+def reparam_count_constant(r):
+    """The C r^{2r} form of the reparametrization counting constant,
+    C = REPARAM_C."""
+    return REPARAM_C * r ** (2.0 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +138,16 @@ def reparam_count_constant(r, c_universal=1.0):
 
 
 class PipelineState:
+    """One run's state.  out_dir and rng_seed, if given, override the
+    config's; jobs caps the Gibbs-check threads.  cfg is not modified."""
+
     def __init__(self, cfg, out_dir=None, rng_seed=None, jobs=None):
         self.cfg = cfg
-        if rng_seed is not None:
-            cfg.rng_seed = rng_seed
-        if jobs is not None:
-            cfg.jobs = jobs
+        self.rng_seed = cfg.rng_seed if rng_seed is None else rng_seed
+        self.jobs = 1 if jobs is None else jobs
         self.out = Path(out_dir) if out_dir is not None else cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
-        seq = np.random.SeedSequence(cfg.rng_seed)
+        seq = np.random.SeedSequence(self.rng_seed)
         # the fourth stream is unused; spawning it keeps seq_misc's draws
         (self.seq_pool, self.seq_offset, self.seq_gibbs, _,
          self.seq_misc) = seq.spawn(5)
@@ -327,10 +332,10 @@ def _run_gibbs_checks(st):
             q=max(cfg.q_list), eps=st.eps, n=n_fin, M=max(cfg.M_list),
             m=min(cfg.m_list), beta=cfg.beta, b=st.b, p=st.p, bp=st.bp,
             n_samples=cfg.gibbs_samples,
-            rng=np.random.default_rng((st.cfg.rng_seed, int(s))),
+            rng=np.random.default_rng((st.rng_seed, int(s))),
             atom_checks=False)
 
-    reps = parallel_map(one, picks, cfg.jobs)
+    reps = parallel_map(one, picks, st.jobs)
     for s, rep in zip(picks, reps):
         st.check("gibbs", f"seed={int(s)}", rep["leb_hat"], rep["rhs"],
                  rep["rhs"] - rep["leb_hat"], rep["ok"], rep.get("ci",
@@ -388,10 +393,23 @@ def compute_verdict(entropy_csv, checks_csv):
     return ac_verdict(residual_ok, exponent_ok, req_ok)
 
 
-def _stages():
-    """Stages in order, looked up at call time; a subcommand runs a prefix."""
-    return (stage_map, stage_branches, stage_tree, stage_times,
-            stage_measure, stage_entropy, stage_checks)
+# the stage subcommands in stage order, each with the stages it adds to
+# the one before it: a subcommand runs its own stages and all earlier ones
+_COMMANDS = {
+    "norms": ("map",), "branches": ("branches",), "tree": ("tree",),
+    "times": ("times",), "measure": ("measure",),
+    "entropy": ("entropy", "checks"), "pipeline": (),
+}
+
+
+def _stages(command="pipeline"):
+    """The stage functions command runs, in order, looked up at call time."""
+    names = []
+    for name, added in _COMMANDS.items():
+        names += added
+        if name == command:
+            break
+    return [globals()["stage_" + stage] for stage in names]
 
 
 def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=None):
@@ -502,8 +520,7 @@ def _build_parser():
     ap.add_argument("--out", type=Path, default=None,
                     help="override the output directory")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("norms", "branches", "tree", "times", "measure", "entropy",
-                 "pipeline"):
+    for name in _COMMANDS:
         sub.add_parser(name)
     v = sub.add_parser("verify")
     v.add_argument("--quick", action="store_true")
@@ -517,10 +534,6 @@ def _build_parser():
     bp.add_argument("--norm-value", type=float, default=None,
                     help="||f'||_{C/delta} for the smooth variant")
     return ap
-
-
-_STAGE_PREFIX = {"norms": 1, "branches": 2, "tree": 3, "times": 4,
-                 "measure": 5, "entropy": 7, "pipeline": 7}
 
 
 def main(argv=None):
@@ -551,7 +564,7 @@ def main(argv=None):
             raise ConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config)
         st = PipelineState(cfg, args.out, args.rng_seed, args.jobs)
-        for stage in _stages()[:_STAGE_PREFIX[args.command]]:
+        for stage in _stages(args.command):
             stage(st)
         if args.command in ("pipeline", "entropy"):
             verdict = (st.out / "verdict.txt").read_text().strip()

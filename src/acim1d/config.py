@@ -11,26 +11,24 @@ from .errors import ConfigError
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-_MAP_PARAM_KEYS = {"a", "d", "delta", "s", "c0", "c1", "expression",
-                   "holder_const", "domain"}
-
-
 @dataclass
 class ExperimentConfig:
-    preset: str
-    map_params: dict
-    r: float
-    p: object                 # int or "auto"
-    delta: float
-    beta: float
-    n_list: list
-    M_list: list
-    m_list: list
-    q_list: list
-    seeds: int
-    rng_seed: int
-    detector: str
-    output_dir: Path
+    """Every setting of a run, with its default."""
+
+    preset: str = "doubling"
+    map_params: dict = field(default_factory=dict)
+    r: float = 2.0
+    p: object = "auto"        # int or "auto"
+    delta: float = 0.1
+    beta: float = 0.1
+    n_list: list = field(default_factory=lambda: [10])
+    M_list: list = field(default_factory=lambda: [2])
+    m_list: list = field(default_factory=lambda: [1])
+    q_list: list = field(default_factory=lambda: [2, 4])
+    seeds: int = 1000
+    rng_seed: int = 0
+    detector: str = "surrogate"
+    output_dir: Path = Path("out")
     entropy_m: list = field(default_factory=lambda: [1, 2, 3])
     bins: int = 200
     reference: str = "none"
@@ -42,7 +40,6 @@ class ExperimentConfig:
     tree_budget: int = 10 ** 6
     gibbs_instances: int = 0
     gibbs_samples: int = 20000
-    jobs: int = 1
 
     def validate(self):
         if self.r <= 1.0:
@@ -73,8 +70,36 @@ def _ints(s):
     return [int(v.strip()) for v in str(s).split(",") if v.strip()]
 
 
+# section -> key -> (ExperimentConfig field, parser); field None puts the
+# value in map_params under its key.  configparser strips every value.
+_KEYS = {
+    "map": {"preset": ("preset", str), "r": ("r", float),
+            "expression": (None, str), "domain": (None, str),
+            **{k: (None, float) for k in ("a", "d", "delta", "s", "c0", "c1",
+                                          "holder_const")}},
+    "run": {
+        "p": ("p", lambda v: v if v == "auto" else int(v)),
+        "delta": ("delta", float), "beta": ("beta", float),
+        "n": ("n_list", _ints), "M": ("M_list", _ints),
+        "m": ("m_list", _ints), "q": ("q_list", _ints),
+        "seeds": ("seeds", int), "rng_seed": ("rng_seed", int),
+        "detector": ("detector", str), "entropy_m": ("entropy_m", _ints),
+        "bins": ("bins", int), "reference": ("reference", str),
+        "b_r": ("B_r", float), "c_r": ("C_r", float),
+        "tol_residual": ("tol_residual", float), "tol_l1": ("tol_l1", float),
+        "tree_levels": ("tree_levels", int),
+        "tree_budget": ("tree_budget", int),
+        "gibbs_instances": ("gibbs_instances", int),
+        "gibbs_samples": ("gibbs_samples", int),
+    },
+    "output": {"dir": ("output_dir", Path)},
+}
+
+
 def load_config(path):
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file.  A key left out keeps
+    its ExperimentConfig default; a missing [map] or [run], an unknown
+    section and an unknown key raise ConfigError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # keep keys case-sensitive: M and m both occur
     try:
@@ -86,46 +111,23 @@ def load_config(path):
         raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    try:
-        msec = cp["map"]
-        rsec = cp["run"]
-        osec = cp["output"] if cp.has_section("output") else {}
-    except KeyError as exc:
-        raise ConfigError(f"missing section {exc}") from exc
-    try:
-        params = {}
-        for key in msec:
-            if key in _MAP_PARAM_KEYS:
-                params[key] = msec[key] if key in ("expression", "domain") \
-                    else float(msec[key])
-        p_raw = rsec.get("p", "auto").strip()
-        cfg = ExperimentConfig(
-            preset=msec.get("preset", "doubling"),
-            map_params=params,
-            r=float(msec.get("r", 2.0)),
-            p="auto" if p_raw == "auto" else int(p_raw),
-            delta=float(rsec.get("delta", 0.1)),
-            beta=float(rsec.get("beta", 0.1)),
-            n_list=_ints(rsec.get("n", "10")),
-            M_list=_ints(rsec.get("M", "2")),
-            m_list=_ints(rsec.get("m", "1")),
-            q_list=_ints(rsec.get("q", "2,4")),
-            seeds=int(rsec.get("seeds", "1000")),
-            rng_seed=int(rsec.get("rng_seed", "0")),
-            detector=rsec.get("detector", "surrogate").strip(),
-            output_dir=Path(osec.get("dir", "out")),
-            entropy_m=_ints(rsec.get("entropy_m", "1,2,3")),
-            bins=int(rsec.get("bins", "200")),
-            reference=rsec.get("reference", "none").strip(),
-            B_r=float(rsec.get("b_r", "1.0")),
-            C_r=float(rsec.get("c_r", "1000")),
-            tol_residual=float(rsec.get("tol_residual", "0.05")),
-            tol_l1=float(rsec.get("tol_l1", "0.08")),
-            tree_levels=int(rsec.get("tree_levels", "2")),
-            tree_budget=int(rsec.get("tree_budget", str(10 ** 6))),
-            gibbs_instances=int(rsec.get("gibbs_instances", "0")),
-            gibbs_samples=int(rsec.get("gibbs_samples", "20000")),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value: {exc}") from exc
-    return cfg.validate()
+    for name in ("map", "run"):
+        if not cp.has_section(name):
+            raise ConfigError(f"missing section '{name}'")
+    values, params = {}, {}
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key, raw in cp[name].items():
+            if key not in _KEYS[name]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+            fld, parse = _KEYS[name][key]
+            try:
+                value = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value: {exc}") from exc
+            if fld is None:
+                params[key] = value
+            else:
+                values[fld] = value
+    return ExperimentConfig(map_params=params, **values).validate()

@@ -3,8 +3,8 @@
 The working partition is P_q = J v Q_q: monotone branches joined with
 level sets of log|g'| cut into bins ]k/q, (k+1)/q] + a.  The offset
 a in ]-1/q, 0[ is drawn so that no recorded orbit point sits within
-1e-9 of an atom boundary (the finite-sample stand-in for "the boundary
-has zero measure").
+CUT_DIST of an atom boundary (the finite-sample stand-in for "the
+boundary has zero measure").
 
 Entropy of an empirical measure under P_q^m is computed by itinerary
 coding: an atom at orbit position (seed, i) belongs to the P_q^m cell
@@ -16,7 +16,7 @@ prefix.
 Inequality suites: the block-entropy lower bound for shifted averages
 (exact rational masses, high-precision logs), the countable-partition
 entropy bounds with c_0 = 4 (e (1 - e^{-1/2}))^{-1}, the change-of-
-variable bound, and the Gibbs cylinder bound with C = 8.
+variable bound, and the Gibbs cylinder bound with C = GIBBS_C.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import numpy as np
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches
 from .maps import estimate_norms, power_map
+from .measures import in_An, positive_exponent_proxy
 from .solvers import minimize_bounded
 from .times import (
-    boundary_counts, components, density_rows, mask_from_lists,
-    surrogate_mask, trim_mask,
+    boundary_counts, components, mask_from_lists, surrogate_mask, trim_mask,
 )
 
 __all__ = [
@@ -43,6 +43,13 @@ __all__ = [
 
 C0_MANE = 4.0 / (math.e * (1.0 - math.exp(-0.5)))
 GIBBS_C = 8.0
+OFFSET_DRAWS = 1000       # choose_offset: offsets tried before giving up
+CUT_DIST = 1e-9           # a point this close to an atom border sits on it
+CUT_MASS_TOL = 0.01       # largest tolerated mass of points on J cuts
+MISIUREWICZ_DPS = 40      # mpmath digits of the exact block-entropy check
+QUAD_TOL = 1e-4           # change_of_variable_check: quadrature stop step
+QUAD_MAX_GRID = 2 ** 20   # and its finest grid
+MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
 
 
 # ---------------------------------------------------------------------------
@@ -66,36 +73,37 @@ def _qbins(u, q, a, k_lo=-10 ** 9):
     return np.maximum(k, k_lo - 1).astype(np.int64)
 
 
-def choose_offset(g, q, orbit_atoms, rng=None, n_draws=1000, min_dist=1e-9,
-                  cut_points=None, j_mass_tol=0.01, log_derivs=None):
-    """Draw a in ]-1/q, 0[ keeping orbit points away from atom borders.
+def choose_offset(g, q, orbit_atoms, rng=None, cut_points=None,
+                  log_derivs=None):
+    """Draw a in ]-1/q, 0[ keeping orbit points CUT_DIST away from atom
+    borders, trying up to OFFSET_DRAWS offsets.
 
     The Q_q borders sit where q (log|g'(x)| - a) is an integer; the J
-    borders do not depend on a, so no draw can clear them: points on a
-    branch cut (mod 1 on the circle) are tolerated up to mass j_mass_tol
-    (exactly-dyadic maps quantize late orbit points onto cuts) and
-    OffsetNotFound is raised only when their fraction is material.
-    log_derivs, if known, is log|g'| at orbit_atoms.
+    borders do not depend on a, so no draw can clear them: points within
+    CUT_DIST of a branch cut (mod 1 on the circle) are tolerated up to
+    mass CUT_MASS_TOL (exactly-dyadic maps quantize late orbit points
+    onto cuts) and OffsetNotFound is raised only when their fraction is
+    material.  log_derivs, if known, is log|g'| at orbit_atoms.
     """
     rng = rng or np.random.default_rng(0)
     atoms = np.asarray(orbit_atoms, dtype=float)
     cp = [p for p in cut_points or () if not isinstance(p, tuple)]
     if cp:
-        frac = float(np.mean(g.domain.nearest_distance(atoms, cp) < min_dist))
-        if frac > j_mass_tol:
+        frac = float(np.mean(g.domain.nearest_distance(atoms, cp) < CUT_DIST))
+        if frac > CUT_MASS_TOL:
             raise OffsetNotFound(
                 f"fraction {frac:.3g} of orbit points sit on branch cuts "
-                f"(> {j_mass_tol})")
+                f"(> {CUT_MASS_TOL})")
     u = g.log_abs_deriv(atoms) if log_derivs is None else log_derivs
     u = u[np.isfinite(u)]
-    for _ in range(n_draws):
+    for _ in range(OFFSET_DRAWS):
         a = -rng.uniform(0.0, 1.0) / q
         if a <= -1.0 / q or a >= 0.0:
             continue
         frac = np.abs((q * (u - a)) - np.round(q * (u - a)))
-        if frac.size == 0 or np.min(frac) > q * min_dist:
+        if frac.size == 0 or np.min(frac) > q * CUT_DIST:
             return float(a)
-    raise OffsetNotFound(f"no admissible offset after {n_draws} draws")
+    raise OffsetNotFound(f"no admissible offset after {OFFSET_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +177,7 @@ def _H_exact(mass_by_label):
     return H
 
 
-def verify_misiurewicz(lam, T, R, F, m, dps=40):
+def verify_misiurewicz(lam, T, R, F, m):
     """Exact check of the shifted-average block-entropy bound.
 
     For a finite system (states 0..N-1, map T, partition labels R,
@@ -179,11 +187,12 @@ def verify_misiurewicz(lam, T, R, F, m, dps=40):
                               - m log(#R_{lam^F}) #dF / #F
 
     with lam^F = (1/#F) sum_{k in F} T^k_* lam.  Masses are exact
-    rationals; entropies are evaluated with mpmath at dps digits.
+    rationals; entropies are evaluated with mpmath at MISIUREWICZ_DPS
+    digits.
     """
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(MISIUREWICZ_DPS):
         N = len(T)
         lam = [Fraction(v).limit_denominator(10 ** 12)
                if not isinstance(v, Fraction) else v for v in lam]
@@ -304,12 +313,12 @@ def _leb_of_intervals(ivs):
     return sum(b - a for a, b in ivs)
 
 
-def change_of_variable_check(g, k, J_branch, A_set, B_set, target_err=1e-4,
-                             max_grid=2 ** 20):
+def change_of_variable_check(g, k, J_branch, A_set, B_set):
     """Leb(J cap A cap g^{-k} B) <= Leb(B) / inf_{J cap A} |(g^k)'|.
 
-    Left side by midpoint quadrature with refinement until the estimate
-    moves less than target_err; the inf by grid scan plus local polish.
+    Left side by midpoint quadrature, doubling the grid up to
+    QUAD_MAX_GRID nodes until the estimate moves less than QUAD_TOL; the
+    inf by grid scan plus local polish.
     """
     gk = power_map(g, k) if k > 1 else g
     a0, b0 = J_branch
@@ -331,7 +340,7 @@ def change_of_variable_check(g, k, J_branch, A_set, B_set, target_err=1e-4,
     prev = None
     lhs = 0.0
     err = float("inf")
-    while grid <= max_grid:
+    while grid <= QUAD_MAX_GRID:
         lhs = 0.0
         for (a, b) in JA:
             ts = a + (np.arange(grid) + 0.5) * (b - a) / grid
@@ -344,7 +353,7 @@ def change_of_variable_check(g, k, J_branch, A_set, B_set, target_err=1e-4,
             lhs += float(np.mean(inB(y))) * (b - a)
         if prev is not None:
             err = abs(lhs - prev)
-            if err < target_err:
+            if err < QUAD_TOL:
                 break
         prev = lhs
         grid *= 2
@@ -375,16 +384,16 @@ def _wilson(hits, n, z=1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
-                n_samples=20000, rng=None, c_const=GIBBS_C, c_expansion=10.0,
-                atom_checks=True):
+def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
+                n_samples=20000, rng=None, atom_checks=True):
     """Monte Carlo check of the Gibbs cylinder bound for one seed.
 
     R collects the points sharing x's monotone-branch and Q_q-bin
-    itinerary along E_n^{M,m}(x), the same trimmed time set, and the
-    A_n membership; the bound is
+    itinerary along E_n^{M,m}(x) (Q_q at offset a = -1/(2q)), the same
+    trimmed time set, and the A_n membership (in_An, surrogate times at
+    c = EXPANSION); the bound is
 
-       Leb(R) <= (C/eps)^{#dE} exp(-phi_g^E(x) + #E / q),  C = 8.
+       Leb(R) <= (C/eps)^{#dE} exp(-phi_g^E(x) + #E / q),  C = GIBBS_C.
 
     Membership is tested on uniform samples with a Wilson interval; the
     inequality "fails" only when the interval's lower end exceeds the
@@ -395,9 +404,7 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
 
     rng = rng or np.random.default_rng(0)
     bp = bp or monotone_branches(g)
-    if a_offset is None:
-        a_offset = -0.5 / q
-    labQ = qbin_label(g, q, a_offset)
+    labQ = qbin_label(g, q, -0.5 / q)
 
     Tx = trim_mask(mask_from_lists([E], max([n - 1, *E]) + 1), n, M, m)
     T = np.flatnonzero(Tx[0]).tolist()
@@ -408,7 +415,7 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
                 "T": T, "trivial": True}
     n_boundary = int(boundary_counts(Tx)[0])
     phi_E = float(sum(rec.log_derivs[i] for i in T))
-    rhs = (c_const / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
+    rhs = (GIBBS_C / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
 
     # itinerary of x along T
     jx = bp.locate_many(rec.points[T])
@@ -431,10 +438,9 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None, a_offset=None,
     hits = 0
     if ys.size:
         lds = g.log_abs_deriv(np.array(rows))
-        Ey = surrogate_mask(lds, c_expansion)
+        Ey = surrogate_mask(lds)
         hits = int(np.count_nonzero(
-            (density_rows(Ey, n) > beta)
-            & (np.cumsum(lds, axis=0)[n - 1] >= n * p * b - 1e-12)
+            in_An(Ey, n, np.cumsum(lds, axis=0)[n - 1], beta, b, p)
             & (trim_mask(Ey, n, M, m) == Tx).all(axis=1)))
     leb_hat = hits / n_samples
     ci = _wilson(hits, n_samples)
@@ -536,8 +542,8 @@ def ac_verdict(residual_ok, exponent_ok, checks_ok=True):
 
 
 def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
-                             rng=None, min_atoms=10 ** 4, bp=None,
-                             exponent_proxy=None, log_derivs=None):
+                             rng=None, bp=None, exponent_proxy=None,
+                             log_derivs=None):
     """Estimate h(g, P_q) by refinement slopes and compare with int log|g'|.
 
     h_est is the largest over q of the least-squares slope of
@@ -546,12 +552,11 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     through p h_f = h_{f^p}, at the f level.  The verdict is
     AC-consistent when the f-level residual is within tol and the
     positive-exponent proxy (exponent_proxy, if already computed) holds.
-    log_derivs, if known, is log|g'| at the atoms.
+    log_derivs, if known, is log|g'| at the atoms.  A measure with fewer
+    than MIN_ATOMS atoms raises InsufficientAtoms.
     """
-    from .measures import positive_exponent_proxy
-
-    if mu.n_atoms < min_atoms:
-        raise InsufficientAtoms(f"{mu.n_atoms} atoms < {min_atoms}")
+    if mu.n_atoms < MIN_ATOMS:
+        raise InsufficientAtoms(f"{mu.n_atoms} atoms < {MIN_ATOMS}")
     rng = rng or np.random.default_rng(0)
     p = p or mu.meta.get("p", 1)
     g = power_map(f, p)

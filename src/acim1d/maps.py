@@ -31,6 +31,7 @@ from .solvers import brentq, minimize_bounded
 
 LOG_FLOOR = -700.0  # log-derivative floor: |f'| below e^-700 counts as 0
 FAA_DI_BRUNO_CONST = 2.0  # A in the Hoelder-norm bound of PowerMap
+FLAT_TOL = 1e-9  # critical_set: |f'| below this on a grid point counts as 0
 
 __all__ = [
     "Domain", "UNIT_INTERVAL", "CIRCLE", "SmoothMap1D", "MapNorms",
@@ -625,11 +626,11 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
 # ---------------------------------------------------------------------------
 
 
-def critical_set(f, tol=1e-12, grid_size=8192, flat_tol=1e-9):
+def critical_set(f, tol=1e-12, grid_size=8192):
     """Roots of f' located by sign-change bisection on a fine grid.
 
     Returns a list of floats (isolated roots) and (a, b) tuples for flat
-    stretches where |f'| stays below flat_tol.  Raises UnresolvedCritical
+    stretches where |f'| stays below FLAT_TOL.  Raises UnresolvedCritical
     when doubling the grid changes the root count, which is the symptom
     of two sign changes hiding in one cell.
     """
@@ -639,7 +640,7 @@ def critical_set(f, tol=1e-12, grid_size=8192, flat_tol=1e-9):
     def locate(m):
         xs = np.linspace(0.0, 1.0, m + 1)
         d = np.asarray(f.deriv(1, xs), dtype=float)
-        small = np.abs(d) < flat_tol
+        small = np.abs(d) < FLAT_TOL
         roots = []
         flats = []
         i = 0

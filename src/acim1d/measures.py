@@ -25,12 +25,14 @@ from .errors import EmptySelection, InsufficientAtoms
 from .maps import UNIT_INTERVAL, estimate_norms, orbit_grid, power_map
 from .probes import probe_functions
 from .times import (
-    boundary_counts, density_rows, mask_from_lists, surrogate_mask, trim_mask,
+    EXPANSION, LOG10, boundary_counts, density_rows, mask_from_lists,
+    surrogate_mask, trim_mask,
 )
 
 __all__ = [
     "SamplePool", "Selection", "EmpiricalMeasure", "DensityEstimate",
-    "build_seed_pool", "select_An", "empirical_measure", "invariance_defect",
+    "build_seed_pool", "in_An", "select_An", "empirical_measure",
+    "invariance_defect",
     "density_estimate", "compare_density", "support_gap_from_critical",
     "ref_uniform", "ref_logistic_acip",
 ]
@@ -57,7 +59,7 @@ class SamplePool:
 
 
 def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
-                    c_expansion=10.0, window=None, orbit_buffer=8,
+                    c_expansion=EXPANSION, window=None, orbit_buffer=8,
                     tree=None):
     """Draw seeds, record g = f^p orbits, and attach detector time sets.
 
@@ -113,22 +115,28 @@ class Selection:
         return self.indices.shape[0]
 
 
+def in_An(E, n, growth, beta, b, p):
+    """The A_n test per row: d_n(E) > beta and |(g^n)'| >= e^{n p b}.
+
+    E is a boolean seed x time matrix and growth holds log|(g^n)'| of each
+    seed, the n-step sum of log|g'| along its orbit.
+    """
+    return (density_rows(E, n) > beta) & (growth >= n * p * b - 1e-12)
+
+
 def select_An(pool, n, beta, b, p):
-    """Keep seeds with d_n(E(x)) > beta and |(g^n)'(x)| >= e^{n p b}.
+    """Keep the seeds in A_n (in_An on the pool's time sets and orbits).
 
     The Lebesgue proxy flag reports whether the retained fraction meets
     the 1/n^2 threshold that the limit construction asks of Leb(A_n).
     """
     if n > pool.n_orbit:
         raise ValueError("selection horizon exceeds recorded orbits")
-    dens = density_rows(pool.time_mask, n)
-    expand = pool.chain[n] >= n * p * b - 1e-12
-    mask = (dens > beta) & expand
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero(in_An(pool.time_mask, n, pool.chain[n], beta, b, p))[0]
     if idx.size == 0:
         raise EmptySelection(
             f"no seed passed (beta={beta}, b={b}, n={n}); "
-            f"max density {dens.max():.3f}, "
+            f"max density {density_rows(pool.time_mask, n).max():.3f}, "
             f"max rate {np.max(pool.chain[n]) / (n * p):.3f}")
     frac = idx.size / pool.n_seeds
     return Selection(pool=pool, indices=idx, n=n, beta=beta, b=b, p=p,
@@ -188,16 +196,16 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
         pool=pool, per_seed_counts=counts, per_seed_boundary=bounds)
 
 
-def invariance_defect(mu, g, probes=None):
-    """Weak-* defect |int psi d g_*mu - int psi d mu| against its bound.
+def invariance_defect(mu, g):
+    """Weak-* defect |int psi d g_*mu - int psi d mu| against its bound,
+    the max over the probe_functions() dictionary.
 
     The bound is the boundary-count term: pushing atoms forward shifts
     E_n^{M,m}(x) by one, so sums differ by at most #dE per seed.
     """
-    probes = probes or probe_functions()
     gx = g.eval(mu.atoms)
     defect = 0.0
-    for psi in probes:
+    for psi in probe_functions():
         d = abs(float(np.sum(mu.weights * psi(gx))
                       - np.sum(mu.weights * psi(mu.atoms))))
         defect = max(defect, d)
@@ -245,23 +253,25 @@ def density_estimate(mu, bins):
     return DensityEstimate(bins=bins, edges=edges, masses=masses)
 
 
-def _bin_mass(ref, a, b, subpoints=100):
-    ts = a + (np.arange(subpoints) + 0.5) * (b - a) / subpoints
+BIN_NODES = 100          # midpoint-rule nodes per histogram bin
+
+
+def _bin_mass(ref, a, b):
+    ts = a + (np.arange(BIN_NODES) + 0.5) * (b - a) / BIN_NODES
     return float(np.mean(ref(ts)) * (b - a))
 
 
-def compare_density(est, reference_density, subpoints=100):
+def compare_density(est, reference_density):
     """L1 distance between the histogram and a closed-form density.
 
     The reference is integrated per bin by the midpoint rule with
-    subpoints nodes, so integrable endpoint singularities (the arcsine
+    BIN_NODES nodes, so integrable endpoint singularities (the arcsine
     density) are handled without special cases.
     """
     l1 = 0.0
     for i in range(est.bins):
         a, b = est.edges[i], est.edges[i + 1]
-        l1 += abs(float(est.masses[i]) - _bin_mass(reference_density, a, b,
-                                                   subpoints))
+        l1 += abs(float(est.masses[i]) - _bin_mass(reference_density, a, b))
     return l1
 
 
@@ -300,12 +310,13 @@ def support_gap_from_critical(mu, critical_pts, g=None, M=None,
     return rep
 
 
-def positive_exponent_proxy(mu, log10=np.log(10.0)):
+def positive_exponent_proxy(mu):
     """Fraction of atoms with a later raw time l whose segment expands.
 
     For an atom g^i x with i in E_n^{M,m}(x) there should exist l in
-    E(x), l > i, with log|(g^{l-i})'(g^i x)| >= (l-i) log 10; this is the
-    mechanism that makes the limit exponent >= log 10.
+    E(x), l > i, with log|(g^{l-i})'(g^i x)| >= (l-i) log c, c =
+    EXPANSION; this is the mechanism that makes the limit exponent >=
+    log c.
     """
     if mu.pool is None:
         raise InsufficientAtoms("measure carries no pool provenance")
@@ -318,6 +329,6 @@ def positive_exponent_proxy(mu, log10=np.log(10.0)):
         later = pool.time_mask[s] & (ls > i[:, None])
         with np.errstate(invalid="ignore"):
             good = (pool.chain[:, s].T - pool.chain[i, s][:, None]
-                    >= (ls - i[:, None]) * log10 - 1e-9)
+                    >= (ls - i[:, None]) * LOG10 - 1e-9)
         ok += int(np.count_nonzero((later & good).any(axis=1)))
     return ok / max(1, mu.n_atoms)

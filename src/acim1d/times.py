@@ -20,12 +20,13 @@ Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
 times l whose past is uniformly expanded, |(g^{l-k})'(g^k x)| >=
 c^{l-k} for every k < l, computed with a running-minimum pass over
-log-derivative prefix sums.  With c = 10 the surrogate times satisfy
-the hyperbolic-time inequalities by construction.
+log-derivative prefix sums.  With c = EXPANSION the surrogate times
+satisfy the hyperbolic-time inequalities by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,13 @@ import numpy as np
 __all__ = [
     "TimeSet", "clip", "trim", "boundary_set",
     "components", "verify_enm", "hyperbolic_surrogate_times",
-    "surrogate_times_from_logs", "verify_hyperbolic", "density",
+    "verify_hyperbolic", "density", "EXPANSION",
     "geometric_times_tree", "mask_from_lists", "density_rows", "clip_mask",
     "trim_mask", "boundary_counts", "surrogate_mask", "verify_enm_rows",
 ]
 
-LOG10 = float(np.log(10.0))
+EXPANSION = 10.0                 # c: hyperbolic times expand by c per step
+LOG10 = math.log(EXPANSION)
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
 # ---------------------------------------------------------------------------
 
 
-def surrogate_mask(log_derivs, c_expansion=10.0):
+def surrogate_mask(log_derivs, c_expansion=EXPANSION):
     """Surrogate hyperbolic times of every seed column of log|g'|.
 
     log_derivs has shape (n, S); returns a boolean (S, n+1) matrix.  l
@@ -279,21 +281,13 @@ def surrogate_mask(log_derivs, c_expansion=10.0):
     return np.ascontiguousarray((np.isfinite(t) & (t >= before - 1e-12)).T)
 
 
-def surrogate_times_from_logs(log_derivs, c_expansion=10.0):
-    """Surrogate hyperbolic times (a sorted list) from one log|g'| sequence."""
-    lds = np.asarray(log_derivs, dtype=float)[:, None]
-    return np.flatnonzero(surrogate_mask(lds, c_expansion)[0]).tolist()
-
-
-def hyperbolic_surrogate_times(g, x, n_max, c_expansion=10.0):
-    """Surrogate detector evaluated on a fresh orbit of g from x."""
+def hyperbolic_surrogate_times(g, x, n_max):
+    """Surrogate detector (c = EXPANSION) on a fresh orbit of g from x."""
     from .maps import eval_orbit
 
-    if c_expansion < 1.0:
-        raise ValueError("c_expansion must be >= 1")
     rec = eval_orbit(g, x, n_max)
-    return TimeSet(tuple(surrogate_times_from_logs(rec.log_derivs, c_expansion)),
-                   n_max)
+    mask = surrogate_mask(rec.log_derivs[:, None])[0]
+    return TimeSet(tuple(np.flatnonzero(mask).tolist()), n_max)
 
 
 def geometric_times_tree(tree, x, n_max):
@@ -312,13 +306,14 @@ def geometric_times_tree(tree, x, n_max):
 
 
 def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
-    """Check the expansion inequalities of hyperbolic times along an orbit.
+    """Check the expansion inequalities of hyperbolic times along an orbit,
+    with c = EXPANSION:
 
-    (i)   for l in E and every k < l:  S_l - S_k >= (l-k) log 10
+    (i)   for l in E and every k < l:  S_l - S_k >= (l-k) log c
     (ii)  per connected component [[a;b[[ of E_n^{M,m}:
-          S_b - S_a >= (b-a) log 10
+          S_b - S_a >= (b-a) log c
     (iii) for every [[k;l[[ inside E_n^{M,m}:
-          S_l - S_k >= (l-k) log 10 - M log||g'||_inf
+          S_l - S_k >= (l-k) log c - M log||g'||_inf
 
     Returns worst margins (positive = pass).  E may come from either
     detector; an empty E passes vacuously with margins +inf.

@@ -6,9 +6,9 @@ partition entropy of an atomic measure, and the refined branch
 partition J^n from pulled-back cuts.  The package codes atoms by their
 label itineraries instead (entropy.itinerary_entropy, qbin_label,
 BranchPartition.locate_many); the tests use this path as the oracle
-that coding is checked against.  build_Qq and pullback find their
-roots with scipy.optimize.brentq; refine_branches pulls cuts back with
-branches.branch_preimages.
+that coding is checked against.  build_Qq, pullback and
+branch_preimages find their roots with scipy.optimize.brentq;
+refine_branches pulls cuts back with branch_preimages.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from acim1d.branches import (
-    Branch, BranchPartition, branch_preimages, monotone_branches,
-)
+from acim1d.branches import Branch, BranchPartition, monotone_branches
 from acim1d.entropy import _entropy_of_masses
+from acim1d.errors import InverseNotBracketed
 
 
 @dataclass
@@ -246,6 +245,37 @@ def partition_entropy(measure, P, measure_id="mu", m=1):
     H = _entropy_of_masses(masses)
     return EntropyReport(H_value=H, partition_id=P.name, measure_id=measure_id,
                          m=m, per_atom_masses=masses)
+
+
+def branch_preimages(g, partition, c, tol=1e-13):
+    """Solutions of g(x) = c, one per branch where c is attained.
+
+    Circle maps: on a branch interior g never crosses the marked point,
+    so g mod 1 is continuous and monotone there; the bracket check works
+    directly on reduced values.
+    """
+    circle = g.domain.is_circle
+    roots = []
+    for br in partition.branches:
+        lo = br.a + 1e-14
+        hi = br.a + br.length - 1e-14
+        def u(t):
+            return float(g.eval(t % 1.0 if circle else t))
+        ulo, uhi = u(lo), u(hi)
+        a, b = (ulo, uhi) if ulo <= uhi else (uhi, ulo)
+        if not (a - tol <= c <= b + tol):
+            continue
+        if not (a <= c <= b):
+            # grazing contact at branch end; clamp
+            roots.append(lo if abs(ulo - c) < abs(uhi - c) else hi)
+            continue
+        try:
+            t = brentq(lambda t: u(t) - c, lo, hi, xtol=tol)
+        except ValueError as exc:
+            raise InverseNotBracketed(
+                f"target {c} not bracketed on branch [{br.a}, {br.b})") from exc
+        roots.append(t % 1.0 if circle else t)
+    return roots
 
 
 def refine_branches(g, n, tol=1e-12, grid_size=8192):

@@ -1,6 +1,7 @@
 """Config parsing, bound calculators, pipeline plumbing, exit codes."""
 
 import csv
+import copy
 import math
 from pathlib import Path
 
@@ -89,6 +90,22 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(tmp_path / "missing.ini")
 
 
+@pytest.mark.parametrize("section, line", [
+    ("run", "tol_L1 = 0.05"), ("map", "alpha = 2.0"),
+    ("output", "directory = o"), ("outputs", "dir = o")])
+def test_config_rejects_unknown_keys_and_sections(tmp_path, section, line):
+    # a misspelt key would otherwise leave its default in force silently
+    text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    else:
+        text += f"\n[{section}]\n{line}\n"
+    with pytest.raises(ConfigError, match=f"\\[{section}\\]") as exc:
+        load_config(_write(tmp_path, text))
+    if section != "outputs":
+        assert repr(line.split(" =")[0]) in str(exc.value)
+
+
 def test_p_auto_formula():
     cfg = ExperimentConfig(
         preset="doubling", map_params={}, r=2.0, p="auto", delta=0.5,
@@ -129,6 +146,21 @@ def test_pipeline_energy_files_and_verdict(tmp_path):
     # verdict is a pure function of the two files
     assert compute_verdict(out / "entropy.csv", out / "checks.csv") == \
         "AC-consistent"
+
+
+def test_rng_seed_override_leaves_config_alone(tmp_path):
+    cfg = load_config(_write(tmp_path, DOUBLING_INI.format(
+        seeds=1500, seed=3, out=tmp_path / "o")))
+    before = copy.deepcopy(cfg)
+    run_pipeline(cfg, out_dir=tmp_path / "override", rng_seed=11)
+    assert cfg == before
+    run_pipeline(load_config(_write(tmp_path, DOUBLING_INI.format(
+        seeds=1500, seed=11, out=tmp_path / "config"), "seed11.ini")))
+    names = sorted(f.name for f in (tmp_path / "config").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "override").iterdir())
+    for name in names:
+        assert (tmp_path / "override" / name).read_bytes() == \
+            (tmp_path / "config" / name).read_bytes(), name
 
 
 def test_verdict_flips_on_failed_check(tmp_path):

@@ -1,9 +1,11 @@
-"""Golden outputs: every out/ file of two small pipelines, by sha256.
+"""Golden outputs: every out/ file of two small pipelines and of the quick
+verify battery, by sha256.
 
-The digests in golden_digests.json were recorded from the code as it was
-before the per-point work in gibbs_check and entropy_formula_residual was
-cut down; a change that alters an output on purpose updates that file and
-says which output changed and why.
+The pipeline digests in golden_digests.json were recorded from the code
+as it was before the per-point work in gibbs_check and
+entropy_formula_residual was cut down, and the verify_quick digest before
+the unset knobs became module constants; a change that alters an output
+on purpose updates that file and says which output changed and why.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from acim1d.cli import run_pipeline
+from acim1d.cli import run_pipeline, run_verify
 from acim1d.config import load_config
 
 TESTS = Path(__file__).resolve().parent
@@ -62,5 +64,8 @@ def _config(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digests(name, tmp_path):
     out = tmp_path / "out"
-    run_pipeline(_config(name, tmp_path), out_dir=out)
+    if name == "verify_quick":
+        assert run_verify(out, quick=True)
+    else:
+        run_pipeline(_config(name, tmp_path), out_dir=out)
     assert _digests(out) == GOLDEN[name]

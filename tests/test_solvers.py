@@ -7,7 +7,6 @@ both raise the same exception type.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from scipy.optimize import brentq as scipy_brentq, minimize_scalar
 
 import acim1d.branches as branches
 import acim1d.maps as maps
-from acim1d.errors import InverseNotBracketed
 from acim1d.maps import make_map, power_map
 from acim1d.solvers import brentq, minimize_bounded
 
@@ -194,24 +192,6 @@ def test_critical_set_logistic6_matches_scipy(monkeypatch):
     theirs = maps.critical_set(g)
     assert len(ours) == 63
     assert [_bits(x) for x in ours] == [_bits(x) for x in theirs]
-
-
-def test_branch_preimages_logistic2_matches_scipy(monkeypatch):
-    g = power_map(make_map("logistic"), 2)
-    part = branches.monotone_branches(g)
-    targets = [0.0, 1e-9, 0.1, 0.5, 0.75, 1.0 - 1e-12, 1.0]
-    ours = [branches.branch_preimages(g, part, c) for c in targets]
-    monkeypatch.setattr(branches, "brentq", _scipy_brentq)
-    theirs = [branches.branch_preimages(g, part, c) for c in targets]
-    assert sum(map(len, ours)) >= 4 * (len(targets) - 2)
-    assert [[_bits(x) for x in xs] for xs in ours] == \
-        [[_bits(x) for x in xs] for xs in theirs]
-    # a NaN value inside a branch is the solver's ValueError, reported as
-    # InverseNotBracketed
-    holed = SimpleNamespace(domain=g.domain, eval=lambda t: math.nan
-                            if 0.15 < t < 0.49 else g.eval(t))
-    with pytest.raises(InverseNotBracketed):
-        branches.branch_preimages(holed, part, 0.5)
 
 
 def test_estimate_norms_and_sup_slopes_doubling4_match_scipy(monkeypatch):

@@ -10,7 +10,7 @@ from acim1d.maps import eval_orbit, make_map, power_map
 from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
     components, density, density_rows, hyperbolic_surrogate_times,
-    mask_from_lists, surrogate_mask, surrogate_times_from_logs, trim,
+    mask_from_lists, surrogate_mask, trim,
     trim_bruteforce, trim_mask, verify_enm, verify_enm_rows,
     verify_hyperbolic,
 )
@@ -95,19 +95,19 @@ def test_surrogate_slope_one_empty():
     assert len(hyperbolic_surrogate_times(g, 0.3, 25)) == 0
 
 
+def _surrogate_by_definition(S, c=10.0):
+    """O(n^2) oracle: the l with S_l - S_k >= (l-k) log c for every k < l,
+    S the prefix sums of log|g'| along one orbit."""
+    logc = math.log(c)
+    return [l for l in range(1, len(S)) if np.isfinite(S[l]) and all(
+        S[l] - S[k] >= (l - k) * logc - 1e-12 for k in range(l))]
+
+
 def test_surrogate_matches_direct_recomputation():
-    # oracle: O(n^2) per-definition check on exact prefix sums
     g = power_map(make_map("logistic"), 6)
     rec = eval_orbit(g, 0.137, 60)
-    fast = set(surrogate_times_from_logs(rec.log_derivs, 10.0))
-    S = rec.chain_log_deriv
-    logc = math.log(10.0)
-    slow = set()
-    for l in range(1, 61):
-        if np.isfinite(S[l]) and all(
-                S[l] - S[k] >= (l - k) * logc - 1e-12 for k in range(l)):
-            slow.add(l)
-    assert fast == slow
+    fast = hyperbolic_surrogate_times(g, 0.137, 60)
+    assert list(fast) == _surrogate_by_definition(rec.chain_log_deriv)
 
 
 def test_verify_hyperbolic_surrogate_by_construction():
@@ -225,13 +225,14 @@ def test_verify_enm_rows_flags_violations():
         verify_enm_rows(E, 8, 3, 2, 1)
 
 
-def test_surrogate_mask_columns_match_single_seed_detector():
+def test_surrogate_mask_columns_match_definition():
     g = power_map(make_map("logistic"), 6)
     rng = np.random.default_rng(4)
     recs = [eval_orbit(g, float(x), 40) for x in rng.uniform(0, 1, 25)]
     lds = np.column_stack([rec.log_derivs for rec in recs])
     mask = surrogate_mask(lds, 10.0)
     assert mask.shape == (25, 41) and not mask[:, 0].any()
+    assert mask.any(axis=1).sum() > 5
     for s, rec in enumerate(recs):
         assert np.flatnonzero(mask[s]).tolist() == \
-            surrogate_times_from_logs(rec.log_derivs, 10.0)
+            _surrogate_by_definition(rec.chain_log_deriv)
