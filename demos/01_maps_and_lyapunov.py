@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from acim1d import critical_set, estimate_norms, eval_orbit, lyapunov_ft, \
-    make_map, power_map
+from acim1d import critical_set, estimate_norms, lyapunov_ft, make_map, \
+    orbit_grid, power_map
 
 print("== preset maps ==")
 for name, kw in [("doubling", {}), ("logistic", {}), ("tent", {"s": 1.7}),
@@ -17,15 +17,15 @@ for name, kw in [("doubling", {}), ("logistic", {}), ("tent", {"s": 1.7}),
     print(f"  {f.name:28s} domain={f.domain.kind:12s} r={f.smoothness_r}")
 
 print("\n== a doubling orbit from x = 0.3 ==")
-rec = eval_orbit(make_map("doubling"), 0.3, 5)
-print("  points:     ", np.round(rec.points, 6))
-print("  log|f'|:    ", np.round(rec.log_derivs, 6), " (log 2 =",
+pts, lds = orbit_grid(make_map("doubling"), [0.3], 5)
+print("  points:     ", np.round(pts[:, 0], 6))
+print("  log|f'|:    ", np.round(lds[:, 0], 6), " (log 2 =",
       round(math.log(2), 6), ")")
 
 print("\n== finite-time Lyapunov exponents ==")
 f = make_map("logistic")
-for x in (0.1234, 0.37, 0.815):
-    chi = lyapunov_ft(f, x, 10 ** 5)
+xs = (0.1234, 0.37, 0.815)
+for x, chi in zip(xs, lyapunov_ft(f, xs, 10 ** 5)):
     print(f"  logistic, x={x}: chi_1e5 = {chi:.5f}   (log 2 = {math.log(2):.5f})")
 print("  the a.e. exponent of 4x(1-x) is log 2 (tent-map conjugacy)")
 

@@ -7,15 +7,15 @@ import numpy as np
 
 from acim1d import make_map, power_map
 from acim1d.reparam import affine_reparam, choose_epsilon
-from acim1d.times import density, geometric_times_tree
-from acim1d.tree import ReparamTree, build_tree, distortion_suite, verify_tree
+from acim1d.times import density
+from acim1d.tree import ReparamTree, distortion_suite, verify_tree
 
 print("== a two-level tree for the doubling map at p = 7 (slope 128) ==")
 f = make_map("doubling")
 p = 7
 eps = choose_epsilon(power_map(f, p))
 sigma = affine_reparam(0.37, 0.9 * eps)
-tree = build_tree(f, p, sigma, 2, eps)
+tree = ReparamTree(f, p, sigma, eps).build(2)
 for i, lv in enumerate(tree.levels):
     n_exp = sum(1 for v in lv if v.vtype == "Expanding")
     print(f"  level {i}: {len(lv):6d} vertices ({n_exp} expanding)")
@@ -38,8 +38,8 @@ p5 = 5
 eps5 = choose_epsilon(power_map(f3, p5))
 tree5 = ReparamTree(f3, p5, affine_reparam(0.37, 0.9 * eps5), eps5)
 x = 0.3704
-E = geometric_times_tree(tree5, x, 30)
-print(f"  x = {x}: E = {list(E)[:14]} ...")
-print(f"  density d_30(E) = {density(E.elems, 30):.3f}")
+E = tree5.walk_geometric_times(x, 30)
+print(f"  x = {x}: E = {E[:14]} ...")
+print(f"  density d_30(E) = {density(E, 30):.3f}")
 print("  (per-step expansion 243 > 81: every level splits expandingly;")
 print("   maps with weaker per-step expansion need larger p, see ledger)")

@@ -33,9 +33,9 @@ for name, p in (("doubling", 4), ("logistic", 6)):
     f = make_map(name)
     g = power_map(f, p)
     E = hyperbolic_surrogate_times(g, 0.137, 60)
-    print(f"  {name}^{p}: density d_60 = {density(E.elems, 60):.3f} "
-          f"first times {list(E)[:8]}")
-    rep = verify_hyperbolic(g, 0.137, E.elems, 60, 3, 2)
+    print(f"  {name}^{p}: density d_60 = {density(E, 60):.3f} "
+          f"first times {E[:8]}")
+    rep = verify_hyperbolic(g, 0.137, E, 60, 3, 2)
     print(f"     expansion margins: i={rep['i_margin']:.3f} "
           f"ii={rep['ii_margin']:.3f} iii={rep['iii_margin']:.3f}")
 

@@ -7,7 +7,8 @@ from .branches import (
 )
 from .entropy import (
     change_of_variable_check, choose_offset, entropy_formula_residual,
-    gibbs_check, itinerary_entropy, verify_mane_bounds, verify_misiurewicz,
+    gibbs_check, itinerary_entropy, misiurewicz_battery, verify_mane_bounds,
+    verify_misiurewicz,
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, InsufficientAtoms,
@@ -15,9 +16,8 @@ from .errors import (
     UnresolvedCritical,
 )
 from .maps import (
-    CIRCLE, UNIT_INTERVAL, Domain, MapNorms, OrbitRecord, SmoothMap1D,
-    critical_set, estimate_norms, eval_orbit, lyapunov_ft, make_map,
-    power_map,
+    CIRCLE, UNIT_INTERVAL, Domain, MapNorms, SmoothMap1D, critical_set,
+    estimate_norms, lyapunov_ft, make_map, orbit_grid, power_map,
 )
 from .measures import (
     EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
@@ -29,9 +29,9 @@ from .reparam import (
     choose_epsilon, distortion_ratio, split_reparam, verify_split,
 )
 from .times import (
-    TimeSet, boundary_set, clip, geometric_times_tree,
-    hyperbolic_surrogate_times, trim, verify_enm, verify_hyperbolic,
+    boundary_set, clip, hyperbolic_surrogate_times, trim, verify_enm,
+    verify_hyperbolic,
 )
-from .tree import ReparamTree, build_tree, verify_tree
+from .tree import ReparamTree, verify_tree
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ import numpy.random  # numpy imports it lazily; every run draws from it
 from .branches import monotone_branches
 from .config import load_config
 from .entropy import (
-    ac_verdict, entropy_formula_residual, gibbs_check, verify_mane_bounds,
-    verify_misiurewicz,
+    ac_verdict, entropy_formula_residual, gibbs_check, misiurewicz_battery,
+    verify_mane_bounds,
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, TreeBudgetExceeded,
@@ -181,11 +181,9 @@ def stage_map(st):
     rows.append(("f", "R_estimate", st.norms_f.R_estimate, st.norms_f.n_used))
     rows.append(("g", "R_estimate", st.norms_g.R_estimate, st.norms_g.n_used))
     rows.append(("run", "p", st.p, ""))
-    rng = np.random.default_rng(st.seq_misc)
-    lyap = float(np.mean([lyapunov_ft(st.f, x, 1000)
-                          for x in rng.uniform(0.02, 0.98, 5)]))
-    st.lyapunov = lyap
-    rows.append(("f", "lyapunov_ft", lyap, 1000))
+    xs = np.random.default_rng(st.seq_misc).uniform(0.02, 0.98, 5)
+    st.lyapunov = float(np.mean(lyapunov_ft(st.f, xs, 1000)))
+    rows.append(("f", "lyapunov_ft", st.lyapunov, 1000))
     _write_csv(st.out / "norms.csv", ("map", "quantity", "value", "aux"), rows)
     return st
 
@@ -218,8 +216,6 @@ def stage_tree(st):
 
 def stage_times(st):
     cfg = st.cfg
-    if st.eps is None:
-        st.eps = choose_epsilon(st.g, st.norms_g)
     n_max = max(cfg.n_list)
     rng = np.random.default_rng(st.seq_pool)
     window = None
@@ -468,22 +464,8 @@ def run_verify(out_dir, rng_seed=0, quick=False):
     rows.append(("enm_lemma", f"{total} instances", viol, 0, -viol,
                  float("nan"), float("nan"), int(viol == 0)))
 
-    # Misiurewicz battery
-    from fractions import Fraction
-    bad = 0
     count = 200 if quick else 1000
-    for _ in range(count):
-        N = int(rng.integers(2, 13))
-        T = rng.integers(0, N, N).tolist()
-        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
-        w = rng.integers(1, 6, N)
-        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
-        F = sorted(rng.choice(np.arange(0, 9),
-                              size=int(rng.integers(1, 5)),
-                              replace=False).tolist())
-        m = int(rng.integers(1, 4))
-        if not verify_misiurewicz(lam, T, R, F, m)["ok"]:
-            bad += 1
+    bad = misiurewicz_battery(rng, count)
     rows.append(("misiurewicz_random", f"{count} instances", bad, 0, -bad,
                  float("nan"), float("nan"), int(bad == 0)))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches
-from .maps import estimate_norms, power_map
+from .maps import estimate_norms, orbit_grid, power_map
 from .measures import in_An, positive_exponent_proxy
 from .solvers import minimize_bounded
 from .times import (
@@ -37,6 +37,7 @@ from .times import (
 
 __all__ = [
     "choose_offset", "itinerary_entropy", "verify_misiurewicz",
+    "misiurewicz_battery",
     "verify_mane_bounds", "change_of_variable_check", "gibbs_check",
     "entropy_formula_residual", "ac_verdict", "C0_MANE", "qbin_label",
 ]
@@ -244,6 +245,24 @@ def verify_misiurewicz(lam, T, R, F, m):
                 "ok": margin >= -1e-12, "n_charged": n_charged, "dF": dF}
 
 
+def misiurewicz_battery(rng, count):
+    """verify_misiurewicz on count random instances drawn from rng (2-12
+    states, 2-4 labels, integer weights 1-5, F a 1-4 element subset of
+    0..8, m in 1..3); returns the number that fail."""
+    bad = 0
+    for _ in range(count):
+        N = int(rng.integers(2, 13))
+        T = rng.integers(0, N, N).tolist()
+        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
+        w = rng.integers(1, 6, N)
+        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
+        F = sorted(rng.choice(np.arange(0, 9), size=int(rng.integers(1, 5)),
+                              replace=False).tolist())
+        m = int(rng.integers(1, 4))
+        bad += not verify_misiurewicz(lam, T, R, F, m)["ok"]
+    return bad
+
+
 def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
                        rng=None, log_derivs=None):
     """The countable-partition entropy bounds on a finite-atom measure.
@@ -291,17 +310,6 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
         "branch_size_ok": margin3 >= -1e-9,
         "c0": C0_MANE, "offset_a": a,
     }
-
-
-def sete_inequality(xs):
-    """Direct evaluation of sum -x_k log x_k <= sum |k| x_k + c_0.
-
-    xs maps integer indices to values in [0, 1].
-    """
-    lhs = sum(-v * math.log(v) for v in xs.values() if v > 0)
-    rhs = sum(abs(k) * v for k, v in xs.items()) + C0_MANE
-    return {"lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
-            "ok": rhs - lhs >= -1e-12}
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +408,25 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
     right-hand side.  Companion checks on the gap atoms (distortion
     9/4, image length eps/27) are run when atom_checks is set.
     """
-    from .maps import eval_orbit
-
     rng = rng or np.random.default_rng(0)
     bp = bp or monotone_branches(g)
     labQ = qbin_label(g, q, -0.5 / q)
 
     Tx = trim_mask(mask_from_lists([E], max([n - 1, *E]) + 1), n, M, m)
     T = np.flatnonzero(Tx[0]).tolist()
-    rec = eval_orbit(g, float(x), n)
+    pts, lds = orbit_grid(g, [float(x)], n)
+    pts, lds = pts[:, 0], lds[:, 0]
     if not T:
         # R is the ambient cell; rhs = (C/eps)^0 e^0 = 1 >= Leb(R)
         return {"leb_hat": 1.0, "ci": (0.0, 1.0), "rhs": 1.0, "ok": True,
                 "T": T, "trivial": True}
     n_boundary = int(boundary_counts(Tx)[0])
-    phi_E = float(sum(rec.log_derivs[i] for i in T))
+    phi_E = float(sum(lds[i] for i in T))
     rhs = (GIBBS_C / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
 
     # itinerary of x along T
-    jx = bp.locate_many(rec.points[T])
-    qx = labQ(rec.points[T])
+    jx = bp.locate_many(pts[T])
+    qx = labQ(pts[T])
 
     # sample orbits step by step; at i in T the samples off x's labels
     # leave, so only survivors (~1/256 a column on logistic^6) iterate on
@@ -449,11 +456,11 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
     out = {"leb_hat": leb_hat, "ci": ci, "rhs": rhs, "ok": ok, "T": T,
            "phi_E": phi_E, "n_boundary": n_boundary, "trivial": False}
     if atom_checks:
-        out["atoms"] = _gap_atom_checks(g, rec, T, eps, bp)
+        out["atoms"] = _gap_atom_checks(g, pts, T, eps, bp)
     return out
 
 
-def _gap_atom_checks(g, rec, T, eps, bp, max_depth=3):
+def _gap_atom_checks(g, pts, T, eps, bp, max_depth=3):
     """Distortion and image-size checks on the gap atoms V_{a_{j+1}}.
 
     For each gap b_j -> a_{j+1} between components of the trimmed set,
@@ -477,7 +484,7 @@ def _gap_atom_checks(g, rec, T, eps, bp, max_depth=3):
         if D < 1 or D > max_depth:
             checks.append({"gap": (bj, aj1), "skipped": True})
             continue
-        y0 = float(rec.points[bj])
+        y0 = float(pts[bj])
 
         def itinerary(y):
             y = float(y)

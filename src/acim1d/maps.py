@@ -35,7 +35,7 @@ FLAT_TOL = 1e-9  # critical_set: |f'| below this on a grid point counts as 0
 
 __all__ = [
     "Domain", "UNIT_INTERVAL", "CIRCLE", "SmoothMap1D", "MapNorms",
-    "OrbitRecord", "eval_orbit", "lyapunov_ft", "estimate_norms",
+    "orbit_grid", "lyapunov_ft", "estimate_norms",
     "critical_set", "power_map", "make_map", "PRESETS", "LOG_FLOOR",
 ]
 
@@ -480,34 +480,10 @@ def make_map(preset, **params):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OrbitRecord:
-    """Orbit f^k(x), its log-derivatives, and chained log|(f^k)'(x)| sums."""
-
-    start: float
-    points: np.ndarray        # shape (n+1,)
-    log_derivs: np.ndarray    # shape (n,), -inf allowed
-    chain_log_deriv: np.ndarray  # shape (n+1,), chain[k] = sum_{i<k} log_derivs[i]
-
-
-def eval_orbit(f, x, n):
-    """Iterate f from x for n steps, recording log|f'| along the way."""
-    if n < 1:
-        raise ValueError("orbit length must be >= 1")
-    x = float(f.domain.reduce(np.asarray(x, dtype=float)))
-    pts = np.empty(n + 1)
-    pts[0] = x
-    for k in range(n):
-        pts[k + 1] = f.eval(pts[k])
-    lds = f.log_abs_deriv(pts[:-1])
-    chain = np.concatenate(([0.0], np.cumsum(lds)))
-    return OrbitRecord(start=x, points=pts, log_derivs=lds, chain_log_deriv=chain)
-
-
 def orbit_grid(f, xs, n):
-    """Vectorized orbits for an array of seeds: returns (points, log_derivs).
-
-    points has shape (n+1, len(xs)); log_derivs (n, len(xs)).
+    """Orbits of an array of seeds, one column each: (points, log_derivs)
+    with points of shape (n+1, len(xs)) and log_derivs, log|f'| along
+    them, of shape (n, len(xs)).  A single orbit is a one-seed array.
     """
     xs = f.domain.reduce(np.asarray(xs, dtype=float))
     pts = np.empty((n + 1, xs.shape[0]))
@@ -518,10 +494,11 @@ def orbit_grid(f, xs, n):
     return pts, lds
 
 
-def lyapunov_ft(f, x, n):
-    """Finite-time Lyapunov exponent (1/n) log|(f^n)'(x)|; -inf on criticals."""
-    rec = eval_orbit(f, x, n)
-    return rec.chain_log_deriv[n] / n
+def lyapunov_ft(f, xs, n):
+    """Finite-time Lyapunov exponents (1/n) log|(f^n)'(x)| of an array of
+    seeds; -inf on criticals.  The sum runs in orbit order (cumsum)."""
+    _, lds = orbit_grid(f, xs, n)
+    return np.cumsum(lds, axis=0)[-1] / n
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ class Reparametrization:
 
     base_coeffs: np.ndarray
     chain: list = field(default_factory=list)
-    name: str = "sigma"
 
     def __post_init__(self):
         self.base_coeffs = np.asarray(self.base_coeffs, dtype=float)
@@ -75,10 +74,9 @@ class Reparametrization:
         q = p(np.polynomial.polynomial.Polynomial([A, R]))
         return np.atleast_1d(q.coef)
 
-    def child(self, alpha, rho, name=None):
+    def child(self, alpha, rho):
         return Reparametrization(self.base_coeffs,
-                                 self.chain + [(float(alpha), float(rho))],
-                                 name or self.name)
+                                 self.chain + [(float(alpha), float(rho))])
 
     def point(self, t, domain=None):
         v = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
@@ -86,9 +84,9 @@ class Reparametrization:
         return domain.reduce(v) if domain is not None else v
 
 
-def affine_reparam(center, slope, name="sigma"):
+def affine_reparam(center, slope):
     """sigma(t) = center + slope * t."""
-    return Reparametrization(np.array([center, slope]), [], name)
+    return Reparametrization(np.array([center, slope]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +112,16 @@ class BoundednessCertificate:
 
 
 _HOLDER_STRIDES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+GRID = 1001    # certificate grid size on [-1, 1]
 
 
-def _composition(sig, target_map, k, ts, eps=np.inf):
-    """Jet of psi = g^k o sig on ts (g = target_map, or psi = sig without
-    one) to order max(2, floor r), and psi's certificate."""
-    r = target_map.smoothness_r if target_map is not None else 2.0
-    jet = jet_of_polynomial(sig.poly(), ts, max(2, int(math.floor(r))))
-    if target_map is not None:
-        for _ in range(k):
-            jet = target_map.jet_apply(jet)
-    return jet, _cert_from_jet(jet, ts, r, eps,
-                               target_map.domain if target_map else None)
+def _composition(sig, ts, eps=np.inf):
+    """Order-2 jet of sig on ts and sig's certificate (r = 2)."""
+    jet = jet_of_polynomial(sig.poly(), ts, 2)
+    return jet, _cert_from_jet(jet, ts, 2.0, eps)
 
 
-def _cert_from_jet(jet, ts, r, eps, domain=None, marked=0.0):
+def _cert_from_jet(jet, ts, r, eps, domain=None):
     K = jet.order
     d1 = np.abs(jet.deriv(1))
     sup1 = float(np.max(d1))
@@ -154,7 +147,7 @@ def _cert_from_jet(jet, ts, r, eps, domain=None, marked=0.0):
         v = vals % 1.0
         dist = np.minimum(v, 1.0 - v)
     else:
-        dist = np.abs(vals - marked)
+        dist = np.abs(vals)
     # exclude t = -1 (the definition allows sigma(-1) = 0)
     min_marked = float(np.min(dist[1:])) if dist.shape[0] > 1 else float(dist[0])
     return BoundednessCertificate(
@@ -168,7 +161,7 @@ def _cert_from_jet(jet, ts, r, eps, domain=None, marked=0.0):
     )
 
 
-def check_bounded(sig, target_map=None, eps=np.inf, n=0, grid=1001):
+def check_bounded(sig, target_map=None, eps=np.inf, n=0, grid=GRID):
     """Certificate for sigma and its compositions g^k o sigma, k <= n.
 
     Sups are taken over a grid of [-1,1] with derivatives from jets; the
@@ -199,13 +192,13 @@ def check_bounded(sig, target_map=None, eps=np.inf, n=0, grid=1001):
     return top
 
 
-def distortion_ratio(sig, target_map=None, k=0, grid=1001):
-    """sup over sampled pairs of |psi'(t)| / |psi'(s)| for psi = g^k o sigma.
+def distortion_ratio(sig):
+    """sup over sampled pairs of |sigma'(t)| / |sigma'(s)|.
 
-    Requires the composition to be bounded; bounded reparametrizations
-    satisfy ratio <= 3/2.
+    Requires sigma to be bounded; bounded reparametrizations satisfy
+    ratio <= 3/2.
     """
-    _, cert = _composition(sig, target_map, k, np.linspace(-1.0, 1.0, grid))
+    _, cert = _composition(sig, np.linspace(-1.0, 1.0, GRID))
     if not cert.is_bounded:
         raise NotBounded(
             f"distortion requested for an unbounded reparametrization "
@@ -219,14 +212,14 @@ def distortion_ratio(sig, target_map=None, k=0, grid=1001):
 # ---------------------------------------------------------------------------
 
 
-def choose_epsilon(g, norms=None, grid_size=4096):
+def choose_epsilon(g, norms=None):
     """Largest dyadic eps with (2 eps)^(r'-1) < 1 / (2 ||g'||_{r-1}).
 
     r' = min(2, r).  The norm ||g'||_{r-1} comes from measured grid
     estimates (for integer r the order-r entry is the measured
     sup|d^floor(r) g|, not a propagated Hoelder bound).
     """
-    norms = norms or estimate_norms(g, grid_size=grid_size)
+    norms = norms or estimate_norms(g)
     sups = dict(norms.sup_abs_deriv)
     if float(g.smoothness_r).is_integer():
         sups["r"] = sups[g.r_floor]
@@ -242,15 +235,14 @@ def choose_epsilon(g, norms=None, grid_size=4096):
     return min(e, 0.25)
 
 
-def taylor_window_check(g, eps, samples=64, rng=None):
+def taylor_window_check(g, eps, samples=64):
     """Sampled check of ||d^s(g^x_{2eps})||_inf <= 3 eps max(1, |g'(x)|).
 
     g^x_{2eps}(t) = g(x + 2 eps t); this is the Taylor-window bound that
     the epsilon inequality buys, and the reason pieces of that size can
     be re-bounded after one application of g.
     """
-    rng = rng or np.random.default_rng(0)
-    xs = rng.uniform(0.0, 1.0, samples)
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, samples)
     worst = np.inf
     ts = np.linspace(-1.0, 1.0, 65)
     order = max(2, g.r_floor)
@@ -287,8 +279,8 @@ def cover_centers(u0, u1, rho):
     return expanding, [u0 + rho, u1 - rho]
 
 
-def split_reparam(gamma, eps, target_map=None, power=0, grid=1001):
-    """Affine pieces making gamma (or g^power o gamma) eps-bounded.
+def split_reparam(gamma, eps):
+    """Affine pieces making gamma eps-bounded.
 
     Returns {"L_plain": [(alpha, rho), ...], "L_exp": [...]} with the
     covering convention: plain pieces count with their full images,
@@ -297,8 +289,7 @@ def split_reparam(gamma, eps, target_map=None, power=0, grid=1001):
     eps-boundedness and the eps/6 center derivative both follow from the
     3/2 distortion bound.
     """
-    _, cert = _composition(gamma, target_map, power,
-                           np.linspace(-1.0, 1.0, grid), eps)
+    _, cert = _composition(gamma, np.linspace(-1.0, 1.0, GRID), eps)
     if not cert.is_bounded:
         raise NotBounded("split requires a bounded reparametrization")
     K = cert.sup_first_deriv
@@ -311,8 +302,7 @@ def split_reparam(gamma, eps, target_map=None, power=0, grid=1001):
             "L_exp": [(c, rho) for c in exp_c], "rate": rho, "sup1": K}
 
 
-def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
-                 sample=128, rng=None):
+def verify_split(gamma, eps, pieces):
     """Post-hoc verification of the four splitting guarantees.
 
     (i) each piece eps-bounded with center derivative >= eps/6,
@@ -320,9 +310,8 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
     (iii) #plain <= 2, #expanding <= 6 (sup|gamma'|/eps + 1),
     (iv) at most 100 pieces meet any eps-ball around a point of the image.
     """
-    rng = rng or np.random.default_rng(0)
-    ts = np.linspace(-1.0, 1.0, grid)
-    jet, parent_cert = _composition(gamma, target_map, power, ts, eps)
+    ts = np.linspace(-1.0, 1.0, GRID)
+    jet, parent_cert = _composition(gamma, ts, eps)
 
     all_pieces = [(a, rho, "plain") for a, rho in pieces["L_plain"]] + \
                  [(a, rho, "exp") for a, rho in pieces["L_exp"]]
@@ -331,8 +320,7 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
     bounded_ok = True
     tloc = np.linspace(-1.0, 1.0, 129)
     for a, rho, _ in all_pieces:
-        cj, cc = _composition(gamma.child(a, rho), target_map, power, tloc,
-                              eps)
+        cj, cc = _composition(gamma.child(a, rho), tloc, eps)
         bounded_ok &= cc.is_bounded
         worst_eps_margin = min(worst_eps_margin, eps - cc.sup_first_deriv)
         center = abs(float(cj.deriv(1)[64]))
@@ -349,10 +337,9 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
     counts_ok = (len(pieces["L_plain"]) <= 2
                  and len(pieces["L_exp"]) <= n_exp_bound + 1e-9)
 
-    # multiplicity near sampled image points (on the composed curve)
+    # multiplicity near sampled image points (on the curve)
     curve_vals = jet.c[0]
-    circle = target_map is not None and target_map.domain.is_circle
-    idx = rng.integers(0, ts.shape[0], sample)
+    idx = np.random.default_rng(0).integers(0, ts.shape[0], 128)
     worst_mult = 0
     for i in idx:
         x = curve_vals[i]
@@ -360,9 +347,6 @@ def verify_split(gamma, eps, pieces, target_map=None, power=0, grid=1001,
         for a, rho, _ in all_pieces:
             mask = np.abs(ts - a) <= rho + 1e-12
             d = np.abs(curve_vals[mask] - x)
-            if circle:
-                dm = d % 1.0
-                d = np.minimum(dm, 1.0 - dm)
             if d.size and np.min(d) <= eps:
                 count += 1
         worst_mult = max(worst_mult, count)

@@ -27,39 +27,21 @@ satisfy the hyperbolic-time inequalities by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .maps import estimate_norms, orbit_grid
+
 __all__ = [
-    "TimeSet", "clip", "trim", "boundary_set",
+    "clip", "trim", "boundary_set",
     "components", "verify_enm", "hyperbolic_surrogate_times",
     "verify_hyperbolic", "density", "EXPANSION",
-    "geometric_times_tree", "mask_from_lists", "density_rows", "clip_mask",
+    "mask_from_lists", "density_rows", "clip_mask",
     "trim_mask", "boundary_counts", "surrogate_mask", "verify_enm_rows",
 ]
 
 EXPANSION = 10.0                 # c: hyperbolic times expand by c per step
 LOG10 = math.log(EXPANSION)
-
-
-@dataclass(frozen=True)
-class TimeSet:
-    """A finite set of candidate times below a horizon."""
-
-    elems: tuple
-    horizon: int
-
-    def __post_init__(self):
-        if any(e < 0 or e > self.horizon for e in self.elems):
-            raise ValueError("time-set elements must lie in [0, horizon]")
-        object.__setattr__(self, "elems", tuple(sorted(set(self.elems))))
-
-    def __iter__(self):
-        return iter(self.elems)
-
-    def __len__(self):
-        return len(self.elems)
 
 
 def density(S, n):
@@ -282,22 +264,10 @@ def surrogate_mask(log_derivs, c_expansion=EXPANSION):
 
 
 def hyperbolic_surrogate_times(g, x, n_max):
-    """Surrogate detector (c = EXPANSION) on a fresh orbit of g from x."""
-    from .maps import eval_orbit
-
-    rec = eval_orbit(g, x, n_max)
-    mask = surrogate_mask(rec.log_derivs[:, None])[0]
-    return TimeSet(tuple(np.flatnonzero(mask).tolist()), n_max)
-
-
-def geometric_times_tree(tree, x, n_max):
-    """Geometric times of x from a reparametrization tree (lazy walk).
-
-    Delegates to the tree's path-following machinery; a time m is
-    geometric when an expanding level-m vertex whose k'-labels match the
-    orbit of x contains x in the middle third of its image.
-    """
-    return TimeSet(tuple(tree.walk_geometric_times(x, n_max)), n_max)
+    """Surrogate detector (c = EXPANSION) on a fresh orbit of g from x, as a
+    sorted list of times."""
+    _, lds = orbit_grid(g, [x], n_max)
+    return np.flatnonzero(surrogate_mask(lds)[0]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +288,10 @@ def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
     Returns worst margins (positive = pass).  E may come from either
     detector; an empty E passes vacuously with margins +inf.
     """
-    from .maps import estimate_norms, eval_orbit
-
     elems = sorted(set(E))
     horizon = max([n] + elems) if elems else n
-    rec = eval_orbit(g, x, horizon)
-    S = rec.chain_log_deriv
+    _, lds = orbit_grid(g, [x], horizon)
+    S = np.concatenate(([0.0], np.cumsum(lds[:, 0])))
     if log_sup_gprime is None:
         log_sup_gprime = float(np.log(
             estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))

@@ -38,10 +38,10 @@ import numpy as np
 
 from .errors import TreeBudgetExceeded
 from .jets import Jet, jet_of_polynomial
-from .maps import estimate_norms, eval_orbit, power_map
+from .maps import estimate_norms, orbit_grid, power_map
 from .reparam import Reparametrization, check_bounded, cover_centers
 
-__all__ = ["TreeVertex", "ReparamTree", "build_tree", "verify_tree"]
+__all__ = ["TreeVertex", "ReparamTree", "verify_tree"]
 
 EXPAND_THRESHOLD = 81.0   # K_S / eps above which a segment splits expandingly
 EXPAND_SUP = 0.8          # post-split sup target, as a fraction of eps
@@ -82,7 +82,6 @@ class ReparamTree:
     """Leveled tree of affine contractions for g = f^p over a seed sigma."""
 
     def __init__(self, f, p, sigma, eps, C_r=1000.0, level_budget=10 ** 6):
-        self.f = f
         self.p = int(p)
         self.g = power_map(f, p)
         self.sigma = sigma
@@ -384,12 +383,6 @@ def _orient(pieces, u0, u1, left_marked, right_marked):
     return out
 
 
-def build_tree(f, p, sigma, n_levels, eps, C_r=1000.0, level_budget=10 ** 6):
-    """Construct and materialize a reparametrization tree for g = f^p."""
-    tree = ReparamTree(f, p, sigma, eps, C_r=C_r, level_budget=level_budget)
-    return tree.build(n_levels)
-
-
 def _labels(lds):
     """(k, k') = (floor log+|g'|, floor log-|g'|) from log|g'| values;
     -1 in both where log|g'| is not finite (a critical hit)."""
@@ -402,7 +395,7 @@ def _labels(lds):
 def orbit_labels(g, z, n):
     """Label vectors (k_i, k'_i) along the orbit of z, i = 1..n; -1 marks
     a critical hit."""
-    ks, kps = _labels(eval_orbit(g, float(z), n).log_derivs)
+    ks, kps = _labels(orbit_grid(g, [float(z)], n)[1][:, 0])
     return ks.tolist(), kps.tolist()
 
 

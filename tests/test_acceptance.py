@@ -20,17 +20,18 @@ from acim1d.branches import count_branches_with_min_slope, monotone_branches
 from acim1d.cli import main, run_pipeline
 from acim1d.config import load_config
 from acim1d.entropy import (
-    C0_MANE, entropy_formula_residual, gibbs_check, verify_misiurewicz,
+    C0_MANE, entropy_formula_residual, gibbs_check, misiurewicz_battery,
+    verify_misiurewicz,
 )
 from acim1d.errors import EmptySelection
 from acim1d.maps import estimate_norms, make_map, power_map
 from acim1d.measures import EmpiricalMeasure, build_seed_pool, select_An
 from acim1d.reparam import affine_reparam, choose_epsilon
 from acim1d.times import (
-    clip, clip_bruteforce, geometric_times_tree, hyperbolic_surrogate_times,
-    trim, trim_bruteforce, verify_enm, verify_hyperbolic,
+    clip, clip_bruteforce, hyperbolic_surrogate_times, trim, trim_bruteforce,
+    verify_enm, verify_hyperbolic,
 )
-from acim1d.tree import ReparamTree, build_tree, distortion_suite, verify_tree
+from acim1d.tree import ReparamTree, distortion_suite, verify_tree
 
 LOG2 = math.log(2.0)
 REPO = Path(__file__).resolve().parents[1]
@@ -112,21 +113,21 @@ def test_criterion_2_distortion_suite():
 
     f = make_map("doubling")
     eps = choose_epsilon(power_map(f, 7))
-    tree = build_tree(f, 7, affine_reparam(0.37, 0.9 * eps), 2, eps)
+    tree = ReparamTree(f, 7, affine_reparam(0.37, 0.9 * eps), eps).build(2)
     r, ok1 = distortion_suite(tree)
     ratios_all.append(r)
 
     fp = make_map("perturbed_circle", d=5, delta=0.2, smoothness_r=3.0)
     epsp = choose_epsilon(power_map(fp, 3))
-    treep = build_tree(fp, 3, affine_reparam(0.41, 0.9 * epsp), 2, epsp,
-                       level_budget=3 * 10 ** 5)
+    treep = ReparamTree(fp, 3, affine_reparam(0.41, 0.9 * epsp), epsp,
+                        level_budget=3 * 10 ** 5).build(2)
     rp, ok2 = distortion_suite(treep)
     ratios_all.append(rp)
 
     fl = make_map("logistic", smoothness_r=2.0)
     epsl = choose_epsilon(power_map(fl, 6))
-    treel = build_tree(fl, 6, affine_reparam(0.3, 0.9 * epsl), 1, epsl,
-                       level_budget=10 ** 5)
+    treel = ReparamTree(fl, 6, affine_reparam(0.3, 0.9 * epsl), epsl,
+                        level_budget=10 ** 5).build(1)
     rl, ok3 = distortion_suite(treel)
     ratios_all.append(rl)
 
@@ -153,7 +154,7 @@ def test_criterion_3_hyperbolic_time_expansion():
     g3 = power_map(f, p3)
     for x in (0.137, 0.41, 0.77):
         E = hyperbolic_surrogate_times(g3, x, 30)
-        rep = verify_hyperbolic(g3, x, E.elems, 30, 3, 2,
+        rep = verify_hyperbolic(g3, x, E, 30, 3, 2,
                                 log_sup_gprime=p3 * math.log(3.0))
         checked += rep["n_times"]
         if not (rep["i_ok"] and rep["ii_ok"] and rep["iii_ok"]):
@@ -166,8 +167,8 @@ def test_criterion_3_hyperbolic_time_expansion():
     # 1/100 (see ledger), so the set is empty and the check passes vacuously
     eps3 = choose_epsilon(g3)
     tree3 = ReparamTree(f, p3, affine_reparam(0.37, 0.9 * eps3), eps3)
-    E3 = geometric_times_tree(tree3, 0.3702, 10)
-    rep3 = verify_hyperbolic(g3, 0.3702, E3.elems, 10, 3, 2,
+    E3 = tree3.walk_geometric_times(0.3702, 10)
+    rep3 = verify_hyperbolic(g3, 0.3702, E3, 10, 3, 2,
                              log_sup_gprime=p3 * math.log(3.0))
     if not (rep3["i_ok"] and rep3["ii_ok"] and rep3["iii_ok"]):
         violations += 1
@@ -178,8 +179,8 @@ def test_criterion_3_hyperbolic_time_expansion():
     eps5 = choose_epsilon(g5)
     tree5 = ReparamTree(f, p5, affine_reparam(0.37, 0.9 * eps5), eps5)
     x5 = 0.3704
-    E5 = geometric_times_tree(tree5, x5, 24)
-    rep5 = verify_hyperbolic(g5, x5, E5.elems, 24, 3, 2,
+    E5 = tree5.walk_geometric_times(x5, 24)
+    rep5 = verify_hyperbolic(g5, x5, E5, 24, 3, 2,
                              log_sup_gprime=p5 * math.log(3.0))
     if not (len(E5) > 0 and rep5["i_ok"] and rep5["ii_ok"] and rep5["iii_ok"]):
         violations += 1
@@ -194,21 +195,8 @@ def test_criterion_4_misiurewicz_and_mane():
     t0 = time.time()
     assert math.isclose(C0_MANE, 4.0 / (math.e * (1.0 - math.exp(-0.5))),
                         rel_tol=0)
-    violations = 0
-
     rng = np.random.default_rng(2026)
-    for _ in range(1000):
-        N = int(rng.integers(2, 13))
-        T = rng.integers(0, N, N).tolist()
-        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
-        w = rng.integers(1, 6, N)
-        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
-        F = sorted(rng.choice(np.arange(0, 9),
-                              size=int(rng.integers(1, 5)),
-                              replace=False).tolist())
-        m = int(rng.integers(1, 4))
-        if not verify_misiurewicz(lam, T, R, F, m)["ok"]:
-            violations += 1
+    violations = misiurewicz_battery(rng, 1000)
 
     # exhaustive 8-state family: the truncated 2-shift over all nonempty
     # F subset {0..5}, m in 1..4, and three measures
@@ -368,7 +356,7 @@ def test_criterion_9_negative_controls(tmp_path):
     # (c) corrupted contraction rate fails the tree rate check
     fd = make_map("doubling")
     eps = choose_epsilon(power_map(fd, 7))
-    tree = build_tree(fd, 7, affine_reparam(0.37, 0.9 * eps), 1, eps)
+    tree = ReparamTree(fd, 7, affine_reparam(0.37, 0.9 * eps), eps).build(1)
     tree.levels[1][5].rho = 1.0 / 50.0
     vrep = verify_tree(tree, witness_samples=8, cert_sample=8)
     corrupt_ok = (not vrep["item2"]["ok"]) and (not vrep["ok"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from acim1d.entropy import (
     C0_MANE, _entropy_of_masses, ac_verdict, change_of_variable_check,
     choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
-    qbin_label, sete_inequality, verify_mane_bounds, verify_misiurewicz,
+    misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
 from acim1d.errors import InsufficientAtoms, OffsetNotFound
@@ -392,27 +392,7 @@ def test_misiurewicz_truncated_shift():
 
 
 def test_misiurewicz_randomized():
-    rng = np.random.default_rng(12)
-    for _ in range(120):
-        N = int(rng.integers(2, 13))
-        T = rng.integers(0, N, N).tolist()
-        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
-        w = rng.integers(1, 6, N)
-        tot = int(np.sum(w))
-        lam = [Fraction(int(v), tot) for v in w]
-        F = sorted(rng.choice(np.arange(0, 9),
-                              size=int(rng.integers(1, 5)),
-                              replace=False).tolist())
-        m = int(rng.integers(1, 4))
-        rep = verify_misiurewicz(lam, T, R, F, m)
-        assert rep["ok"], (N, T, R, F, m, rep)
-
-
-def test_sete_plugin():
-    rep = sete_inequality({0: 0.5, 1: 0.5})
-    assert math.isclose(rep["lhs"], LOG2, rel_tol=1e-12)
-    assert rep["rhs"] >= rep["lhs"]
-    assert rep["ok"]
+    assert misiurewicz_battery(np.random.default_rng(12), 120) == 0
 
 
 def test_mane_bounds_doubling():
@@ -497,7 +477,7 @@ def _gibbs_full_grid(g, x, E, q, eps, *, n, M, m, beta, b, p, bp, n_samples,
     samples for all n steps, then the label mask column by column.  Also
     returns the survivor count after each column of T."""
     from acim1d.entropy import GIBBS_C, _wilson
-    from acim1d.maps import eval_orbit, orbit_grid
+    from acim1d.maps import orbit_grid
     from acim1d.times import (
         boundary_counts, density_rows, mask_from_lists, surrogate_mask,
         trim_mask,
@@ -508,12 +488,12 @@ def _gibbs_full_grid(g, x, E, q, eps, *, n, M, m, beta, b, p, bp, n_samples,
     T = np.flatnonzero(Tx[0]).tolist()
     if not T:
         return None, []
-    rec = eval_orbit(g, float(x), n)
+    xpts, xlds = orbit_grid(g, [float(x)], n)
     n_boundary = int(boundary_counts(Tx)[0])
-    phi_E = float(sum(rec.log_derivs[i] for i in T))
+    phi_E = float(sum(xlds[i, 0] for i in T))
     rhs = (GIBBS_C / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
-    jx = bp.locate_many(rec.points[T])
-    qx = labQ(rec.points[T])
+    jx = bp.locate_many(xpts[T, 0])
+    qx = labQ(xpts[T, 0])
     ys = rng.uniform(0.0, 1.0, n_samples)
     pts, lds = orbit_grid(g, ys, n)
     mask = np.ones(n_samples, dtype=bool)

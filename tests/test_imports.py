@@ -1,9 +1,16 @@
-"""What a run imports: scipy never, mpmath only for the exact battery."""
+"""What a run imports: scipy never, mpmath only for the exact battery;
+and what each module exports: every name in its __all__."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import acim1d
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,3 +65,12 @@ def test_runs_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(acim1d.__path__)))
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"acim1d.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, missing
+    exec(f"from acim1d.{name} import *", {})   # a stale name would raise

@@ -7,49 +7,54 @@ import pytest
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
-    CIRCLE, UNIT_INTERVAL, critical_set, estimate_norms, eval_orbit,
-    lyapunov_ft, make_map, power_map,
+    CIRCLE, UNIT_INTERVAL, critical_set, estimate_norms, lyapunov_ft,
+    make_map, orbit_grid, power_map,
 )
 
 LOG2 = math.log(2.0)
 
 
+def _chain(lds):
+    """log|(f^k)'(x)| for k = 0..n of a one-seed orbit."""
+    return np.concatenate(([0.0], np.cumsum(lds[:, 0])))
+
+
 def test_orbit_doubling():
     f = make_map("doubling")
-    rec = eval_orbit(f, 0.3, 3)
-    np.testing.assert_allclose(rec.points, [0.3, 0.6, 0.2, 0.4], atol=1e-12)
-    np.testing.assert_allclose(rec.log_derivs, [LOG2] * 3, rtol=0)
-    np.testing.assert_allclose(rec.chain_log_deriv,
+    pts, lds = orbit_grid(f, [0.3], 3)
+    np.testing.assert_allclose(pts[:, 0], [0.3, 0.6, 0.2, 0.4], atol=1e-12)
+    np.testing.assert_allclose(lds[:, 0], [LOG2] * 3, rtol=0)
+    np.testing.assert_allclose(_chain(lds),
                                [0.0, LOG2, 2 * LOG2, 3 * LOG2], rtol=1e-15)
 
 
 def test_orbit_identity_affine():
     f = make_map("affine", c0=0.0, c1=1.0)
-    rec = eval_orbit(f, 0.42, 5)
-    assert np.all(rec.log_derivs == 0.0)
+    _, lds = orbit_grid(f, [0.42], 5)
+    assert np.all(lds == 0.0)
 
 
 def test_orbit_hits_critical_point():
     f = make_map("logistic")
-    rec = eval_orbit(f, 0.5, 1)
-    assert rec.log_derivs[0] == -np.inf
+    _, lds = orbit_grid(f, [0.5], 1)
+    assert lds[0, 0] == -np.inf
 
 
 def test_lyapunov_doubling_and_identity():
-    assert math.isclose(lyapunov_ft(make_map("doubling"), 0.123, 37), LOG2,
-                        rel_tol=1e-12)
-    assert lyapunov_ft(make_map("affine", c0=0.0, c1=1.0), 0.9, 11) == 0.0
+    assert math.isclose(lyapunov_ft(make_map("doubling"), [0.123], 37)[0],
+                        LOG2, rel_tol=1e-12)
+    assert lyapunov_ft(make_map("affine", c0=0.0, c1=1.0), [0.9], 11)[0] \
+        == 0.0
 
 
 def test_lyapunov_logistic_birkhoff():
     # Oracle: the a.e. exponent of 4x(1-x) is log 2 (tent-map conjugacy);
-    # cross-checked with Birkhoff averages from 10 random seeds.
+    # cross-checked with Birkhoff averages from 10 random seeds and 0.1234.
     f = make_map("logistic")
     n = 10 ** 5
     rng = np.random.default_rng(7)
-    oracle = np.array([lyapunov_ft(f, x, n) for x in rng.uniform(0.05, 0.95, 10)])
-    assert np.all(np.abs(oracle - LOG2) < 0.01)
-    assert abs(lyapunov_ft(f, 0.1234, n) - LOG2) < 0.01
+    xs = np.append(rng.uniform(0.05, 0.95, 10), 0.1234)
+    assert np.all(np.abs(lyapunov_ft(f, xs, n) - LOG2) < 0.01)
 
 
 def test_norms_doubling():
@@ -142,8 +147,8 @@ def test_chain_rule_against_finite_differences(name, params):
     rng = np.random.default_rng(11)
     for x in rng.uniform(0.05, 0.95, 5):
         for n in (3, 7, 20):
-            rec = eval_orbit(f, x, n)
-            if np.min(rec.log_derivs) <= -10:
+            _, lds = orbit_grid(f, [x], n)
+            if np.min(lds) <= -10:
                 continue
             h = 1e-8
             y0, y1 = x - h, x + h
@@ -156,7 +161,7 @@ def test_chain_rule_against_finite_differences(name, params):
             fd = abs(diff) / (2 * h)
             if fd <= 0:
                 continue
-            assert math.isclose(rec.chain_log_deriv[n], math.log(fd),
+            assert math.isclose(_chain(lds)[n], math.log(fd),
                                 rel_tol=1e-3, abs_tol=1e-4)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from acim1d.maps import eval_orbit, make_map, power_map
+from acim1d.maps import make_map, orbit_grid, power_map
 from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
     components, density, density_rows, hyperbolic_surrogate_times,
@@ -85,7 +85,7 @@ def test_surrogate_uniform_expansion():
     # doubling^4 has slope 16 > 10, so every time qualifies
     g = power_map(make_map("doubling"), 4)
     E = hyperbolic_surrogate_times(g, 0.137, 30)
-    assert list(E) == list(range(1, 31))
+    assert E == list(range(1, 31))
 
 
 def test_surrogate_slope_one_empty():
@@ -93,6 +93,11 @@ def test_surrogate_slope_one_empty():
 
     g = make_map("affine", c0=0.2, c1=1.0, domain=CIRCLE)  # rigid rotation
     assert len(hyperbolic_surrogate_times(g, 0.3, 25)) == 0
+
+
+def _chain(lds):
+    """Prefix sums S_0..S_n of one orbit's log|g'|."""
+    return np.concatenate(([0.0], np.cumsum(lds)))
 
 
 def _surrogate_by_definition(S, c=10.0):
@@ -105,9 +110,9 @@ def _surrogate_by_definition(S, c=10.0):
 
 def test_surrogate_matches_direct_recomputation():
     g = power_map(make_map("logistic"), 6)
-    rec = eval_orbit(g, 0.137, 60)
+    _, lds = orbit_grid(g, [0.137], 60)
     fast = hyperbolic_surrogate_times(g, 0.137, 60)
-    assert list(fast) == _surrogate_by_definition(rec.chain_log_deriv)
+    assert fast == _surrogate_by_definition(_chain(lds[:, 0]))
 
 
 def test_verify_hyperbolic_surrogate_by_construction():
@@ -228,11 +233,11 @@ def test_verify_enm_rows_flags_violations():
 def test_surrogate_mask_columns_match_definition():
     g = power_map(make_map("logistic"), 6)
     rng = np.random.default_rng(4)
-    recs = [eval_orbit(g, float(x), 40) for x in rng.uniform(0, 1, 25)]
-    lds = np.column_stack([rec.log_derivs for rec in recs])
+    recs = [orbit_grid(g, [x], 40)[1][:, 0] for x in rng.uniform(0, 1, 25)]
+    lds = np.column_stack(recs)
     mask = surrogate_mask(lds, 10.0)
     assert mask.shape == (25, 41) and not mask[:, 0].any()
     assert mask.any(axis=1).sum() > 5
     for s, rec in enumerate(recs):
         assert np.flatnonzero(mask[s]).tolist() == \
-            _surrogate_by_definition(rec.chain_log_deriv)
+            _surrogate_by_definition(_chain(rec))

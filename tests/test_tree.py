@@ -8,15 +8,15 @@ import pytest
 from acim1d.errors import TreeBudgetExceeded
 from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.reparam import affine_reparam, choose_epsilon
-from acim1d.times import density, geometric_times_tree, verify_hyperbolic
-from acim1d.tree import ReparamTree, build_tree, distortion_suite, verify_tree
+from acim1d.times import density, verify_hyperbolic
+from acim1d.tree import ReparamTree, distortion_suite, verify_tree
 
 
 def _doubling_tree(p=7, levels=2):
     f = make_map("doubling")
     eps = choose_epsilon(power_map(f, p))
     sig = affine_reparam(0.37, 0.9 * eps)
-    return build_tree(f, p, sig, levels, eps), eps
+    return ReparamTree(f, p, sig, eps).build(levels), eps
 
 
 def test_doubling_tree_builds_and_verifies():
@@ -57,7 +57,7 @@ def test_rotation_tree_is_single_chain():
     rot = make_map("affine", c0=0.23, c1=1.0, domain=CIRCLE)
     eps = choose_epsilon(rot)
     sig = affine_reparam(0.4, 0.5 * eps)
-    tree = build_tree(rot, 1, sig, 4, eps)
+    tree = ReparamTree(rot, 1, sig, eps).build(4)
     assert [len(lv) for lv in tree.levels] == [1, 1, 1, 1, 1]
     assert all(v.passthrough for lv in tree.levels[1:] for v in lv)
     assert all(v.vtype == "Plain" for lv in tree.levels[1:] for v in lv)
@@ -72,7 +72,7 @@ def test_budget_exceeded():
     eps = choose_epsilon(power_map(f, p))
     sig = affine_reparam(0.37, 0.9 * eps)
     with pytest.raises(TreeBudgetExceeded) as exc:
-        build_tree(f, p, sig, 2, eps, level_budget=1000)
+        ReparamTree(f, p, sig, eps, level_budget=1000).build(2)
     assert exc.value.budget == 1000
     assert exc.value.growth_rate is not None
 
@@ -86,11 +86,11 @@ def test_walk_geometric_times_dense_on_strong_expansion():
     sig = affine_reparam(0.37, 0.9 * eps)
     tree = ReparamTree(f, p, sig, eps)
     x = 0.37 + 0.0004
-    E = geometric_times_tree(tree, x, 30)
-    assert density(E.elems, 30) > 0.5
+    E = tree.walk_geometric_times(x, 30)
+    assert density(E, 30) > 0.5
     # cross-check: every detected time passes the hyperbolic-time test
     g = tree.g
-    rep = verify_hyperbolic(g, x, E.elems, 30, 3, 2,
+    rep = verify_hyperbolic(g, x, E, 30, 3, 2,
                             log_sup_gprime=math.log(243.0))
     assert rep["i_ok"] and rep["ii_ok"] and rep["iii_ok"]
 
@@ -104,7 +104,7 @@ def test_walk_weak_expansion_is_empty_under_rate_cap():
     eps = choose_epsilon(power_map(f, p))
     sig = affine_reparam(0.37, 0.9 * eps)
     tree = ReparamTree(f, p, sig, eps)
-    E = geometric_times_tree(tree, 0.3702, 12)
+    E = tree.walk_geometric_times(0.3702, 12)
     assert len(E) == 0
 
 
@@ -115,7 +115,7 @@ def test_walk_matches_materialized_levels():
     p = 7
     eps = choose_epsilon(power_map(f, p))
     sig = affine_reparam(0.37, 0.9 * eps)
-    tree = build_tree(f, p, sig, 2, eps)
+    tree = ReparamTree(f, p, sig, eps).build(2)
     x = 0.3704
     E = tree.walk_geometric_times(x, 2)
     manual = []
