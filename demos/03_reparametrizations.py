@@ -1,4 +1,7 @@
-"""Bounded reparametrizations: certificates, distortion, epsilon, splitting.
+"""Bounded reparametrizations: certificates, distortion, epsilon.
+
+The splitting into eps-bounded pieces runs inside the reparametrization
+tree; demos/04_reparam_tree.py shows it.
 
 Run:  python3 demos/03_reparametrizations.py
 """
@@ -8,7 +11,7 @@ import numpy as np
 from acim1d import make_map, power_map
 from acim1d.reparam import (
     Reparametrization, affine_reparam, check_bounded, choose_epsilon,
-    distortion_ratio, split_reparam, taylor_window_check, verify_split,
+    taylor_window_check,
 )
 
 EPS = 1.0 / 16.0
@@ -29,7 +32,8 @@ for label, sig in [
           f"sup1={cert.sup_first_deriv:.5f}")
 
 sig = Reparametrization(np.array([0.5, EPS, EPS / 12]))
-print(f"\n  distortion of the bounded quadratic: {distortion_ratio(sig):.6f}"
+print(f"\n  distortion of the bounded quadratic: "
+      f"{check_bounded(sig).distortion:.6f}"
       f"  (7/5 exactly; bounded maps stay below 3/2)")
 
 print("\n== epsilon selection: (2 eps)^(r'-1) < 1 / (2 ||g'||_(r-1)) ==")
@@ -39,15 +43,3 @@ for name, p in (("doubling", 1), ("doubling", 7), ("logistic", 2)):
     chk = taylor_window_check(g, eps, samples=32)
     print(f"  {name}^{p}: eps = {eps}  taylor-window margin "
           f"{chk['worst_margin']:.3g} ok={chk['ok']}")
-
-print("\n== splitting a bounded curve into eps-bounded pieces ==")
-gamma = affine_reparam(0.4, 3 * EPS)
-pieces = split_reparam(gamma, EPS)
-rep = verify_split(gamma, EPS, pieces)
-print(f"  affine slope 3 eps: {len(pieces['L_plain'])} plain + "
-      f"{len(pieces['L_exp'])} expanding pieces (bound "
-      f"{rep['iii_exp_bound']:.0f})")
-print(f"  all pieces eps-bounded ({rep['i_eps_margin']:.2e} margin), "
-      f"center derivative >= eps/6 ({rep['i_center_margin']:.2e} margin)")
-print(f"  covering of [-1,1] complete: {rep['ii_covering_ok']}, "
-      f"multiplicity <= {rep['iv_max_multiplicity']}")

@@ -51,7 +51,7 @@ print(f"  Mane bounds: H(Q_q) = {mane['hq_lhs']:.3f} <= "
 s = sel.indices[0]
 grep = gibbs_check(g, float(pool.seeds[s]), pool.time_list(s), q=4, eps=2e-4,
                    n=n, M=3, m=1, beta=0.1, b=b, p=p, n_samples=4000,
-                   rng=np.random.default_rng(5), atom_checks=False)
+                   rng=np.random.default_rng(5))
 print(f"  Gibbs cylinder bound: Leb-hat {grep['leb_hat']:.2e} "
       f"(CI {grep['ci'][0]:.2e}..{grep['ci'][1]:.2e}) <= rhs "
       f"{grep['rhs']:.2e}: {grep['ok']}")

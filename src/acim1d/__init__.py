@@ -12,7 +12,7 @@ from .entropy import (
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, InsufficientAtoms,
-    InverseNotBracketed, NotBounded, OffsetNotFound, TreeBudgetExceeded,
+    InverseNotBracketed, OffsetNotFound, TreeBudgetExceeded,
     UnresolvedCritical,
 )
 from .maps import (
@@ -26,7 +26,7 @@ from .measures import (
 )
 from .reparam import (
     BoundednessCertificate, Reparametrization, affine_reparam, check_bounded,
-    choose_epsilon, distortion_ratio, split_reparam, verify_split,
+    choose_epsilon,
 )
 from .times import (
     boundary_set, clip, hyperbolic_surrogate_times, trim, verify_enm,

@@ -202,7 +202,7 @@ def stage_tree(st):
     if cfg.detector in ("tree", "both"):
         sig = affine_reparam(0.37, 0.9 * st.eps)
         st.tree = ReparamTree(st.f, st.p, sig, st.eps,
-                              C_r=cfg.C_r, level_budget=cfg.tree_budget)
+                              level_budget=cfg.tree_budget)
         st.tree.build(cfg.tree_levels)
         _write_csv(st.out / "tree.csv",
                    ("level", "parent_id", "rate", "k", "kprime", "vtype",
@@ -328,8 +328,7 @@ def _run_gibbs_checks(st):
             q=max(cfg.q_list), eps=st.eps, n=n_fin, M=max(cfg.M_list),
             m=min(cfg.m_list), beta=cfg.beta, b=st.b, p=st.p, bp=st.bp,
             n_samples=cfg.gibbs_samples,
-            rng=np.random.default_rng((st.rng_seed, int(s))),
-            atom_checks=False)
+            rng=np.random.default_rng((st.rng_seed, int(s))))
 
     reps = parallel_map(one, picks, st.jobs)
     for s, rep in zip(picks, reps):
@@ -394,7 +393,7 @@ def compute_verdict(entropy_csv, checks_csv):
 _COMMANDS = {
     "norms": ("map",), "branches": ("branches",), "tree": ("tree",),
     "times": ("times",), "measure": ("measure",),
-    "entropy": ("entropy", "checks"), "pipeline": (),
+    "pipeline": ("entropy", "checks"),
 }
 
 
@@ -548,7 +547,7 @@ def main(argv=None):
         st = PipelineState(cfg, args.out, args.rng_seed, args.jobs)
         for stage in _stages(args.command):
             stage(st)
-        if args.command in ("pipeline", "entropy"):
+        if args.command == "pipeline":
             verdict = (st.out / "verdict.txt").read_text().strip()
             print(f"verdict: {verdict}")
         print(f"wrote outputs to {st.out}")

@@ -33,7 +33,6 @@ class ExperimentConfig:
     bins: int = 200
     reference: str = "none"
     B_r: float = 1.0
-    C_r: float = 1000.0
     tol_residual: float = 0.05
     tol_l1: float = 0.08
     tree_levels: int = 2
@@ -85,7 +84,7 @@ _KEYS = {
         "seeds": ("seeds", int), "rng_seed": ("rng_seed", int),
         "detector": ("detector", str), "entropy_m": ("entropy_m", _ints),
         "bins": ("bins", int), "reference": ("reference", str),
-        "b_r": ("B_r", float), "c_r": ("C_r", float),
+        "b_r": ("B_r", float),
         "tol_residual": ("tol_residual", float), "tol_l1": ("tol_l1", float),
         "tree_levels": ("tree_levels", int),
         "tree_budget": ("tree_budget", int),

@@ -32,7 +32,7 @@ from .maps import estimate_norms, orbit_grid, power_map
 from .measures import in_An, positive_exponent_proxy
 from .solvers import minimize_bounded
 from .times import (
-    boundary_counts, components, mask_from_lists, surrogate_mask, trim_mask,
+    boundary_counts, mask_from_lists, surrogate_mask, trim_mask,
 )
 
 __all__ = [
@@ -393,7 +393,7 @@ def _wilson(hits, n, z=1.96):
 
 
 def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
-                n_samples=20000, rng=None, atom_checks=True):
+                n_samples=20000, rng=None):
     """Monte Carlo check of the Gibbs cylinder bound for one seed.
 
     R collects the points sharing x's monotone-branch and Q_q-bin
@@ -405,8 +405,7 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
 
     Membership is tested on uniform samples with a Wilson interval; the
     inequality "fails" only when the interval's lower end exceeds the
-    right-hand side.  Companion checks on the gap atoms (distortion
-    9/4, image length eps/27) are run when atom_checks is set.
+    right-hand side.
     """
     rng = rng or np.random.default_rng(0)
     bp = bp or monotone_branches(g)
@@ -453,88 +452,8 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
     ci = _wilson(hits, n_samples)
     ok = ci[0] <= rhs + 1e-12
 
-    out = {"leb_hat": leb_hat, "ci": ci, "rhs": rhs, "ok": ok, "T": T,
-           "phi_E": phi_E, "n_boundary": n_boundary, "trivial": False}
-    if atom_checks:
-        out["atoms"] = _gap_atom_checks(g, pts, T, eps, bp)
-    return out
-
-
-def _gap_atom_checks(g, pts, T, eps, bp, max_depth=3):
-    """Distortion and image-size checks on the gap atoms V_{a_{j+1}}.
-
-    For each gap b_j -> a_{j+1} between components of the trimmed set,
-    the atom around g^{b_j} x is the maximal interval sharing the
-    branch itinerary for the gap length whose image stays in one ball
-    of width ~eps/27; checks |(g^D)'| distortion <= 9/4 and image
-    length >= eps/27.
-    """
-    comps = components(T)
-    n_balls = max(15, int(math.floor(27.0 / eps))) if eps > 0 else 27
-    w = 1.0 / n_balls
-    checks = []
-    gaps = []
-    if comps:
-        if comps[0][0] > 0:
-            gaps.append((0, comps[0][0]))
-        for (a1, b1), (a2, b2) in zip(comps, comps[1:]):
-            gaps.append((b1, a2))
-    for (bj, aj1) in gaps:
-        D = aj1 - bj
-        if D < 1 or D > max_depth:
-            checks.append({"gap": (bj, aj1), "skipped": True})
-            continue
-        y0 = float(pts[bj])
-
-        def itinerary(y):
-            y = float(y)
-            lab = []
-            for _ in range(D):
-                lab.append(int(bp.locate_many(np.asarray([y]))[0]))
-                y = float(g.eval(y))
-            lab.append(int(math.floor(y / w)))
-            return tuple(lab)
-
-        ref = itinerary(y0)
-
-        def edge(direction):
-            step = 1e-12
-            t = 0.0
-            while step < 1.0:
-                if itinerary(y0 + direction * (t + step)) != ref:
-                    lo, hi = t, t + step
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if itinerary(y0 + direction * mid) == ref:
-                            lo = mid
-                        else:
-                            hi = mid
-                    return lo
-                t += step
-                step *= 2.0
-            return t
-
-        right = edge(1.0)
-        left = edge(-1.0)
-        lo, hi = y0 - left, y0 + right
-        ts = np.linspace(lo + 1e-15, hi - 1e-15, 129)
-        gD = ts.copy()
-        for _ in range(D):
-            gD = g.eval(gD)
-        d = np.ones_like(ts)
-        y = ts.copy()
-        for _ in range(D):
-            d = d * g.deriv(1, y)
-            y = g.eval(y)
-        d = np.abs(d)
-        dist = float(np.max(d) / max(np.min(d), 1e-300))
-        img = float(abs(gD[-1] - gD[0]))
-        checks.append({
-            "gap": (bj, aj1), "skipped": False,
-            "distortion": dist, "distortion_ok": dist <= 9.0 / 4.0 + 1e-9,
-            "image_length": img, "image_ok": img >= eps / 27.0 - 1e-12,
-        })
-    return checks
+    return {"leb_hat": leb_hat, "ci": ci, "rhs": rhs, "ok": ok, "T": T,
+            "phi_E": phi_E, "n_boundary": n_boundary, "trivial": False}
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class InverseNotBracketed(Acim1dError):
     """A branch-wise pullback target was not bracketed by a sign change."""
 
 
-class NotBounded(Acim1dError):
-    """An operation requiring a bounded reparametrization got an unbounded one."""
-
-
 class TreeBudgetExceeded(Acim1dError):
     """Tree construction passed the configured vertex budget."""
 

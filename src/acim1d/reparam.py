@@ -1,4 +1,5 @@
-"""Bounded reparametrizations: certificates, epsilon selection, splitting.
+"""Bounded reparametrizations: certificates, epsilon selection, the
+splitting layout.
 
 A reparametrization is a map sigma : [-1,1] -> I with nonvanishing
 derivative whose image on ]-1,1] avoids the marked point 0 (the circle
@@ -14,11 +15,12 @@ Certificates follow the definitions:
 Bounded implies the 3/2 distortion bound, which is what makes these
 pieces usable for change-of-variable estimates.
 
-The splitting operation covers [-1,1] with affine pieces iota_j so that
-each gamma o iota_j is eps-bounded with |(gamma o iota_j)'(0)| >= eps/6,
-at most 2 pieces are "plain" (full images count for the covering) and
-the expanding pieces cover through their middle thirds; the piece count
-stays below 6 (sup|gamma'|/eps + 1).
+The splitting construction is the reparametrization tree's (tree.py):
+it tiles each expanding label run with the affine pieces laid out by
+cover_centers, whose expanding pieces cover through their middle thirds
+and whose two plain end caps count with their full images; the tree
+certifies the pieces (verify_tree items 1-4).  There is no standalone
+splitting function.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotBounded
 from .jets import jet_of_polynomial
 from .maps import estimate_norms
 
 __all__ = [
     "Reparametrization", "BoundednessCertificate", "affine_reparam",
-    "check_bounded", "distortion_ratio", "choose_epsilon",
-    "taylor_window_check", "cover_centers", "split_reparam", "verify_split",
+    "check_bounded", "choose_epsilon", "taylor_window_check", "cover_centers",
 ]
 
 
@@ -74,10 +74,6 @@ class Reparametrization:
         q = p(np.polynomial.polynomial.Polynomial([A, R]))
         return np.atleast_1d(q.coef)
 
-    def child(self, alpha, rho):
-        return Reparametrization(self.base_coeffs,
-                                 self.chain + [(float(alpha), float(rho))])
-
     def point(self, t, domain=None):
         v = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
                                              self.poly())
@@ -113,12 +109,6 @@ class BoundednessCertificate:
 
 _HOLDER_STRIDES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 GRID = 1001    # certificate grid size on [-1, 1]
-
-
-def _composition(sig, ts, eps=np.inf):
-    """Order-2 jet of sig on ts and sig's certificate (r = 2)."""
-    jet = jet_of_polynomial(sig.poly(), ts, 2)
-    return jet, _cert_from_jet(jet, ts, 2.0, eps)
 
 
 def _cert_from_jet(jet, ts, r, eps, domain=None):
@@ -192,21 +182,6 @@ def check_bounded(sig, target_map=None, eps=np.inf, n=0, grid=GRID):
     return top
 
 
-def distortion_ratio(sig):
-    """sup over sampled pairs of |sigma'(t)| / |sigma'(s)|.
-
-    Requires sigma to be bounded; bounded reparametrizations satisfy
-    ratio <= 3/2.
-    """
-    _, cert = _composition(sig, np.linspace(-1.0, 1.0, GRID))
-    if not cert.is_bounded:
-        raise NotBounded(
-            f"distortion requested for an unbounded reparametrization "
-            f"(sup1={cert.sup_first_deriv:.3g}, "
-            f"worst higher={max(cert.sup_higher.values() or [0]):.3g})")
-    return cert.distortion
-
-
 # ---------------------------------------------------------------------------
 # epsilon selection
 # ---------------------------------------------------------------------------
@@ -277,89 +252,3 @@ def cover_centers(u0, u1, rho):
         c += step
     expanding.append(last)
     return expanding, [u0 + rho, u1 - rho]
-
-
-def split_reparam(gamma, eps):
-    """Affine pieces making gamma eps-bounded.
-
-    Returns {"L_plain": [(alpha, rho), ...], "L_exp": [...]} with the
-    covering convention: plain pieces count with their full images,
-    expanding pieces with the middle third (layout from cover_centers).
-    Piece rate is min(1/2, (2/3) eps / sup|gamma'|) so that
-    eps-boundedness and the eps/6 center derivative both follow from the
-    3/2 distortion bound.
-    """
-    _, cert = _composition(gamma, np.linspace(-1.0, 1.0, GRID), eps)
-    if not cert.is_bounded:
-        raise NotBounded("split requires a bounded reparametrization")
-    K = cert.sup_first_deriv
-    if K <= eps * (1 + 1e-12):
-        return {"L_plain": [(0.0, 1.0)], "L_exp": [], "rate": 1.0, "sup1": K}
-
-    rho = min(0.5, (2.0 / 3.0) * eps / K)
-    exp_c, plain_c = cover_centers(-1.0, 1.0, rho)
-    return {"L_plain": [(c, rho) for c in plain_c],
-            "L_exp": [(c, rho) for c in exp_c], "rate": rho, "sup1": K}
-
-
-def verify_split(gamma, eps, pieces):
-    """Post-hoc verification of the four splitting guarantees.
-
-    (i) each piece eps-bounded with center derivative >= eps/6,
-    (ii) plain full images plus expanding middle thirds cover [-1,1],
-    (iii) #plain <= 2, #expanding <= 6 (sup|gamma'|/eps + 1),
-    (iv) at most 100 pieces meet any eps-ball around a point of the image.
-    """
-    ts = np.linspace(-1.0, 1.0, GRID)
-    jet, parent_cert = _composition(gamma, ts, eps)
-
-    all_pieces = [(a, rho, "plain") for a, rho in pieces["L_plain"]] + \
-                 [(a, rho, "exp") for a, rho in pieces["L_exp"]]
-    worst_center = np.inf
-    worst_eps_margin = np.inf
-    bounded_ok = True
-    tloc = np.linspace(-1.0, 1.0, 129)
-    for a, rho, _ in all_pieces:
-        cj, cc = _composition(gamma.child(a, rho), tloc, eps)
-        bounded_ok &= cc.is_bounded
-        worst_eps_margin = min(worst_eps_margin, eps - cc.sup_first_deriv)
-        center = abs(float(cj.deriv(1)[64]))
-        worst_center = min(worst_center, center - eps / 6.0)
-
-    cover = np.zeros_like(ts, dtype=bool)
-    for a, rho in pieces["L_plain"]:
-        cover |= np.abs(ts - a) <= rho + 1e-12
-    for a, rho in pieces["L_exp"]:
-        cover |= np.abs(ts - a) <= rho / 3.0 + 1e-12
-    covering_ok = bool(np.all(cover))
-
-    n_exp_bound = 6.0 * (parent_cert.sup_first_deriv / eps + 1.0)
-    counts_ok = (len(pieces["L_plain"]) <= 2
-                 and len(pieces["L_exp"]) <= n_exp_bound + 1e-9)
-
-    # multiplicity near sampled image points (on the curve)
-    curve_vals = jet.c[0]
-    idx = np.random.default_rng(0).integers(0, ts.shape[0], 128)
-    worst_mult = 0
-    for i in idx:
-        x = curve_vals[i]
-        count = 0
-        for a, rho, _ in all_pieces:
-            mask = np.abs(ts - a) <= rho + 1e-12
-            d = np.abs(curve_vals[mask] - x)
-            if d.size and np.min(d) <= eps:
-                count += 1
-        worst_mult = max(worst_mult, count)
-
-    return {
-        "i_bounded_ok": bounded_ok,
-        "i_eps_margin": worst_eps_margin,
-        "i_center_margin": worst_center,
-        "ii_covering_ok": covering_ok,
-        "iii_counts_ok": counts_ok,
-        "iii_n_plain": len(pieces["L_plain"]),
-        "iii_n_exp": len(pieces["L_exp"]),
-        "iii_exp_bound": n_exp_bound,
-        "iv_max_multiplicity": worst_mult,
-        "iv_ok": worst_mult <= 100,
-    }

@@ -51,6 +51,7 @@ KPRIME_CAP = 60           # parameters with -log|g'| above this get no child
 SEG_GRID = 193            # parent-parameter grid for label runs and sups
 CERT_GRID = 33            # per-child grid for the build-time certificates
 ACTIVE_CAP = 16           # vertices kept per level by the geometric-time walk
+C_R = 1000.0              # verify_tree item 5: constant of the child-count bounds
 
 
 @dataclass
@@ -81,12 +82,11 @@ class TreeVertex:
 class ReparamTree:
     """Leveled tree of affine contractions for g = f^p over a seed sigma."""
 
-    def __init__(self, f, p, sigma, eps, C_r=1000.0, level_budget=10 ** 6):
+    def __init__(self, f, p, sigma, eps, level_budget=10 ** 6):
         self.p = int(p)
         self.g = power_map(f, p)
         self.sigma = sigma
         self.eps = float(eps)
-        self.C_r = float(C_r)
         self.level_budget = int(level_budget)
         norms = estimate_norms(self.g, grid_size=4096, refine_iters=2, n_used=2)
         self.log_sup_gprime = float(np.log(max(norms.sup_abs_deriv[1], 1e-300)))
@@ -413,7 +413,7 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
              apart) and expanding-parent children inside the middle third
       item3  expanding center derivative >= eps/6
       item4  witness covering with matching labels
-      item5  per-(parent, k') child counts against the C_r bounds
+      item5  per-(parent, k') child counts against the C_R bounds
       item6  witness covering by arbitrary vertices (label-free)
     """
     rng = rng or np.random.default_rng(0)
@@ -501,10 +501,10 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
             groups[key] = groups.get(key, 0) + 1
         for (par, kp, vtype), cnt in groups.items():
             if vtype == "Expanding":
-                bound = tree.C_r * count_factor * math.exp(
+                bound = C_R * count_factor * math.exp(
                     max(max(0.0, log_factor), kp / (r - 1.0)))
             else:
-                bound = tree.C_r * count_factor * math.exp(kp / (r - 1.0))
+                bound = C_R * count_factor * math.exp(kp / (r - 1.0))
             worst5 = min(worst5, bound - cnt)
             ok5 &= cnt <= bound
     report["item5"] = {"ok": ok5, "worst_margin": worst5,

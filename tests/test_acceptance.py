@@ -306,7 +306,7 @@ def test_criterion_7_gibbs_inequality():
         r = gibbs_check(g, float(pool.seeds[s]), pool.time_list(s), q=4,
                         eps=eps, n=40, M=3, m=2, beta=0.05, b=0.45, p=p,
                         bp=bp, n_samples=10000,
-                        rng=np.random.default_rng(int(s)), atom_checks=False)
+                        rng=np.random.default_rng(int(s)))
         passed += r["ok"]
     _report(7, "Gibbs inequality", linear_ok and passed >= 95,
             f"linear_exact={linear_ok} logistic_pass={passed}/100")

@@ -92,7 +92,8 @@ def test_config_rejects_bad_values(tmp_path):
 
 @pytest.mark.parametrize("section, line", [
     ("run", "tol_L1 = 0.05"), ("map", "alpha = 2.0"),
-    ("output", "directory = o"), ("outputs", "dir = o")])
+    ("output", "directory = o"), ("outputs", "dir = o"),
+    ("run", "c_r = 10")])
 def test_config_rejects_unknown_keys_and_sections(tmp_path, section, line):
     # a misspelt key would otherwise leave its default in force silently
     text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
@@ -298,6 +299,10 @@ def test_cli_norms_subcommand(tmp_path, capsys):
     assert main(["--config", str(p), "times"]) == 0
     assert (tmp_path / "o" / "density.csv").exists()
     assert not (tmp_path / "o" / "measure.csv").exists()
+    # the entropy and checks stages run only under pipeline
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(p), "entropy"])
+    assert exc.value.code == 2
 
 
 def test_cli_bound_subcommand(capsys):

@@ -1,17 +1,14 @@
-"""Boundedness certificates, epsilon selection, distortion, splitting."""
+"""Boundedness certificates, epsilon selection, distortion, piece layout."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from acim1d.errors import NotBounded
 from acim1d.maps import make_map, power_map
 from acim1d.reparam import (
     Reparametrization, affine_reparam, check_bounded, choose_epsilon,
-    cover_centers, distortion_ratio, split_reparam, taylor_window_check,
-    verify_split,
+    cover_centers, taylor_window_check,
 )
 
 EPS = 1.0 / 16.0
@@ -42,8 +39,8 @@ def test_quadratic_unbounded():
 
 
 def test_distortion_affine_is_one():
-    assert math.isclose(distortion_ratio(affine_reparam(0.3, 0.01)), 1.0,
-                        rel_tol=1e-12)
+    assert math.isclose(check_bounded(affine_reparam(0.3, 0.01)).distortion,
+                        1.0, rel_tol=1e-12)
 
 
 def test_distortion_quadratic_exact():
@@ -52,15 +49,9 @@ def test_distortion_quadratic_exact():
     sig = Reparametrization(np.array([0.5, EPS, EPS / 12.0]))
     cert = check_bounded(sig, eps=EPS)
     assert cert.is_bounded
-    ratio = distortion_ratio(sig)
+    ratio = cert.distortion
     assert math.isclose(ratio, 7.0 / 5.0, rel_tol=1e-9)
     assert ratio <= 1.5 + 1e-9
-
-
-def test_distortion_requires_bounded():
-    sig = Reparametrization(np.array([0.5, EPS, EPS]))
-    with pytest.raises(NotBounded):
-        distortion_ratio(sig)
 
 
 def test_choose_epsilon_norm_two():
@@ -90,39 +81,6 @@ def test_taylor_window_bound():
     assert rep2["ok"]
 
 
-def test_split_identity_when_already_eps_bounded():
-    sig = affine_reparam(0.4, EPS)
-    pieces = split_reparam(sig, EPS)
-    assert pieces["L_plain"] == [(0.0, 1.0)]
-    assert pieces["L_exp"] == []
-
-
-def test_split_affine_three_eps():
-    sig = affine_reparam(0.4, 3.0 * EPS)
-    pieces = split_reparam(sig, EPS)
-    rep = verify_split(sig, EPS, pieces)
-    assert rep["i_bounded_ok"]
-    assert rep["i_eps_margin"] >= -1e-12
-    assert rep["i_center_margin"] >= 0.0
-    assert rep["ii_covering_ok"]
-    assert rep["iii_counts_ok"]
-    assert len(pieces["L_exp"]) <= 6 * (3 + 1)
-    assert rep["iv_ok"]
-
-
-def test_split_nonaffine_five_eps():
-    # bounded curve with sup|gamma'| ~ 5 eps
-    sig = Reparametrization(np.array([0.5, 5.0 * EPS, 5.0 * EPS / 13.0]))
-    cert = check_bounded(sig, eps=EPS)
-    assert cert.is_bounded
-    pieces = split_reparam(sig, EPS)
-    rep = verify_split(sig, EPS, pieces)
-    assert rep["i_bounded_ok"] and rep["ii_covering_ok"] and rep["iii_counts_ok"]
-    assert rep["i_eps_margin"] >= -1e-12
-    assert rep["i_center_margin"] >= 0.0
-    assert rep["iv_ok"]
-
-
 @given(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0),
        st.floats(1e-3, 0.5, exclude_max=True))
 @settings(max_examples=300)
@@ -131,7 +89,7 @@ def test_cover_centers_layout(u0, width, frac):
     rho = frac * (u1 - u0)
     assume(0.0 < rho < (u1 - u0) / 2.0)
     exp_c, plain_c = cover_centers(u0, u1, rho)
-    tol = 1e-12  # the covering tolerance of verify_split
+    tol = 1e-12  # absolute tolerance of the covering checks
     assert len(plain_c) == 2
     assert len(exp_c) <= 3.0 * (u1 - u0) / (2.0 * rho) + 1.0
     for c in exp_c + plain_c:
@@ -144,12 +102,6 @@ def test_cover_centers_layout(u0, width, frac):
         assert lo <= reach + tol, (lo, reach)
         reach = max(reach, hi)
     assert reach >= u1 - tol
-
-
-def test_split_requires_bounded():
-    sig = Reparametrization(np.array([0.5, EPS, EPS]))
-    with pytest.raises(NotBounded):
-        split_reparam(sig, EPS)
 
 
 def test_composition_certificates_through_map():
