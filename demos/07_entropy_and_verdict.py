@@ -10,8 +10,8 @@ import numpy as np
 
 from acim1d import make_map, power_map
 from acim1d.entropy import (
-    C0_MANE, change_of_variable_check, entropy_formula_residual, gibbs_check,
-    qbin_label, verify_mane_bounds, verify_misiurewicz,
+    C0_MANE, entropy_formula_residual, gibbs_check, qbin_label,
+    verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.measures import build_seed_pool, empirical_measure, select_An
 
@@ -29,12 +29,6 @@ rep = verify_misiurewicz([Fraction(1, 8)] * 8, T, R, list(range(6)), m=2)
 print(f"  truncated 2-shift, F={{0..5}}, m=2: lhs={rep['lhs']:.4f} "
       f"rhs={rep['rhs']:.4f} margin={rep['margin']:.4f}")
 print(f"  c_0 = 4(e(1-e^(-1/2)))^(-1) = {C0_MANE:.6f}")
-
-print("\n== change of variable ==")
-rep = change_of_variable_check(make_map("doubling"), 1, (0.0, 0.5),
-                               [(0.0, 1.0)], [(0.0, 1.0)])
-print(f"  doubling, J=[0,1/2): Leb(J cap g^-1 I) = {rep['lhs']:.6f} <= "
-      f"Leb(I)/inf|g'| = {rep['rhs']:.6f}")
 
 print("\n== the full pipeline by hand: measure, checks, residual ==")
 f = make_map("logistic", smoothness_r=4.0)

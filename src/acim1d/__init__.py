@@ -6,14 +6,12 @@ from .branches import (
     BranchPartition, count_branches_with_min_slope, monotone_branches,
 )
 from .entropy import (
-    change_of_variable_check, choose_offset, entropy_formula_residual,
-    gibbs_check, itinerary_entropy, misiurewicz_battery, verify_mane_bounds,
-    verify_misiurewicz,
+    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
+    misiurewicz_battery, verify_mane_bounds, verify_misiurewicz,
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, InsufficientAtoms,
-    InverseNotBracketed, OffsetNotFound, TreeBudgetExceeded,
-    UnresolvedCritical,
+    OffsetNotFound, TreeBudgetExceeded, UnresolvedCritical,
 )
 from .maps import (
     CIRCLE, UNIT_INTERVAL, Domain, MapNorms, SmoothMap1D, critical_set,

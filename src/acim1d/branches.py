@@ -218,6 +218,14 @@ def monotone_branches(g, tol=1e-12, grid_size=8192):
     )
 
 
+def rprime_norm(g, norms):
+    """(r', ||d^{r'} g||_inf) with r' = min(2, r), from norms: the order
+    and the norm of the branch-size and branch-count bounds."""
+    rprime = min(2.0, g.smoothness_r)
+    return rprime, norms.sup_abs_deriv[2] if rprime == 2.0 else \
+        norms.sup_abs_deriv["r"]
+
+
 def count_branches_with_min_slope(g, s, partition=None, norms=None):
     """Branches where sup|g'| >= s, with the C^r counting bound.
 
@@ -229,8 +237,7 @@ def count_branches_with_min_slope(g, s, partition=None, norms=None):
     part = partition or monotone_branches(g)
     norms = norms or estimate_norms(g)
     count = sum(1 for br in part.branches if br.sup_slope >= s)
-    rprime = min(2.0, g.smoothness_r)
-    d_rp = norms.sup_abs_deriv[2] if rprime == 2.0 else norms.sup_abs_deriv["r"]
+    rprime, d_rp = rprime_norm(g, norms)
     C = d_rp ** (1.0 / (rprime - 1.0)) if d_rp > 0 else 0.0
     bound = C * s ** (-1.0 / (rprime - 1.0)) + 1.0
     if g.domain.is_circle:

@@ -1,7 +1,7 @@
 """Experiment runner: map -> times -> measure -> entropy -> verdict.
 
-Subcommands: norms, branches, tree, times, measure, entropy, verify,
-bound, pipeline.  Each stage emits CSV files into the output directory;
+Subcommands: norms, branches, tree, times, measure, pipeline, verify,
+bound.  Each stage emits CSV files into the output directory;
 verdict.txt is computed purely from checks.csv + entropy.csv
 (compute_verdict reads the files back and applies entropy.ac_verdict).
 Exit codes: 0 success, 1 verify failures (some check in checks.csv
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # numpy imports it lazily; every run draws from it
 
-from .branches import monotone_branches
+from .branches import count_branches_with_min_slope, monotone_branches
 from .config import load_config
 from .entropy import (
     ac_verdict, entropy_formula_residual, gibbs_check, misiurewicz_battery,
@@ -36,19 +36,31 @@ from .errors import (
 )
 from .maps import estimate_norms, lyapunov_ft, make_map, power_map
 from .measures import (
-    build_seed_pool, compare_density, density_estimate, empirical_measure,
-    invariance_defect, positive_exponent_proxy, ref_logistic_acip,
-    ref_uniform, select_An, support_gap_from_critical,
+    PROXY_MIN, build_seed_pool, compare_density, density_estimate,
+    empirical_measure, invariance_defect, positive_exponent_proxy,
+    ref_logistic_acip, ref_uniform, select_An, support_gap_from_critical,
 )
-from .reparam import affine_reparam, choose_epsilon
+from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_bruteforce, clip_mask, density_rows, mask_from_lists, trim_bruteforce,
-    trim_mask, verify_enm_rows,
+    clip_bruteforce, clip_mask, density_rows, mask_from_lists,
+    shorten_bruteforce, trim_mask, verify_enm_rows,
 )
-from .tree import ReparamTree, distortion_suite
+from .tree import ReparamTree, verify_tree
 
 __all__ = ["main", "run_pipeline", "bound_calculator", "bound_analytic",
            "bound_smooth", "compute_verdict", "reparam_count_constant"]
+
+
+NAN = float("nan")
+
+# verify_tree's items as checks.csv rows: (report key, value, bound), the
+# value being the item's worst margin or its lowest per-level pass rate
+_TREE_ITEMS = (("item1", "worst_eps_margin", 0.0), ("item2", "pass_rate", 1.0),
+               ("item3", "worst_margin", 0.0),
+               ("item4", "pass_rate_per_level", 0.99),
+               ("item5", "worst_margin", 0.0),
+               ("item6", "pass_rate_per_level", 0.99),
+               ("eps_bound", "worst_margin", 0.0))
 
 
 def _fmt(v):
@@ -88,6 +100,29 @@ def _times_body(seeds, time_mask):
     ends = np.cumsum(np.count_nonzero(time_mask, axis=1)).tolist()
     return "".join("{:.17g},{}\r\n".format(x, ";".join(ts[a:b]))
                    for x, a, b in zip(seeds.tolist(), [0] + ends, ends))
+
+
+def _row(name, instance, lhs, rhs, margin, ok):
+    """A checks.csv row without a confidence interval.  It fails when its
+    value lhs is NaN, whatever ok says: a check that could not be
+    evaluated never passes."""
+    return (name, instance, lhs, rhs, margin, NAN, NAN,
+            int(bool(ok) and not math.isnan(lhs)))
+
+
+def _tree_rows(rep, instance):
+    """checks.csv rows of a verify_tree report: the worst distortion ratio
+    against 3/2, then each of _TREE_ITEMS against its bound (an item with
+    no level to rate gets NaN)."""
+    ratio = rep["distortion"]["worst_ratio"]
+    rows = [_row("tree_distortion", instance, ratio, 1.5, 1.5 - ratio,
+                 rep["distortion"]["ok"])]
+    for key, field, bound in _TREE_ITEMS:
+        v = rep[key][field]
+        v = float(min(v, default=NAN) if isinstance(v, list) else v)
+        rows.append(_row("tree_" + key, instance, v, bound, v - bound,
+                         rep[key]["ok"]))
+    return rows
 
 
 def parallel_map(fn, items, jobs=1):
@@ -148,8 +183,7 @@ class PipelineState:
         self.out = Path(out_dir) if out_dir is not None else cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         seq = np.random.SeedSequence(self.rng_seed)
-        # the fourth stream is unused; spawning it keeps seq_misc's draws
-        (self.seq_pool, self.seq_offset, self.seq_gibbs, _,
+        (self.seq_pool, self.seq_offset, self.seq_gibbs, self.seq_tree,
          self.seq_misc) = seq.spawn(5)
         self.f = self.g = self.p = self.norms_f = self.norms_g = None
         self.eps = self.tree = self.pool = self.selection = self.mu = None
@@ -208,9 +242,8 @@ def stage_tree(st):
                    ("level", "parent_id", "rate", "k", "kprime", "vtype",
                     "image_left", "image_right", "margin_item3"),
                    st.tree.to_rows())
-        ratios, dist_ok = distortion_suite(st.tree)
-        st.check("tree_distortion", "all", float(np.max(ratios)), 1.5,
-                 1.5 - float(np.max(ratios)), dist_ok)
+        st.checks += _tree_rows(verify_tree(
+            st.tree, rng=np.random.default_rng(st.seq_tree)), "all")
     return st
 
 
@@ -295,8 +328,8 @@ def stage_measure(st):
                  gap["deriv_floor_margin"], 0.0, gap["deriv_floor_margin"],
                  gap["deriv_floor_ok"])
     proxy = st.exponent_proxy = positive_exponent_proxy(st.mu)
-    st.check("exponent_proxy", "later_time_expansion", proxy, 0.95,
-             proxy - 0.95, proxy >= 0.95)
+    st.check("exponent_proxy", "later_time_expansion", proxy, PROXY_MIN,
+             proxy - PROXY_MIN, proxy >= PROXY_MIN)
 
     mane = verify_mane_bounds(st.mu, st.g, max(cfg.q_list), bp=st.bp,
                               norms=st.norms_g,
@@ -427,17 +460,19 @@ def _enm_battery(n):
     E = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
     sets = [np.flatnonzero(row).tolist() for row in E]
 
-    def mismatches(got, oracle, *args):
-        want = mask_from_lists([oracle(s, n, *args) for s in sets], n)
+    def mismatches(got, want):
+        want = mask_from_lists(want, n)
         return int(np.count_nonzero(np.any(got != want, axis=1)))
 
     mism = viol = total = 0
     trims = {}
     for M in range(0, 5):
-        mism += mismatches(clip_mask(E, n, M), clip_bruteforce, M)
+        clips = [clip_bruteforce(s, n, M) for s in sets]
+        mism += mismatches(clip_mask(E, n, M), clips)
         for m in range(1, 5):
             trims[M, m] = trim_mask(E, n, M, m)
-            mism += mismatches(trims[M, m], trim_bruteforce, M, m)
+            mism += mismatches(trims[M, m], [shorten_bruteforce(s, c, M, m)
+                                             for s, c in zip(sets, clips)])
     for (M, m), S in trims.items():
         for Mp in range(M, 5):
             rep = verify_enm_rows(E, n, M, Mp, m, S, trims[Mp, m])
@@ -449,7 +484,8 @@ def _enm_battery(n):
 
 
 def run_verify(out_dir, rng_seed=0, quick=False):
-    """Combinatorics, Misiurewicz, and tree-distortion batteries."""
+    """Combinatorics, Misiurewicz, reparametrization-tree, Taylor-window
+    and branch-count batteries."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(rng_seed)
@@ -458,26 +494,45 @@ def run_verify(out_dir, rng_seed=0, quick=False):
     # E_n^{M,m} calculus: exhaustive small-universe battery
     nbits = 8 if quick else 12
     mism, viol, total = _enm_battery(nbits)
-    rows.append(("enm_oracle_equivalence", f"2^{nbits} sets", mism, 0,
-                 -mism, float("nan"), float("nan"), int(mism == 0)))
-    rows.append(("enm_lemma", f"{total} instances", viol, 0, -viol,
-                 float("nan"), float("nan"), int(viol == 0)))
+    rows.append(_row("enm_oracle_equivalence", f"2^{nbits} sets", mism, 0,
+                     -mism, mism == 0))
+    rows.append(_row("enm_lemma", f"{total} instances", viol, 0, -viol,
+                     viol == 0))
 
     count = 200 if quick else 1000
     bad = misiurewicz_battery(rng, count)
-    rows.append(("misiurewicz_random", f"{count} instances", bad, 0, -bad,
-                 float("nan"), float("nan"), int(bad == 0)))
+    rows.append(_row("misiurewicz_random", f"{count} instances", bad, 0, -bad,
+                     bad == 0))
 
-    # tree distortion battery on a strongly expanding linear map
+    # the tree's certificate on a strongly expanding linear map
     f = make_map("doubling")
-    p = 7
-    eps = choose_epsilon(power_map(f, p))
-    tree = ReparamTree(f, p, affine_reparam(0.37, 0.9 * eps), eps)
-    tree.build(1 if quick else 2)
-    ratios, ok = distortion_suite(tree)
-    rows.append(("tree_distortion", f"{ratios.size} vertices",
-                 float(np.max(ratios)), 1.5, 1.5 - float(np.max(ratios)),
-                 float("nan"), float("nan"), int(ok)))
+    eps = choose_epsilon(power_map(f, 7))
+    tree = ReparamTree(f, 7, affine_reparam(0.37, 0.9 * eps), eps)
+    rep = verify_tree(tree.build(1 if quick else 2), rng=rng)
+    rows += _tree_rows(rep, f"{rep['item2']['n_checked']} vertices")
+
+    # the Taylor window that choose_epsilon's eps buys, on the g of
+    # configs/doubling.ini and configs/logistic.ini
+    reps = [taylor_window_check(g, choose_epsilon(g)) for g in (
+        power_map(make_map("doubling"), 4),
+        power_map(make_map("logistic", smoothness_r=4.0), 6))]
+    worst = float(np.min([r["worst_margin"] for r in reps]))
+    rows.append(_row("taylor_window", "doubling^4 logistic^6", worst, 0.0,
+                     worst, all(r["ok"] for r in reps)))
+
+    # the C(r', g) s^(-1/(r'-1)) + 1 branch-count bound on criterion 8's grid
+    margins, ok = [], True
+    for p in range(1, 3 if quick else 5):
+        g = power_map(make_map("logistic", smoothness_r=2.0), p)
+        part = monotone_branches(g, grid_size=2 ** 14)
+        norms = estimate_norms(g, grid_size=2 ** 14, refine_iters=2, n_used=2)
+        for s in (0.5, 1.0, 2.0, 4.0):
+            got, rep = count_branches_with_min_slope(g, s, part, norms)
+            margins.append(rep["bound"] - got)
+            ok &= rep["within_bound"]
+    worst = float(np.min(margins))
+    rows.append(_row("branch_count_bound", f"{len(margins)} instances", worst,
+                     0.0, worst, ok))
 
     _write_csv(out / "checks.csv",
                ("check_name", "instance_id", "lhs", "rhs", "margin",

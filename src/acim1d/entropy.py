@@ -15,8 +15,8 @@ prefix.
 
 Inequality suites: the block-entropy lower bound for shifted averages
 (exact rational masses, high-precision logs), the countable-partition
-entropy bounds with c_0 = 4 (e (1 - e^{-1/2}))^{-1}, the change-of-
-variable bound, and the Gibbs cylinder bound with C = GIBBS_C.
+entropy bounds with c_0 = 4 (e (1 - e^{-1/2}))^{-1}, and the Gibbs
+cylinder bound with C = GIBBS_C.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientAtoms, OffsetNotFound
-from .branches import monotone_branches
+from .branches import monotone_branches, rprime_norm
 from .maps import estimate_norms, orbit_grid, power_map
-from .measures import in_An, positive_exponent_proxy
-from .solvers import minimize_bounded
+from .measures import PROXY_MIN, in_An, positive_exponent_proxy
 from .times import (
     boundary_counts, mask_from_lists, surrogate_mask, trim_mask,
 )
@@ -38,7 +37,7 @@ from .times import (
 __all__ = [
     "choose_offset", "itinerary_entropy", "verify_misiurewicz",
     "misiurewicz_battery",
-    "verify_mane_bounds", "change_of_variable_check", "gibbs_check",
+    "verify_mane_bounds", "gibbs_check",
     "entropy_formula_residual", "ac_verdict", "C0_MANE", "qbin_label",
 ]
 
@@ -48,8 +47,6 @@ OFFSET_DRAWS = 1000       # choose_offset: offsets tried before giving up
 CUT_DIST = 1e-9           # a point this close to an atom border sits on it
 CUT_MASS_TOL = 0.01       # largest tolerated mass of points on J cuts
 MISIUREWICZ_DPS = 40      # mpmath digits of the exact block-entropy check
-QUAD_TOL = 1e-4           # change_of_variable_check: quadrature stop step
-QUAD_MAX_GRID = 2 ** 20   # and its finest grid
 MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
 
 
@@ -291,8 +288,7 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
 
     bp = bp or monotone_branches(g)
     norms = norms or estimate_norms(g)
-    rp = min(2.0, g.smoothness_r)
-    d_rp = norms.sup_abs_deriv[2] if rp == 2.0 else norms.sup_abs_deriv["r"]
+    rp, d_rp = rprime_norm(g, norms)
     margin3 = float("inf")
     if d_rp > 0:
         ids = bp.locate_many(measure.atoms)
@@ -313,73 +309,8 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
 
 
 # ---------------------------------------------------------------------------
-# change of variable and Gibbs
+# Gibbs
 # ---------------------------------------------------------------------------
-
-
-def _leb_of_intervals(ivs):
-    return sum(b - a for a, b in ivs)
-
-
-def change_of_variable_check(g, k, J_branch, A_set, B_set):
-    """Leb(J cap A cap g^{-k} B) <= Leb(B) / inf_{J cap A} |(g^k)'|.
-
-    Left side by midpoint quadrature, doubling the grid up to
-    QUAD_MAX_GRID nodes until the estimate moves less than QUAD_TOL; the
-    inf by grid scan plus local polish.
-    """
-    gk = power_map(g, k) if k > 1 else g
-    a0, b0 = J_branch
-    JA = sorted((max(a0, a), min(b0, b)) for a, b in A_set
-                if min(b0, b) - max(a0, a) > 1e-13)
-    lebB = _leb_of_intervals(B_set)
-    if not JA:
-        return {"lhs": 0.0, "rhs": float("inf"), "margin": float("inf"),
-                "ok": True, "err": 0.0}
-
-    def inB(y):
-        y = np.asarray(y)
-        out = np.zeros(y.shape, dtype=bool)
-        for (ba, bb) in B_set:
-            out |= (y >= ba) & (y < bb)
-        return out
-
-    grid = 1 << 12
-    prev = None
-    lhs = 0.0
-    err = float("inf")
-    while grid <= QUAD_MAX_GRID:
-        lhs = 0.0
-        for (a, b) in JA:
-            ts = a + (np.arange(grid) + 0.5) * (b - a) / grid
-            if k >= 1:
-                y = ts.copy()
-                for _ in range(k):
-                    y = g.eval(y)
-            else:
-                y = ts
-            lhs += float(np.mean(inB(y))) * (b - a)
-        if prev is not None:
-            err = abs(lhs - prev)
-            if err < QUAD_TOL:
-                break
-        prev = lhs
-        grid *= 2
-
-    inf_d = float("inf")
-    for (a, b) in JA:
-        ts = np.linspace(a + 1e-12, b - 1e-12, 257)
-        vals = np.abs(gk.deriv(1, ts)) if k >= 1 else np.ones_like(ts)
-        i = int(np.argmin(vals))
-        lo = max(a, ts[max(0, i - 1)])
-        hi = min(b, ts[min(len(ts) - 1, i + 1)])
-        res = minimize_bounded(lambda t: abs(float(gk.deriv(1, t))),
-                               lo, hi, 1e-13)
-        inf_d = min(inf_d, float(np.min(vals)), float(res))
-    rhs = lebB / inf_d if inf_d > 0 else float("inf")
-    margin = rhs - lhs
-    return {"lhs": lhs, "rhs": rhs, "inf_deriv": inf_d, "err": err,
-            "margin": margin, "ok": margin >= -2 * max(err, 1e-12)}
 
 
 def _wilson(hits, n, z=1.96):
@@ -521,7 +452,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     else:
         proxy = 1.0 if int_phi_g > 0 else 0.0
     residual_ok = abs(residual_f) <= tol
-    exponent_positive = int_phi_g > 0 and proxy >= 0.95
+    exponent_positive = int_phi_g > 0 and proxy >= PROXY_MIN
     verdict = ac_verdict(residual_ok, exponent_positive)
     return {
         "h_g_est": h_g, "int_phi_g": int_phi_g, "residual_g": residual_g,

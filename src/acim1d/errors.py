@@ -9,10 +9,6 @@ class UnresolvedCritical(Acim1dError):
     """The derivative-root search could not separate two sign changes."""
 
 
-class InverseNotBracketed(Acim1dError):
-    """A branch-wise pullback target was not bracketed by a sign change."""
-
-
 class TreeBudgetExceeded(Acim1dError):
     """Tree construction passed the configured vertex budget."""
 

@@ -181,7 +181,6 @@ class TentMap(SmoothMap1D):
             raise ValueError("tent slope must be in (0, 2]")
         self.s = float(s)
         super().__init__(UNIT_INTERVAL, 2.0, 0.0, f"tent({s:g})")
-        self.piecewise = True
 
     def _eval_raw(self, x):
         return self.s * np.minimum(x, 1.0 - x)

@@ -310,6 +310,9 @@ def support_gap_from_critical(mu, critical_pts, g=None, M=None,
     return rep
 
 
+PROXY_MIN = 0.95   # least positive_exponent_proxy that counts as expansion
+
+
 def positive_exponent_proxy(mu):
     """Fraction of atoms with a later raw time l whose segment expands.
 

@@ -3,10 +3,9 @@ splitting layout.
 
 A reparametrization is a map sigma : [-1,1] -> I with nonvanishing
 derivative whose image on ]-1,1] avoids the marked point 0 (the circle
-injectivity convention).  Here sigma is stored as a polynomial in t
-composed with a chain of affine self-maps of [-1,1]; compositions with
-iterates of the dynamics are handled through jets, so every derivative
-order that the certificates need is exact.
+injectivity convention).  Here sigma is stored as a polynomial in t;
+compositions with iterates of the dynamics are handled through jets, so
+every derivative order that the certificates need is exact.
 
 Certificates follow the definitions:
   bounded       max_{s in ]1,r]} ||d^s psi||_inf <= ||psi'||_inf / 6
@@ -39,40 +38,19 @@ __all__ = [
 ]
 
 
-def _compose_affine(chain):
-    """Fold affine self-maps (a, r), leftmost applied last: t -> A + R t."""
-    A, R = 0.0, 1.0
-    for a, r in chain:
-        A, R = A + R * a, R * r
-    return A, R
-
-
 @dataclass
 class Reparametrization:
-    """sigma o (affine chain): a polynomial curve [-1,1] -> I.
-
-    base_coeffs are ascending polynomial coefficients of sigma; chain
-    holds affine self-maps (alpha, rho) of [-1,1], earliest first, so the
-    full map is sigma(chain_1(chain_2(... t))).
-    """
+    """sigma: a polynomial curve [-1,1] -> I, by its ascending
+    coefficients."""
 
     base_coeffs: np.ndarray
-    chain: list = field(default_factory=list)
 
     def __post_init__(self):
         self.base_coeffs = np.asarray(self.base_coeffs, dtype=float)
 
-    @property
-    def theta(self):
-        """The composed affine chain as (A, R)."""
-        return _compose_affine(self.chain)
-
     def poly(self):
-        """Coefficients of sigma o theta (ascending)."""
-        A, R = self.theta
-        p = np.polynomial.polynomial.Polynomial(self.base_coeffs)
-        q = p(np.polynomial.polynomial.Polynomial([A, R]))
-        return np.atleast_1d(q.coef)
+        """Coefficients of sigma (ascending)."""
+        return np.atleast_1d(self.base_coeffs)
 
     def point(self, t, domain=None):
         v = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
@@ -218,7 +196,7 @@ def taylor_window_check(g, eps, samples=64):
     be re-bounded after one application of g.
     """
     xs = np.random.default_rng(0).uniform(0.0, 1.0, samples)
-    worst = np.inf
+    margins = []
     ts = np.linspace(-1.0, 1.0, 65)
     order = max(2, g.r_floor)
     for x in xs:
@@ -226,8 +204,8 @@ def taylor_window_check(g, eps, samples=64):
         jet = g.jet_apply(jet_of_polynomial(window.poly(), ts, order))
         rhs = 3.0 * eps * max(1.0, abs(float(g.deriv(1, x))))
         for s in range(1, order + 1):
-            lhs = float(np.max(np.abs(jet.deriv(s))))
-            worst = min(worst, rhs - lhs)
+            margins.append(rhs - float(np.max(np.abs(jet.deriv(s)))))
+    worst = float(np.min(margins))     # NaN if any margin is NaN
     return {"worst_margin": worst, "ok": worst >= -1e-12, "samples": samples}
 
 

@@ -26,6 +26,7 @@ satisfy the hyperbolic-time inequalities by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -107,9 +108,10 @@ def boundary_set(S):
 
 def mask_from_lists(sets, width):
     """Boolean (len(sets), width) matrix; row s marks sets[s] (all < width)."""
+    sizes = [len(E) for E in sets]
     mask = np.zeros((len(sets), width), dtype=bool)
-    for s, E in enumerate(sets):
-        mask[s, list(E)] = True
+    mask[np.repeat(np.arange(len(sets)), sizes), np.fromiter(
+        itertools.chain.from_iterable(sets), int, sum(sizes))] = True
     return mask
 
 
@@ -176,9 +178,15 @@ def clip_bruteforce(E, n, M):
 
 
 def trim_bruteforce(E, n, M, m):
+    return shorten_bruteforce(E, clip_bruteforce(E, n, M), M, m)
+
+
+def shorten_bruteforce(E, C, M, m):
+    """The trim step on C = clip_bruteforce(E, n, M), so that one clip can
+    serve every m."""
     Eset = set(E)
     out = set()
-    for k, l in components(clip_bruteforce(E, n, M)):
+    for k, l in components(C):
         for L in range(m - 1, M + m - 1):
             if l - L > k and (l - L) in Eset:
                 out.update(range(k, l - L))

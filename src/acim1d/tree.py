@@ -32,6 +32,7 @@ the regime of the construction (g = f^p with p large).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import TreeBudgetExceeded
 from .jets import Jet, jet_of_polynomial
 from .maps import estimate_norms, orbit_grid, power_map
-from .reparam import Reparametrization, check_bounded, cover_centers
+from .reparam import affine_reparam, check_bounded, cover_centers
 
 __all__ = ["TreeVertex", "ReparamTree", "verify_tree"]
 
@@ -59,7 +60,7 @@ class TreeVertex:
     __slots__ = ("vid", "level", "parent", "alpha", "rho", "theta_alpha",
                  "theta_rho", "k_label", "kprime_label", "vtype",
                  "passthrough", "sup1", "min1", "center1", "image_left",
-                 "image_right", "eps_margin")
+                 "image_right")
     vid: int
     level: int
     parent: int
@@ -76,7 +77,6 @@ class TreeVertex:
     center1: float          # |(g^level o sigma o theta)'(0)|
     image_left: float
     image_right: float
-    eps_margin: float       # eps - sup1
 
 
 class ReparamTree:
@@ -104,12 +104,10 @@ class ReparamTree:
                           abs(self.sigma_s), abs(self.sigma_s),
                           abs(self.sigma_s),
                           self.sigma_c - abs(self.sigma_s),
-                          self.sigma_c + abs(self.sigma_s),
-                          eps - abs(self.sigma_s))
+                          self.sigma_c + abs(self.sigma_s))
         self.levels = [[root]]
         self._children_cache = {0: None}
         self._next_vid = 1
-        self._vertex_index = {0: root}
 
     # -- jet plumbing ------------------------------------------------------
 
@@ -142,8 +140,6 @@ class ReparamTree:
             return got
         kids = self._make_children(vertex)
         self._children_cache[vertex.vid] = kids
-        for k in kids:
-            self._vertex_index[k.vid] = k
         return kids
 
     def _make_children(self, parent):
@@ -251,8 +247,7 @@ class ReparamTree:
                 self._next_vid, n, parent.vid, a, rho, float(thA[i]),
                 float(thR[i]), k, kp, vtype, passthrough,
                 float(sup1[i]), float(min1[i]), float(center1[i]),
-                img_c - img_h, img_c + img_h,
-                float(self.eps - sup1[i])))
+                img_c - img_h, img_c + img_h))
             self._next_vid += 1
         return kids
 
@@ -295,18 +290,6 @@ class ReparamTree:
     @property
     def n_vertices(self):
         return sum(len(lv) for lv in self.levels)
-
-    def vertex(self, vid):
-        return self._vertex_index[vid]
-
-    def label_path(self, v):
-        """(k, k') label vectors from level 1 down to v."""
-        ks, kps = [], []
-        while v.level > 0:
-            ks.append(v.k_label)
-            kps.append(v.kprime_label)
-            v = self._vertex_index[v.parent]
-        return ks[::-1], kps[::-1]
 
     # -- geometric-time walk -------------------------------------------------
 
@@ -404,6 +387,27 @@ def orbit_labels(g, z, n):
 # ---------------------------------------------------------------------------
 
 
+_FIELDS = (("vid", np.int64), ("level", np.int32), ("parent", np.int64),
+           ("alpha", float), ("rho", float), ("theta_alpha", float),
+           ("theta_rho", float), ("k_label", np.int32),
+           ("kprime_label", np.int32), ("passthrough", bool), ("sup1", float),
+           ("center1", float))
+
+
+def _vertex_arrays(tree):
+    """Every vertex's fields as arrays in level order, the root first, plus
+    ppos, the index of each vertex's parent (the root's own for the root)."""
+    vs = [v for lv in tree.levels for v in lv]
+    V = {f: np.fromiter(map(operator.attrgetter(f), vs), dt, len(vs))
+         for f, dt in _FIELDS}
+    V["expanding"] = np.fromiter(map("Expanding".__eq__, map(
+        operator.attrgetter("vtype"), vs)), bool, len(vs))
+    pos = np.zeros(V["vid"].max() + 1, dtype=int)
+    pos[V["vid"]] = np.arange(V["vid"].size)
+    V["ppos"] = pos[np.maximum(V["parent"], 0)]
+    return V
+
+
 def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     """Batch certificate check of the tree guarantees.
 
@@ -415,30 +419,25 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
       item4  witness covering with matching labels
       item5  per-(parent, k') child counts against the C_R bounds
       item6  witness covering by arbitrary vertices (label-free)
+    Items 2-6 work on arrays of the vertex fields; a NaN margin stays NaN.
     """
     rng = rng or np.random.default_rng(0)
     g = tree.g
     eps = tree.eps
     report = {}
+    ratios, dist_ok = distortion_suite(tree)
+    V = _vertex_arrays(tree)
+    W = {f: a[1:] for f, a in V.items()}     # the non-root vertices
 
     # item 2: structural
-    rate_bad = []
-    nest_bad = []
-    passthrough = 0
-    for lv in tree.levels[1:]:
-        for v in lv:
-            if v.passthrough:
-                passthrough += 1
-            elif abs(v.rho) > RATE_CAP + 1e-15:
-                rate_bad.append(v.vid)
-            par = tree.vertex(v.parent)
-            if par.vtype == "Expanding":
-                if abs(v.alpha) + abs(v.rho) > 1.0 / 3.0 + 1e-12:
-                    nest_bad.append(v.vid)
+    rho = np.abs(W["rho"])
+    rate_bad = W["vid"][~W["passthrough"] & (rho > RATE_CAP + 1e-15)].tolist()
+    nest_bad = W["vid"][V["expanding"][W["ppos"]] & (
+        np.abs(W["alpha"]) + rho > 1.0 / 3.0 + 1e-12)].tolist()
     n_nonroot = tree.n_vertices - 1
     report["item2"] = {
         "n_checked": n_nonroot,
-        "n_passthrough": passthrough,
+        "n_passthrough": int(np.count_nonzero(W["passthrough"])),
         "rate_violations": rate_bad,
         "nesting_violations": nest_bad,
         "ok": not rate_bad and not nest_bad,
@@ -446,115 +445,76 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     }
 
     # item 3 + distortion + eps margins from stored build data
-    worst3 = np.inf
-    bad3 = []
-    worst_eps = np.inf
-    for lv in tree.levels[1:]:
-        for v in lv:
-            if v.vtype == "Expanding":
-                m = v.center1 - eps / 6.0
-                worst3 = min(worst3, m)
-                if m < -1e-12:
-                    bad3.append(v.vid)
-            worst_eps = min(worst_eps, v.eps_margin)
-    report["item3"] = {"worst_margin": worst3, "violations": bad3,
-                       "ok": not bad3}
+    m3 = W["center1"][W["expanding"]] - eps / 6.0
+    bad3 = W["vid"][W["expanding"]][m3 < -1e-12].tolist()
+    report["item3"] = {"worst_margin": float(np.min(m3, initial=np.inf)),
+                       "violations": bad3, "ok": not bad3}
+    worst_eps = float(np.min(eps - W["sup1"], initial=np.inf))
     report["eps_bound"] = {"worst_margin": worst_eps,
                            "ok": worst_eps >= -1e-12}
-    ratios, dist_ok = distortion_suite(tree)
     report["distortion"] = {"worst_ratio": float(ratios.max(initial=0.0)),
                             "ok": dist_ok}
 
     # item 1: sampled full certificates through every k <= level
-    all_vs = [v for lv in tree.levels[1:] for v in lv]
+    pick = rng.choice(n_nonroot, size=min(cert_sample, n_nonroot),
+                      replace=False) if n_nonroot else []
     worst1 = np.inf
-    n1 = 0
     ok1 = True
-    if all_vs:
-        pick = rng.choice(len(all_vs), size=min(cert_sample, len(all_vs)),
-                          replace=False)
-        for i in pick:
-            v = all_vs[i]
-            rep = Reparametrization(
-                np.array([tree.sigma_c, tree.sigma_s]),
-                [(v.theta_alpha, v.theta_rho)])
-            cert = check_bounded(rep, g, eps, v.level, grid=65)
-            n1 += 1
-            ok_v = cert.n_eps_bounded_up_to >= v.level
-            ok1 &= ok_v
-            for ck in cert.per_k:
-                worst1 = min(worst1, eps - ck.sup_first_deriv)
-    report["item1"] = {"n_checked": n1, "ok": ok1, "worst_eps_margin": worst1}
+    for i in pick:
+        level = int(W["level"][i])
+        cert = check_bounded(affine_reparam(
+            tree.sigma_c + tree.sigma_s * W["theta_alpha"][i],
+            tree.sigma_s * W["theta_rho"][i]), g, eps, level, grid=65)
+        ok1 &= cert.n_eps_bounded_up_to >= level
+        worst1 = min([worst1] + [eps - ck.sup_first_deriv for ck in cert.per_k])
+    report["item1"] = {"n_checked": len(pick), "ok": ok1,
+                       "worst_eps_margin": worst1}
 
-    # item 5: per-(parent, k') counts
+    # item 5: per-(parent, k', vtype) child counts; a parent fixes the level
     log_factor = tree.log_sup_gprime
     regularized = log_factor <= 0.0
     count_factor = max(1.0, math.floor(max(0.0, log_factor)) + 1.0) \
         if regularized else log_factor
     r = g.smoothness_r
-    worst5 = np.inf
-    ok5 = True
-    for lv_i, lv in enumerate(tree.levels[1:], start=1):
-        groups = {}
-        for v in lv:
-            key = (v.parent, v.kprime_label, v.vtype)
-            groups[key] = groups.get(key, 0) + 1
-        for (par, kp, vtype), cnt in groups.items():
-            if vtype == "Expanding":
-                bound = C_R * count_factor * math.exp(
-                    max(max(0.0, log_factor), kp / (r - 1.0)))
-            else:
-                bound = C_R * count_factor * math.exp(kp / (r - 1.0))
-            worst5 = min(worst5, bound - cnt)
-            ok5 &= cnt <= bound
-    report["item5"] = {"ok": ok5, "worst_margin": worst5,
+    _, first, cnt = np.unique(      # k' lies in [0, KPRIME_CAP] on children
+        (W["parent"] * (KPRIME_CAP + 1) + W["kprime_label"]) * 2
+        + W["expanding"], return_index=True, return_counts=True)
+    bound = np.array([C_R * count_factor * math.exp(
+        max(max(0.0, log_factor), kp / (r - 1.0)) if e else kp / (r - 1.0))
+        for kp, e in zip(W["kprime_label"][first].tolist(),
+                         W["expanding"][first].tolist())])
+    report["item5"] = {"ok": bool(np.all(cnt <= bound)),
+                       "worst_margin": float(np.min(bound - cnt,
+                                                    initial=np.inf)),
                        "log_factor_regularized": regularized}
 
-    # items 4 and 6: witness covering on sampled sigma-parameters
+    # items 4 and 6: witness covering on sampled sigma-parameters; match
+    # marks the level's vertices whose label path is the witness's own
     n_levels = len(tree.levels) - 1
-    if n_levels >= 1:
-        tsamp = rng.uniform(-0.98, 0.98, witness_samples)
-        xs = tree.sigma.point(tsamp, g.domain)
-        hits4 = np.zeros(n_levels)
-        hits6 = np.zeros(n_levels)
-        valid = np.zeros(n_levels)
-        for x in xs:
-            kxs_all, kpxs_all = orbit_labels(g, x, n_levels)
-            for n in range(1, n_levels + 1):
-                kxs, kpxs = kxs_all[:n], kpxs_all[:n]
-                if min(kpxs) < 0:
-                    continue
-                valid[n - 1] += 1
-                got4 = False
-                got6 = False
-                for v in tree.levels[n]:
-                    t = tree.param_of(x, v.theta_alpha, v.theta_rho)
-                    inside_full = abs(t) <= 1.0 + 1e-9
-                    if not inside_full:
-                        continue
-                    got6 = True
-                    ks, kps = tree.label_path(v)
-                    if kps != kpxs or ks != kxs:
-                        continue
-                    if v.vtype == "Expanding":
-                        if abs(t) <= 1.0 / 3.0 + 1e-9:
-                            got4 = True
-                    else:
-                        got4 = True
-                    if got4:
-                        break
-                hits4[n - 1] += got4
-                hits6[n - 1] += got6
-        with np.errstate(invalid="ignore"):
-            rate4 = np.where(valid > 0, hits4 / np.maximum(valid, 1), 1.0)
-            rate6 = np.where(valid > 0, hits6 / np.maximum(valid, 1), 1.0)
-        report["item4"] = {"pass_rate_per_level": rate4.tolist(),
-                           "ok": bool(np.all(rate4 >= 0.99))}
-        report["item6"] = {"pass_rate_per_level": rate6.tolist(),
-                           "ok": bool(np.all(rate6 >= 0.99))}
-    else:
-        report["item4"] = {"pass_rate_per_level": [], "ok": True}
-        report["item6"] = {"pass_rate_per_level": [], "ok": True}
+    xs = tree.sigma.point(rng.uniform(-0.98, 0.98, witness_samples), g.domain)
+    kx, kpx = _labels(orbit_grid(g, xs, n_levels)[1])
+    valid = np.logical_and.accumulate(kpx >= 0, axis=0)
+    start = np.searchsorted(V["level"], np.arange(n_levels + 2))
+    hits4 = np.zeros(n_levels)
+    hits6 = np.zeros(n_levels)
+    for w in range(xs.size):
+        match = np.ones(1, dtype=bool)
+        for n in range(1, 1 + np.count_nonzero(valid[:, w])):
+            lv = slice(start[n], start[n + 1])
+            match = (match[V["ppos"][lv] - start[n - 1]]
+                     & (V["k_label"][lv] == kx[n - 1, w])
+                     & (V["kprime_label"][lv] == kpx[n - 1, w]))
+            t = np.abs(tree.param_of(xs[w], V["theta_alpha"][lv],
+                                     V["theta_rho"][lv]))
+            inside = t <= 1.0 + 1e-9
+            hits4[n - 1] += bool(np.any(inside & match & (
+                ~V["expanding"][lv] | (t <= 1.0 / 3.0 + 1e-9))))
+            hits6[n - 1] += bool(np.any(inside))
+    valid = np.count_nonzero(valid, axis=1).astype(float)
+    for key, hits in (("item4", hits4), ("item6", hits6)):
+        rate = np.where(valid > 0, hits / np.maximum(valid, 1), 1.0)
+        report[key] = {"pass_rate_per_level": rate.tolist(),
+                       "ok": bool(np.all(rate >= 0.99))}
 
     report["ok"] = all(report[k].get("ok", True) for k in
                        ("item1", "item2", "item3", "item4", "item5", "item6",
@@ -568,10 +528,7 @@ def distortion_suite(tree):
     Uses the build-time grid sups; returns (ratios, ok) where ok demands
     ratio <= 3/2 + 1e-9 for every vertex whose composition is bounded.
     """
-    ratios = []
-    for lv in tree.levels[1:]:
-        for v in lv:
-            if v.min1 > 0:
-                ratios.append(v.sup1 / v.min1)
-    ratios = np.array(ratios)
+    sup1, min1 = (np.array([getattr(v, f) for lv in tree.levels[1:]
+                            for v in lv], dtype=float) for f in ("sup1", "min1"))
+    ratios = sup1[min1 > 0] / min1[min1 > 0]
     return ratios, bool(np.all(ratios <= 1.5 + 1e-9))

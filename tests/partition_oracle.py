@@ -21,7 +21,11 @@ from scipy.optimize import brentq
 
 from acim1d.branches import Branch, BranchPartition, monotone_branches
 from acim1d.entropy import _entropy_of_masses
-from acim1d.errors import InverseNotBracketed
+from acim1d.errors import Acim1dError
+
+
+class InverseNotBracketed(Acim1dError):
+    """A branch-wise pullback target was not bracketed by a sign change."""
 
 
 @dataclass

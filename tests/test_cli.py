@@ -321,9 +321,20 @@ def test_cli_verify_subcommand(tmp_path, capsys):
                  "--quick"])
     assert code == 0
     rows = _check_rows(tmp_path)
-    assert rows["enm_oracle_equivalence"][-1] == "1"
-    assert rows["misiurewicz_random"][-1] == "1"
-    assert rows["tree_distortion"][-1] == "1"
+    assert list(rows)[:4] == ["enm_oracle_equivalence", "enm_lemma",
+                              "misiurewicz_random", "tree_distortion"]
+    assert {"tree_item1", "tree_item6", "tree_eps_bound", "taylor_window",
+            "branch_count_bound"} <= set(rows)
+    assert all(row[-1] == "1" for row in rows.values())
+    # a row whose value could not be evaluated fails, whatever its item says
+    from acim1d.tree import verify_tree
+    rep = verify_tree(_doubling_tree(1), witness_samples=8, cert_sample=8)
+    rep["item3"]["worst_margin"] = float("nan")
+    rep["item4"]["pass_rate_per_level"] = []
+    rows = {r[0]: r for r in cli._tree_rows(rep, "all")}
+    assert rep["item3"]["ok"] and rep["item4"]["ok"]
+    assert rows["tree_item3"][-1] == rows["tree_item4"][-1] == 0
+    assert rows["tree_item2"][-1] == 1
 
 
 def test_run_verify_quick_counts_match_per_set_loop(tmp_path):
@@ -371,6 +382,50 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
     assert int(row[2]) > 0 and row[-1] == "0"
     assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
     assert "FAILURES" in capsys.readouterr().out
+
+
+def _doubling_tree(levels):
+    from acim1d.maps import power_map
+    from acim1d.reparam import affine_reparam, choose_epsilon
+    from acim1d.tree import ReparamTree
+
+    f = cli.make_map("doubling")
+    eps = choose_epsilon(power_map(f, 7))
+    return ReparamTree(f, 7, affine_reparam(0.37, 0.9 * eps), eps).build(
+        levels)
+
+
+def test_verify_fails_closed_on_corrupted_tree(tmp_path, monkeypatch,
+                                               capsys):
+    # one vertex's contraction rate doubled, as in acceptance criterion 9(c)
+    real = cli.ReparamTree.build
+
+    def corrupt_rate(self, n_levels):
+        real(self, n_levels)
+        self.levels[1][5].rho = 1.0 / 50.0
+        return self
+
+    monkeypatch.setattr(cli.ReparamTree, "build", corrupt_rate)
+    assert not run_verify(tmp_path, quick=True)
+    rows = _check_rows(tmp_path)
+    assert [name for name, row in rows.items() if row[-1] == "0"] == \
+        ["tree_item2"]
+    assert float(rows["tree_item2"][2]) < 1.0
+    assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
+    assert "FAILURES" in capsys.readouterr().out
+
+
+def test_tree_detector_writes_tree_rows(tmp_path):
+    ini = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o").replace(
+        "p = 4", "p = 7").replace(
+        "detector = surrogate", "detector = both\ntree_levels = 1")
+    st = cli.PipelineState(load_config(_write(tmp_path, ini)))
+    for stage in cli._stages("tree"):
+        stage(st)
+    names = [row[0] for row in st.checks]
+    assert names == ["tree_distortion"] + [
+        "tree_" + key for key, _, _ in cli._TREE_ITEMS]
+    assert all(row[-1] == 1 for row in st.checks)
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acim1d.entropy import (
-    C0_MANE, _entropy_of_masses, ac_verdict, change_of_variable_check,
-    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
+    C0_MANE, _entropy_of_masses, ac_verdict, choose_offset,
+    entropy_formula_residual, gibbs_check, itinerary_entropy,
     misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
@@ -21,6 +21,7 @@ from acim1d.measures import (
     select_An,
 )
 from acim1d.reparam import choose_epsilon
+from acim1d.solvers import minimize_bounded
 from partition_oracle import (
     EntropyReport, build_Qq, join, partition_entropy, partition_from_branches,
     refine,
@@ -413,6 +414,71 @@ def test_mane_bounds_logistic_measure():
     g = power_map(f, p)
     rep = verify_mane_bounds(mu, g, q=4)
     assert rep["sete_ok"] and rep["hq_ok"] and rep["branch_size_ok"]
+
+
+QUAD_TOL = 1e-4           # change_of_variable_check: quadrature stop step
+QUAD_MAX_GRID = 2 ** 20   # and its finest grid
+
+
+def change_of_variable_check(g, k, J_branch, A_set, B_set):
+    """Leb(J cap A cap g^{-k} B) <= Leb(B) / inf_{J cap A} |(g^k)'|.
+
+    Left side by midpoint quadrature, doubling the grid up to
+    QUAD_MAX_GRID nodes until the estimate moves less than QUAD_TOL; the
+    inf by grid scan plus local polish.
+    """
+    gk = power_map(g, k) if k > 1 else g
+    a0, b0 = J_branch
+    JA = sorted((max(a0, a), min(b0, b)) for a, b in A_set
+                if min(b0, b) - max(a0, a) > 1e-13)
+    lebB = sum(b - a for a, b in B_set)
+    if not JA:
+        return {"lhs": 0.0, "rhs": float("inf"), "margin": float("inf"),
+                "ok": True, "err": 0.0}
+
+    def inB(y):
+        y = np.asarray(y)
+        out = np.zeros(y.shape, dtype=bool)
+        for (ba, bb) in B_set:
+            out |= (y >= ba) & (y < bb)
+        return out
+
+    grid = 1 << 12
+    prev = None
+    lhs = 0.0
+    err = float("inf")
+    while grid <= QUAD_MAX_GRID:
+        lhs = 0.0
+        for (a, b) in JA:
+            ts = a + (np.arange(grid) + 0.5) * (b - a) / grid
+            if k >= 1:
+                y = ts.copy()
+                for _ in range(k):
+                    y = g.eval(y)
+            else:
+                y = ts
+            lhs += float(np.mean(inB(y))) * (b - a)
+        if prev is not None:
+            err = abs(lhs - prev)
+            if err < QUAD_TOL:
+                break
+        prev = lhs
+        grid *= 2
+
+    inf_d = float("inf")
+    for (a, b) in JA:
+        ts = np.linspace(a + 1e-12, b - 1e-12, 257)
+        vals = np.abs(gk.deriv(1, ts)) if k >= 1 else np.ones_like(ts)
+        i = int(np.argmin(vals))
+        lo = max(a, ts[max(0, i - 1)])
+        hi = min(b, ts[min(len(ts) - 1, i + 1)])
+        res = minimize_bounded(lambda t: abs(float(gk.deriv(1, t))),
+                               lo, hi, 1e-13)
+        inf_d = min(inf_d, float(np.min(vals)), float(res))
+    rhs = lebB / inf_d if inf_d > 0 else float("inf")
+    margin = rhs - lhs
+    return {"lhs": lhs, "rhs": rhs, "inf_deriv": inf_d, "err": err,
+            "margin": margin, "ok": margin >= -2 * max(err, 1e-12)}
 
 
 def test_change_of_variable_doubling():

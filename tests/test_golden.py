@@ -3,9 +3,10 @@ verify battery, by sha256.
 
 The pipeline digests in golden_digests.json were recorded from the code
 as it was before the per-point work in gibbs_check and
-entropy_formula_residual was cut down, and the verify_quick digest before
-the unset knobs became module constants; a change that alters an output
-on purpose updates that file and says which output changed and why.
+entropy_formula_residual was cut down, and the verify_quick digest when
+the tree-certificate, Taylor-window and branch-count rows joined the
+battery; a change that alters an output on purpose updates that file and
+says which output changed and why.
 """
 
 import hashlib

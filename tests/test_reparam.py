@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from acim1d.jets import Jet
 from acim1d.maps import make_map, power_map
 from acim1d.reparam import (
     Reparametrization, affine_reparam, check_bounded, choose_epsilon,
@@ -79,6 +80,10 @@ def test_taylor_window_bound():
     g2 = make_map("logistic")
     rep2 = taylor_window_check(g2, choose_epsilon(g2))
     assert rep2["ok"]
+    # a window whose derivatives could not be evaluated fails
+    g2.jet_apply = lambda jet: Jet(jet.c * np.nan)
+    rep3 = taylor_window_check(g2, choose_epsilon(g2))
+    assert math.isnan(rep3["worst_margin"]) and not rep3["ok"]
 
 
 @given(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0),
