@@ -219,7 +219,10 @@ class LinearCircleMap(SmoothMap1D):
         return np.zeros_like(x)
 
     def jet_apply(self, jet):
-        return (self.d * jet + self.c).mod1()
+        c = self.d * jet.c      # (d jet + c).mod1() in one array
+        c[0] += self.c
+        c[0] -= np.floor(c[0])
+        return Jet(c)
 
 
 class PerturbedCircleMap(SmoothMap1D):
@@ -248,7 +251,9 @@ class PerturbedCircleMap(SmoothMap1D):
         return self.delta * w ** k * trig(w * x)
 
     def jet_apply(self, jet):
-        return (self.d * jet + self.delta * (2 * math.pi * jet).sin()).mod1()
+        out = self.d * jet + self.delta * (2 * math.pi * jet).sin()
+        out.c[0] -= np.floor(out.c[0])      # .mod1() on our own temporary
+        return out
 
 
 class CubicMap(SmoothMap1D):

@@ -7,8 +7,8 @@ cover through their middle thirds.  Geometric times of a point x are
 the levels at which an expanding vertex with matching k'-labels
 contains x in its middle third.
 
-Construction per level and parent:
-  1. segment the parent parameter domain into runs where the labels
+Construction per level, in one batched pass over its parents:
+  1. segment each parent's parameter domain into runs where the labels
      (k, k') = (floor log+|g'|, floor log-|g'|) along g^(n-1) o sigma o
      theta are constant, cutting additionally at parameter solutions of
      (g^n o sigma o theta)(t) = 0 (marked-point rule; pieces touching
@@ -32,8 +32,6 @@ the regime of the construction (g = f^p with p large).
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .jets import Jet, jet_of_polynomial
 from .maps import estimate_norms, orbit_grid, power_map
 from .reparam import affine_reparam, check_bounded, cover_centers
 
-__all__ = ["TreeVertex", "ReparamTree", "verify_tree"]
+__all__ = ["ReparamTree", "verify_tree"]
 
 EXPAND_THRESHOLD = 81.0   # K_S / eps above which a segment splits expandingly
 EXPAND_SUP = 0.8          # post-split sup target, as a fraction of eps
@@ -51,36 +49,28 @@ RATE_CAP = 1.0 / 100.0
 KPRIME_CAP = 60           # parameters with -log|g'| above this get no child
 SEG_GRID = 193            # parent-parameter grid for label runs and sups
 CERT_GRID = 33            # per-child grid for the build-time certificates
+CHUNK = 512               # parents per build pass, children per certificate
 ACTIVE_CAP = 16           # vertices kept per level by the geometric-time walk
 C_R = 1000.0              # verify_tree item 5: constant of the child-count bounds
 
-
-@dataclass
-class TreeVertex:
-    __slots__ = ("vid", "level", "parent", "alpha", "rho", "theta_alpha",
-                 "theta_rho", "k_label", "kprime_label", "vtype",
-                 "passthrough", "sup1", "min1", "center1", "image_left",
-                 "image_right")
-    vid: int
-    level: int
-    parent: int
-    alpha: float            # contraction from parent: t -> alpha + rho t
-    rho: float
-    theta_alpha: float      # composed affine self-map of [-1,1]
-    theta_rho: float
-    k_label: int
-    kprime_label: int
-    vtype: str              # "Expanding" | "Plain" | "Root"
-    passthrough: bool
-    sup1: float             # sup |(g^level o sigma o theta)'| at build
-    min1: float
-    center1: float          # |(g^level o sigma o theta)'(0)|
-    image_left: float
-    image_right: float
+# One row per vertex.  theta(t) = theta_alpha + theta_rho t is the composed
+# affine self-map of [-1,1]; phi(t) = alpha + rho t the contraction from the
+# parent; sup1/min1/center1 are |(g^level o sigma o theta)'| on the build
+# grid (center1 at t = 0); image_* the ends of sigma o theta([-1,1]).
+VERTEX = np.dtype([
+    ("vid", np.int64), ("level", np.int32), ("parent", np.int64),
+    ("alpha", float), ("rho", float), ("theta_alpha", float),
+    ("theta_rho", float), ("k_label", np.int32), ("kprime_label", np.int32),
+    ("vtype", "U9"), ("passthrough", bool), ("sup1", float), ("min1", float),
+    ("center1", float), ("image_left", float), ("image_right", float)])
 
 
 class ReparamTree:
-    """Leveled tree of affine contractions for g = f^p over a seed sigma."""
+    """Leveled tree of affine contractions for g = f^p over a seed sigma.
+
+    levels[n] is an np.recarray of VERTEX rows in vid order, each parent's
+    children contiguous and in parent order.
+    """
 
     def __init__(self, f, p, sigma, eps, level_budget=10 ** 6):
         self.p = int(p)
@@ -100,13 +90,12 @@ class ReparamTree:
         if not root_cert.is_eps_bounded:
             raise ValueError("sigma must be eps-bounded to seed the tree")
 
-        root = TreeVertex(0, 0, -1, 0.0, 1.0, 0.0, 1.0, 0, 0, "Root", False,
-                          abs(self.sigma_s), abs(self.sigma_s),
-                          abs(self.sigma_s),
-                          self.sigma_c - abs(self.sigma_s),
-                          self.sigma_c + abs(self.sigma_s))
-        self.levels = [[root]]
-        self._children_cache = {0: None}
+        s = abs(self.sigma_s)
+        root = np.rec.array([(0, 0, -1, 0.0, 1.0, 0.0, 1.0, 0, 0, "Root",
+                              False, s, s, s, self.sigma_c - s,
+                              self.sigma_c + s)], dtype=VERTEX)
+        self.levels = [root]
+        self._lazy = {}      # vid -> children, for the walk past the levels
         self._next_vid = 1
 
     # -- jet plumbing ------------------------------------------------------
@@ -133,158 +122,152 @@ class ReparamTree:
 
     # -- child construction -------------------------------------------------
 
-    def children(self, vertex):
-        """Children of a vertex, constructed on first access and cached."""
-        got = self._children_cache.get(vertex.vid)
-        if got is not None:
-            return got
-        kids = self._make_children(vertex)
-        self._children_cache[vertex.vid] = kids
-        return kids
-
-    def _make_children(self, parent):
-        n = parent.level + 1
-        half = 1.0 / 3.0 if parent.vtype == "Expanding" else 1.0
-        ts = np.linspace(-half, half, SEG_GRID)
-        A, R = parent.theta_alpha, parent.theta_rho
+    def _expand(self, parents):
+        """Children of parents (rows of one level), in parent order and then
+        child order, with fresh vids; one batched pass over all parents."""
+        n = int(parents["level"][0]) + 1
+        A = parents["theta_alpha"][:, None]
+        R = parents["theta_rho"][:, None]
+        half = np.where(parents["vtype"] == "Expanding", 1.0 / 3.0, 1.0)
+        ts = np.linspace(-half, half, SEG_GRID, axis=1)
         jet, ld = self._curve_jets(A, R, ts, n, order=1, want_labels=True)
-        phi_vals = jet.value
         phi_d1 = np.abs(jet.deriv(1))
-
         k_arr, kp_arr = _labels(ld)
         excluded = (kp_arr < 0) | (-ld > KPRIME_CAP)
 
-        cuts = {0, SEG_GRID - 1}
-        for i in range(SEG_GRID - 1):
-            if excluded[i] != excluded[i + 1] or \
-                    (not excluded[i] and not excluded[i + 1] and
-                     (k_arr[i] != k_arr[i + 1] or kp_arr[i] != kp_arr[i + 1])):
-                cuts.add(i + 1)
-        marked_ts = self._marked_crossings(phi_vals, ts)
-        marked_idx = set()
-        for tm in marked_ts:
-            i = int(np.searchsorted(ts, tm))
-            if 0 < i < SEG_GRID:
-                cuts.add(i)
-                marked_idx.add(i)
-        cut_list = sorted(cuts)
+        # cuts: the grid ends, label-run and exclusion edges, marked points
+        ex0, ex1 = excluded[:, :-1], excluded[:, 1:]
+        cut = np.zeros(ts.shape, dtype=bool)
+        cut[:, [0, -1]] = True
+        cut[:, 1:] |= (ex0 != ex1) | (~ex0 & ~ex1 & (
+            (k_arr[:, :-1] != k_arr[:, 1:])
+            | (kp_arr[:, :-1] != kp_arr[:, 1:])))
+        marked = np.zeros(ts.shape, dtype=bool)
+        pi, ii, tm = self._marked_crossings(jet.value, ts)
+        # searchsorted(ts[pi], tm): tm lies in [ts[ii], ts[ii + 1]] up to
+        # rounding, so only these two grid points can sit below it
+        jj = ii + (ts[pi, ii] < tm) + (ts[pi, ii + 1] < tm)
+        inner = (jj > 0) & (jj < SEG_GRID)
+        cut[pi[inner], jj[inner]] = marked[pi[inner], jj[inner]] = True
 
-        specs = []  # (alpha, rho, k, kp, vtype, passthrough)
-        for a_i, b_i in zip(cut_list, cut_list[1:]):
-            if b_i <= a_i:
-                continue
-            if excluded[a_i:b_i + 1].all():
-                continue
-            mid_i = (a_i + b_i) // 2
-            if excluded[mid_i]:
-                continue
-            u0, u1 = ts[a_i], ts[b_i]
-            k, kp = int(k_arr[mid_i]), int(kp_arr[mid_i])
-            Kseg = float(np.max(phi_d1[a_i:b_i + 1]))
-            left_marked = a_i in marked_idx
-            right_marked = b_i in marked_idx
-            if (self.log_sup_gprime <= 0.0 and Kseg <= self.eps
-                    and len(cut_list) == 2):
-                specs.append((0.5 * (u0 + u1), 0.5 * (u1 - u0), k, kp,
-                              "Plain", True))
-                continue
-            if Kseg > EXPAND_THRESHOLD * self.eps:
-                rho = EXPAND_SUP * self.eps / Kseg
-                specs.extend(self._tile_expanding(u0, u1, rho, k, kp,
-                                                  left_marked, right_marked))
+        # segments: consecutive cuts of a parent, kept when their middle
+        # grid point is not excluded
+        cp, ci = np.nonzero(cut)
+        red = np.maximum.reduceat(phi_d1.ravel(), cp * SEG_GRID + ci)
+        seg = np.flatnonzero(cp[:-1] == cp[1:])
+        sp, sa, sb = cp[seg], ci[seg], ci[seg + 1]
+        sm = (sa + sb) // 2
+        keep = ~excluded[sp, sm]
+        seg, sp, sa, sb, sm = seg[keep], sp[keep], sa[keep], sb[keep], sm[keep]
+        kseg = np.maximum(red[seg], phi_d1[sp, sb])
+        n_cuts = np.count_nonzero(cut, axis=1)[sp]
+
+        # tiling: one loop step per segment
+        centers, rhos, n_exp, n_pieces = [], [], [], []
+        passthrough = (self.log_sup_gprime <= 0.0) & (kseg <= self.eps) & \
+            (n_cuts == 2)
+        for u0, u1, K, thru in zip(ts[sp, sa].tolist(), ts[sp, sb].tolist(),
+                                   kseg.tolist(), passthrough.tolist()):
+            w = u1 - u0
+            ne = 0
+            if K > EXPAND_THRESHOLD * self.eps:
+                rho = EXPAND_SUP * self.eps / K
             else:
-                rho = min(RATE_CAP, PLAIN_SUP * self.eps / max(Kseg, 1e-300))
-                specs.extend(self._tile_plain(u0, u1, rho, k, kp,
-                                              left_marked, right_marked))
+                rho = min(RATE_CAP, PLAIN_SUP * self.eps / max(K, 1e-300))
+            if thru or w <= 2 * rho:
+                c, rho = [0.5 * (u0 + u1)], 0.5 * w
+            elif K > EXPAND_THRESHOLD * self.eps:
+                exp_c, plain_c = cover_centers(u0, u1, rho)
+                c, ne = exp_c + plain_c, len(exp_c)
+            else:
+                count = int(math.ceil(w / (2 * rho)))
+                rho = w / (2 * count)
+                c = u0 + (2 * np.arange(count) + 1) * rho
+            centers.append(c)
+            rhos.append(rho)
+            n_exp.append(ne)
+            n_pieces.append(len(c))
 
-        return self._certify_children(parent, specs, n)
+        kids = np.recarray(sum(n_pieces), dtype=VERTEX)
+        if not kids.size:
+            return kids
+        own = np.repeat(np.arange(seg.size), n_pieces)
+        first = np.cumsum(n_pieces) - n_pieces
+        expanding = np.arange(kids.size) - first[own] < np.asarray(n_exp)[own]
+        alpha = np.concatenate(centers)
+        rho = np.asarray(rhos)[own]
+        # a piece whose right edge sits on a marked cut (and whose left edge
+        # does not) is flipped, so the cut is the image of t = -1
+        u0, u1 = ts[sp, sa][own], ts[sp, sb][own]
+        flip = marked[sp, sb][own] & (np.abs((alpha + rho) - u1) < 1e-14) & ~(
+            marked[sp, sa][own] & (np.abs((alpha - rho) - u0) < 1e-14))
+        rho = np.where(flip & ~passthrough[own], -rho, rho)
 
-    @staticmethod
-    def _tile_plain(u0, u1, rho, k, kp, left_marked, right_marked):
-        w = u1 - u0
-        out = []
-        if w <= 2 * rho:
-            out.append((0.5 * (u0 + u1), 0.5 * w, k, kp, "Plain", False))
-        else:
-            count = int(math.ceil(w / (2 * rho)))
-            rho_eff = w / (2 * count)
-            for j in range(count):
-                c = u0 + (2 * j + 1) * rho_eff
-                out.append((c, rho_eff, k, kp, "Plain", False))
-        return _orient(out, u0, u1, left_marked, right_marked)
-
-    @staticmethod
-    def _tile_expanding(u0, u1, rho, k, kp, left_marked, right_marked):
-        w = u1 - u0
-        if w <= 2 * rho:
-            out = [(0.5 * (u0 + u1), 0.5 * w, k, kp, "Plain", False)]
-        else:
-            exp_c, plain_c = cover_centers(u0, u1, rho)
-            out = [(c, rho, k, kp, "Expanding", False) for c in exp_c] + \
-                  [(c, rho, k, kp, "Plain", False) for c in plain_c]
-        return _orient(out, u0, u1, left_marked, right_marked)
-
-    def _certify_children(self, parent, specs, n):
-        if not specs:
-            return []
-        A, R = parent.theta_alpha, parent.theta_rho
+        par = sp[own]
+        kids.vid = self._next_vid + np.arange(kids.size)
+        self._next_vid += kids.size
+        kids.level = n
+        kids.parent = parents["vid"][par]
+        kids.alpha = alpha
+        kids.rho = rho
+        kids.theta_alpha = thA = A[par, 0] + R[par, 0] * alpha
+        kids.theta_rho = thR = R[par, 0] * rho
+        kids.k_label = k_arr[sp, sm][own]
+        kids.kprime_label = kp_arr[sp, sm][own]
+        kids.vtype = np.where(expanding, "Expanding", "Plain")
+        kids.passthrough = passthrough[own]
         tloc = np.linspace(-1.0, 1.0, CERT_GRID)
-        alphas = np.array([s[0] for s in specs])
-        rhos = np.array([s[1] for s in specs])
-        thA = A + R * alphas
-        thR = R * rhos
-        jet, _ = self._curve_jets(thA[:, None], thR[:, None], tloc, n)
-        d1 = np.abs(jet.deriv(1))
-        sup1 = d1.max(axis=1)
-        min1 = d1.min(axis=1)
-        center1 = d1[:, CERT_GRID // 2]
-
-        kids = []
-        for i, (a, rho, k, kp, vtype, passthrough) in enumerate(specs):
-            img_c = self.sigma_c + self.sigma_s * thA[i]
-            img_h = abs(self.sigma_s * thR[i])
-            kids.append(TreeVertex(
-                self._next_vid, n, parent.vid, a, rho, float(thA[i]),
-                float(thR[i]), k, kp, vtype, passthrough,
-                float(sup1[i]), float(min1[i]), float(center1[i]),
-                img_c - img_h, img_c + img_h))
-            self._next_vid += 1
+        for lo in range(0, kids.size, CHUNK):
+            part = slice(lo, lo + CHUNK)
+            d1 = np.abs(self._curve_jets(thA[part, None], thR[part, None],
+                                         tloc, n)[0].deriv(1))
+            kids.sup1[part] = d1.max(axis=1)
+            kids.min1[part] = d1.min(axis=1)
+            kids.center1[part] = d1[:, CERT_GRID // 2]
+        img_c = self.sigma_c + self.sigma_s * thA
+        img_h = np.abs(self.sigma_s * thR)
+        kids.image_left = img_c - img_h
+        kids.image_right = img_c + img_h
         return kids
 
     def _marked_crossings(self, vals, ts):
+        """Grid intervals (row pi, index ii) of each parent's curve that
+        hold a marked point (0 mod 1 on the circle, 0 on the interval), and
+        the parameter tm of the point in that interval."""
         if self.g.domain.is_circle:
             u = ((vals + 0.5) % 1.0) - 0.5
-            out = []
-            for i in range(len(ts) - 1):
-                a, b = u[i], u[i + 1]
-                if abs(a) <= 0.25 and abs(b) <= 0.25 and a * b < 0:
-                    out.append(ts[i] + (ts[i + 1] - ts[i]) * a / (a - b))
-            return out
+            a, b = u[:, :-1], u[:, 1:]
+            pi, ii = np.nonzero((np.abs(a) <= 0.25) & (np.abs(b) <= 0.25)
+                                & (a * b < 0))
+            a, b = a[pi, ii], b[pi, ii]
+            return pi, ii, ts[pi, ii] + (ts[pi, ii + 1] - ts[pi, ii]) * a / (
+                a - b)
         lo = np.abs(vals) < 1e-9
-        out = []
-        for i in range(len(ts) - 1):
-            if lo[i] != lo[i + 1]:
-                out.append(0.5 * (ts[i] + ts[i + 1]))
-        return out
+        pi, ii = np.nonzero(lo[:, :-1] != lo[:, 1:])
+        return pi, ii, 0.5 * (ts[pi, ii] + ts[pi, ii + 1])
 
     # -- materialization ----------------------------------------------------
 
     def build(self, n_levels):
-        """Materialize levels 1..n_levels breadth-first; obeys the budget."""
+        """Materialize levels 1..n_levels breadth-first, CHUNK parents per
+        batched pass; obeys the budget."""
         while len(self.levels) - 1 < n_levels:
-            level = []
-            for parent in self.levels[-1]:
-                level.extend(self.children(parent))
-                if len(level) > self.level_budget:
-                    prev = max(1, len(self.levels[-1]))
+            parents = self.levels[-1]
+            self._lazy.clear()
+            parts, count = [], 0
+            for lo in range(0, len(parents), CHUNK):
+                parts.append(self._expand(parents[lo:lo + CHUNK]))
+                count += len(parts[-1])
+                if count > self.level_budget:
+                    prev = max(1, len(parents))
                     raise TreeBudgetExceeded(
                         f"level {len(self.levels)} exceeds budget "
-                        f"{self.level_budget} (partial count {len(level)}, "
-                        f"growth ~{len(level) / prev:.1f}x)",
-                        level=len(self.levels), count=len(level),
-                        budget=self.level_budget,
-                        growth_rate=len(level) / prev)
-            self.levels.append(level)
+                        f"{self.level_budget} (partial count {count}, "
+                        f"growth ~{count / prev:.1f}x)",
+                        level=len(self.levels), count=count,
+                        budget=self.level_budget, growth_rate=count / prev)
+            self.levels.append(parts[0] if len(parts) == 1 else np.concatenate(
+                parts or [parents[:0]]).view(np.recarray))
         return self
 
     @property
@@ -292,6 +275,23 @@ class ReparamTree:
         return sum(len(lv) for lv in self.levels)
 
     # -- geometric-time walk -------------------------------------------------
+
+    def _children(self, parents, m):
+        """Children of parents (rows of level m - 1): a slice of each from
+        levels[m] when it is built, else expanded lazily (one batch for the
+        parents not seen before) and cached."""
+        vids = parents["vid"]
+        if m < len(self.levels):
+            col = self.levels[m]["parent"]
+            lo = np.searchsorted(col, vids, "left")
+            hi = np.searchsorted(col, vids, "right")
+            return self.levels[m][np.concatenate(list(map(np.arange, lo, hi)))]
+        new = [v not in self._lazy for v in vids.tolist()]
+        if any(new):
+            kids = self._expand(parents[new])
+            for v in vids[new].tolist():
+                self._lazy[v] = kids[kids["parent"] == v]
+        return np.concatenate([self._lazy[v] for v in vids.tolist()])
 
     def param_of(self, x, theta_alpha, theta_rho):
         """Parameter t with sigma(theta(t)) = x (affine sigma), circle-lifted."""
@@ -308,33 +308,25 @@ class ReparamTree:
         """Levels m <= n_max at which x sits in the middle third of an
         expanding vertex whose k'-labels match the orbit of x."""
         _, kp_x = orbit_labels(self.g, x, n_max)
-        root = self.levels[0][0]
-        t0 = self.param_of(x, root.theta_alpha, root.theta_rho)
+        active = self.levels[0]
+        t0 = self.param_of(x, active.theta_alpha[0], active.theta_rho[0])
         if not np.isfinite(t0) or abs(t0) > 1.0 + 1e-12:
             return []
-        active = [root]
         out = []
         for m in range(1, n_max + 1):
             want_kp = kp_x[m - 1]
             if want_kp < 0:
                 break
-            nxt = []
-            hit = False
-            for par in active:
-                for ch in self.children(par):
-                    if ch.kprime_label != want_kp:
-                        continue
-                    t = self.param_of(x, ch.theta_alpha, ch.theta_rho)
-                    if abs(t) > 1.0 + 1e-12:
-                        continue
-                    if ch.vtype == "Expanding" and abs(t) <= 1.0 / 3.0 + 1e-12:
-                        hit = True
-                    nxt.append((abs(t), ch))
-            if hit:
+            kids = self._children(active, m)
+            t = np.abs(self.param_of(x, kids["theta_alpha"],
+                                     kids["theta_rho"]))
+            keep = (kids["kprime_label"] == want_kp) & (t <= 1.0 + 1e-12)
+            if np.any(keep & (kids["vtype"] == "Expanding")
+                      & (t <= 1.0 / 3.0 + 1e-12)):
                 out.append(m)
-            nxt.sort(key=lambda p: (p[0], p[1].vid))
-            active = [ch for _, ch in nxt[:ACTIVE_CAP]]
-            if not active:
+            kids, t = kids[keep], t[keep]
+            active = kids[np.lexsort((kids["vid"], t))[:ACTIVE_CAP]]
+            if not active.size:
                 break
         return out
 
@@ -343,27 +335,13 @@ class ReparamTree:
     def to_rows(self):
         """CSV rows (level, parent_id, rate, k, kprime, vtype, image_left,
         image_right, margin_item3)."""
-        rows = []
-        for lv in self.levels[1:]:
-            for v in lv:
-                margin3 = v.center1 - self.eps / 6.0 if v.vtype == "Expanding" \
-                    else float("nan")
-                rows.append((v.level, v.parent, v.rho, v.k_label,
-                             v.kprime_label, v.vtype, v.image_left,
-                             v.image_right, margin3))
-        return rows
-
-
-def _orient(pieces, u0, u1, left_marked, right_marked):
-    """Flip pieces whose right edge sits on a marked cut, so the cut is
-    the image of t = -1 (where the marked point is allowed)."""
-    out = []
-    for (c, rho, k, kp, vtype, pt) in pieces:
-        flip = right_marked and abs((c + rho) - u1) < 1e-14
-        if left_marked and abs((c - rho) - u0) < 1e-14:
-            flip = False  # left edge already maps from -1
-        out.append((c, -rho if flip else rho, k, kp, vtype, pt))
-    return out
+        V = np.concatenate(self.levels)[1:]
+        margin3 = np.where(V["vtype"] == "Expanding",
+                           V["center1"] - self.eps / 6.0, np.nan)
+        return list(zip(*(a.tolist() for a in (
+            V["level"], V["parent"], V["rho"], V["k_label"],
+            V["kprime_label"], V["vtype"], V["image_left"], V["image_right"],
+            margin3))))
 
 
 def _labels(lds):
@@ -387,27 +365,6 @@ def orbit_labels(g, z, n):
 # ---------------------------------------------------------------------------
 
 
-_FIELDS = (("vid", np.int64), ("level", np.int32), ("parent", np.int64),
-           ("alpha", float), ("rho", float), ("theta_alpha", float),
-           ("theta_rho", float), ("k_label", np.int32),
-           ("kprime_label", np.int32), ("passthrough", bool), ("sup1", float),
-           ("center1", float))
-
-
-def _vertex_arrays(tree):
-    """Every vertex's fields as arrays in level order, the root first, plus
-    ppos, the index of each vertex's parent (the root's own for the root)."""
-    vs = [v for lv in tree.levels for v in lv]
-    V = {f: np.fromiter(map(operator.attrgetter(f), vs), dt, len(vs))
-         for f, dt in _FIELDS}
-    V["expanding"] = np.fromiter(map("Expanding".__eq__, map(
-        operator.attrgetter("vtype"), vs)), bool, len(vs))
-    pos = np.zeros(V["vid"].max() + 1, dtype=int)
-    pos[V["vid"]] = np.arange(V["vid"].size)
-    V["ppos"] = pos[np.maximum(V["parent"], 0)]
-    return V
-
-
 def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     """Batch certificate check of the tree guarantees.
 
@@ -419,20 +376,22 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
       item4  witness covering with matching labels
       item5  per-(parent, k') child counts against the C_R bounds
       item6  witness covering by arbitrary vertices (label-free)
-    Items 2-6 work on arrays of the vertex fields; a NaN margin stays NaN.
+    Items 2-6 work on the level columns; a NaN margin stays NaN.
     """
     rng = rng or np.random.default_rng(0)
     g = tree.g
     eps = tree.eps
     report = {}
     ratios, dist_ok = distortion_suite(tree)
-    V = _vertex_arrays(tree)
-    W = {f: a[1:] for f, a in V.items()}     # the non-root vertices
+    V = np.concatenate(tree.levels)          # vids ascend over the levels
+    ppos = np.searchsorted(V["vid"], V["parent"])
+    expanding = V["vtype"] == "Expanding"
+    W = V[1:]                                # the non-root vertices
 
     # item 2: structural
     rho = np.abs(W["rho"])
     rate_bad = W["vid"][~W["passthrough"] & (rho > RATE_CAP + 1e-15)].tolist()
-    nest_bad = W["vid"][V["expanding"][W["ppos"]] & (
+    nest_bad = W["vid"][expanding[ppos[1:]] & (
         np.abs(W["alpha"]) + rho > 1.0 / 3.0 + 1e-12)].tolist()
     n_nonroot = tree.n_vertices - 1
     report["item2"] = {
@@ -445,8 +404,8 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     }
 
     # item 3 + distortion + eps margins from stored build data
-    m3 = W["center1"][W["expanding"]] - eps / 6.0
-    bad3 = W["vid"][W["expanding"]][m3 < -1e-12].tolist()
+    m3 = W["center1"][expanding[1:]] - eps / 6.0
+    bad3 = W["vid"][expanding[1:]][m3 < -1e-12].tolist()
     report["item3"] = {"worst_margin": float(np.min(m3, initial=np.inf)),
                        "violations": bad3, "ok": not bad3}
     worst_eps = float(np.min(eps - W["sup1"], initial=np.inf))
@@ -478,11 +437,11 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
     r = g.smoothness_r
     _, first, cnt = np.unique(      # k' lies in [0, KPRIME_CAP] on children
         (W["parent"] * (KPRIME_CAP + 1) + W["kprime_label"]) * 2
-        + W["expanding"], return_index=True, return_counts=True)
+        + expanding[1:], return_index=True, return_counts=True)
     bound = np.array([C_R * count_factor * math.exp(
         max(max(0.0, log_factor), kp / (r - 1.0)) if e else kp / (r - 1.0))
         for kp, e in zip(W["kprime_label"][first].tolist(),
-                         W["expanding"][first].tolist())])
+                         expanding[1:][first].tolist())])
     report["item5"] = {"ok": bool(np.all(cnt <= bound)),
                        "worst_margin": float(np.min(bound - cnt,
                                                     initial=np.inf)),
@@ -501,14 +460,14 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
         match = np.ones(1, dtype=bool)
         for n in range(1, 1 + np.count_nonzero(valid[:, w])):
             lv = slice(start[n], start[n + 1])
-            match = (match[V["ppos"][lv] - start[n - 1]]
+            match = (match[ppos[lv] - start[n - 1]]
                      & (V["k_label"][lv] == kx[n - 1, w])
                      & (V["kprime_label"][lv] == kpx[n - 1, w]))
             t = np.abs(tree.param_of(xs[w], V["theta_alpha"][lv],
                                      V["theta_rho"][lv]))
             inside = t <= 1.0 + 1e-9
             hits4[n - 1] += bool(np.any(inside & match & (
-                ~V["expanding"][lv] | (t <= 1.0 / 3.0 + 1e-9))))
+                ~expanding[lv] | (t <= 1.0 / 3.0 + 1e-9))))
             hits6[n - 1] += bool(np.any(inside))
     valid = np.count_nonzero(valid, axis=1).astype(float)
     for key, hits in (("item4", hits4), ("item6", hits6)):
@@ -528,7 +487,7 @@ def distortion_suite(tree):
     Uses the build-time grid sups; returns (ratios, ok) where ok demands
     ratio <= 3/2 + 1e-9 for every vertex whose composition is bounded.
     """
-    sup1, min1 = (np.array([getattr(v, f) for lv in tree.levels[1:]
-                            for v in lv], dtype=float) for f in ("sup1", "min1"))
+    sup1, min1 = (np.concatenate([lv[f] for lv in tree.levels])[1:]
+                  for f in ("sup1", "min1"))
     ratios = sup1[min1 > 0] / min1[min1 > 0]
     return ratios, bool(np.all(ratios <= 1.5 + 1e-9))

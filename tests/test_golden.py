@@ -1,12 +1,14 @@
-"""Golden outputs: every out/ file of two small pipelines and of the quick
-verify battery, by sha256.
+"""Golden outputs: every out/ file of two small pipelines and of the full
+and quick verify batteries, by sha256.
 
 The pipeline digests in golden_digests.json were recorded from the code
 as it was before the per-point work in gibbs_check and
-entropy_formula_residual was cut down, and the verify_quick digest when
-the tree-certificate, Taylor-window and branch-count rows joined the
-battery; a change that alters an output on purpose updates that file and
-says which output changed and why.
+entropy_formula_residual was cut down, the verify_quick digest when the
+tree-certificate, Taylor-window and branch-count rows joined the battery,
+and the verify_full digest (rng seed 0, the 2-level doubling^7 tree)
+before the tree's vertices became level arrays; a change that alters an
+output on purpose updates that file and says which output changed and
+why.
 """
 
 import hashlib
@@ -65,8 +67,8 @@ def _config(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digests(name, tmp_path):
     out = tmp_path / "out"
-    if name == "verify_quick":
-        assert run_verify(out, quick=True)
+    if name.startswith("verify_"):
+        assert run_verify(out, rng_seed=0, quick=name == "verify_quick")
     else:
         run_pipeline(_config(name, tmp_path), out_dir=out)
     assert _digests(out) == GOLDEN[name]

@@ -22,7 +22,7 @@ def _doubling_tree(p=7, levels=2):
 def test_doubling_tree_builds_and_verifies():
     tree, eps = _doubling_tree()
     assert tree.n_vertices > 10 ** 4
-    assert any(v.vtype == "Expanding" for v in tree.levels[1])
+    assert np.any(tree.levels[1].vtype == "Expanding")
     rep = verify_tree(tree, witness_samples=32, cert_sample=32,
                       rng=np.random.default_rng(1))
     assert rep["ok"], {k: v for k, v in rep.items() if isinstance(v, dict)
@@ -39,8 +39,7 @@ def test_distortion_suite_all_below_three_halves():
 def test_rate_cap_every_vertex():
     tree, _ = _doubling_tree(levels=2)
     for lv in tree.levels[1:]:
-        for v in lv:
-            assert abs(v.rho) <= 1.0 / 100.0 + 1e-15
+        assert np.all(np.abs(lv.rho) <= 1.0 / 100.0 + 1e-15)
 
 
 def test_corrupted_rate_flagged():
@@ -59,8 +58,8 @@ def test_rotation_tree_is_single_chain():
     sig = affine_reparam(0.4, 0.5 * eps)
     tree = ReparamTree(rot, 1, sig, eps).build(4)
     assert [len(lv) for lv in tree.levels] == [1, 1, 1, 1, 1]
-    assert all(v.passthrough for lv in tree.levels[1:] for v in lv)
-    assert all(v.vtype == "Plain" for lv in tree.levels[1:] for v in lv)
+    assert all(np.all(lv.passthrough) for lv in tree.levels[1:])
+    assert all(np.all(lv.vtype == "Plain") for lv in tree.levels[1:])
     rep = verify_tree(tree, witness_samples=16, cert_sample=8)
     assert rep["ok"]
     assert rep["item5"]["log_factor_regularized"]
@@ -120,13 +119,10 @@ def test_walk_matches_materialized_levels():
     E = tree.walk_geometric_times(x, 2)
     manual = []
     for n in (1, 2):
-        found = False
-        for v in tree.levels[n]:
-            t = tree.param_of(x, v.theta_alpha, v.theta_rho)
-            if v.vtype == "Expanding" and abs(t) <= 1.0 / 3.0 + 1e-12:
-                found = True
-                break
-        if found:
+        lv = tree.levels[n]
+        t = tree.param_of(x, lv.theta_alpha, lv.theta_rho)
+        if np.any((lv.vtype == "Expanding")
+                  & (np.abs(t) <= 1.0 / 3.0 + 1e-12)):
             manual.append(n)
     assert E == manual
 
@@ -139,3 +135,78 @@ def test_tree_rows_export():
     assert lvl == 1 and parent == 0
     assert abs(rate) <= 1 / 100 + 1e-15
     assert hi > lo
+
+
+# -- batch invariance: a parent's children do not depend on its batch -------
+
+
+def _expand_alone(tree, parents, vid):
+    """tree._expand(parents) with vids counted from vid; the tree's own
+    vid counter is left as it was."""
+    saved, tree._next_vid = tree._next_vid, vid
+    try:
+        return tree._expand(parents)
+    finally:
+        tree._next_vid = saved
+
+
+def _assert_batch_invariant(tree, parents, batch, sample=24):
+    """Each sampled parent expanded alone equals, byte for byte in every
+    field, its contiguous slice of batch (the children of all parents)."""
+    idx = np.arange(len(parents))
+    if idx.size > sample:
+        idx = np.unique(np.r_[0, idx[-1], np.random.default_rng(0).choice(
+            idx.size, sample - 2, replace=False)])
+    for i in idx.tolist():
+        vid = parents.vid[i]
+        lo, hi = np.searchsorted(batch.parent, [vid, vid + 1])
+        start = batch.vid[lo] if hi > lo else tree._next_vid
+        alone = _expand_alone(tree, parents[i:i + 1], start)
+        assert alone.tobytes() == batch[lo:hi].tobytes(), (vid, lo, hi)
+
+
+def _tree(preset, p, center, levels, params):
+    f = make_map(preset, **params)
+    eps = choose_epsilon(power_map(f, p))
+    return ReparamTree(f, p, affine_reparam(center, 0.9 * eps), eps).build(
+        levels)
+
+
+# logistic^6 at center 0.5122706219797136: g(center) = y* with g(y*) = 1e-9,
+# so one level-1 vertex's level-2 curve crosses the marked-point band
+# |v| < 1e-9 of the interval (one flipped child); at center 0.5 the root
+# curve hits the critical point on the grid (k' = -1, an excluded run)
+BATCH_TREES = {
+    "doubling^7": ("doubling", 7, 0.37, 2, {}),
+    "linear_circle(3)^5": ("linear_circle", 5, 0.37, 2, {"d": 3.0}),
+    "perturbed_circle(5,0.2)^3": ("perturbed_circle", 3, 0.37, 2,
+                                  {"d": 5, "delta": 0.2}),
+    "rotation": ("affine", 1, 0.4, 4,
+                 {"c0": 0.23, "c1": 1.0, "domain": "circle"}),
+    "logistic^6 marked": ("logistic", 6, 0.5122706219797136, 2,
+                          {"smoothness_r": 4.0}),
+    "logistic^6 critical": ("logistic", 6, 0.5, 2, {"smoothness_r": 4.0}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BATCH_TREES))
+def test_expand_is_batch_invariant(key):
+    tree = _tree(*BATCH_TREES[key])
+    for n in range(1, len(tree.levels)):
+        _assert_batch_invariant(tree, tree.levels[n - 1], tree.levels[n])
+    if key == "logistic^6 marked":
+        assert np.count_nonzero(tree.levels[2].rho < 0) == 1
+    if key == "logistic^6 critical":
+        # the run [t_96, t_97] = [0, 1/96] of the root grid is excluded
+        lv = tree.levels[1]
+        assert not np.any(np.abs(lv.alpha - 1.0 / 192.0) <= np.abs(lv.rho))
+
+
+def test_walk_same_on_built_and_unbuilt_tree():
+    built, _ = _doubling_tree(levels=2)
+    lazy, _ = _doubling_tree(levels=0)
+    xs = built.sigma_c + built.sigma_s * np.random.default_rng(3).uniform(
+        -1.0, 1.0, 200)
+    walks = [built.walk_geometric_times(float(x), 2) for x in xs]
+    assert walks == [lazy.walk_geometric_times(float(x), 2) for x in xs]
+    assert sum(map(len, walks)) > 200
