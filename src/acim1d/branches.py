@@ -113,23 +113,20 @@ def _zeros_of_map(g, grid_size=8192):
     discontinuity at +-1/2.
     """
     xs = np.linspace(0.0, 1.0, grid_size + 1)
-    gx = g.eval(xs)
-    if g.domain.is_circle:
-        v = ((gx + 0.5) % 1.0) - 0.5
-    else:
-        v = gx
-    zeros = []
-    for i in range(grid_size):
-        a, b = v[i], v[i + 1]
-        if abs(a) > 0.25 or abs(b) > 0.25:
-            continue
-        if a == 0.0:
-            zeros.append(xs[i])
-        elif a * b < 0:
-            def vv(t):
-                y = float(g.eval(t))
-                return ((y + 0.5) % 1.0) - 0.5 if g.domain.is_circle else y
-            zeros.append(brentq(vv, xs[i], xs[i + 1], xtol=1e-13))
+    circle = g.domain.is_circle
+    v = g.eval(xs)
+    if circle:
+        v = ((v + 0.5) % 1.0) - 0.5
+
+    def vv(t):
+        y = float(g.eval(t))
+        return ((y + 0.5) % 1.0) - 0.5 if circle else y
+
+    a, b = v[:-1], v[1:]
+    cells = np.flatnonzero((np.abs(a) <= 0.25) & (np.abs(b) <= 0.25)
+                           & ((a == 0.0) | (a * b < 0)))
+    zeros = [xs[i] if v[i] == 0.0 else
+             brentq(vv, xs[i], xs[i + 1], xtol=1e-13) for i in cells]
     if v[-1] == 0.0:
         zeros.append(xs[-1])
     return zeros

@@ -102,11 +102,11 @@ def _times_body(seeds, time_mask):
                    for x, a, b in zip(seeds.tolist(), [0] + ends, ends))
 
 
-def _row(name, instance, lhs, rhs, margin, ok):
-    """A checks.csv row without a confidence interval.  It fails when its
-    value lhs is NaN, whatever ok says: a check that could not be
-    evaluated never passes."""
-    return (name, instance, lhs, rhs, margin, NAN, NAN,
+def _row(name, instance, lhs, rhs, margin, ok, ci=(NAN, NAN)):
+    """A checks.csv row, with the confidence interval ci when there is one.
+    It fails when its value lhs is NaN, whatever ok says: a check that
+    could not be evaluated never passes."""
+    return (name, instance, lhs, rhs, margin, ci[0], ci[1],
             int(bool(ok) and not math.isnan(lhs)))
 
 
@@ -187,11 +187,7 @@ class PipelineState:
          self.seq_misc) = seq.spawn(5)
         self.f = self.g = self.p = self.norms_f = self.norms_g = None
         self.eps = self.tree = self.pool = self.selection = self.mu = None
-        self.checks = []
-
-    def check(self, name, instance, lhs, rhs, margin, ok, ci=(float("nan"),) * 2):
-        self.checks.append((name, instance, lhs, rhs, margin, ci[0], ci[1],
-                            int(bool(ok))))
+        self.checks = []    # checks.csv rows, each from _row
 
 
 def stage_map(st):
@@ -263,8 +259,8 @@ def stage_times(st):
         # reported, never asserted: surrogate-vs-tree coincidence is an
         # open question beyond linear maps
         rate = st.pool.provenance["tree_agreement_rate"]
-        st.check("detector_agreement", "tree_vs_surrogate", rate,
-                 float("nan"), float("nan"), True)
+        st.checks.append(_row("detector_agreement", "tree_vs_surrogate",
+                              rate, NAN, NAN, True))
     _write_csv(st.out / "times.csv", ("x", "times"),
                chunks=_chunks(_times_body, st.pool.seeds, st.pool.time_mask))
 
@@ -309,38 +305,40 @@ def stage_measure(st):
                est.to_rows(ref))
     if ref is not None:
         l1 = compare_density(est, ref)
-        st.check("density_l1", cfg.reference, l1, cfg.tol_l1,
-                 cfg.tol_l1 - l1, l1 <= cfg.tol_l1)
+        st.checks.append(_row("density_l1", cfg.reference, l1, cfg.tol_l1,
+                              cfg.tol_l1 - l1, l1 <= cfg.tol_l1))
     st.density_est = est
 
     rep = invariance_defect(st.mu, st.g)
-    st.check("invariance_defect", "mu", rep["defect"], rep["bound"],
-             rep["bound"] - rep["defect"], rep["ok"])
+    st.checks.append(_row("invariance_defect", "mu", rep["defect"],
+                          rep["bound"], rep["bound"] - rep["defect"],
+                          rep["ok"]))
     st.log_derivs = st.g.log_abs_deriv(st.mu.atoms)   # once, for every use
     gap = support_gap_from_critical(
         st.mu, st.bp.critical, g=st.g, M=max(cfg.M_list),
         log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]),
         log_derivs=st.log_derivs)
-    st.check("support_gap", "min_distance", gap["gap"], 0.0, gap["gap"],
-             not gap["flagged_zero"])
+    st.checks.append(_row("support_gap", "min_distance", gap["gap"], 0.0,
+                          gap["gap"], not gap["flagged_zero"]))
     if "deriv_floor_margin" in gap:
-        st.check("deriv_floor", f"M={max(cfg.M_list)}",
-                 gap["deriv_floor_margin"], 0.0, gap["deriv_floor_margin"],
-                 gap["deriv_floor_ok"])
+        margin = gap["deriv_floor_margin"]
+        st.checks.append(_row("deriv_floor", f"M={max(cfg.M_list)}", margin,
+                              0.0, margin, gap["deriv_floor_ok"]))
     proxy = st.exponent_proxy = positive_exponent_proxy(st.mu)
-    st.check("exponent_proxy", "later_time_expansion", proxy, PROXY_MIN,
-             proxy - PROXY_MIN, proxy >= PROXY_MIN)
+    st.checks.append(_row("exponent_proxy", "later_time_expansion", proxy,
+                          PROXY_MIN, proxy - PROXY_MIN, proxy >= PROXY_MIN))
 
     mane = verify_mane_bounds(st.mu, st.g, max(cfg.q_list), bp=st.bp,
                               norms=st.norms_g,
                               rng=np.random.default_rng(st.seq_offset),
                               log_derivs=st.log_derivs)
-    st.check("mane_sete", f"q={max(cfg.q_list)}", mane["sete_lhs"],
-             mane["sete_rhs"], mane["sete_margin"], mane["sete_ok"])
-    st.check("mane_hq", f"q={max(cfg.q_list)}", mane["hq_lhs"],
-             mane["hq_rhs"], mane["hq_margin"], mane["hq_ok"])
-    st.check("mane_branch_size", "atoms", mane["branch_size_margin"], 0.0,
-             mane["branch_size_margin"], mane["branch_size_ok"])
+    for key in ("sete", "hq"):
+        st.checks.append(_row(f"mane_{key}", f"q={max(cfg.q_list)}",
+                              mane[f"{key}_lhs"], mane[f"{key}_rhs"],
+                              mane[f"{key}_margin"], mane[f"{key}_ok"]))
+    margin = mane["branch_size_margin"]
+    st.checks.append(_row("mane_branch_size", "atoms", margin, 0.0, margin,
+                          mane["branch_size_ok"]))
 
     if cfg.gibbs_instances > 0:
         _run_gibbs_checks(st)
@@ -365,9 +363,9 @@ def _run_gibbs_checks(st):
 
     reps = parallel_map(one, picks, st.jobs)
     for s, rep in zip(picks, reps):
-        st.check("gibbs", f"seed={int(s)}", rep["leb_hat"], rep["rhs"],
-                 rep["rhs"] - rep["leb_hat"], rep["ok"], rep.get("ci",
-                 (float("nan"), float("nan"))))
+        st.checks.append(_row("gibbs", f"seed={int(s)}", rep["leb_hat"],
+                              rep["rhs"], rep["rhs"] - rep["leb_hat"],
+                              rep["ok"], rep["ci"]))
 
 
 def stage_entropy(st):

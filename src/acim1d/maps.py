@@ -612,42 +612,36 @@ def critical_set(f, tol=1e-12, grid_size=8192):
 
     Returns a list of floats (isolated roots) and (a, b) tuples for flat
     stretches where |f'| stays below FLAT_TOL.  Raises UnresolvedCritical
-    when doubling the grid changes the root count, which is the symptom
+    when tripling the grid changes the root count, which is the symptom
     of two sign changes hiding in one cell.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def locate(m):
+    def scan(m):
+        """Grid xs of m cells, its grid roots and flat pieces (the runs of
+        |f'| < FLAT_TOL that start before xs[m], of one point or more),
+        and the cells where f' changes sign from a point that is not small."""
         xs = np.linspace(0.0, 1.0, m + 1)
         d = np.asarray(f.deriv(1, xs), dtype=float)
         small = np.abs(d) < FLAT_TOL
-        roots = []
-        flats = []
-        i = 0
-        while i < m:
-            if small[i]:
-                j = i
-                while j < m + 1 and small[j]:
-                    j += 1
-                if j - i > 1:
-                    flats.append((xs[i], xs[min(j, m)]))
-                else:
-                    roots.append(xs[i])
-                i = j
-                continue
-            if d[i] * d[i + 1] < 0:
-                roots.append(brentq(lambda t: float(f.deriv(1, t)),
-                                    xs[i], xs[i + 1], xtol=tol))
-            i += 1
-        return roots, flats
+        edge = np.diff(np.concatenate(([0], small, [0])).astype(np.int8))
+        starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+        keep = starts < m
+        starts, ends = starts[keep], ends[keep]
+        one = ends - starts == 1
+        flats = list(zip(xs[starts[~one]], xs[np.minimum(ends[~one], m)]))
+        cells = np.flatnonzero(~small[:-1] & (d[:-1] * d[1:] < 0))
+        return xs, list(xs[starts[one]]), flats, cells
 
-    roots, flats = locate(grid_size)
+    _, roots, flats, cells = scan(grid_size)
+    n_roots, n_flats = len(roots) + cells.size, len(flats)
     # refine by an odd factor: power-of-two refinements can alias in sync
-    roots2, flats2 = locate(3 * grid_size)
-    if len(roots2) != len(roots) or len(flats2) != len(flats):
+    xs, roots, flats, cells = scan(3 * grid_size)
+    if len(roots) + cells.size != n_roots or len(flats) != n_flats:
         raise UnresolvedCritical(
             f"critical count unstable under grid refinement "
-            f"({len(roots)}/{len(flats)} vs {len(roots2)}/{len(flats2)})")
-    return sorted(roots2) + sorted(flats2)
-
+            f"({n_roots}/{n_flats} vs {len(roots) + cells.size}/{len(flats)})")
+    roots += [brentq(lambda t: float(f.deriv(1, t)), xs[i], xs[i + 1],
+                     xtol=tol) for i in cells]
+    return sorted(roots) + sorted(flats)

@@ -319,19 +319,22 @@ def positive_exponent_proxy(mu):
     For an atom g^i x with i in E_n^{M,m}(x) there should exist l in
     E(x), l > i, with log|(g^{l-i})'(g^i x)| >= (l-i) log c, c =
     EXPANSION; this is the mechanism that makes the limit exponent >=
-    log c.
+    log c.  One suffix max per seed row gives it in O(seeds x times).
     """
     if mu.pool is None:
         raise InsufficientAtoms("measure carries no pool provenance")
     pool = mu.pool
-    ls = np.arange(pool.time_mask.shape[1])
-    step = max(1, 2 ** 18 // ls.size)    # atoms per block of ~2 MB floats
-    ok = 0
-    for a in range(0, mu.n_atoms, step):
-        s, i = mu.seed_idx[a:a + step], mu.time_idx[a:a + step]
-        later = pool.time_mask[s] & (ls > i[:, None])
-        with np.errstate(invalid="ignore"):
-            good = (pool.chain[:, s].T - pool.chain[i, s][:, None]
-                    >= (ls - i[:, None]) * LOG10 - 1e-9)
-        ok += int(np.count_nonzero((later & good).any(axis=1)))
+    # u[s, t] = S_t - t log c, the coordinates of times.surrogate_mask; the
+    # condition reads u_l >= u_i - 1e-9 for some l in E(x_s), l > i
+    u = pool.chain.T - LOG10 * np.arange(pool.time_mask.shape[1])
+    # later[s, t] = max{u[s, l] : l in E(x_s), l > t}, -inf when E has no
+    # such l: u of the times in E shifted one step left, then a running max
+    # from the right (fmax skips a NaN u_l, which a comparison would fail)
+    later = np.full(u.shape, -np.inf)
+    np.copyto(later[:, :-1], u[:, 1:], where=pool.time_mask[:, 1:])
+    np.fmax.accumulate(later[:, ::-1], axis=1, out=later[:, ::-1])
+    ui = u[mu.seed_idx, mu.time_idx]
+    # a -inf u_i (critical hit) fails, as does a NaN one
+    ok = np.count_nonzero(np.isfinite(ui)
+                          & (later[mu.seed_idx, mu.time_idx] >= ui - 1e-9))
     return ok / max(1, mu.n_atoms)

@@ -122,9 +122,13 @@ class ReparamTree:
 
     # -- child construction -------------------------------------------------
 
-    def _expand(self, parents):
+    def _expand(self, parents, spent=None):
         """Children of parents (rows of one level), in parent order and then
-        child order, with fresh vids; one batched pass over all parents."""
+        child order, with fresh vids; one batched pass over all parents.
+
+        spent, when given, counts the children already built on this level:
+        the pass raises TreeBudgetExceeded as soon as spent plus its tiled
+        pieces pass level_budget, before any row or certificate is made."""
         n = int(parents["level"][0]) + 1
         A = parents["theta_alpha"][:, None]
         R = parents["theta_rho"][:, None]
@@ -188,7 +192,15 @@ class ReparamTree:
             n_exp.append(ne)
             n_pieces.append(len(c))
 
-        kids = np.recarray(sum(n_pieces), dtype=VERTEX)
+        count = sum(n_pieces)
+        if spent is not None and spent + count > self.level_budget:
+            count += spent
+            growth = count / max(1, len(self.levels[n - 1]))
+            raise TreeBudgetExceeded(
+                f"level {n} exceeds budget {self.level_budget} (partial "
+                f"count {count}, growth ~{growth:.1f}x)", level=n,
+                count=count, budget=self.level_budget, growth_rate=growth)
+        kids = np.recarray(count, dtype=VERTEX)
         if not kids.size:
             return kids
         own = np.repeat(np.arange(seg.size), n_pieces)
@@ -256,16 +268,8 @@ class ReparamTree:
             self._lazy.clear()
             parts, count = [], 0
             for lo in range(0, len(parents), CHUNK):
-                parts.append(self._expand(parents[lo:lo + CHUNK]))
+                parts.append(self._expand(parents[lo:lo + CHUNK], count))
                 count += len(parts[-1])
-                if count > self.level_budget:
-                    prev = max(1, len(parents))
-                    raise TreeBudgetExceeded(
-                        f"level {len(self.levels)} exceeds budget "
-                        f"{self.level_budget} (partial count {count}, "
-                        f"growth ~{count / prev:.1f}x)",
-                        level=len(self.levels), count=count,
-                        budget=self.level_budget, growth_rate=count / prev)
             self.levels.append(parts[0] if len(parts) == 1 else np.concatenate(
                 parts or [parents[:0]]).view(np.recarray))
         return self

@@ -193,6 +193,24 @@ def test_verdict_fails_closed_on_missing_required_row(tmp_path):
                                st.out / "checks.csv") == "not-AC", name
 
 
+def test_pipeline_row_fails_closed_on_nan_value(tmp_path, monkeypatch):
+    # a NaN gap is not flagged as zero (NaN <= 1e-12 is False), so only the
+    # row builder's NaN rule keeps the row from passing
+    def nan_gap(*args, **kwargs):
+        return {"gap": math.nan, "flagged_zero": False}
+
+    monkeypatch.setattr(cli, "support_gap_from_critical", nan_gap)
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
+                                             out=tmp_path / "o"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("measure"):
+        stage(st)
+    rows = {row[0]: row for row in st.checks}
+    assert math.isnan(rows["support_gap"][2])
+    assert rows["support_gap"][-1] == 0
+    assert rows["invariance_defect"][-1] == 1
+
+
 def test_pipeline_time_tables_match_set_oracles(tmp_path):
     # density.csv, betas.csv and per-seed atom counts recomputed from the
     # pool's per-seed lists with the set-based oracles

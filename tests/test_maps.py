@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
-    CIRCLE, UNIT_INTERVAL, critical_set, estimate_norms, lyapunov_ft,
-    make_map, orbit_grid, power_map,
+    CIRCLE, FLAT_TOL, UNIT_INTERVAL, critical_set, estimate_norms,
+    lyapunov_ft, make_map, orbit_grid, power_map,
 )
+from acim1d.solvers import brentq
 
 LOG2 = math.log(2.0)
 
@@ -102,6 +104,97 @@ def test_critical_set_cubic():
     crits = critical_set(make_map("cubic"), tol=1e-12)
     assert len(crits) == 1
     assert abs(crits[0] - root) < 1e-10
+
+
+class _GridDerivative:
+    """Only f', built to hit each branch of critical_set's grid scan on the
+    grids of 16 and 48 cells: a sign change between a point that is not
+    small and f'(1/8) = 1e-11 < FLAT_TOL, an interior flat [1/4, 3/8], a
+    grid-exact zero at 5/8 and a flat [7/8, 1] that runs to x = 1."""
+
+    def deriv(self, k, x):
+        x = np.asarray(x, dtype=float)
+        return np.select([x < 0.25, x <= 0.375, x < 0.875],
+                         [x - (0.125 - 1e-11), 0.0, x - 0.625], 0.0)
+
+
+class _ZeroAtOne:
+    """f'(x) = x - 1: the only small grid point is x = 1 itself."""
+
+    def deriv(self, k, x):
+        return np.asarray(x, dtype=float) - 1.0
+
+
+def test_critical_set_grid_edge_cases():
+    # the sub-FLAT_TOL point is both a grid root and the end of a
+    # bracketed sign change; a flat piece ends at the first grid point
+    # past it (on the 48-cell grid), or at x = 1; a small run that starts
+    # at x = 1 is ignored
+    assert critical_set(_GridDerivative(), grid_size=16) == [
+        0.12499999999, 0.125, 0.625, (0.25, 0.3958333333333333),
+        (0.875, 1.0)]
+    assert critical_set(_ZeroAtOne(), grid_size=16) == []
+
+
+def _critical_set_loop(f, tol=1e-12, grid_size=8192):
+    """critical_set as a walk over the grid cells, one at a time: the
+    reference for its array scan."""
+    def locate(m):
+        xs = np.linspace(0.0, 1.0, m + 1)
+        d = np.asarray(f.deriv(1, xs), dtype=float)
+        small = np.abs(d) < FLAT_TOL
+        roots, flats, i = [], [], 0
+        while i < m:
+            if small[i]:
+                j = i
+                while j < m + 1 and small[j]:
+                    j += 1
+                if j - i > 1:
+                    flats.append((xs[i], xs[min(j, m)]))
+                else:
+                    roots.append(xs[i])
+                i = j
+                continue
+            if d[i] * d[i + 1] < 0:
+                roots.append(brentq(lambda t: float(f.deriv(1, t)),
+                                    xs[i], xs[i + 1], xtol=tol))
+            i += 1
+        return roots, flats
+
+    roots, flats = locate(grid_size)
+    roots2, flats2 = locate(3 * grid_size)
+    if len(roots2) != len(roots) or len(flats2) != len(flats):
+        raise UnresolvedCritical("unstable")
+    return sorted(roots2) + sorted(flats2)
+
+
+class _PiecewiseDerivative:
+    """f' = vals[k] (1 + slope (x - k/K)) on the k-th of K equal pieces."""
+
+    def __init__(self, vals, slope):
+        self.vals, self.slope = np.asarray(vals), slope
+
+    def deriv(self, k, x):
+        x = np.asarray(x, dtype=float)
+        K = self.vals.size
+        i = np.minimum((x * K).astype(int), K - 1)
+        return self.vals[i] * (1.0 + self.slope * (x - i / K))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vals=st.lists(st.sampled_from([-1.0, 1.0, 0.3, 0.0, 1e-12, -1e-12]),
+                     min_size=3, max_size=30),
+       slope=st.sampled_from([0.0, 1.0]), grid=st.integers(8, 60))
+def test_critical_set_matches_cell_loop(vals, slope, grid):
+    f = _PiecewiseDerivative(vals, slope)
+    try:
+        want = _critical_set_loop(f, grid_size=grid)
+    except UnresolvedCritical:
+        with pytest.raises(UnresolvedCritical):
+            critical_set(f, grid_size=grid)
+        return
+    got = critical_set(f, grid_size=grid)
+    assert repr(got) == repr(want)
 
 
 def test_power_map_doubling():

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from acim1d.errors import EmptySelection
 from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.measures import (
-    EmpiricalMeasure, build_seed_pool, compare_density, density_estimate,
-    empirical_measure, invariance_defect, positive_exponent_proxy,
-    ref_logistic_acip, ref_uniform, select_An, support_gap_from_critical,
+    EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
+    density_estimate, empirical_measure, invariance_defect,
+    positive_exponent_proxy, ref_logistic_acip, ref_uniform, select_An,
+    support_gap_from_critical,
 )
 from acim1d.maps import critical_set
 
@@ -228,19 +229,49 @@ def test_positive_exponent_proxy_doubling():
     assert positive_exponent_proxy(mu) == 1.0
 
 
+def _proxy_oracle(mu):
+    """positive_exponent_proxy by its per-atom definition: some l in E(x),
+    l > i, with S_l - S_i >= (l - i) log 10 (a NaN difference fails)."""
+    pool, log10 = mu.pool, np.log(10.0)
+    with np.errstate(invalid="ignore"):
+        ok = sum(
+            any(pool.chain[l, s] - pool.chain[i, s] >= (l - i) * log10 - 1e-9
+                for l in pool.time_list(s) if l > i)
+            for s, i in zip(mu.seed_idx, mu.time_idx))
+    return ok / mu.n_atoms
+
+
 def test_positive_exponent_proxy_matches_per_atom_definition():
     # times detected at expansion 4 < 10 leave atoms without a 10-expanding
-    # later segment; more atoms than one block of the batched evaluation
+    # later segment
     pool = build_seed_pool(make_map("logistic"), 3, 20, 1500,
                            np.random.default_rng(3), c_expansion=4.0)
     mu = empirical_measure(select_An(pool, 20, 0.1, 0.0, 3), M=3, m=1)
-    assert mu.n_atoms > 2 ** 18 // pool.time_mask.shape[1]
-    log10 = np.log(10.0)
-    ok = sum(
-        any(pool.chain[l, s] - pool.chain[i, s] >= (l - i) * log10 - 1e-9
-            for l in pool.time_list(s) if l > i)
-        for s, i in zip(mu.seed_idx, mu.time_idx))
-    assert 0.0 < positive_exponent_proxy(mu) == ok / mu.n_atoms < 1.0
+    assert 0.0 < positive_exponent_proxy(mu) == _proxy_oracle(mu) < 1.0
+    # any time mask, not only the detector's
+    rng = np.random.default_rng(4)
+    pool.time_mask = rng.random(pool.time_mask.shape) < 0.3
+    assert 0.0 < positive_exponent_proxy(mu) == _proxy_oracle(mu) < 1.0
+
+    # a hand-built pool; log|g'| per step: seed 0 hits a critical point at step 2, seed 2 at
+    # step 0; from there on its chain S is -inf.  Seed 1's last step is NaN,
+    # which fails only the comparisons it enters
+    lds = np.array([[3.0, 1.0, -np.inf], [3.0, 5.0, 3.0], [-np.inf, 1.0, 3.0],
+                    [3.0, np.nan, 3.0]])
+    chain = np.vstack([np.zeros(3), np.cumsum(lds, axis=0)])
+    mask = np.zeros((3, 5), dtype=bool)
+    mask[0, 1:] = mask[1, [2, 4]] = mask[2, :] = True
+    pool = SamplePool(seeds=np.zeros(3), points=np.zeros((5, 3)), chain=chain,
+                      time_mask=mask, provenance={}, n_orbit=4)
+    seed_idx = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
+    time_idx = np.array([0, 1, 2, 3, 0, 1, 2, 4, 0])
+    mu = EmpiricalMeasure(atoms=np.zeros(9), weights=np.full(9, 1 / 9),
+                          meta={}, seed_idx=seed_idx, time_idx=time_idx,
+                          pool=pool)
+    # passing: (0, 0) and (0, 1) before the hit, (1, 0) and (1, 1); failing:
+    # (0, 2) and (2, 0) whose later chain is -inf, (0, 3) on a -inf chain,
+    # (1, 2) with a NaN later chain and (1, 4) with no later time
+    assert positive_exponent_proxy(mu) == _proxy_oracle(mu) == 4 / 9
 
 
 def test_invariance_defect_fails_closed_without_bound():

@@ -70,10 +70,22 @@ def test_budget_exceeded():
     p = 7
     eps = choose_epsilon(power_map(f, p))
     sig = affine_reparam(0.37, 0.9 * eps)
+    tree = ReparamTree(f, p, sig, eps, level_budget=1000)
+    jets = tree._curve_jets
+    calls = []   # True for a pass's label sweep, False for a certificate
+
+    def recording(*args, want_labels=False, **kw):
+        calls.append(want_labels)
+        return jets(*args, want_labels=want_labels, **kw)
+
+    tree._curve_jets = recording
     with pytest.raises(TreeBudgetExceeded) as exc:
-        ReparamTree(f, p, sig, eps, level_budget=1000).build(2)
+        tree.build(2)
     assert exc.value.budget == 1000
+    assert exc.value.count > 1000
     assert exc.value.growth_rate is not None
+    # the pass that raised tiled its pieces but certified none of them
+    assert calls[-1] is True
 
 
 def test_walk_geometric_times_dense_on_strong_expansion():
