@@ -42,8 +42,8 @@ from .measures import (
 )
 from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_bruteforce, clip_mask, density_rows, mask_from_lists,
-    shorten_bruteforce, trim_mask, verify_enm_rows,
+    clip_bruteforce, clip_mask, mask_from_lists, shorten_bruteforce,
+    trim_counts, trim_mask, verify_enm_rows,
 )
 from .tree import ReparamTree, verify_tree
 
@@ -264,11 +264,13 @@ def stage_times(st):
     _write_csv(st.out / "times.csv", ("x", "times"),
                chunks=_chunks(_times_body, st.pool.seeds, st.pool.time_mask))
 
+    # d_n of E and of E_n^{M,m} (largest M, least m) from one count each
     E = st.pool.time_mask
-    M_fin, m_fin = max(cfg.M_list), min(cfg.m_list)
+    raw = np.cumsum(E, axis=1, dtype=np.int32)      # [s, n-1]: #(E cap [0,n))
+    trimmed = trim_counts(E, max(cfg.M_list), min(cfg.m_list))
     _write_csv(st.out / "density.csv", ("n", "d_n_raw", "d_n_trimmed"),
-               [(n, float(np.mean(density_rows(E, n))), float(np.mean(
-                   density_rows(trim_mask(E, n, M_fin, m_fin), n))))
+               [(n, float(np.mean(raw[:, n - 1] / n)),
+                 float(np.mean(trimmed[:, n] / n)))
                 for n in range(1, n_max + 1)])
     return st
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches, rprime_norm
 from .maps import estimate_norms, orbit_grid, power_map
-from .measures import PROXY_MIN, in_An, positive_exponent_proxy
+from .measures import PROXY_MIN, forward_points, in_An, positive_exponent_proxy
 from .times import (
     boundary_counts, mask_from_lists, surrogate_mask, trim_mask,
 )
@@ -115,19 +115,6 @@ def _entropy_of_masses(masses):
     return float(-np.sum(p * np.log(p)))
 
 
-def _forward_points(mu, m, g=None):
-    """g^j of the atoms, j < m: from the pool's orbits, else iterating g."""
-    if mu.pool is None and g is None:
-        raise ValueError("need g to iterate a pool-free measure")
-    xj = mu.atoms
-    for j in range(m):
-        if mu.pool is not None:
-            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
-        elif j:
-            xj = g.eval(xj)
-        yield xj
-
-
 def _ranks(labels):
     return np.unique(labels, return_inverse=True)[1]
 
@@ -145,7 +132,7 @@ def itinerary_entropy(mu, labels, m, g=None):
     # the row rank (np.unique(axis=0)'s inverse) of the columns so far;
     # inv, r < atoms, so keys stay below atoms^2: int64 to ~3e9 atoms
     inv, Hs = 0, []
-    for j, xj in enumerate(_forward_points(mu, m, g)):
+    for j, xj in enumerate(forward_points(mu, m, g)):
         for lab in labels:
             r = lab[j] if isinstance(lab, list) else _ranks(lab(xj))
             key = inv * (r.max(initial=0) + 1) + r
@@ -422,7 +409,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     m_top = max(m_list)
     # the J_j ranks do not depend on q: one list serves every q's fold
     ranks_J = [_ranks(bp.locate_many(x))
-               for x in _forward_points(mu, m_top, g)]
+               for x in forward_points(mu, m_top, g)]
 
     tables = {}
     slopes = {}

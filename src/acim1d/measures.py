@@ -32,7 +32,7 @@ from .times import (
 __all__ = [
     "SamplePool", "Selection", "EmpiricalMeasure", "DensityEstimate",
     "build_seed_pool", "in_An", "select_An", "empirical_measure",
-    "invariance_defect",
+    "forward_points", "invariance_defect",
     "density_estimate", "compare_density", "support_gap_from_critical",
     "ref_uniform", "ref_logistic_acip",
 ]
@@ -196,6 +196,19 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
         pool=pool, per_seed_counts=counts, per_seed_boundary=bounds)
 
 
+def forward_points(mu, m, g=None):
+    """g^j of the atoms, j < m: from the pool's orbits, else iterating g."""
+    if mu.pool is None and g is None:
+        raise ValueError("need g to iterate a pool-free measure")
+    xj = mu.atoms
+    for j in range(m):
+        if mu.pool is not None:
+            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
+        elif j:
+            xj = g.eval(xj)
+        yield xj
+
+
 def invariance_defect(mu, g):
     """Weak-* defect |int psi d g_*mu - int psi d mu| against its bound,
     the max over the probe_functions() dictionary.
@@ -203,11 +216,22 @@ def invariance_defect(mu, g):
     The bound is the boundary-count term: pushing atoms forward shifts
     E_n^{M,m}(x) by one, so sums differ by at most #dE per seed.
     """
-    gx = g.eval(mu.atoms)
+    # xs: the atoms, then the images of those ending a run of their seed's
+    # times (all, without a pool); each other atom's image is the next atom
+    n = mu.n_atoms
+    x, gx = forward_points(mu, 2, g)
+    ends = np.ones(n, dtype=bool)
+    if mu.pool is not None:
+        ends[:-1] = (np.diff(mu.seed_idx) != 0) | (np.diff(mu.time_idx) != 1)
+    xs = np.concatenate((x, gx[ends]))
+    img = np.arange(1, n + 1)       # index of each atom's image in xs
+    img[ends] = np.arange(n, xs.size)
+    del x, gx, ends
     defect = 0.0
     for psi in probe_functions():
-        d = abs(float(np.sum(mu.weights * psi(gx))
-                      - np.sum(mu.weights * psi(mu.atoms))))
+        y = psi(xs)
+        d = abs(float(np.sum(mu.weights * y[img])
+                      - np.sum(mu.weights * y[:n])))
         defect = max(defect, d)
     if mu.per_seed_boundary is not None and mu.per_seed_counts is not None:
         norm = mu.meta.get("normalization", "mu")

@@ -12,9 +12,9 @@ integers below a horizon n:
   - boundary:  dE = E symmetric-difference (E+1).
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
-t in E(x_s)).  density_rows, clip_mask, trim_mask, boundary_counts and
-verify_enm_rows work on all rows at once; the set-based functions above
-and the *_bruteforce ones are their test oracles.
+t in E(x_s)).  density_rows, clip_mask, trim_mask, trim_counts (all n),
+boundary_counts and verify_enm_rows work on all rows at once; the
+set-based functions above and the *_bruteforce ones are their oracles.
 
 Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
@@ -34,11 +34,10 @@ import numpy as np
 from .maps import estimate_norms, orbit_grid
 
 __all__ = [
-    "clip", "trim", "boundary_set",
-    "components", "verify_enm", "hyperbolic_surrogate_times",
-    "verify_hyperbolic", "density", "EXPANSION",
-    "mask_from_lists", "density_rows", "clip_mask",
-    "trim_mask", "boundary_counts", "surrogate_mask", "verify_enm_rows",
+    "clip", "trim", "boundary_set", "components", "verify_enm",
+    "hyperbolic_surrogate_times", "verify_hyperbolic", "density",
+    "EXPANSION", "mask_from_lists", "density_rows", "clip_mask", "trim_mask",
+    "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_rows",
 ]
 
 EXPANSION = 10.0                 # c: hyperbolic times expand by c per step
@@ -155,6 +154,33 @@ def trim_mask(E, n, M, m):
     fill[rows[keep], k[keep]] = 1
     fill[rows[keep], end[keep]] = -1
     return np.cumsum(fill, axis=1, dtype=np.int8)[:, :W] > 0
+
+
+def trim_counts(E, M, m):
+    """(S, W+1) ints: [s, n] = #trim_mask(E, n, M, m)[s], all n in one pass.
+    Clip components are the chains of elements with gaps <= M; horizon n
+    cuts the one straddling n at its last element l < n, to [[k(l); l[[."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    E = np.asarray(E, dtype=bool)
+    S, W = E.shape
+    t = np.arange(W, dtype=np.int32)
+    last = np.maximum.accumulate(np.where(E, t, np.int32(-M - 1)), axis=1)
+    start = E.copy()            # elements more than M after the one before
+    start[:, 1:] &= t[1:] - last[:, :-1] > M
+    k = np.maximum.accumulate(np.where(start, t, np.int32(-1)), axis=1)
+    end = k.copy()      # at element l: l - L, least admissible L, else k(l)
+    for L in reversed(range(m - 1, min(M + m - 1, W))):
+        np.copyto(end[:, L:], t[:W - L], where=E[:, L:] & E[:, :W - L]
+                  & (t[:W - L] > k[:, L:]))
+    out = np.zeros((S, W + 1), dtype=np.int32)
+    # [s, n]: the trimmed length of [[k(l); l[[, l the last element < n ...
+    out[:, 1:] = np.take_along_axis(end - k, np.maximum(last, 0), axis=1)
+    del end, k, last
+    # ... plus, from each chain's start on, those of the chains before it
+    out[:, 1:] += np.cumsum(np.where(start, out[:, :-1], np.int32(0)),
+                            axis=1, dtype=np.int32)
+    return out
 
 
 def boundary_counts(T):

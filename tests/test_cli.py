@@ -240,6 +240,29 @@ def test_pipeline_time_tables_match_set_oracles(tmp_path):
     assert st.mu.n_atoms == sum(counts)
 
 
+def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
+    # density.csv comes from one trim_counts call, not one trim per n
+    calls = {"trim_counts": 0, "trim_mask": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
+                                             out=tmp_path / "o"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("times"):
+        stage(st)
+    assert calls == {"trim_counts": 1, "trim_mask": 0}
+    assert len((st.out / "density.csv").read_text().splitlines()) == 11
+
+
 def test_array_writers_match_csv_writer_bytes(tmp_path):
     # the rows the csv.writer path took: (atom, weight) pairs and, per
     # seed, (x, ";"-joined raw times), formatted by _fmt

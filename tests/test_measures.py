@@ -14,7 +14,8 @@ from acim1d.measures import (
     positive_exponent_proxy, ref_logistic_acip, ref_uniform, select_An,
     support_gap_from_critical,
 )
-from acim1d.maps import critical_set
+from acim1d.maps import critical_set, orbit_grid
+from acim1d.probes import probe_functions
 
 LOG2 = math.log(2.0)
 
@@ -282,3 +283,52 @@ def test_invariance_defect_fails_closed_without_bound():
     rep = invariance_defect(mu, f)
     assert math.isnan(rep["bound"])
     assert rep["ok"] is False
+
+
+def _two_evaluation_defect(mu, gx):
+    """invariance_defect's value with each probe evaluated on the atoms and
+    again on their images gx: the formula before the shared evaluation."""
+    defect = 0.0
+    for psi in probe_functions():
+        defect = max(defect, abs(float(np.sum(mu.weights * psi(gx))
+                                       - np.sum(mu.weights * psi(mu.atoms)))))
+    return defect
+
+
+@pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])
+def test_invariance_defect_bit_equal_to_two_evaluations(name, tmp_path):
+    from acim1d import cli
+    from test_golden import _config
+
+    st = cli.PipelineState(_config(name, tmp_path), out_dir=tmp_path / "o")
+    for stage in cli._stages("measure"):
+        stage(st)
+    mu = st.mu
+    gx = st.g.eval(mu.atoms)
+    # the pool's next orbit points are the images g.eval gives
+    assert np.array_equal(gx, mu.pool.points[mu.time_idx + 1, mu.seed_idx])
+    want = _two_evaluation_defect(mu, gx)
+    assert invariance_defect(mu, st.g)["defect"] == want
+    bare = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
+    assert invariance_defect(bare, st.g)["defect"] == want
+
+
+def test_invariance_defect_pool_run_ends_at_last_image():
+    # runs: seed 0 at times 0-1 and 3-4; seed 1 at time 5 alone, one step
+    # after seed 0's last atom, its image the pool's last row; seed 2 at
+    # times 2-3
+    g = power_map(make_map("logistic"), 2)
+    pts, _ = orbit_grid(g, [0.1234, 0.377, 0.81], 6)
+    pool = SamplePool(seeds=pts[0], points=pts, chain=np.zeros_like(pts),
+                      time_mask=np.zeros((3, 7), dtype=bool), provenance={},
+                      n_orbit=6)
+    seed_idx = np.array([0, 0, 0, 0, 1, 2, 2])
+    time_idx = np.array([0, 1, 3, 4, 5, 2, 3])
+    mu = EmpiricalMeasure(atoms=pts[time_idx, seed_idx],
+                          weights=np.random.default_rng(1).random(7),
+                          meta={}, seed_idx=seed_idx, time_idx=time_idx,
+                          pool=pool)
+    gx = g.eval(mu.atoms)
+    assert np.array_equal(gx, pts[time_idx + 1, seed_idx])
+    assert invariance_defect(mu, g)["defect"] == \
+        _two_evaluation_defect(mu, gx) > 0

@@ -11,7 +11,7 @@ from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
     components, density, density_rows, hyperbolic_surrogate_times,
     mask_from_lists, surrogate_mask, trim,
-    trim_bruteforce, trim_mask, verify_enm, verify_enm_rows,
+    trim_bruteforce, trim_counts, trim_mask, verify_enm, verify_enm_rows,
     verify_hyperbolic,
 )
 
@@ -199,6 +199,50 @@ def test_kernels_edge_cases():
     assert boundary_counts(trim_mask(E, 12, 1, 1)).tolist() == [0, 2, 2, 0, 0]
     with pytest.raises(ValueError):
         trim_mask(E, 12, 2, 0)
+
+
+def _per_horizon_counts(E, M, m):
+    """trim_counts' oracle: one trim_mask per horizon n = 0..W."""
+    return np.stack([np.count_nonzero(trim_mask(E, n, M, m), axis=1)
+                     for n in range(E.shape[1] + 1)], axis=1)
+
+
+@given(time_matrices(), st.integers(0, 5), st.integers(1, 4))
+@settings(max_examples=400, deadline=None)
+def test_trim_counts_match_per_horizon_trim(En, M, m):
+    E, _ = En
+    got = trim_counts(E, M, m)
+    assert got.shape == (E.shape[0], E.shape[1] + 1)
+    assert np.array_equal(got, _per_horizon_counts(E, M, m))
+
+
+def test_trim_counts_edge_cases():
+    # rows: empty, full, elements in columns 0 and W-1, a chain of three,
+    # chains that merge as M grows, and a lone element at column 0
+    E = mask_from_lists([[], list(range(12)), [0, 11], [3, 4, 5],
+                         [0, 2, 3, 11], [0]], 12)
+    full = [0, 0] + list(range(1, 12))
+    assert trim_counts(E, 1, 1).tolist() == [
+        [0] * 13, full, [0] * 13, [0] * 5 + [1] + [2] * 7,
+        [0] * 4 + [1] * 9, [0] * 13]
+    # m - 1 = 2 is the length of [[3;5[[, so no L leaves a component
+    assert trim_counts(E, 1, 3)[3].tolist() == [0] * 13
+    # one chain 0, 2, 3 at M = 3: [[0;3[[ cut back onto 2 at m = 2
+    assert trim_counts(E, 3, 2)[4].tolist() == [0] * 4 + [2] * 9
+    # M = 0: no two distinct elements are within distance 0
+    assert not trim_counts(E, 0, 1).any()
+    # 11 is M = 11 after 0: [[0;11[[ appears only at horizon 12
+    assert trim_counts(E, 11, 1)[2].tolist() == [0] * 12 + [11]
+    for M in range(6):
+        for m in range(1, 5):
+            assert np.array_equal(trim_counts(E, M, m),
+                                  _per_horizon_counts(E, M, m)), (M, m)
+    # width 1 and no rows
+    assert trim_counts(np.array([[True], [False]]), 2, 1).tolist() == \
+        [[0, 0], [0, 0]]
+    assert trim_counts(np.zeros((0, 5), dtype=bool), 2, 1).shape == (0, 6)
+    with pytest.raises(ValueError):
+        trim_counts(E, 2, 0)
 
 
 @given(time_matrices(), st.integers(0, 4), st.integers(0, 3),
