@@ -42,8 +42,8 @@ from .measures import (
 )
 from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_bruteforce, clip_mask, mask_from_lists, shorten_bruteforce,
-    trim_counts, trim_mask, verify_enm_rows,
+    clip_bruteforce, clip_mask, components, mask_from_lists,
+    shorten_bruteforce, trim_counts, trim_mask, verify_enm_rows,
 )
 from .tree import ReparamTree, verify_tree
 
@@ -469,10 +469,12 @@ def _enm_battery(n):
     for M in range(0, 5):
         clips = [clip_bruteforce(s, n, M) for s in sets]
         mism += mismatches(clip_mask(E, n, M), clips)
+        runs = [components(c) for c in clips]
+        del clips
         for m in range(1, 5):
             trims[M, m] = trim_mask(E, n, M, m)
-            mism += mismatches(trims[M, m], [shorten_bruteforce(s, c, M, m)
-                                             for s, c in zip(sets, clips)])
+            mism += mismatches(trims[M, m], [shorten_bruteforce(s, r, M, m)
+                                             for s, r in zip(sets, runs)])
     for (M, m), S in trims.items():
         for Mp in range(M, 5):
             rep = verify_enm_rows(E, n, M, Mp, m, S, trims[Mp, m])

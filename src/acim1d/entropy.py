@@ -14,9 +14,9 @@ fold over the labels in time order gives every H(P_q^1..m) as a
 prefix.
 
 Inequality suites: the block-entropy lower bound for shifted averages
-(exact rational masses, high-precision logs), the countable-partition
-entropy bounds with c_0 = 4 (e (1 - e^{-1/2}))^{-1}, and the Gibbs
-cylinder bound with C = GIBBS_C.
+(exact integer masses over one common denominator, high-precision
+logs), the countable-partition entropy bounds with c_0 = 4 (e (1 -
+e^{-1/2}))^{-1}, and the Gibbs cylinder bound with C = GIBBS_C.
 """
 
 from __future__ import annotations
@@ -148,16 +148,17 @@ def itinerary_entropy(mu, labels, m, g=None):
 # ---------------------------------------------------------------------------
 
 
-def _H_exact(mass_by_label):
+def _H_exact(counts, Q):
+    """-sum p log p over p = c / Q, c in counts (0 if they sum to 0)."""
     import mpmath           # only the exact battery pays for the import
 
-    total = sum(mass_by_label.values(), Fraction(0))
-    if total == 0:
+    if sum(counts) == 0:
         return mpmath.mpf(0)
     H = mpmath.mpf(0)
-    for v in mass_by_label.values():
-        if v > 0:
-            pv = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    for c in counts:
+        if c > 0:
+            d = math.gcd(c, Q)      # c / Q in lowest terms, as a Fraction
+            pv = mpmath.mpf(c // d) / mpmath.mpf(Q // d)
             H -= pv * mpmath.log(pv)
     return H
 
@@ -166,64 +167,56 @@ def verify_misiurewicz(lam, T, R, F, m):
     """Exact check of the shifted-average block-entropy bound.
 
     For a finite system (states 0..N-1, map T, partition labels R,
-    probability lam) and a finite F subset Z_0^+:
+    masses lam) and a finite F subset Z_0^+:
 
       (1/m) H_{lam^F}(R^m) >= (1/#F) H_lam(R^F)
                               - m log(#R_{lam^F}) #dF / #F
 
-    with lam^F = (1/#F) sum_{k in F} T^k_* lam.  Masses are exact
-    rationals; entropies are evaluated with mpmath at MISIUREWICZ_DPS
-    digits.
+    with lam^F = (1/#F) sum_{k in F} T^k_* lam.  Masses are exact: lam
+    (Fractions; other entries go through limit_denominator(10**12)) is
+    scaled to integer masses over one common denominator D, the lcm of
+    its denominators, so lam^F has integer masses over D #F.  Entropies
+    are evaluated with mpmath at MISIUREWICZ_DPS digits.  Raises
+    ValueError when m < 1 or when F is empty or has a negative element.
     """
     import mpmath
 
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    F = sorted(set(F))
+    if not F or F[0] < 0:
+        raise ValueError(f"F must be a nonempty set of times >= 0, got {F}")
+    nF = len(F)
+    lam = [v if isinstance(v, Fraction) else
+           Fraction(v).limit_denominator(10 ** 12) for v in lam]
+    D = math.lcm(*(v.denominator for v in lam))
+    w = [v.numerator * (D // v.denominator) for v in lam]
+    support = [s for s in range(len(T)) if w[s]]
+    # orbit[j][s] = T^j(s), for j up to max(F) and m - 1
+    orbit = [list(range(len(T)))]
+    for _ in range(max(F[-1], m - 1)):
+        orbit.append([T[s] for s in orbit[-1]])
+
+    lamF = {}           # D #F lam^F, by state, in order of first charge
+    for k in F:
+        for s in support:
+            tgt = orbit[k][s]
+            lamF[tgt] = lamF.get(tgt, 0) + w[s]
+    by_rm = {}          # R^m label of state s: (R[s], R[Ts], ..)
+    for s, c in lamF.items():
+        lab = tuple(R[orbit[j][s]] for j in range(m))
+        by_rm[lab] = by_rm.get(lab, 0) + c
+    by_rf = {}
+    for s in support:
+        lab = tuple(R[orbit[k][s]] for k in F)
+        by_rf[lab] = by_rf.get(lab, 0) + w[s]
+    n_charged = max(1, len({R[s] for s, c in lamF.items() if c > 0}))
+    dF = len(set(F) ^ {k + 1 for k in F})
+
     with mpmath.workdps(MISIUREWICZ_DPS):
-        N = len(T)
-        lam = [Fraction(v).limit_denominator(10 ** 12)
-               if not isinstance(v, Fraction) else v for v in lam]
-        F = sorted(set(F))
-        nF = len(F)
-        # orbit table up to max(F) + m
-        depth = max(F) + m + 1
-        orbit = np.empty((depth, N), dtype=int)
-        orbit[0] = np.arange(N)
-        for j in range(1, depth):
-            orbit[j] = [T[s] for s in orbit[j - 1]]
-
-        lamF = {}
-        for k in F:
-            for s in range(N):
-                if lam[s] == 0:
-                    continue
-                tgt = int(orbit[k, s])
-                lamF[tgt] = lamF.get(tgt, Fraction(0)) + lam[s] / nF
-
-        # H_{lam^F}(R^m): R^m label of state s is (R[s], R[Ts], ..)
-        by_rm = {}
-        for s, mass in lamF.items():
-            lab = tuple(R[int(orbit[j, s])] for j in range(m))
-            by_rm[lab] = by_rm.get(lab, Fraction(0)) + mass
-        H_rm = _H_exact(by_rm)
-
-        # H_lam(R^F)
-        by_rf = {}
-        for s in range(N):
-            if lam[s] == 0:
-                continue
-            lab = tuple(R[int(orbit[k, s])] for k in F)
-            by_rf[lab] = by_rf.get(lab, Fraction(0)) + lam[s]
-        H_rf = _H_exact(by_rf)
-
-        # #R_{lam^F}
-        charged = set()
-        for s, mass in lamF.items():
-            if mass > 0:
-                charged.add(R[s])
-        n_charged = max(1, len(charged))
-
-        dF = len(set(F) ^ {k + 1 for k in F})
-        lhs = H_rm / m
-        rhs = H_rf / nF - m * mpmath.log(n_charged) * dF / nF
+        lhs = _H_exact(by_rm.values(), D * nF) / m
+        rhs = (_H_exact(by_rf.values(), D) / nF
+               - m * mpmath.log(n_charged) * dF / nF)
         margin = float(lhs - rhs)
         return {"lhs": float(lhs), "rhs": float(rhs), "margin": margin,
                 "ok": margin >= -1e-12, "n_charged": n_charged, "dF": dF}
@@ -239,7 +232,8 @@ def misiurewicz_battery(rng, count):
         T = rng.integers(0, N, N).tolist()
         R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
         w = rng.integers(1, 6, N)
-        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
+        total = int(np.sum(w))
+        lam = [Fraction(int(v), total) for v in w]
         F = sorted(rng.choice(np.arange(0, 9), size=int(rng.integers(1, 5)),
                               replace=False).tolist())
         m = int(rng.integers(1, 4))

@@ -197,15 +197,14 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
 
 
 def forward_points(mu, m, g=None):
-    """g^j of the atoms, j < m: from the pool's orbits, else iterating g."""
+    """g^j of the atoms, j < m: the atoms, then pool orbits, else g."""
     if mu.pool is None and g is None:
         raise ValueError("need g to iterate a pool-free measure")
     xj = mu.atoms
     for j in range(m):
-        if mu.pool is not None:
-            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
-        elif j:
-            xj = g.eval(xj)
+        if j:
+            xj = g.eval(xj) if mu.pool is None else \
+                mu.pool.points[mu.time_idx + j, mu.seed_idx]
         yield xj
 
 
@@ -219,14 +218,16 @@ def invariance_defect(mu, g):
     # xs: the atoms, then the images of those ending a run of their seed's
     # times (all, without a pool); each other atom's image is the next atom
     n = mu.n_atoms
-    x, gx = forward_points(mu, 2, g)
     ends = np.ones(n, dtype=bool)
     if mu.pool is not None:
         ends[:-1] = (np.diff(mu.seed_idx) != 0) | (np.diff(mu.time_idx) != 1)
-    xs = np.concatenate((x, gx[ends]))
+        gx = mu.pool.points[mu.time_idx[ends] + 1, mu.seed_idx[ends]]
+    else:
+        gx = g.eval(mu.atoms)
+    xs = np.concatenate((mu.atoms, gx))
     img = np.arange(1, n + 1)       # index of each atom's image in xs
     img[ends] = np.arange(n, xs.size)
-    del x, gx, ends
+    del gx, ends
     defect = 0.0
     for psi in probe_functions():
         y = psi(xs)

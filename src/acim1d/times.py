@@ -195,24 +195,25 @@ def boundary_counts(T):
 
 
 def clip_bruteforce(E, n, M):
+    """Union of [[k;l[[ over every pair k < l of E cap (-inf, n) with
+    l - k <= M (pairs with k >= l add nothing)."""
     out = set()
-    for k in E:
-        for l in E:
-            if k < n and l < n and abs(k - l) <= M:
-                out.update(range(k, l))
+    for k, l in itertools.combinations(sorted({e for e in E if e < n}), 2):
+        if l - k <= M:
+            out.update(range(k, l))
     return out
 
 
 def trim_bruteforce(E, n, M, m):
-    return shorten_bruteforce(E, clip_bruteforce(E, n, M), M, m)
+    return shorten_bruteforce(E, components(clip_bruteforce(E, n, M)), M, m)
 
 
-def shorten_bruteforce(E, C, M, m):
-    """The trim step on C = clip_bruteforce(E, n, M), so that one clip can
-    serve every m."""
+def shorten_bruteforce(E, runs, M, m):
+    """The trim step on runs = components(clip_bruteforce(E, n, M)), so
+    that one clip and its runs can serve every m."""
     Eset = set(E)
     out = set()
-    for k, l in components(C):
+    for k, l in runs:
         for L in range(m - 1, M + m - 1):
             if l - L > k and (l - L) in Eset:
                 out.update(range(k, l - L))

@@ -4,12 +4,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from acim1d.entropy import (
-    C0_MANE, _entropy_of_masses, ac_verdict, choose_offset,
+    C0_MANE, MISIUREWICZ_DPS, _entropy_of_masses, ac_verdict, choose_offset,
     entropy_formula_residual, gibbs_check, itinerary_entropy,
     misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
@@ -394,6 +395,126 @@ def test_misiurewicz_truncated_shift():
 
 def test_misiurewicz_randomized():
     assert misiurewicz_battery(np.random.default_rng(12), 120) == 0
+
+
+def _H_fraction(mass_by_label):
+    total = sum(mass_by_label.values(), Fraction(0))
+    if total == 0:
+        return mpmath.mpf(0)
+    H = mpmath.mpf(0)
+    for v in mass_by_label.values():
+        if v > 0:
+            pv = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+            H -= pv * mpmath.log(pv)
+    return H
+
+
+def _misiurewicz_fraction_oracle(lam, T, R, F, m):
+    """verify_misiurewicz on Fraction masses and a numpy orbit table, as
+    it stood before the integer-mass form: the differential oracle."""
+    with mpmath.workdps(MISIUREWICZ_DPS):
+        N = len(T)
+        lam = [Fraction(v).limit_denominator(10 ** 12)
+               if not isinstance(v, Fraction) else v for v in lam]
+        F = sorted(set(F))
+        nF = len(F)
+        depth = max(F) + m + 1
+        orbit = np.empty((depth, N), dtype=int)
+        orbit[0] = np.arange(N)
+        for j in range(1, depth):
+            orbit[j] = [T[s] for s in orbit[j - 1]]
+
+        lamF = {}
+        for k in F:
+            for s in range(N):
+                if lam[s] == 0:
+                    continue
+                tgt = int(orbit[k, s])
+                lamF[tgt] = lamF.get(tgt, Fraction(0)) + lam[s] / nF
+
+        by_rm = {}
+        for s, mass in lamF.items():
+            lab = tuple(R[int(orbit[j, s])] for j in range(m))
+            by_rm[lab] = by_rm.get(lab, Fraction(0)) + mass
+        H_rm = _H_fraction(by_rm)
+
+        by_rf = {}
+        for s in range(N):
+            if lam[s] == 0:
+                continue
+            lab = tuple(R[int(orbit[k, s])] for k in F)
+            by_rf[lab] = by_rf.get(lab, Fraction(0)) + lam[s]
+        H_rf = _H_fraction(by_rf)
+
+        charged = set()
+        for s, mass in lamF.items():
+            if mass > 0:
+                charged.add(R[s])
+        n_charged = max(1, len(charged))
+
+        dF = len(set(F) ^ {k + 1 for k in F})
+        lhs = H_rm / m
+        rhs = H_rf / nF - m * mpmath.log(n_charged) * dF / nF
+        margin = float(lhs - rhs)
+        return {"lhs": float(lhs), "rhs": float(rhs), "margin": margin,
+                "ok": margin >= -1e-12, "n_charged": n_charged, "dF": dF}
+
+
+def _bits(rep):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in rep.items()}
+
+
+def _assert_misiurewicz_matches_oracle(lam, T, R, F, m):
+    want = _misiurewicz_fraction_oracle(lam, T, R, F, m)
+    assert _bits(verify_misiurewicz(lam, T, R, F, m)) == _bits(want)
+
+
+_masses = st.one_of(
+    st.just(Fraction(0)), st.integers(0, 3),
+    st.fractions(min_value=0, max_value=2, max_denominator=60),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+
+
+@st.composite
+def _finite_systems(draw):
+    N = draw(st.integers(1, 12))
+    T = draw(st.lists(st.integers(0, N - 1), min_size=N, max_size=N))
+    R = draw(st.lists(st.integers(0, 3), min_size=N, max_size=N))
+    lam = draw(st.lists(_masses, min_size=N, max_size=N))
+    F = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    return lam, T, R, F, draw(st.integers(1, 4))
+
+
+@given(_finite_systems())
+@settings(max_examples=400, deadline=None)
+def test_misiurewicz_bit_equal_to_fraction_oracle(system):
+    """Zero masses, totals other than 1, float entries (limit_denominator),
+    mixed denominators (the lcm), unsorted and repeated F, m = 1..4."""
+    _assert_misiurewicz_matches_oracle(*system)
+
+
+def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
+    # criterion 4's exhaustive family: the truncated 2-shift on 8 states,
+    # every nonempty F subset {0..5}, m in 1..4, three measures
+    T = [(2 * s) % 8 for s in range(8)]
+    R = [s >> 2 for s in range(8)]
+    lams = [[Fraction(1, 8)] * 8,
+            [Fraction(v, 36) for v in range(1, 9)],
+            [Fraction(0)] * 3 + [Fraction(1)] + [Fraction(0)] * 4]
+    for mask in range(1, 64):
+        F = [k for k in range(6) if mask >> k & 1]
+        for m in range(1, 5):
+            for lam in lams:
+                _assert_misiurewicz_matches_oracle(lam, T, R, F, m)
+
+
+@pytest.mark.parametrize("F, m, name", [
+    ([0], 0, "m"), ([0], -1, "m"), ([], 2, "F"), ([-1], 2, "F"),
+    ([3, -2, 0], 1, "F")])
+def test_misiurewicz_rejects_bad_arguments(F, m, name):
+    lam = [Fraction(1, 4)] * 4
+    with pytest.raises(ValueError, match=f"^{name} "):
+        verify_misiurewicz(lam, [0, 1, 2, 3], [0, 1, 2, 3], F, m)
 
 
 def test_mane_bounds_doubling():

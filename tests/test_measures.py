@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from acim1d.errors import EmptySelection
 from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.measures import (
     EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
-    density_estimate, empirical_measure, invariance_defect,
+    density_estimate, empirical_measure, forward_points, invariance_defect,
     positive_exponent_proxy, ref_logistic_acip, ref_uniform, select_An,
     support_gap_from_critical,
 )
@@ -283,6 +283,28 @@ def test_invariance_defect_fails_closed_without_bound():
     rep = invariance_defect(mu, f)
     assert math.isnan(rep["bound"])
     assert rep["ok"] is False
+
+
+@given(st.sampled_from(["doubling", "logistic"]), st.integers(0, 2 ** 16),
+       st.integers(3, 12), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["mu", "nu"]))
+@settings(max_examples=60, deadline=None)
+def test_empirical_measure_atoms_are_the_pool_gather(name, seed, n, M, m,
+                                                     norm):
+    # forward_points yields mu.atoms at j = 0 in place of this gather
+    f = make_map(name)
+    pool = build_seed_pool(f, 4, n, 40, np.random.default_rng(seed))
+    try:
+        sel = select_An(pool, n, beta=0.05, b=0.0, p=4)
+        mu = empirical_measure(sel, M, m, normalization=norm, beta_inf=0.5)
+    except EmptySelection:
+        assume(False)
+    assert np.array_equal(mu.atoms, pool.points[mu.time_idx, mu.seed_idx])
+    xs = list(forward_points(mu, 3))
+    assert xs[0] is mu.atoms
+    for j in (1, 2):
+        assert np.array_equal(xs[j],
+                              pool.points[mu.time_idx + j, mu.seed_idx])
 
 
 def _two_evaluation_defect(mu, gx):

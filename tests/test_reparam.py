@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from acim1d.jets import Jet
+from acim1d.jets import Jet, jet_of_polynomial
 from acim1d.maps import make_map, power_map
 from acim1d.reparam import (
     Reparametrization, affine_reparam, check_bounded, choose_epsilon,
@@ -84,6 +85,33 @@ def test_taylor_window_bound():
     g2.jet_apply = lambda jet: Jet(jet.c * np.nan)
     rep3 = taylor_window_check(g2, choose_epsilon(g2))
     assert math.isnan(rep3["worst_margin"]) and not rep3["ok"]
+
+
+def _taylor_window_per_sample(g, eps, samples=64):
+    """taylor_window_check's worst margin with one jet pass per sample
+    window: the oracle of the batched pass."""
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, samples)
+    margins = []
+    ts = np.linspace(-1.0, 1.0, 65)
+    order = max(2, g.r_floor)
+    for x in xs:
+        window = Reparametrization(np.array([x, 2.0 * eps]))
+        jet = g.jet_apply(jet_of_polynomial(window.poly(), ts, order))
+        rhs = 3.0 * eps * max(1.0, abs(float(g.deriv(1, x))))
+        for s in range(1, order + 1):
+            margins.append(rhs - float(np.max(np.abs(jet.deriv(s)))))
+    return float(np.min(margins))
+
+
+@pytest.mark.parametrize("g", [
+    power_map(make_map("doubling"), 4),
+    power_map(make_map("logistic", smoothness_r=4.0), 6),
+    power_map(make_map("perturbed_circle", smoothness_r=4.0), 2)],
+    ids=lambda g: g.name)
+def test_taylor_window_batched_equals_per_sample(g):
+    for eps in (choose_epsilon(g), choose_epsilon(g) / 4.0):
+        assert taylor_window_check(g, eps)["worst_margin"] == \
+            _taylor_window_per_sample(g, eps)
 
 
 @given(st.floats(-10.0, 10.0), st.floats(1e-6, 10.0),

@@ -47,6 +47,26 @@ def test_clip_trim_match_bruteforce(E, M, m):
     assert trim(E, n, M, m) == trim_bruteforce(E, n, M, m)
 
 
+def _clip_ordered_pairs(E, n, M):
+    """E_n^M by the literal double loop over ordered pairs: the oracle of
+    clip_bruteforce's one visit per unordered pair."""
+    out = set()
+    for k in E:
+        for l in E:
+            if k < n and l < n and abs(k - l) <= M:
+                out.update(range(k, l))
+    return out
+
+
+@given(st.lists(st.integers(-3, 16), max_size=14), st.integers(0, 12),
+       st.integers(0, 6))
+@settings(max_examples=400)
+def test_clip_bruteforce_matches_ordered_pair_loop(E, n, M):
+    # list input with repeats, elements at and beyond n, a few below 0
+    assert clip_bruteforce(E, n, M) == _clip_ordered_pairs(E, n, M)
+    assert clip_bruteforce(set(E), n, M) == _clip_ordered_pairs(E, n, M)
+
+
 @given(time_sets, st.integers(0, 4), st.integers(0, 4), st.integers(1, 4))
 @settings(max_examples=300)
 def test_enm_lemma_random(E, M, Mextra, m):
