@@ -9,14 +9,16 @@ failed), 2 config error, 3 empty selection, 4 tree budget exceeded.
 
 Determinism: every random draw descends from the config rng_seed via
 numpy SeedSequence spawning in a fixed stage order, and floats are
-printed with 17 significant digits, so a rerun reproduces every CSV
-byte for byte.
+printed as format(v, ".17g"): row by row in the small CSVs, and in
+measure.csv and times.csv by the array formatter _g17, byte-equal to
+it.  So a rerun reproduces every CSV byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -78,10 +80,118 @@ def _write_csv(path, header, rows=(), chunks=()):
         fh.writelines(chunks)
 
 
-def _chunks(text_of, *cols, size=1 << 16):
+def _chunks(text_of, *cols, size=1 << 13):
     """text_of of each size-row slice of cols: bounds the text held at once"""
     for i in range(0, len(cols[0]), size):
         yield text_of(*(c[i:i + size] for c in cols))
+
+
+# format(v, ".17g") of a float array at once.  The 17 significant digits of
+# |v| are D = round(|v|·10^(16-e)), the product taken in double-double
+# (Dekker split, 10^k held as two words).  A row's text is the 32 byte
+# slots "-0.000" "d" "." "dddddddddddddddd" "e-XXX" (four little-endian
+# words), of which those of its sign, layout and len(D) are kept.
+# format() itself prints the rows this cannot settle: |v| outside
+# [1e-280, 1) (so ±0, subnormals, NaN and ±inf) and near-ties, whose
+# product lies within 1e-9 of D ± 1/2.
+def _split(a):
+    """Dekker's split of doubles a into halves of at most 26 bits"""
+    c = 134217729.0 * a                             # (2^27 + 1) a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _g17_tables():
+    """_g17's tables, built at first use: 10^16 .. 10^299 as two words,
+    "%04d" % i as one word and its length up to its last nonzero digit,
+    "e-XXX" words, and the kept slots by (sign, layout, len(D) - 1), where
+    layouts 0-3 are 0.ddd with that many zeros after the point and 4 and
+    5 are d.ddde-XX and d.ddde-XXX"""
+    p10_hi = np.array([float(10 ** k) for k in range(16, 300)])
+    p10_lo = np.array([float(10 ** k - int(h))
+                       for k, h in enumerate(p10_hi.tolist(), 16)])
+    i = np.arange(10000)
+    sig4 = 4 - sum(i % 10 ** k == 0 for k in (1, 2, 3, 4))
+    dig4 = np.stack([48 + i // 10 ** k % 10 for k in (3, 2, 1, 0)], 1)
+    dig4 = dig4.astype(np.uint8).view("<u4")[:, 0].astype("<u8")
+    exp8 = np.frombuffer(b"".join(b"e-%03d\0\0\0" % k for k in range(300)),
+                         "<u8")
+    neg, lay, nz, s = np.ix_(range(2), range(6), range(1, 18), range(32))
+    fixed = lay < 4
+    keep = (((s == 0) & (neg == 1)) | (s == 6) | ((s >= 8) & (s < 7 + nz))
+            | fixed & ((s == 1) | (s == 2) | ((s >= 3) & (s < 3 + lay)))
+            | ~fixed & (((s == 7) & (nz > 1))
+                        | ((s >= 24) & (s < 29) & ((s != 26) | (lay == 5)))))
+    return p10_hi, p10_lo, dig4, sig4, exp8, keep.reshape(-1, 32)
+
+
+def _g17_scale(ax, e):
+    """ax·10^(16-e) as a normalised double-double (hi, lo), and its step:
+    +1 where it is at least 10^17, -1 where it is below 10^16, else 0.
+    (hi - 10^k is exact near 10^k, and its sum with lo has the exact sign.)"""
+    p10_hi, p10_lo = _g17_tables()[:2]
+    p_hi = p10_hi[-e]
+    ph = ax * p_hi
+    (xh, xl), (th, tl) = _split(ax), _split(p_hi)
+    lo = ((xh * th - ph) + xh * tl + xl * th) + xl * tl + ax * p10_lo[-e]
+    hi = ph + lo
+    lo -= hi - ph
+    return hi, lo, (((hi - 1e17) + lo >= 0).astype(np.intp)
+                    - ((hi - 1e16) + lo < 0))
+
+
+def _g17(x):
+    """format(v, ".17g") of each v of the float array x as byte slots:
+    (slots, kept, fallback), row i's text being slots[i][kept[i]].  The
+    fallback rows, and only they, were printed by format() itself."""
+    dig4, sig4, exp8, keep = _g17_tables()[2:]
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    fast = (ax >= 1e-280) & (ax < 1.0)
+    ax[~fast] = 0.5
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    hi, lo, step = _g17_scale(ax, e)
+    moved = np.flatnonzero(step)        # log10 rounded across a power of 10
+    e[moved] += step[moved]
+    hi[moved], lo[moved], step[moved] = _g17_scale(ax[moved], e[moved])
+    fast &= step == 0
+    down = np.floor(lo)
+    frac = lo - down
+    fast &= np.abs(frac - 0.5) >= 1e-9
+    D = hi.astype(np.int64) + down.astype(np.int64) + (frac > 0.5)
+    top = D == 10 ** 17                 # rounded up to the next power of 10
+    D[top] = 10 ** 16
+    e += top
+    lead, rest = np.divmod(D, 10 ** 16)
+    g = np.divmod(rest // 10 ** 8, 10 ** 4) + np.divmod(rest % 10 ** 8,
+                                                         10 ** 4)
+    nz = 1 + sig4[g[0]]
+    for k in (1, 2, 3):
+        sig = sig4[g[k]]
+        nz = np.where(sig > 0, 1 + 4 * k + sig, nz)
+    lay = np.where(e >= -4, -1 - e, 4 + (e <= -100))
+    kept = np.take(keep, ((x < 0) * 6 + lay) * 17 + nz - 1, axis=0)
+    slots = np.stack([int.from_bytes(b"-0.0000.", "little")
+                      + (lead.astype("<u8") << 48),
+                      dig4[g[0]] | dig4[g[1]] << 32,
+                      dig4[g[2]] | dig4[g[3]] << 32, exp8[-e]], axis=1)
+    slots = slots.view(np.uint8)
+    for i in np.flatnonzero(~fast).tolist():
+        text = format(x[i].item(), ".17g").encode()
+        slots[i, :len(text)] = np.frombuffer(text, np.uint8)
+        kept[i] = np.arange(32) < len(text)
+    return slots, kept, ~fast
+
+
+def _join_rows(n, *fields):
+    """n rows of byte slots side by side, kept bytes only, as one str; a
+    field is (slots, kept), both (n, w), or bytes that every row holds"""
+    parts = [(np.broadcast_to(np.frombuffer(f, np.uint8), (n, len(f))),
+              np.broadcast_to(True, (n, len(f))))
+             if isinstance(f, bytes) else f for f in fields]
+    slots, kept = (np.concatenate(p, axis=1) for p in zip(*parts))
+    return np.compress(kept.ravel(), slots.ravel()).tobytes().decode("ascii")
 
 
 def _measure_body(atoms, weights):
@@ -89,17 +199,22 @@ def _measure_body(atoms, weights):
     is formatted once; distinct means by bits, as -0.0 and 0.0 print apart."""
     bits, inv = np.unique(np.ascontiguousarray(weights, dtype=float).view(
         np.uint64), return_inverse=True)
-    tails = [",{:.17g}\r\n".format(w) for w in bits.view(float).tolist()]
-    return "".join([format(x, ".17g") + tails[i]
-                    for x, i in zip(atoms.tolist(), inv.tolist())])
+    weight = [np.take(a, inv, axis=0) for a in _g17(bits.view(float))[:2]]
+    return _join_rows(len(atoms), _g17(atoms)[:2], b",", weight, b"\r\n")
 
 
 def _times_body(seeds, time_mask):
     """times.csv rows (x, ;-joined raw times of x) as CSV text."""
-    ts = list(map(str, np.nonzero(time_mask)[1].tolist()))
-    ends = np.cumsum(np.count_nonzero(time_mask, axis=1)).tolist()
-    return "".join("{:.17g},{}\r\n".format(x, ";".join(ts[a:b]))
-                   for x, a, b in zip(seeds.tolist(), [0] + ends, ends))
+    n, T = time_mask.shape
+    widths = [len(str(t)) + 1 for t in range(T)]     # of ";t"
+    kept = np.repeat(time_mask, widths, axis=1)
+    if T:                                   # no ";" before a row's first t
+        starts = np.cumsum([0] + widths[:-1])
+        kept[np.arange(n), starts[time_mask.argmax(axis=1)]] = False
+    tokens = "".join(";%d" % t for t in range(T)).encode()
+    return _join_rows(n, _g17(seeds)[:2], b",",
+                      (np.broadcast_to(np.frombuffer(tokens, np.uint8),
+                                       kept.shape), kept), b"\r\n")
 
 
 def _row(name, instance, lhs, rhs, margin, ok, ci=(NAN, NAN)):

@@ -177,12 +177,21 @@ def verify_misiurewicz(lam, T, R, F, m):
     scaled to integer masses over one common denominator D, the lcm of
     its denominators, so lam^F has integer masses over D #F.  Entropies
     are evaluated with mpmath at MISIUREWICZ_DPS digits.  Raises
-    ValueError when m < 1 or when F is empty or has a negative element.
+    ValueError when m < 1, when F is empty or has a negative element, when
+    an entry of T lies outside 0..N-1 (N = len(T)), or when R or lam is
+    not of length N.
     """
     import mpmath
 
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    N = len(T)
+    if not all(0 <= t < N for t in T):
+        raise ValueError(f"T must map into 0..{N - 1}, got {list(T)}")
+    for name, v in (("R", R), ("lam", lam)):
+        if len(v) != N:
+            raise ValueError(f"{name} must have length {N} = len(T), got "
+                             f"{len(v)}")
     F = sorted(set(F))
     if not F or F[0] < 0:
         raise ValueError(f"F must be a nonempty set of times >= 0, got {F}")

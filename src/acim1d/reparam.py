@@ -193,7 +193,9 @@ def taylor_window_check(g, eps, samples=64):
 
     g^x_{2eps}(t) = g(x + 2 eps t); this is the Taylor-window bound that
     the epsilon inequality buys, and the reason pieces of that size can
-    be re-bounded after one application of g.
+    be re-bounded after one application of g.  A window that is not
+    strictly increasing in float (eps below the resolution at x) measures
+    nothing: then worst_margin is NaN and the check fails.
     """
     xs = np.random.default_rng(0).uniform(0.0, 1.0, samples)
     ts = np.linspace(-1.0, 1.0, 65)
@@ -207,6 +209,8 @@ def taylor_window_check(g, eps, samples=64):
     margins = [rhs - np.max(np.abs(jet.deriv(s)), axis=1)
                for s in range(1, order + 1)]
     worst = float(np.min(margins))     # NaN if any margin is NaN
+    if not np.all(np.diff(c[0], axis=1) > 0):
+        worst = float("nan")
     return {"worst_margin": worst, "ok": worst >= -1e-12, "samples": samples}
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import acim1d.cli as cli
 from acim1d.cli import (
@@ -301,6 +302,74 @@ def test_array_writers_match_csv_writer_bytes(tmp_path):
             cli._write_csv(tmp_path / "new.csv", header,
                            chunks=cli._chunks(text_of, *cols, size=size))
             assert (tmp_path / "new.csv").read_bytes() == want
+
+
+# floats for the .17g formatter: any bit pattern (NaN, ±inf, ±0 and
+# subnormals included), uniform [0, 1), dyadic K / 2^B (exact ties among
+# them), the float neighbours of 10^-k and the largest double below 1
+_TENTHS = [float(v) for k in range(1, 31) for v in np.nextafter(
+    10.0 ** -k, [0.0, 10.0 ** -k, 1.0])]
+_FLOATS = hs.one_of(
+    hs.integers(0, 2 ** 64 - 1).map(
+        lambda b: float(np.array(b, np.uint64).view(float))),
+    hs.floats(0.0, 1.0, exclude_max=True),
+    hs.integers(1, 60).flatmap(lambda B: hs.integers(0, 2 ** B - 1).map(
+        lambda K: K / 2.0 ** B)),
+    hs.sampled_from(_TENTHS), hs.just(1.0 - 2.0 ** -53))
+
+
+def _g17_texts(x):
+    slots, kept, fallback = cli._g17(np.array(x, dtype=float))
+    return [s[k].tobytes().decode() for s, k in zip(slots, kept)], fallback
+
+
+@given(hs.lists(_FLOATS, min_size=1, max_size=40),
+       hs.lists(_FLOATS, min_size=1, max_size=3),
+       hs.sampled_from([1, 5, 8192]), hs.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_g17_matches_format(values, weight_values, size, seed):
+    texts, _ = _g17_texts(values)
+    assert texts == [format(v, ".17g") for v in values]
+    x = np.array(values)
+    rng = np.random.default_rng(seed)
+    w = rng.choice(weight_values, x.size)
+    assert "".join(cli._chunks(cli._measure_body, x, w, size=size)) == \
+        "".join(map("{:.17g},{:.17g}\r\n".format, values, w.tolist()))
+    mask = rng.random((x.size, int(rng.integers(0, 120)))) < rng.random()
+    assert "".join(cli._chunks(cli._times_body, x, mask, size=size)) == \
+        "".join("{:.17g},{}\r\n".format(v, ";".join(map(str, np.flatnonzero(
+            row).tolist()))) for v, row in zip(values, mask))
+
+
+def test_g17_fast_path_coverage(tmp_path):
+    # the fallback to format() is for the few rows the array path cannot
+    # settle: none of 10^4 uniform [0, 1) values ...
+    x = np.random.default_rng(0).random(10 ** 4)
+    texts, fallback = _g17_texts(x)
+    assert texts == [format(v, ".17g") for v in x.tolist()]
+    assert not fallback.any()
+    # ... but every exact tie: K / 2^(18 + j) with K odd has 18 + j decimals
+    # and, in [10^-j-1, 10^-j), its 18th significant digit is a final 5
+    ties = np.concatenate([
+        np.arange(26215, 2 ** 18, 2 ** 9 + 2) / 2.0 ** 18,      # j = 0
+        np.arange(5243, 52429, 2 ** 8 + 2) / 2.0 ** 19])         # j = 1
+    texts, fallback = _g17_texts(ties)
+    assert texts == [format(v, ".17g") for v in ties.tolist()]
+    assert fallback.all()
+    # the neighbours of 10^-k, where log10 rounds across a power of ten,
+    # take the array path too, with the exponent moved by one
+    assert _g17_texts(_TENTHS + [0.5, 1e-280, 1.0 - 2.0 ** -53])[1].sum() == 0
+    assert _g17_texts([0.0, -0.0, 5e-324, 1e-281, 1.0, float("nan"),
+                       float("inf"), -float("inf")])[1].all()
+    # on a pipeline's measure.csv, at least 98% of the rows take the
+    # array path (about 1% of doubling's dyadic atoms are exact ties)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "doubling_small.ini")
+    st = cli.PipelineState(cfg, out_dir=tmp_path)
+    for stage in cli._stages("measure"):
+        stage(st)
+    _, _, fallback = cli._g17(st.mu.atoms)
+    assert fallback.size == 40000 and fallback.mean() <= 0.02
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):

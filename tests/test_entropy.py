@@ -517,6 +517,16 @@ def test_misiurewicz_rejects_bad_arguments(F, m, name):
         verify_misiurewicz(lam, [0, 1, 2, 3], [0, 1, 2, 3], F, m)
 
 
+@pytest.mark.parametrize("T, R, n_lam, name", [
+    ([-1, 0], [0, 1], 2, "T"),     # read as [1, 0] by negative indexing
+    ([2, 0], [0, 1], 2, "T"), ([1, 0], [0], 2, "R"),
+    ([1, 0], [0, 1], 3, "lam")])
+def test_misiurewicz_rejects_bad_system(T, R, n_lam, name):
+    lam = [Fraction(1, n_lam)] * n_lam
+    with pytest.raises(ValueError, match=f"^{name} "):
+        verify_misiurewicz(lam, T, R, [0, 1], 1)
+
+
 def test_mane_bounds_doubling():
     f, mu = _doubling_measure(seeds=2000)
     rep = verify_mane_bounds(mu, f, q=3)

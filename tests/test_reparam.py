@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from acim1d import cli
 from acim1d.jets import Jet, jet_of_polynomial
 from acim1d.maps import make_map, power_map
 from acim1d.reparam import (
@@ -85,6 +86,21 @@ def test_taylor_window_bound():
     g2.jet_apply = lambda jet: Jet(jet.c * np.nan)
     rep3 = taylor_window_check(g2, choose_epsilon(g2))
     assert math.isnan(rep3["worst_margin"]) and not rep3["ok"]
+
+
+def test_taylor_window_fails_on_collapsed_windows():
+    # non-integer r: choose_epsilon's eps (~4e-31) lies below the float
+    # resolution near x, so every window x + 2 eps t is the point x
+    g = power_map(make_map("perturbed_circle", smoothness_r=4.5), 2)
+    eps = choose_epsilon(g)
+    assert eps < 1e-30
+    rep = taylor_window_check(g, eps)
+    assert math.isnan(rep["worst_margin"]) and not rep["ok"]
+    assert cli._row("taylor_window", "", rep["worst_margin"], 0.0,
+                    rep["worst_margin"], rep["ok"])[-1] == 0
+    # the same map at integer r gets a window the check can measure
+    g4 = power_map(make_map("perturbed_circle", smoothness_r=4.0), 2)
+    assert taylor_window_check(g4, choose_epsilon(g4))["ok"]
 
 
 def _taylor_window_per_sample(g, eps, samples=64):
