@@ -21,7 +21,6 @@ import csv
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -240,14 +239,6 @@ def _tree_rows(rep, instance):
     return rows
 
 
-def parallel_map(fn, items, jobs=1):
-    """Ordered map with an optional thread pool (worker count = jobs)."""
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # bound calculators
 # ---------------------------------------------------------------------------
@@ -289,12 +280,11 @@ def reparam_count_constant(r):
 
 class PipelineState:
     """One run's state.  out_dir and rng_seed, if given, override the
-    config's; jobs caps the Gibbs-check threads.  cfg is not modified."""
+    config's.  cfg is not modified."""
 
-    def __init__(self, cfg, out_dir=None, rng_seed=None, jobs=None):
+    def __init__(self, cfg, out_dir=None, rng_seed=None):
         self.cfg = cfg
         self.rng_seed = cfg.rng_seed if rng_seed is None else rng_seed
-        self.jobs = 1 if jobs is None else jobs
         self.out = Path(out_dir) if out_dir is not None else cfg.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         seq = np.random.SeedSequence(self.rng_seed)
@@ -392,20 +382,19 @@ def stage_times(st):
 
 def stage_measure(st):
     cfg = st.cfg
-    n_fin = max(cfg.n_list)
     st.b = b = st.norms_f.R_estimate / cfg.r + cfg.delta
-    st.selection = select_An(st.pool, n_fin, cfg.beta, b, st.p)
+    st.selection = select_An(st.pool, max(cfg.n_list), cfg.beta, b, st.p)
 
-    # beta_nMm over the (n, M, m) grid: the plateau at the largest (n, M)
-    # and smallest m is the beta_inf estimate
+    # beta_nMm over the (n, M, m) grid, every n from one count per (M, m):
+    # the plateau at the largest (n, M) and smallest m estimates beta_inf
     E = st.pool.time_mask[st.selection.indices]
     betas = {}
-    for n in cfg.n_list:
-        for M in cfg.M_list:
-            for m in cfg.m_list:
-                counts = np.count_nonzero(trim_mask(E, n, M, m), axis=1)
-                betas[(n, M, m)] = float(np.mean(counts)) / n
-    st.beta_inf = betas[(n_fin, max(cfg.M_list), min(cfg.m_list))]
+    for M in cfg.M_list:
+        for m in cfg.m_list:
+            counts = trim_counts(E, M, m)
+            for n in cfg.n_list:
+                betas[(n, M, m)] = float(np.mean(counts[:, n])) / n
+    del E, counts       # not held through the per-atom checks below
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
                [(n, M, m, v) for (n, M, m), v in sorted(betas.items())])
 
@@ -424,17 +413,14 @@ def stage_measure(st):
         l1 = compare_density(est, ref)
         st.checks.append(_row("density_l1", cfg.reference, l1, cfg.tol_l1,
                               cfg.tol_l1 - l1, l1 <= cfg.tol_l1))
-    st.density_est = est
 
     rep = invariance_defect(st.mu, st.g)
     st.checks.append(_row("invariance_defect", "mu", rep["defect"],
                           rep["bound"], rep["bound"] - rep["defect"],
                           rep["ok"]))
-    st.log_derivs = st.g.log_abs_deriv(st.mu.atoms)   # once, for every use
     gap = support_gap_from_critical(
         st.mu, st.bp.critical, g=st.g, M=max(cfg.M_list),
-        log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]),
-        log_derivs=st.log_derivs)
+        log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]))
     st.checks.append(_row("support_gap", "min_distance", gap["gap"], 0.0,
                           gap["gap"], not gap["flagged_zero"]))
     if "deriv_floor_margin" in gap:
@@ -447,8 +433,7 @@ def stage_measure(st):
 
     mane = verify_mane_bounds(st.mu, st.g, max(cfg.q_list), bp=st.bp,
                               norms=st.norms_g,
-                              rng=np.random.default_rng(st.seq_offset),
-                              log_derivs=st.log_derivs)
+                              rng=np.random.default_rng(st.seq_offset))
     for key in ("sete", "hq"):
         st.checks.append(_row(f"mane_{key}", f"q={max(cfg.q_list)}",
                               mane[f"{key}_lhs"], mane[f"{key}_rhs"],
@@ -457,32 +442,21 @@ def stage_measure(st):
     st.checks.append(_row("mane_branch_size", "atoms", margin, 0.0, margin,
                           mane["branch_size_ok"]))
 
-    if cfg.gibbs_instances > 0:
-        _run_gibbs_checks(st)
-    return st
-
-
-def _run_gibbs_checks(st):
-    cfg = st.cfg
-    rng = np.random.default_rng(st.seq_gibbs)
-    n_fin = max(cfg.n_list)
-    picks = rng.choice(st.selection.indices,
-                       size=min(cfg.gibbs_instances,
-                                st.selection.n_selected), replace=False)
-
-    def one(s):
-        return gibbs_check(
+    # the Gibbs cylinder bound at up to gibbs_instances selected seeds
+    picks = np.random.default_rng(st.seq_gibbs).choice(
+        st.selection.indices, replace=False,
+        size=min(cfg.gibbs_instances, st.selection.n_selected))
+    for s in picks:
+        rep = gibbs_check(
             st.g, float(st.pool.seeds[s]), st.pool.time_list(s),
-            q=max(cfg.q_list), eps=st.eps, n=n_fin, M=max(cfg.M_list),
-            m=min(cfg.m_list), beta=cfg.beta, b=st.b, p=st.p, bp=st.bp,
-            n_samples=cfg.gibbs_samples,
+            q=max(cfg.q_list), eps=st.eps, n=st.selection.n,
+            M=max(cfg.M_list), m=min(cfg.m_list), beta=cfg.beta, b=st.b,
+            p=st.p, bp=st.bp, n_samples=cfg.gibbs_samples,
             rng=np.random.default_rng((st.rng_seed, int(s))))
-
-    reps = parallel_map(one, picks, st.jobs)
-    for s, rep in zip(picks, reps):
         st.checks.append(_row("gibbs", f"seed={int(s)}", rep["leb_hat"],
                               rep["rhs"], rep["rhs"] - rep["leb_hat"],
                               rep["ok"], rep["ci"]))
+    return st
 
 
 def stage_entropy(st):
@@ -490,8 +464,7 @@ def stage_entropy(st):
     rep = entropy_formula_residual(
         st.f, st.mu, cfg.q_list, cfg.entropy_m, p=st.p,
         tol=cfg.tol_residual, rng=np.random.default_rng(st.seq_offset),
-        bp=st.bp, exponent_proxy=st.exponent_proxy, log_derivs=st.log_derivs)
-    st.entropy_rep = rep
+        bp=st.bp, exponent_proxy=st.exponent_proxy)
     rows = []
     for q, tab in rep["tables"].items():
         for m, H in zip(tab["m"], tab["H"]):
@@ -555,9 +528,13 @@ def _stages(command="pipeline"):
     return [globals()["stage_" + stage] for stage in names]
 
 
-def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=None):
-    """All stages in order; returns the final state."""
-    st = PipelineState(cfg, out_dir, rng_seed, jobs)
+def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=1):
+    """All stages in order; returns the final state.  A run has one
+    thread: jobs stays only because the benchmark (perfbench/child.py and
+    its tests) passes jobs=1, and any other value raises ValueError."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
+    st = PipelineState(cfg, out_dir, rng_seed)
     for stage in _stages():
         stage(st)
     return st
@@ -667,7 +644,6 @@ def _build_parser():
         prog="acim1d",
         description="Numerical ACIM detection for one-dimensional maps")
     ap.add_argument("--config", type=Path, help="experiment config file")
-    ap.add_argument("--jobs", type=int, default=1, help="worker cap")
     ap.add_argument("--rng-seed", type=int, default=None,
                     help="override the config rng seed")
     ap.add_argument("--out", type=Path, default=None,
@@ -716,7 +692,7 @@ def main(argv=None):
         if args.config is None:
             raise ConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config)
-        st = PipelineState(cfg, args.out, args.rng_seed, args.jobs)
+        st = PipelineState(cfg, args.out, args.rng_seed)
         for stage in _stages(args.command):
             stage(st)
         if args.command == "pipeline":

@@ -45,9 +45,15 @@ class ExperimentConfig:
             raise ConfigError("r must exceed 1")
         if self.delta <= 0:
             raise ConfigError("delta must be positive")
-        for name in ("n_list", "M_list", "m_list", "q_list", "entropy_m"):
-            if not getattr(self, name):
+        for name, least in (("n_list", 1), ("M_list", 0), ("m_list", 1),
+                            ("q_list", 1), ("entropy_m", 1), ("seeds", 1),
+                            ("bins", 10), ("gibbs_instances", 0),
+                            ("gibbs_samples", 1)):
+            value = getattr(self, name)
+            if value == []:
                 raise ConfigError(f"{name} must be nonempty")
+            if min(value if isinstance(value, list) else [value]) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.detector not in ("tree", "surrogate", "both"):
             raise ConfigError(f"unknown detector {self.detector!r}")
         if self.p != "auto" and (not isinstance(self.p, int) or self.p < 1):

@@ -29,7 +29,9 @@ import numpy as np
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches, rprime_norm
 from .maps import estimate_norms, orbit_grid, power_map
-from .measures import PROXY_MIN, forward_points, in_An, positive_exponent_proxy
+from .measures import (
+    PROXY_MIN, forward_points, in_An, log_derivs_at, positive_exponent_proxy,
+)
 from .times import (
     boundary_counts, mask_from_lists, surrogate_mask, trim_mask,
 )
@@ -122,19 +124,21 @@ def _ranks(labels):
 def itinerary_entropy(mu, labels, m, g=None):
     """[H_mu(P^1), ..., H_mu(P^m)] by coding atoms with their forward labels.
 
-    labels lists the joined partitions, each as a vectorized
-    point-to-integer label function or as the list of its label ranks
-    (np.unique inverses) at j = 0..m-1, for callers that share them.
-    When the measure carries pool provenance the forward points come
-    from the recorded orbits; otherwise g is iterated from the atoms.
+    labels lists the joined partitions, each as a vectorized point-to-integer
+    label function or as an iterable (a shared list, or a generator) of its
+    label ranks (np.unique inverses) at j = 0..m-1.  Forward points, formed
+    only for label functions, come from a pool's orbits, else from g.
     """
     # rank fold over the columns J_0, Q_0, J_1, ...: after step j, inv is
     # the row rank (np.unique(axis=0)'s inverse) of the columns so far;
     # inv, r < atoms, so keys stay below atoms^2: int64 to ~3e9 atoms
+    labels = [lab if callable(lab) else iter(lab) for lab in labels]
+    points = forward_points(mu, m, g) if any(map(callable, labels)) \
+        else [None] * m
     inv, Hs = 0, []
-    for j, xj in enumerate(forward_points(mu, m, g)):
+    for xj in points:
         for lab in labels:
-            r = lab[j] if isinstance(lab, list) else _ranks(lab(xj))
+            r = _ranks(lab(xj)) if callable(lab) else next(lab)
             key = inv * (r.max(initial=0) + 1) + r
             del inv, r      # only key is held while np.unique sorts it
             inv = _ranks(key)
@@ -251,17 +255,17 @@ def misiurewicz_battery(rng, count):
 
 
 def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
-                       rng=None, log_derivs=None):
+                       rng=None):
     """The countable-partition entropy bounds on a finite-atom measure.
 
     (1) sum_k -x_k log x_k <= sum_k |k| x_k + c_0 for the Q_q bin masses
         (c_0 = 4 (e (1 - e^{-1/2}))^{-1}),
     (2) H(Q_q) <= c_0 + 1 + q * int |log|g'|| d(measure),
     (3) per atom: branch length >= (|g'(x)| / ||d^{r'} g||)^{1/(r'-1)}.
-    log_derivs, if known, is log|g'| at the atoms.
+    log|g'| comes from log_derivs_at: a pooled measure needs its pool's g.
     """
     rng = rng or np.random.default_rng(0)
-    u = g.log_abs_deriv(measure.atoms) if log_derivs is None else log_derivs
+    u = log_derivs_at(measure, 0, g)
     a = a if a is not None else choose_offset(g, q, measure.atoms, rng,
                                               log_derivs=u)
     # bin masses in order of first appearance, each summed in atom order
@@ -389,8 +393,7 @@ def ac_verdict(residual_ok, exponent_ok, checks_ok=True):
 
 
 def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
-                             rng=None, bp=None, exponent_proxy=None,
-                             log_derivs=None):
+                             rng=None, bp=None, exponent_proxy=None):
     """Estimate h(g, P_q) by refinement slopes and compare with int log|g'|.
 
     h_est is the largest over q of the least-squares slope of
@@ -399,8 +402,8 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     through p h_f = h_{f^p}, at the f level.  The verdict is
     AC-consistent when the f-level residual is within tol and the
     positive-exponent proxy (exponent_proxy, if already computed) holds.
-    log_derivs, if known, is log|g'| at the atoms.  A measure with fewer
-    than MIN_ATOMS atoms raises InsufficientAtoms.
+    log|g'| comes from log_derivs_at, so a pooled measure needs a pool
+    built under g = f^p.  Fewer than MIN_ATOMS atoms raise InsufficientAtoms.
     """
     if mu.n_atoms < MIN_ATOMS:
         raise InsufficientAtoms(f"{mu.n_atoms} atoms < {MIN_ATOMS}")
@@ -408,7 +411,7 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     p = p or mu.meta.get("p", 1)
     g = power_map(f, p)
     bp = bp or monotone_branches(g, grid_size=2 ** 14)
-    u = g.log_abs_deriv(mu.atoms) if log_derivs is None else log_derivs
+    u = log_derivs_at(mu, 0, g)
     m_top = max(m_list)
     # the J_j ranks do not depend on q: one list serves every q's fold
     ranks_J = [_ranks(bp.locate_many(x))
@@ -419,8 +422,9 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     for q in q_list:
         a = choose_offset(g, q, mu.atoms, rng, cut_points=[
             pt for pt, _ in bp.cut_points], log_derivs=u)
-        H_top = itinerary_entropy(mu, [ranks_J, qbin_label(g, q, a)], m_top,
-                                  g=g)
+        ranks_Q = (_ranks(_qbins(log_derivs_at(mu, j, g), q, a))
+                   for j in range(m_top))
+        H_top = itinerary_entropy(mu, [ranks_J, ranks_Q], m_top)
         Hs = [H_top[m - 1] for m in m_list]
         tables[q] = {"a": a, "m": list(m_list), "H": Hs}
         tail = min(3, len(m_list))

@@ -32,7 +32,7 @@ from .times import (
 __all__ = [
     "SamplePool", "Selection", "EmpiricalMeasure", "DensityEstimate",
     "build_seed_pool", "in_An", "select_An", "empirical_measure",
-    "forward_points", "invariance_defect",
+    "forward_points", "log_derivs_at", "invariance_defect",
     "density_estimate", "compare_density", "support_gap_from_critical",
     "ref_uniform", "ref_logistic_acip",
 ]
@@ -44,7 +44,7 @@ class SamplePool:
 
     seeds: np.ndarray          # (S,)
     points: np.ndarray         # (n_orbit+1, S)
-    chain: np.ndarray          # (n_orbit+1, S) prefix sums of log|g'|
+    log_derivs: np.ndarray     # (n_orbit, S) log|g'| at points[:-1]
     time_mask: np.ndarray      # (S, n_orbit+1) bool: t in raw E(x_s)
     provenance: dict
     n_orbit: int
@@ -72,7 +72,6 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
     seeds = rng.uniform(lo, hi, n_seeds)
     n_orbit = n + orbit_buffer
     pts, lds = orbit_grid(g, seeds, n_orbit)
-    chain = np.vstack([np.zeros(n_seeds), np.cumsum(lds, axis=0)])
 
     if detector not in ("surrogate", "tree", "both"):
         raise ValueError(f"unknown detector {detector!r}")
@@ -93,8 +92,8 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
             agree = np.count_nonzero(times & walked, axis=1) / union
             prov["tree_agreement_rate"] = \
                 float(np.mean(agree)) if n_seeds else 1.0
-    return SamplePool(seeds=seeds, points=pts, chain=chain, time_mask=times,
-                      provenance=prov, n_orbit=n_orbit)
+    return SamplePool(seeds=seeds, points=pts, log_derivs=lds,
+                      time_mask=times, provenance=prov, n_orbit=n_orbit)
 
 
 @dataclass
@@ -130,14 +129,15 @@ def select_An(pool, n, beta, b, p):
     The Lebesgue proxy flag reports whether the retained fraction meets
     the 1/n^2 threshold that the limit construction asks of Leb(A_n).
     """
-    if n > pool.n_orbit:
-        raise ValueError("selection horizon exceeds recorded orbits")
-    idx = np.nonzero(in_An(pool.time_mask, n, pool.chain[n], beta, b, p))[0]
+    if not 1 <= n <= pool.n_orbit:
+        raise ValueError(f"selection horizon {n} outside 1..{pool.n_orbit}")
+    growth = np.cumsum(pool.log_derivs[:n], axis=0)[-1]
+    idx = np.nonzero(in_An(pool.time_mask, n, growth, beta, b, p))[0]
     if idx.size == 0:
         raise EmptySelection(
             f"no seed passed (beta={beta}, b={b}, n={n}); "
             f"max density {density_rows(pool.time_mask, n).max():.3f}, "
-            f"max rate {np.max(pool.chain[n]) / (n * p):.3f}")
+            f"max rate {np.max(growth) / (n * p):.3f}")
     frac = idx.size / pool.n_seeds
     return Selection(pool=pool, indices=idx, n=n, beta=beta, b=b, p=p,
                      fraction=frac, leb_proxy_ok=frac >= 1.0 / n ** 2)
@@ -206,6 +206,18 @@ def forward_points(mu, m, g=None):
             xj = g.eval(xj) if mu.pool is None else \
                 mu.pool.points[mu.time_idx + j, mu.seed_idx]
         yield xj
+
+
+def log_derivs_at(mu, j, g):
+    """log|g'| at g^j of the atoms: read off the pool's log_derivs, which
+    raises ValueError unless the pool was built under g, else evaluated at
+    the last of forward_points(mu, j + 1, g)."""
+    if mu.pool is None:
+        return g.log_abs_deriv(list(forward_points(mu, j + 1, g))[-1])
+    if g.name != mu.pool.provenance.get("g"):
+        raise ValueError(f"pool built under {mu.pool.provenance.get('g')!r}"
+                         f", not {g.name!r}")
+    return mu.pool.log_derivs[mu.time_idx + j, mu.seed_idx]
 
 
 def invariance_defect(mu, g):
@@ -310,13 +322,12 @@ def ref_logistic_acip(x):
 
 
 def support_gap_from_critical(mu, critical_pts, g=None, M=None,
-                              log_sup_gprime=None, log_derivs=None):
+                              log_sup_gprime=None):
     """Distance of the support to the critical set, plus the M-floor check.
 
     Returns +inf when the critical set is empty.  When g and M are
     supplied, also checks log|g'| >= -M log||g'||_inf at every atom (the
-    hyperbolic-time floor on the derivative along kept times); log_derivs,
-    if known, is log|g'| at the atoms.
+    hyperbolic-time floor on the derivative along kept times).
     """
     pts = [p for c in critical_pts
            for p in (c if isinstance(c, tuple) else (c,))]
@@ -328,7 +339,7 @@ def support_gap_from_critical(mu, critical_pts, g=None, M=None,
         if log_sup_gprime is None:
             log_sup_gprime = float(np.log(
                 estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))
-        ld = g.log_abs_deriv(mu.atoms) if log_derivs is None else log_derivs
+        ld = log_derivs_at(mu, 0, g)
         floor = -M * log_sup_gprime
         rep["deriv_floor_margin"] = float(np.min(ld) - floor)
         rep["deriv_floor_ok"] = bool(np.min(ld) >= floor - 1e-9)
@@ -351,7 +362,9 @@ def positive_exponent_proxy(mu):
     pool = mu.pool
     # u[s, t] = S_t - t log c, the coordinates of times.surrogate_mask; the
     # condition reads u_l >= u_i - 1e-9 for some l in E(x_s), l > i
-    u = pool.chain.T - LOG10 * np.arange(pool.time_mask.shape[1])
+    u = np.zeros(pool.time_mask.shape)
+    np.cumsum(pool.log_derivs.T, axis=1, out=u[:, 1:])
+    u -= LOG10 * np.arange(u.shape[1])
     # later[s, t] = max{u[s, l] : l in E(x_s), l > t}, -inf when E has no
     # such l: u of the times in E shifted one step left, then a running max
     # from the right (fmax skips a NaN u_l, which a comparison would fail)

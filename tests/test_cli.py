@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import acim1d.cli as cli
+import acim1d.measures as measures
 from acim1d.cli import (
     bound_analytic, bound_calculator, bound_smooth,
     compute_verdict, main, reparam_count_constant, run_pipeline, run_verify,
 )
 from acim1d.config import ExperimentConfig, load_config
 from acim1d.errors import ConfigError
+from acim1d.maps import SmoothMap1D
 
 DOUBLING_INI = """\
 [map]
@@ -89,6 +91,24 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(_write(tmp_path, bad))
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seeds = 100", "seeds = 0"), ("seeds = 100", "seeds = -5"),
+    ("n = 8, 10", "n = 0, 10"), ("M = 1, 2", "M = -1, 2"),
+    ("m = 1\n", "m = 0\n"), ("q = 2", "q = 0"),
+    ("entropy_m = 1, 2, 3", "entropy_m = 0, 1"), ("bins = 100", "bins = 5"),
+    ("bins = 100", "bins = 100\ngibbs_instances = -1"),
+    ("bins = 100", "bins = 100\ngibbs_instances = 2\ngibbs_samples = 0")])
+def test_config_rejects_out_of_range_integers(tmp_path, capsys, old, new):
+    # each used to end in a traceback, NaN rows or a misleading exit code
+    text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
+    assert old in text
+    p = _write(tmp_path, text.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(p)
+    assert main(["--config", str(p), "pipeline"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, line", [
@@ -262,6 +282,66 @@ def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
         stage(st)
     assert calls == {"trim_counts": 1, "trim_mask": 0}
     assert len((st.out / "density.csv").read_text().splitlines()) == 11
+
+
+def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
+    # betas.csv reads every n off one trim_counts call per (M, m); the one
+    # trim_mask call is empirical_measure's
+    calls = {"trim_counts": 0, "trim_mask": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
+                                             out=tmp_path / "o").replace(
+        "m = 1\n", "m = 1, 2\n"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("times"):
+        stage(st)
+    for module, name in ((cli, "trim_counts"), (cli, "trim_mask"),
+                         (measures, "trim_mask")):
+        counted(module, name)
+    cli.stage_measure(st)
+    assert calls == {"trim_counts": 4, "trim_mask": 1}
+    assert len((st.out / "betas.csv").read_text().splitlines()) == 1 + 8
+
+
+@pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])
+def test_measure_and_entropy_evaluate_no_map_on_the_atoms(name, tmp_path,
+                                                          monkeypatch):
+    # log|g'| along the atoms is gathered from the pool, never recomputed
+    from test_golden import _config
+
+    cfg = _config(name, tmp_path)
+    cfg.gibbs_instances = 0
+    st = cli.PipelineState(cfg, out_dir=tmp_path / "o")
+    for stage in cli._stages("times"):
+        stage(st)
+    sizes = []
+    real = SmoothMap1D.log_abs_deriv
+
+    def counted(self, x):
+        sizes.append(np.size(x))
+        return real(self, x)
+
+    monkeypatch.setattr(SmoothMap1D, "log_abs_deriv", counted)
+    cli.stage_measure(st)
+    cli.stage_entropy(st)
+    assert st.mu.n_atoms >= 10 ** 4
+    assert all(size < st.mu.n_atoms for size in sizes), sizes
+
+
+def test_run_pipeline_accepts_only_one_job(tmp_path):
+    cfg = load_config(_write(tmp_path, DOUBLING_INI.format(
+        seeds=100, seed=1, out=tmp_path / "o")))
+    with pytest.raises(ValueError, match="jobs"):
+        run_pipeline(cfg, jobs=2)
+    assert not (tmp_path / "o").exists()
 
 
 def test_array_writers_match_csv_writer_bytes(tmp_path):

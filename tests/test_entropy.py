@@ -250,7 +250,7 @@ def _coded_measures(draw):
         S = max(n, 1)
         pts = np.arange((m + 1) * S, dtype=float).reshape(m + 1, S)
         pool = SamplePool(seeds=np.zeros(S), points=pts,
-                          chain=np.zeros_like(pts),
+                          log_derivs=np.zeros((m, S)),
                           time_mask=np.zeros((S, m + 1), dtype=bool),
                           provenance={}, n_orbit=m)
         seed_idx = np.array(draw(st.lists(st.integers(0, S - 1), min_size=n,
@@ -529,7 +529,7 @@ def test_misiurewicz_rejects_bad_system(T, R, n_lam, name):
 
 def test_mane_bounds_doubling():
     f, mu = _doubling_measure(seeds=2000)
-    rep = verify_mane_bounds(mu, f, q=3)
+    rep = verify_mane_bounds(mu, power_map(f, 4), q=3)
     assert rep["sete_ok"] and rep["hq_ok"]
     # H(Q_q) = 0 for constant log|g'|
     assert abs(rep["hq_lhs"]) < 1e-9

@@ -11,8 +11,8 @@ from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.measures import (
     EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
     density_estimate, empirical_measure, forward_points, invariance_defect,
-    positive_exponent_proxy, ref_logistic_acip, ref_uniform, select_An,
-    support_gap_from_critical,
+    log_derivs_at, positive_exponent_proxy, ref_logistic_acip, ref_uniform,
+    select_An, support_gap_from_critical,
 )
 from acim1d.maps import critical_set, orbit_grid
 from acim1d.probes import probe_functions
@@ -234,9 +234,11 @@ def _proxy_oracle(mu):
     """positive_exponent_proxy by its per-atom definition: some l in E(x),
     l > i, with S_l - S_i >= (l - i) log 10 (a NaN difference fails)."""
     pool, log10 = mu.pool, np.log(10.0)
+    chain = np.vstack([np.zeros(pool.n_seeds),
+                       np.cumsum(pool.log_derivs, axis=0)])
     with np.errstate(invalid="ignore"):
         ok = sum(
-            any(pool.chain[l, s] - pool.chain[i, s] >= (l - i) * log10 - 1e-9
+            any(chain[l, s] - chain[i, s] >= (l - i) * log10 - 1e-9
                 for l in pool.time_list(s) if l > i)
             for s, i in zip(mu.seed_idx, mu.time_idx))
     return ok / mu.n_atoms
@@ -259,11 +261,10 @@ def test_positive_exponent_proxy_matches_per_atom_definition():
     # which fails only the comparisons it enters
     lds = np.array([[3.0, 1.0, -np.inf], [3.0, 5.0, 3.0], [-np.inf, 1.0, 3.0],
                     [3.0, np.nan, 3.0]])
-    chain = np.vstack([np.zeros(3), np.cumsum(lds, axis=0)])
     mask = np.zeros((3, 5), dtype=bool)
     mask[0, 1:] = mask[1, [2, 4]] = mask[2, :] = True
-    pool = SamplePool(seeds=np.zeros(3), points=np.zeros((5, 3)), chain=chain,
-                      time_mask=mask, provenance={}, n_orbit=4)
+    pool = SamplePool(seeds=np.zeros(3), points=np.zeros((5, 3)),
+                      log_derivs=lds, time_mask=mask, provenance={}, n_orbit=4)
     seed_idx = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2])
     time_idx = np.array([0, 1, 2, 3, 0, 1, 2, 4, 0])
     mu = EmpiricalMeasure(atoms=np.zeros(9), weights=np.full(9, 1 / 9),
@@ -335,13 +336,30 @@ def test_invariance_defect_bit_equal_to_two_evaluations(name, tmp_path):
     assert invariance_defect(bare, st.g)["defect"] == want
 
 
+@pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])
+def test_log_derivs_at_is_the_map_at_the_forward_points(name, tmp_path):
+    from acim1d import cli
+    from test_golden import _config
+
+    st = cli.PipelineState(_config(name, tmp_path), out_dir=tmp_path / "o")
+    for stage in cli._stages("measure"):
+        stage(st)
+    mu, m = st.mu, max(st.cfg.entropy_m)
+    for j, xj in enumerate(forward_points(mu, m)):
+        assert np.array_equal(log_derivs_at(mu, j, st.g),
+                              st.g.log_abs_deriv(xj))
+    # a pooled measure reads its pool's values, so another map is refused
+    with pytest.raises(ValueError, match="pool built under"):
+        log_derivs_at(mu, 0, st.f)
+
+
 def test_invariance_defect_pool_run_ends_at_last_image():
     # runs: seed 0 at times 0-1 and 3-4; seed 1 at time 5 alone, one step
     # after seed 0's last atom, its image the pool's last row; seed 2 at
     # times 2-3
     g = power_map(make_map("logistic"), 2)
-    pts, _ = orbit_grid(g, [0.1234, 0.377, 0.81], 6)
-    pool = SamplePool(seeds=pts[0], points=pts, chain=np.zeros_like(pts),
+    pts, lds = orbit_grid(g, [0.1234, 0.377, 0.81], 6)
+    pool = SamplePool(seeds=pts[0], points=pts, log_derivs=lds,
                       time_mask=np.zeros((3, 7), dtype=bool), provenance={},
                       n_orbit=6)
     seed_idx = np.array([0, 0, 0, 0, 1, 2, 2])
