@@ -43,8 +43,7 @@ from .measures import (
 )
 from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_bruteforce, clip_mask, components, mask_from_lists,
-    shorten_bruteforce, trim_counts, trim_mask, verify_enm_rows,
+    clip_mask, enm_bruteforce_rows, trim_counts, trim_mask, verify_enm_grid,
 )
 from .tree import ReparamTree, verify_tree
 
@@ -548,32 +547,25 @@ def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=1):
 def _enm_battery(n):
     """The E_n^{M,m} kernels on all 2^n subsets of [0, n), one boolean row
     each: (rows where clip_mask/trim_mask differ from the brute-force
-    oracles, lemma violations of verify_enm_rows, lemma instances)."""
+    enumeration, lemma violations of verify_enm_grid, lemma instances)."""
     E = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    sets = [np.flatnonzero(row).tolist() for row in E]
 
     def mismatches(got, want):
-        want = mask_from_lists(want, n)
         return int(np.count_nonzero(np.any(got != want, axis=1)))
 
     mism = viol = total = 0
     trims = {}
     for M in range(0, 5):
-        clips = [clip_bruteforce(s, n, M) for s in sets]
-        mism += mismatches(clip_mask(E, n, M), clips)
-        runs = [components(c) for c in clips]
-        del clips
+        clip, want = enm_bruteforce_rows(E, M, range(1, 5))
+        mism += mismatches(clip_mask(E, n, M), clip)
         for m in range(1, 5):
             trims[M, m] = trim_mask(E, n, M, m)
-            mism += mismatches(trims[M, m], [shorten_bruteforce(s, r, M, m)
-                                             for s, r in zip(sets, runs)])
-    for (M, m), S in trims.items():
-        for Mp in range(M, 5):
-            rep = verify_enm_rows(E, n, M, Mp, m, S, trims[Mp, m])
-            ok = (rep["i_boundary_subset"] & rep["iii_ok"] & rep["iv_ok"]
-                  & rep["monotone_in_M"])
-            total += ok.size
-            viol += int(np.count_nonzero(~ok))
+            mism += mismatches(trims[M, m], want[m])
+    for _, rep in verify_enm_grid(E, n, trims):
+        ok = (rep["i_boundary_subset"] & rep["iii_ok"] & rep["iv_ok"]
+              & rep["monotone_in_M"])
+        total += ok.size
+        viol += int(np.count_nonzero(~ok))
     return mism, viol, total
 
 

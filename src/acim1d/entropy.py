@@ -21,6 +21,7 @@ e^{-1/2}))^{-1}, and the Gibbs cylinder bound with C = GIBBS_C.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .measures import (
     PROXY_MIN, forward_points, in_An, log_derivs_at, positive_exponent_proxy,
 )
 from .times import (
-    boundary_counts, mask_from_lists, surrogate_mask, trim_mask,
+    boundary_counts, boundary_set, mask_from_lists, surrogate_mask, trim_mask,
 )
 
 __all__ = [
@@ -159,12 +160,22 @@ def _H_exact(counts, Q):
     if sum(counts) == 0:
         return mpmath.mpf(0)
     H = mpmath.mpf(0)
+    prec = mpmath.mp.prec
     for c in counts:
         if c > 0:
             d = math.gcd(c, Q)      # c / Q in lowest terms, as a Fraction
-            pv = mpmath.mpf(c // d) / mpmath.mpf(Q // d)
-            H -= pv * mpmath.log(pv)
+            H -= _plogp(c // d, Q // d, prec)
     return H
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _plogp(num, den, prec):
+    """pv log pv for pv = num / den, evaluated at the working precision,
+    which the caller passes as prec (bits) so that it keys the cache."""
+    import mpmath
+
+    pv = mpmath.mpf(num) / mpmath.mpf(den)
+    return pv * mpmath.log(pv)
 
 
 def verify_misiurewicz(lam, T, R, F, m):
@@ -224,7 +235,7 @@ def verify_misiurewicz(lam, T, R, F, m):
         lab = tuple(R[orbit[k][s]] for k in F)
         by_rf[lab] = by_rf.get(lab, 0) + w[s]
     n_charged = max(1, len({R[s] for s, c in lamF.items() if c > 0}))
-    dF = len(set(F) ^ {k + 1 for k in F})
+    dF = len(boundary_set(F))
 
     with mpmath.workdps(MISIUREWICZ_DPS):
         lhs = _H_exact(by_rm.values(), D * nF) / m

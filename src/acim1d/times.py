@@ -13,8 +13,10 @@ integers below a horizon n:
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
 t in E(x_s)).  density_rows, clip_mask, trim_mask, trim_counts (all n),
-boundary_counts and verify_enm_rows work on all rows at once; the
-set-based functions above and the *_bruteforce ones are their oracles.
+boundary_counts, verify_enm_rows and verify_enm_grid work on all rows at
+once; the set-based functions above and the brute-force enumerations
+(clip_bruteforce and trim_bruteforce per set, enm_bruteforce_rows per
+matrix) are their oracles.
 
 Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
@@ -38,6 +40,7 @@ __all__ = [
     "hyperbolic_surrogate_times", "verify_hyperbolic", "density",
     "EXPANSION", "mask_from_lists", "density_rows", "clip_mask", "trim_mask",
     "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_rows",
+    "verify_enm_grid",
 ]
 
 EXPANSION = 10.0                 # c: hyperbolic times expand by c per step
@@ -205,20 +208,54 @@ def clip_bruteforce(E, n, M):
 
 
 def trim_bruteforce(E, n, M, m):
-    return shorten_bruteforce(E, components(clip_bruteforce(E, n, M)), M, m)
-
-
-def shorten_bruteforce(E, runs, M, m):
-    """The trim step on runs = components(clip_bruteforce(E, n, M)), so
-    that one clip and its runs can serve every m."""
+    """The trim step, from the definition, on the components of
+    clip_bruteforce(E, n, M)."""
     Eset = set(E)
     out = set()
-    for k, l in runs:
+    for k, l in components(clip_bruteforce(E, n, M)):
         for L in range(m - 1, M + m - 1):
             if l - L > k and (l - L) in Eset:
                 out.update(range(k, l - L))
                 break
     return out
+
+
+def enm_bruteforce_rows(E, M, ms):
+    """E_n^M and each E_n^{M,m}, m in ms, of every row of the boolean
+    (S, n) matrix E, n its width, by enumeration of the definitions.
+
+    The clip ORs E[:, k] & E[:, l] into columns k..l-1 for every pair
+    k < l <= k+M.  Each component [[k;l[[ is found by trying every
+    k < l, and keeps its rows as an index array; per m each row of it is
+    cut to [[k;l-L[[ at the least L in [m-1, M+m-2] with l-L > k and E
+    at l-L.  Returns (clip, {m: trim}); clip_bruteforce and
+    trim_bruteforce are its per-set oracles in the tests."""
+    E = np.asarray(E, dtype=bool)
+    S, n = E.shape
+    clip = np.zeros((S, n), dtype=bool)
+    for k in range(n):
+        for l in range(k + 1, min(k + M, n - 1) + 1):
+            clip[:, k:l] |= (E[:, k] & E[:, l])[:, None]
+    edge = np.pad(clip, ((0, 0), (1, 1)))      # edge[:, t + 1] = clip[:, t]
+    runs = []                                   # (k, l, rows of [[k;l[[)
+    for k in range(n):
+        inside = ~edge[:, k]
+        for l in range(k + 1, n + 1):
+            inside = inside & clip[:, l - 1]
+            if not inside.any():
+                break
+            rows = np.flatnonzero(inside & ~edge[:, l + 1])
+            if rows.size:
+                runs.append((k, l, rows))
+    trims = {}
+    for m in ms:
+        out = trims[m] = np.zeros((S, n), dtype=bool)
+        for k, l, rows in runs:
+            for L in range(m - 1, min(M + m - 1, l - k)):
+                hit = E[rows, l - L]
+                out[rows[hit], k:l - L] = True
+                rows = rows[~hit]
+    return clip, trims
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +294,51 @@ def verify_enm(E, n, M, Mprime, m):
 def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
     """verify_enm on every row of the boolean matrix E (same keys, arrays).
     S and Sp, if given, are trim_mask(E, n, M, m) and trim_mask(E, n,
-    Mprime, m), so a caller can reuse one trim across several M'."""
+    Mprime, m)."""
     if M > Mprime:
         raise ValueError("need M <= Mprime")
     E = np.asarray(E, dtype=bool)
     S = trim_mask(E, n, M, m) if S is None else S
     Sp = trim_mask(E, n, Mprime, m) if Sp is None else Sp
+    return _pair_lemmas(M, S, Sp, _trim_lemmas(E, n, M, S),
+                        boundary_counts(Sp))
+
+
+def verify_enm_grid(E, n, trims):
+    """verify_enm_rows(E, n, M, M', m, trims[M, m], trims[M', m]) for every
+    M <= M' of trims = {(M, m): trim_mask(E, n, M, m)}, yielded as
+    ((M, M', m), report) in the order of trims.  Each trim's boundary
+    count, (i) flag and (iii) margin are computed once."""
+    E = np.asarray(E, dtype=bool)
+    one = {(M, m): _trim_lemmas(E, n, M, S) for (M, m), S in trims.items()}
+    for (M, m), S in trims.items():
+        for (Mp, mp), Sp in trims.items():
+            if mp == m and Mp >= M:
+                yield (M, Mp, m), _pair_lemmas(M, S, Sp, one[M, m],
+                                               one[Mp, m]["nd"])
+
+
+def _trim_lemmas(E, n, M, S):
+    """The lemmas on one trim S = trim_mask(E, n, M, m) alone, per row:
+    #dS, (i) dS subset E and (iii) M #dS / 2 <= n + M."""
     pad = np.pad(S, ((0, 0), (1, 1)))
     dS = pad[:, 1:] ^ pad[:, :-1]              # S symmetric-difference (S+1)
     Ew = np.pad(E, ((0, 0), (0, 1)))[:, :dS.shape[1]]   # E on dS's columns
-    nd, ndp = boundary_counts(S), boundary_counts(Sp)
+    nd = boundary_counts(S)
     iii = (n + M) - M * nd / 2
-    iv = np.count_nonzero(Sp & ~S, axis=1) - M * (nd - ndp) / 2
-    return {"i_boundary_subset": ~np.any(dS & ~Ew, axis=1),
-            "iii_margin": iii, "iii_ok": iii >= 0, "iv_margin": iv,
-            "iv_ok": iv >= 0, "monotone_in_M": ~np.any(S & ~Sp, axis=1)}
+    return {"nd": nd, "i_boundary_subset": ~np.any(dS & ~Ew, axis=1),
+            "iii_margin": iii, "iii_ok": iii >= 0}
+
+
+def _pair_lemmas(M, S, Sp, one, ndp):
+    """The verify_enm_rows report of trims S (at M) and Sp (at M' >= M),
+    given S's _trim_lemmas one and ndp = #dSp per row: adds (iv) and
+    monotonicity in M."""
+    iv = np.count_nonzero(Sp & ~S, axis=1) - M * (one["nd"] - ndp) / 2
+    return {"i_boundary_subset": one["i_boundary_subset"],
+            "iii_margin": one["iii_margin"], "iii_ok": one["iii_ok"],
+            "iv_margin": iv, "iv_ok": iv >= 0,
+            "monotone_in_M": ~np.any(S & ~Sp, axis=1)}
 
 
 # ---------------------------------------------------------------------------

@@ -451,31 +451,9 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
                                                     initial=np.inf)),
                        "log_factor_regularized": regularized}
 
-    # items 4 and 6: witness covering on sampled sigma-parameters; match
-    # marks the level's vertices whose label path is the witness's own
-    n_levels = len(tree.levels) - 1
+    # items 4 and 6: witness covering on sampled sigma-parameters
     xs = tree.sigma.point(rng.uniform(-0.98, 0.98, witness_samples), g.domain)
-    kx, kpx = _labels(orbit_grid(g, xs, n_levels)[1])
-    valid = np.logical_and.accumulate(kpx >= 0, axis=0)
-    start = np.searchsorted(V["level"], np.arange(n_levels + 2))
-    hits4 = np.zeros(n_levels)
-    hits6 = np.zeros(n_levels)
-    for w in range(xs.size):
-        match = np.ones(1, dtype=bool)
-        for n in range(1, 1 + np.count_nonzero(valid[:, w])):
-            lv = slice(start[n], start[n + 1])
-            match = (match[ppos[lv] - start[n - 1]]
-                     & (V["k_label"][lv] == kx[n - 1, w])
-                     & (V["kprime_label"][lv] == kpx[n - 1, w]))
-            t = np.abs(tree.param_of(xs[w], V["theta_alpha"][lv],
-                                     V["theta_rho"][lv]))
-            inside = t <= 1.0 + 1e-9
-            hits4[n - 1] += bool(np.any(inside & match & (
-                ~expanding[lv] | (t <= 1.0 / 3.0 + 1e-9))))
-            hits6[n - 1] += bool(np.any(inside))
-    valid = np.count_nonzero(valid, axis=1).astype(float)
-    for key, hits in (("item4", hits4), ("item6", hits6)):
-        rate = np.where(valid > 0, hits / np.maximum(valid, 1), 1.0)
+    for key, rate in zip(("item4", "item6"), _witness_pass_rates(tree, xs)):
         report[key] = {"pass_rate_per_level": rate.tolist(),
                        "ok": bool(np.all(rate >= 0.99))}
 
@@ -483,6 +461,62 @@ def verify_tree(tree, witness_samples=64, cert_sample=64, rng=None):
                        ("item1", "item2", "item3", "item4", "item5", "item6",
                         "eps_bound", "distortion"))
     return report
+
+
+def _witness_pass_rates(tree, xs):
+    """verify_tree's items 4 and 6 at the witness points xs: per level n,
+    the share of the witnesses whose orbit labels are valid through n that
+    lie in some level-n vertex (item 6), and in one whose label path from
+    the root is the witness's own, inside its middle third when it is
+    expanding (item 4); 1 where no witness is valid.
+
+    A vertex holds x only if its centre A = sigma_c + sigma_s theta_alpha
+    lies within |sigma_s theta_rho| of x (mod 1 on the circle), so per
+    level the centres are sorted once and param_of runs on the vertices
+    whose centre lies within the reach, 1.01 times the level's largest
+    |sigma_s theta_rho| plus 1e-12 for rounding, of x (and of x - 1 and
+    x + 1 on the circle)."""
+    levels = tree.levels
+    n_levels = len(levels) - 1
+    circle = tree.g.domain.is_circle
+    kx, kpx = _labels(orbit_grid(tree.g, xs, n_levels)[1])
+    valid = np.logical_and.accumulate(kpx >= 0, axis=0)
+    depth = np.count_nonzero(valid, axis=0)
+    lab = [(lv["k_label"], lv["kprime_label"]) for lv in levels]
+    up = [None] + [np.searchsorted(levels[j - 1]["vid"], levels[j]["parent"])
+                   for j in range(1, n_levels + 1)]
+    hits4 = np.zeros(n_levels)
+    hits6 = np.zeros(n_levels)
+    for n in range(1, n_levels + 1):
+        thA, thR = levels[n]["theta_alpha"], levels[n]["theta_rho"]
+        expanding = levels[n]["vtype"] == "Expanding"
+        A = tree.sigma_c + tree.sigma_s * thA
+        key = A % 1.0 if circle else A
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        reach = 1.01 * np.fmax.reduce(np.abs(tree.sigma_s * thR),
+                                      initial=0.0) + 1e-12
+        for w in np.flatnonzero(depth >= n).tolist():
+            x = xs[w]
+            centres = (x % 1.0 - 1.0, x % 1.0, x % 1.0 + 1.0) if circle \
+                else (x,)
+            cand = order[np.concatenate([np.arange(
+                np.searchsorted(key, c - reach, "left"),
+                np.searchsorted(key, c + reach, "right")) for c in centres])]
+            # param_of is a scalar inf when sigma_s = 0
+            t = np.broadcast_to(np.abs(tree.param_of(x, thA[cand],
+                                                     thR[cand])), cand.shape)
+            inside = t <= 1.0 + 1e-9
+            hits6[n - 1] += bool(np.any(inside))
+            pos = cand[inside & (~expanding[cand] | (t <= 1.0 / 3.0 + 1e-9))]
+            for j in range(n, 0, -1):       # keep those whose labels match
+                k, kp = lab[j]
+                pos = up[j][pos[(k[pos] == kx[j - 1, w])
+                                & (kp[pos] == kpx[j - 1, w])]]
+            hits4[n - 1] += bool(pos.size)
+    valid = np.count_nonzero(valid, axis=1).astype(float)
+    return tuple(np.where(valid > 0, hits / np.maximum(valid, 1), 1.0)
+                 for hits in (hits4, hits6))
 
 
 def distortion_suite(tree):

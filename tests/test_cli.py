@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import acim1d.cli as cli
+import acim1d.entropy as entropy
 import acim1d.measures as measures
+import acim1d.times as times
+import acim1d.tree as tree
 from acim1d.cli import (
     bound_analytic, bound_calculator, bound_smooth,
     compute_verdict, main, reparam_count_constant, run_pipeline, run_verify,
@@ -572,6 +575,44 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
     assert int(row[2]) > 0 and row[-1] == "0"
     assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
     assert "FAILURES" in capsys.readouterr().out
+
+
+def _with_shifted_log_derivs(real):
+    """orbit_grid with log|g'| + 1, so every witness label k is one off."""
+    def defect(*args):
+        pts, lds = real(*args)
+        return pts, lds + 1.0
+    return defect
+
+
+# (module, name, defect built from the real function, the one row it fails);
+# trim_mask at m + 1 tries L in [m, M+m-1], its L range shifted by one, and
+# E moved one column right is E + 1
+VERIFY_DEFECTS = {
+    "clip at M + 1": (cli, "clip_mask",
+                      lambda real: lambda E, n, M: real(E, n, M + 1),
+                      "enm_oracle_equivalence"),
+    "trim L range shifted": (cli, "trim_mask",
+                             lambda real: lambda E, n, M, m: real(
+                                 E, n, M, m + 1), "enm_oracle_equivalence"),
+    "(i) against E + 1": (times, "_trim_lemmas",
+                          lambda real: lambda E, n, M, S: real(
+                              np.pad(E, ((0, 0), (1, 0))), n, M, S),
+                          "enm_lemma"),
+    "no boundary term": (entropy, "boundary_set",
+                         lambda real: lambda S: set(), "misiurewicz_random"),
+    "witness k + 1": (tree, "orbit_grid", _with_shifted_log_derivs,
+                      "tree_item4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_DEFECTS))
+def test_verify_row_fails_on_defect(name, tmp_path, monkeypatch):
+    module, attr, defect, row = VERIFY_DEFECTS[name]
+    monkeypatch.setattr(module, attr, defect(getattr(module, attr)))
+    assert not run_verify(tmp_path, quick=True)
+    rows = _check_rows(tmp_path)
+    assert [k for k, r in rows.items() if r[-1] == "0"] == [row]
 
 
 def _doubling_tree(levels):

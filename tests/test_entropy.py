@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from acim1d.entropy import (
-    C0_MANE, MISIUREWICZ_DPS, _entropy_of_masses, ac_verdict, choose_offset,
-    entropy_formula_residual, gibbs_check, itinerary_entropy,
+    C0_MANE, MISIUREWICZ_DPS, _entropy_of_masses, _H_exact, ac_verdict,
+    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
     misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
@@ -407,6 +407,18 @@ def _H_fraction(mass_by_label):
             pv = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
             H -= pv * mpmath.log(pv)
     return H
+
+
+def test_H_exact_matches_fraction_entropy_at_each_precision():
+    # the p log p values are cached: the same masses at 40, 15 and again
+    # 40 digits each equal the uncached sum at their own precision
+    counts = [0, 3, 6, 9, 18, 36]
+    Q = sum(counts)
+    for dps in (40, 15, 40):
+        with mpmath.workdps(dps):
+            want = _H_fraction({i: Fraction(c, Q)
+                                for i, c in enumerate(counts)})
+            assert _H_exact(counts, Q) == want
 
 
 def _misiurewicz_fraction_oracle(lam, T, R, F, m):

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from acim1d.maps import make_map, orbit_grid, power_map
 from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
-    components, density, density_rows, hyperbolic_surrogate_times,
-    mask_from_lists, surrogate_mask, trim,
-    trim_bruteforce, trim_counts, trim_mask, verify_enm, verify_enm_rows,
-    verify_hyperbolic,
+    components, density, density_rows, enm_bruteforce_rows,
+    hyperbolic_surrogate_times, mask_from_lists, surrogate_mask, trim,
+    trim_bruteforce, trim_counts, trim_mask, verify_enm, verify_enm_grid,
+    verify_enm_rows, verify_hyperbolic,
 )
 
 time_sets = st.frozensets(st.integers(min_value=0, max_value=11), max_size=12)
@@ -45,6 +45,43 @@ def test_clip_trim_match_bruteforce(E, M, m):
     n = 12
     assert clip(E, n, M) == clip_bruteforce(E, n, M)
     assert trim(E, n, M, m) == trim_bruteforce(E, n, M, m)
+
+
+def _assert_row_oracle_matches_sets(E, M):
+    """enm_bruteforce_rows(E, M, 1..4) equals clip_bruteforce and
+    trim_bruteforce of every row, at the horizon n = the width of E."""
+    n = E.shape[1]
+    clip_rows, trims = enm_bruteforce_rows(E, M, range(1, 5))
+    assert clip_rows.shape == (E.shape[0], n) and sorted(trims) == [1, 2, 3, 4]
+    for r, row in enumerate(E):
+        Es = np.flatnonzero(row).tolist()
+        assert np.flatnonzero(clip_rows[r]).tolist() == sorted(
+            clip_bruteforce(Es, n, M)), (r, M)
+        for m, T in trims.items():
+            assert np.flatnonzero(T[r]).tolist() == sorted(
+                trim_bruteforce(Es, n, M, m)), (r, M, m)
+
+
+@st.composite
+def narrow_matrices(draw):
+    """Boolean matrices of width 0-12 with an all-true and an all-false
+    row."""
+    width = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                  max_size=width), max_size=6))
+    return np.array(rows + [[True] * width, [False] * width], dtype=bool)
+
+
+@given(narrow_matrices(), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_row_oracle_matches_set_oracles(E, M):
+    _assert_row_oracle_matches_sets(E, M)
+
+
+def test_row_oracle_matches_set_oracles_on_all_subsets():
+    E = ((np.arange(1 << 8)[:, None] >> np.arange(8)) & 1).astype(bool)
+    for M in range(6):
+        _assert_row_oracle_matches_sets(E, M)
 
 
 def _clip_ordered_pairs(E, n, M):
@@ -279,6 +316,23 @@ def test_verify_enm_rows_matches_per_row_oracle(En, M, Mextra, m):
         for key, want in verify_enm(Es, n, M, Mp, m).items():
             assert rep[key][r] == want, key
             assert reused[key][r] == want, key
+
+
+@given(time_matrices(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_verify_enm_grid_matches_pairwise_rows(En, m_max):
+    # every (M, m) of a 4 x m_max grid, pairs taken across the whole grid
+    E, n = En
+    trims = {(M, m): trim_mask(E, n, M, m) for M in range(4)
+             for m in range(1, m_max + 1)}
+    got = dict(verify_enm_grid(E, n, trims))
+    assert sorted(got) == sorted((M, Mp, m) for M, m in trims
+                                 for Mp in range(M, 4))
+    for (M, Mp, m), rep in got.items():
+        want = verify_enm_rows(E, n, M, Mp, m)
+        assert list(rep) == list(want)
+        for key in want:
+            assert np.array_equal(rep[key], want[key]), (M, Mp, m, key)
 
 
 def test_verify_enm_rows_flags_violations():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from acim1d.errors import TreeBudgetExceeded
-from acim1d.maps import CIRCLE, make_map, power_map
+from acim1d.maps import CIRCLE, make_map, orbit_grid, power_map
 from acim1d.reparam import affine_reparam, choose_epsilon
 from acim1d.times import density, verify_hyperbolic
-from acim1d.tree import ReparamTree, distortion_suite, verify_tree
+from acim1d.tree import (
+    ReparamTree, _labels, _witness_pass_rates, distortion_suite, verify_tree,
+)
 
 
 def _doubling_tree(p=7, levels=2):
@@ -222,3 +224,106 @@ def test_walk_same_on_built_and_unbuilt_tree():
     walks = [built.walk_geometric_times(float(x), 2) for x in xs]
     assert walks == [lazy.walk_geometric_times(float(x), 2) for x in xs]
     assert sum(map(len, walks)) > 200
+
+
+# -- witness covering: items 4 and 6 against the per-witness loop ------------
+
+
+def _witness_rates_loop(tree, xs):
+    """Items 4 and 6 of verify_tree by a loop over the witnesses, each
+    evaluating param_of on every vertex of every level and carrying the
+    label match down from the root: the oracle of _witness_pass_rates."""
+    V = np.concatenate(tree.levels)
+    ppos = np.searchsorted(V["vid"], V["parent"])
+    expanding = V["vtype"] == "Expanding"
+    n_levels = len(tree.levels) - 1
+    kx, kpx = _labels(orbit_grid(tree.g, xs, n_levels)[1])
+    valid = np.logical_and.accumulate(kpx >= 0, axis=0)
+    start = np.searchsorted(V["level"], np.arange(n_levels + 2))
+    hits4 = np.zeros(n_levels)
+    hits6 = np.zeros(n_levels)
+    for w in range(xs.size):
+        match = np.ones(1, dtype=bool)
+        for n in range(1, 1 + np.count_nonzero(valid[:, w])):
+            lv = slice(start[n], start[n + 1])
+            match = (match[ppos[lv] - start[n - 1]]
+                     & (V["k_label"][lv] == kx[n - 1, w])
+                     & (V["kprime_label"][lv] == kpx[n - 1, w]))
+            t = np.abs(tree.param_of(xs[w], V["theta_alpha"][lv],
+                                     V["theta_rho"][lv]))
+            inside = t <= 1.0 + 1e-9
+            hits4[n - 1] += bool(np.any(inside & match & (
+                ~expanding[lv] | (t <= 1.0 / 3.0 + 1e-9))))
+            hits6[n - 1] += bool(np.any(inside))
+    valid = np.count_nonzero(valid, axis=1).astype(float)
+    return tuple(np.where(valid > 0, hits / np.maximum(valid, 1), 1.0)
+                 for hits in (hits4, hits6))
+
+
+# (preset, p, seed-curve centre as a function of eps, params, levels): the
+# tree of acim1d verify, an interval map with expanding vertices, and a
+# circle tree whose seed curve [c - 0.9 eps, c + 0.9 eps] straddles 0.  On
+# doubling^7 the marked-point cuts end vertices at 0, so the straddling
+# tree takes a map that does not fix 0; its level 2 would hold 2 x 10^5
+# vertices.
+WITNESS_TREES = {
+    "doubling^7": ("doubling", 7, lambda eps: 0.37, {}, 2),
+    "tent^9": ("tent", 9, lambda eps: 0.3, {}, 2),
+    "across 0": ("linear_circle", 5, lambda eps: 0.3 * eps,
+                 {"d": 3.0, "c": 0.1}, 1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(WITNESS_TREES))
+def test_witness_pass_rates_match_per_witness_loop(key):
+    preset, p, centre, params, levels = WITNESS_TREES[key]
+    f = make_map(preset, **params)
+    eps = choose_epsilon(power_map(f, p))
+    sig = affine_reparam(centre(eps), 0.9 * eps)
+    tree = ReparamTree(f, p, sig, eps).build(levels)
+    dom = tree.g.domain
+    # verify_tree's own 64 witnesses, drawn after item 1's sample
+    rep = verify_tree(tree, cert_sample=4, rng=np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    rng.choice(tree.n_vertices - 1, size=4, replace=False)
+    xs = sig.point(rng.uniform(-0.98, 0.98, 64), dom)
+    rate4, rate6 = _witness_rates_loop(tree, xs)
+    assert rep["item4"]["pass_rate_per_level"] == rate4.tolist()
+    assert rep["item6"]["pass_rate_per_level"] == rate6.tolist()
+    # one witness at a time, some beyond the curve's ends and, across 0,
+    # 11 within a level-1 vertex of sigma^-1(0)
+    u = np.random.default_rng(5).uniform(-1.1, 1.1, 24)
+    if key == "across 0":
+        u = np.r_[u, -1.0 / 3.0 + np.linspace(-1e-4, 1e-4, 11)]
+    xs = sig.point(u, dom)
+    rates = _rates_of_each_witness(tree, xs)
+    assert {0.0, 1.0} <= set(rates.ravel().tolist())
+    if key == "across 0":
+        # some witness lies in a vertex whose centre is across 0 from it,
+        # which only the x - 1 or x + 1 window finds
+        lv = tree.levels[1]
+        A = tree.sigma_c + tree.sigma_s * lv.theta_alpha
+        t = np.abs(tree.param_of(xs[:, None], lv.theta_alpha, lv.theta_rho))
+        assert np.any((t <= 1.0 + 1e-9) & (np.abs(xs[:, None] - A) > 0.5))
+    if key == "doubling^7":
+        # every label of doubling^7 is the same; with k + 1 on a third of
+        # each level's vertices, item 4 rests on the whole label path and
+        # on the middle thirds: some witnesses lie in a level-2 vertex but
+        # in no matching one
+        flip = np.random.default_rng(7)
+        for lv in tree.levels[1:]:
+            lv.k_label[flip.random(len(lv)) < 1.0 / 3.0] += 1
+        rates = _rates_of_each_witness(tree, xs)
+        assert np.any((rates[:, 0, 1] == 0.0) & (rates[:, 1, 1] == 1.0))
+
+
+def _rates_of_each_witness(tree, xs):
+    """_witness_pass_rates at each witness alone, asserted equal to the
+    loop's; shape (witnesses, item 4 / item 6, level)."""
+    out = []
+    for x in xs:
+        got = _witness_pass_rates(tree, np.array([x]))
+        want = _witness_rates_loop(tree, np.array([x]))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), x
+        out.append(want)
+    return np.array(out)
