@@ -110,7 +110,7 @@ def _zeros_of_map(g, grid_size=8192):
 
     Uses v(x) = ((g(x)+1/2) mod 1) - 1/2, continuous near its zeros, and
     brackets sign changes with both values close to 0 to dodge the wrap
-    discontinuity at +-1/2.
+    discontinuity at +-1/2; one solver call refines every bracket.
     """
     xs = np.linspace(0.0, 1.0, grid_size + 1)
     circle = g.domain.is_circle
@@ -118,32 +118,43 @@ def _zeros_of_map(g, grid_size=8192):
     if circle:
         v = ((v + 0.5) % 1.0) - 0.5
 
-    def vv(t):
-        y = float(g.eval(t))
+    def vv(t, _):
+        y = g.eval(t)
         return ((y + 0.5) % 1.0) - 0.5 if circle else y
 
     a, b = v[:-1], v[1:]
     cells = np.flatnonzero((np.abs(a) <= 0.25) & (np.abs(b) <= 0.25)
                            & ((a == 0.0) | (a * b < 0)))
-    zeros = [xs[i] if v[i] == 0.0 else
-             brentq(vv, xs[i], xs[i + 1], xtol=1e-13) for i in cells]
+    hit = v[cells] == 0.0
+    roots = iter(brentq(vv, xs[cells[~hit]], xs[cells[~hit] + 1],
+                        xtol=1e-13).tolist())
+    zeros = [xs[i] if h else next(roots) for i, h in zip(cells, hit)]
     if v[-1] == 0.0:
         zeros.append(xs[-1])
     return zeros
 
 
-def _sup_slope(g, lo, hi, samples=64):
-    ts = np.linspace(lo, hi, samples)
+def _sup_slopes(g, lo, hi, samples=64):
+    """sup |g'| on each [lo[j], hi[j]]: the largest of 64 samples, polished
+    by bounded Brent between that sample's neighbours, every interval in
+    one solver call.  Each hi - lo must be positive: a zero step in one
+    row would change how np.linspace spaces every row."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    ts = np.linspace(lo, hi, samples, axis=1)
     vals = np.abs(g.deriv(1, g.domain.reduce(ts)))
-    best = float(np.max(vals))
-    i = int(np.argmax(vals))
-    a = max(lo, ts[max(0, i - 1)])
-    b = min(hi, ts[min(samples - 1, i + 1)])
-    if b > a:
-        best = max(best, float(-minimize_bounded(
-            lambda t: -abs(float(g.deriv(1, float(g.domain.reduce(np.asarray(t)))))),
-            a, b, 1e-12)))
-    return best
+    best = vals.max(axis=1)
+    i, rows = vals.argmax(axis=1), np.arange(lo.size)
+    # Python's max(lo, t) and min(hi, t), ties to lo and hi
+    a = ts[rows, np.maximum(i - 1, 0)]
+    a = np.where(a > lo, a, lo)
+    b = ts[rows, np.minimum(i + 1, samples - 1)]
+    b = np.where(b < hi, b, hi)
+    polish = b > a
+    v = -minimize_bounded(
+        lambda t, _: -np.abs(g.deriv(1, g.domain.reduce(t))),
+        a[polish], b[polish], 1e-12)
+    best[polish] = np.where(v > best[polish], v, best[polish])
+    return best.tolist()
 
 
 def monotone_branches(g, tol=1e-12, grid_size=8192):
@@ -178,7 +189,6 @@ def monotone_branches(g, tol=1e-12, grid_size=8192):
         dedup.append((p, reason))
     pts = [p for p, _ in dedup]
 
-    branches = []
     if circle:
         if not pts:
             # no cuts at all: the whole circle is one branch
@@ -190,6 +200,7 @@ def monotone_branches(g, tol=1e-12, grid_size=8192):
         segs = list(zip(pts, pts[1:]))
 
     flat_set = [(a, b) for a, b in flat_pieces]
+    kept = []
     for lo, hi in segs:
         if hi - lo <= 10 * max(tol, 1e-12):
             continue
@@ -198,14 +209,13 @@ def monotone_branches(g, tol=1e-12, grid_size=8192):
         if any(a - tol <= midr <= b + tol for a, b in flat_set):
             continue
         d = float(g.deriv(1, midr))
-        if d == 0.0:
-            continue
-        branches.append(Branch(
-            a=lo % 1.0 if circle else lo,
-            length=hi - lo,
-            sign=1 if d > 0 else -1,
-            sup_slope=_sup_slope(g, lo, hi),
-        ))
+        if d != 0.0:
+            kept.append((lo, hi, 1 if d > 0 else -1))
+    slopes = _sup_slopes(g, [lo for lo, _, _ in kept],
+                         [hi for _, hi, _ in kept])
+    branches = [Branch(a=lo % 1.0 if circle else lo, length=hi - lo,
+                       sign=sign, sup_slope=slope)
+                for (lo, hi, sign), slope in zip(kept, slopes)]
     return BranchPartition(
         map_name=g.name,
         branches=branches,

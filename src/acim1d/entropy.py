@@ -51,6 +51,7 @@ CUT_DIST = 1e-9           # a point this close to an atom border sits on it
 CUT_MASS_TOL = 0.01       # largest tolerated mass of points on J cuts
 MISIUREWICZ_DPS = 40      # mpmath digits of the exact block-entropy check
 MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
+RANK_SPAN = 4             # _ranks counts while span <= RANK_SPAN * size
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +119,33 @@ def _entropy_of_masses(masses):
     return float(-np.sum(p * np.log(p)))
 
 
-def _ranks(labels):
-    return np.unique(labels, return_inverse=True)[1]
+def _ranks(labels, first_seen=False):
+    """Dense ranks of integer labels, np.unique's inverse, numbered in
+    value order or (first_seen) in order of first appearance.  While the
+    span of the values is at most RANK_SPAN times their number they are
+    counted in a table over the span, which then takes no more memory
+    than np.unique's sort; wider labels go to np.unique."""
+    labels = np.asarray(labels)
+    n = labels.size
+    lo = int(labels.min()) if n else 0
+    span = int(labels.max()) - lo + 1 if n else 0
+    if 0 < span <= RANK_SPAN * n:
+        off = labels - lo
+        table = np.zeros(span, dtype=np.intp)
+        table[off] = 1
+        np.cumsum(table, out=table)
+        table -= 1
+        inv = table[off]
+        del off, table
+    else:
+        inv = np.unique(labels, return_inverse=True)[1]
+    if first_seen and n:
+        first = np.full(inv.max() + 1, n)
+        np.minimum.at(first, inv, np.arange(n))
+        renumber = np.empty_like(first)
+        renumber[np.argsort(first)] = np.arange(first.size)
+        inv = renumber[inv]
+    return inv
 
 
 def itinerary_entropy(mu, labels, m, g=None):
@@ -141,7 +167,7 @@ def itinerary_entropy(mu, labels, m, g=None):
         for lab in labels:
             r = _ranks(lab(xj)) if callable(lab) else next(lab)
             key = inv * (r.max(initial=0) + 1) + r
-            del inv, r      # only key is held while np.unique sorts it
+            del inv, r      # only key is held while _ranks ranks it
             inv = _ranks(key)
             del key
         Hs.append(_entropy_of_masses(np.bincount(inv, weights=mu.weights)))
@@ -280,11 +306,11 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
     a = a if a is not None else choose_offset(g, q, measure.atoms, rng,
                                               log_derivs=u)
     # bin masses in order of first appearance, each summed in atom order
-    kk, first, inv = np.unique(_qbins(u, q, a), return_index=True,
-                               return_inverse=True)
-    order = np.argsort(first)
-    xs = np.bincount(inv, weights=measure.weights)[order]
-    kk = kk[order].astype(float)
+    bins = _qbins(u, q, a)
+    inv = _ranks(bins, first_seen=True)
+    xs = np.bincount(inv, weights=measure.weights)
+    kk = np.empty(xs.size)
+    kk[inv] = bins
     lhs = _entropy_of_masses(xs)
     rhs1 = float(np.sum(np.abs(kk) * xs)) + C0_MANE
     int_abs = float(np.sum(measure.weights * np.abs(

@@ -86,7 +86,8 @@ class SmoothMap1D:
     """A C^r self-map of [0,1] or the circle with derivative oracles.
 
     Subclasses implement _eval_raw (before circle reduction) and either
-    closed-form _deriv_raw or rely on the jet path.
+    closed-form _deriv_raw or rely on the jet path, where _derivs_raw
+    should be _jet_derivs (one jet pass for all orders).
     """
 
     def __init__(self, domain, smoothness_r, holder_const, name):
@@ -107,9 +108,19 @@ class SmoothMap1D:
         raise NotImplementedError
 
     def _deriv_raw(self, k, x):
-        """Closed-form k-th derivative; subclasses may defer to jets."""
-        jet = self.jet_apply(variable(np.asarray(x, dtype=float), max(k, 1)))
-        return jet.deriv(k)
+        """k-th derivative by jets; subclasses override it with closed forms."""
+        return self._jet_derivs(k, x)[-1]
+
+    def _derivs_raw(self, K, x):
+        """Orders 1..K, one _deriv_raw call each (the closed forms)."""
+        return np.stack([self._deriv_raw(k, x) for k in range(1, K + 1)])
+
+    def _jet_derivs(self, K, x):
+        """Orders 1..K from one jet pass of order K.  A jet recurrence
+        fills coefficient k from lower ones only, so each order has the
+        bits of its own order-k pass."""
+        jet = self.jet_apply(variable(np.asarray(x, dtype=float), K))
+        return np.stack([jet.deriv(k) for k in range(1, K + 1)])
 
     def jet_apply(self, jet):
         raise NotImplementedError
@@ -128,6 +139,13 @@ class SmoothMap1D:
         if k > self.r_floor:
             raise ValueError(f"derivative order {k} exceeds floor(r)={self.r_floor}")
         return self._deriv_raw(k, x)
+
+    def derivs(self, K, x):
+        """[deriv(k, x) for k = 1..K] as one array of shape (K,) + x.shape."""
+        if not 1 <= K <= self.r_floor:
+            raise ValueError(f"derivative orders 1..{K} need 1 <= K <= "
+                             f"floor(r)={self.r_floor}")
+        return self._derivs_raw(K, x)
 
     def log_abs_deriv(self, x):
         """log|f'(x)| with the -inf floor applied."""
@@ -342,7 +360,16 @@ class PowerMap(SmoothMap1D):
                 d = d * self.base.deriv(1, y)
                 y = self.base.eval(y)
             return d
-        return self.jet_apply(variable(x, k)).deriv(k)
+        return super()._deriv_raw(k, x)
+
+    def _derivs_raw(self, K, x):
+        # the chain rule at order 1, one jet pass for the orders above
+        d1 = self._deriv_raw(1, x)
+        if K == 1:
+            return d1[None]
+        out = self._jet_derivs(K, x)
+        out[0] = d1
+        return out
 
     def jet_apply(self, jet):
         for _ in range(self.p):
@@ -426,6 +453,8 @@ class ExpressionMap(SmoothMap1D):
     def _eval_raw(self, x):
         out = self._eval_node(self._tree, np.asarray(x, dtype=float))
         return np.asarray(out, dtype=float)
+
+    _derivs_raw = SmoothMap1D._jet_derivs
 
     def jet_apply(self, jet):
         out = self._eval_node(self._tree, jet)
@@ -526,13 +555,6 @@ class MapNorms:
     upper_hints: dict = field(default_factory=dict)
 
 
-def _refine_max(fun, lo, hi):
-    """Bounded-Brent polish of a grid maximum of |fun| on [lo, hi]."""
-    if hi <= lo:
-        return abs(fun(lo))
-    return float(-minimize_bounded(lambda t: -abs(fun(t)), lo, hi, 1e-12))
-
-
 def _quick_norm(f, k, grid_size=1024):
     xs = np.linspace(0.0, 1.0, grid_size)
     return float(np.max(np.abs(f.deriv(k, xs))))
@@ -543,37 +565,30 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
 
     Each sup is a grid scan plus bounded-Brent refinement around the
     best grid cells; R_estimate is (1/n) log+ of the refined sup of
-    |(f^n)'| for the recorded n_used.
+    |(f^n)'| for the recorded n_used.  Every refinement window is a lane
+    of one solver call.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     xs = np.linspace(0.0, 1.0, grid_size + 1)
     h = 1.0 / grid_size
-    sups = {}
-    hints = {}
-    for k in range(1, f.r_floor + 1):
-        vals = np.abs(f.deriv(k, xs))
-        best = float(np.max(vals))
-        order = np.argsort(vals)[::-1][:refine_iters]
-        for i in order:
-            lo = max(0.0, xs[i] - h)
-            hi = min(1.0, xs[i] + h)
-            best = max(best, _refine_max(lambda t, k=k: f.deriv(k, t), lo, hi))
-        sups[k] = best
-    sups["r"] = f.holder_const
-    for k in range(1, f.r_floor + 1):
-        if k < f.r_floor:
-            hints[k] = sups[k] + 0.5 * h * sups[k + 1]
-        else:
-            expo = f.smoothness_r - f.r_floor
-            pad = f.holder_const * (0.5 * h) ** expo if expo > 0 else f.holder_const * 0.0
-            hints[k] = sups[k] + (pad if expo > 0 else 0.5 * h * f.holder_const)
-
+    K = f.r_floor
+    grid = np.abs(f.derivs(K, xs))
+    sups = {k: float(np.max(grid[k - 1])) for k in range(1, K + 1)}
     # R(f): sup over the grid of the chained log-derivative at depth n_used
     _, lds = orbit_grid(f, xs, n_used)
     chain = np.sum(lds, axis=0)
     finite = chain[np.isfinite(chain)]
     sup_log = float(np.max(finite)) if finite.size else -np.inf
+
+    # windows around the best grid points: refine_iters for each order k,
+    # then k = 0 for the chain where it is finite somewhere
+    centres = [(k, i) for k in range(1, K + 1)
+               for i in np.argsort(grid[k - 1])[::-1][:refine_iters]]
+    if finite.size:
+        centres.append((0, int(np.nanargmax(
+            np.where(np.isfinite(chain), chain, -np.inf)))))
+    ks = np.array([k for k, _ in centres])
 
     def chain_at(t):
         y = t
@@ -586,11 +601,34 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
             y = float(f.eval(y))
         return acc
 
-    if finite.size:
-        i = int(np.nanargmax(np.where(np.isfinite(chain), chain, -np.inf)))
-        lo, hi = max(0.0, xs[i] - h), min(1.0, xs[i] + h)
-        sup_log = max(sup_log, float(
-            -minimize_bounded(lambda t: -chain_at(t), lo, hi, 1e-12)))
+    def objective(t, lane):
+        # lanes stay in order, so a running chain lane is the last one
+        n = np.count_nonzero(ks[lane])
+        out = np.empty(t.size)
+        if n:
+            k = ks[lane[:n]]
+            out[:n] = -np.abs(f.derivs(k.max(), t[:n])[k - 1, np.arange(n)])
+        if n < t.size:
+            out[n] = -chain_at(t[n])
+        return out
+
+    best = -minimize_bounded(objective,
+                             [max(0.0, xs[i] - h) for _, i in centres],
+                             [min(1.0, xs[i] + h) for _, i in centres], 1e-12)
+    for (k, _), v in zip(centres, best.tolist()):
+        if k:
+            sups[k] = max(sups[k], v)
+        else:
+            sup_log = max(sup_log, v)
+    sups["r"] = f.holder_const
+    hints = {}
+    for k in range(1, f.r_floor + 1):
+        if k < f.r_floor:
+            hints[k] = sups[k] + 0.5 * h * sups[k + 1]
+        else:
+            expo = f.smoothness_r - f.r_floor
+            pad = f.holder_const * (0.5 * h) ** expo if expo > 0 else f.holder_const * 0.0
+            hints[k] = sups[k] + (pad if expo > 0 else 0.5 * h * f.holder_const)
     R_est = max(0.0, sup_log / n_used)
 
     return MapNorms(
@@ -642,6 +680,6 @@ def critical_set(f, tol=1e-12, grid_size=8192):
         raise UnresolvedCritical(
             f"critical count unstable under grid refinement "
             f"({n_roots}/{n_flats} vs {len(roots) + cells.size}/{len(flats)})")
-    roots += [brentq(lambda t: float(f.deriv(1, t)), xs[i], xs[i + 1],
-                     xtol=tol) for i in cells]
+    roots += brentq(lambda t, _: f.deriv(1, t), xs[cells], xs[cells + 1],
+                    xtol=tol).tolist()
     return sorted(roots) + sorted(flats)

@@ -13,8 +13,8 @@ integers below a horizon n:
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
 t in E(x_s)).  density_rows, clip_mask, trim_mask, trim_counts (all n),
-boundary_counts, verify_enm_rows and verify_enm_grid work on all rows at
-once; the set-based functions above and the brute-force enumerations
+boundary_counts and verify_enm_grid work on all rows at once; the
+set-based functions above and the brute-force enumerations
 (clip_bruteforce and trim_bruteforce per set, enm_bruteforce_rows per
 matrix) are their oracles.
 
@@ -39,8 +39,7 @@ __all__ = [
     "clip", "trim", "boundary_set", "components", "verify_enm",
     "hyperbolic_surrogate_times", "verify_hyperbolic", "density",
     "EXPANSION", "mask_from_lists", "density_rows", "clip_mask", "trim_mask",
-    "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_rows",
-    "verify_enm_grid",
+    "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_grid",
 ]
 
 EXPANSION = 10.0                 # c: hyperbolic times expand by c per step
@@ -291,24 +290,12 @@ def verify_enm(E, n, M, Mprime, m):
     }
 
 
-def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
-    """verify_enm on every row of the boolean matrix E (same keys, arrays).
-    S and Sp, if given, are trim_mask(E, n, M, m) and trim_mask(E, n,
-    Mprime, m)."""
-    if M > Mprime:
-        raise ValueError("need M <= Mprime")
-    E = np.asarray(E, dtype=bool)
-    S = trim_mask(E, n, M, m) if S is None else S
-    Sp = trim_mask(E, n, Mprime, m) if Sp is None else Sp
-    return _pair_lemmas(M, S, Sp, _trim_lemmas(E, n, M, S),
-                        boundary_counts(Sp))
-
-
 def verify_enm_grid(E, n, trims):
-    """verify_enm_rows(E, n, M, M', m, trims[M, m], trims[M', m]) for every
-    M <= M' of trims = {(M, m): trim_mask(E, n, M, m)}, yielded as
-    ((M, M', m), report) in the order of trims.  Each trim's boundary
-    count, (i) flag and (iii) margin are computed once."""
+    """verify_enm(E_r, n, M, M', m) on every row E_r of the boolean matrix
+    E (same keys, arrays), from trims = {(M, m): trim_mask(E, n, M, m)},
+    for every M <= M' of trims, yielded as ((M, M', m), report) in the
+    order of trims.  Each trim's boundary count, (i) flag and (iii)
+    margin are computed once."""
     E = np.asarray(E, dtype=bool)
     one = {(M, m): _trim_lemmas(E, n, M, S) for (M, m), S in trims.items()}
     for (M, m), S in trims.items():
@@ -331,7 +318,7 @@ def _trim_lemmas(E, n, M, S):
 
 
 def _pair_lemmas(M, S, Sp, one, ndp):
-    """The verify_enm_rows report of trims S (at M) and Sp (at M' >= M),
+    """The verify_enm_grid report of trims S (at M) and Sp (at M' >= M),
     given S's _trim_lemmas one and ndp = #dSp per row: adds (iv) and
     monotonicity in M."""
     iv = np.count_nonzero(Sp & ~S, axis=1) - M * (one["nd"] - ndp) / 2

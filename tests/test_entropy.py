@@ -8,11 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from acim1d.entropy import (
-    C0_MANE, MISIUREWICZ_DPS, _entropy_of_masses, _H_exact, ac_verdict,
-    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
-    misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
+    C0_MANE, MISIUREWICZ_DPS, RANK_SPAN, _entropy_of_masses, _H_exact,
+    _ranks, ac_verdict, choose_offset, entropy_formula_residual,
+    gibbs_check, itinerary_entropy, misiurewicz_battery, qbin_label,
+    verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
 from acim1d.errors import InsufficientAtoms, OffsetNotFound
@@ -22,7 +24,6 @@ from acim1d.measures import (
     select_An,
 )
 from acim1d.reparam import choose_epsilon
-from acim1d.solvers import minimize_bounded
 from partition_oracle import (
     EntropyReport, build_Qq, join, partition_entropy, partition_from_branches,
     refine,
@@ -273,6 +274,41 @@ def test_itinerary_entropy_matches_row_unique_oracle(case):
     assert Hs == [_itinerary_oracle(mu, fns, k, g=g) for k in range(1, m + 1)]
     if mu.n_atoms == 0:
         assert Hs[-1] == 0.0
+
+
+@st.composite
+def _label_arrays(draw):
+    """Integer labels whose span sits on either side of RANK_SPAN times
+    their number, with _qbins' -10^9 - 1 tail at times."""
+    n = draw(st.integers(0, 60))
+    span = draw(st.sampled_from([1, 2, max(1, RANK_SPAN * n),
+                                 RANK_SPAN * n + 1, 10 ** 6]))
+    lo = draw(st.integers(-10, 10))
+    x = draw(st.lists(st.integers(lo, lo + span - 1), min_size=n,
+                      max_size=n))
+    if n and draw(st.booleans()):
+        x[draw(st.integers(0, n - 1))] = -10 ** 9 - 1
+    return np.array(x, dtype=np.int64)
+
+
+@given(_label_arrays())
+@settings(max_examples=400, deadline=None)
+def test_ranks_match_unique_inverse(x):
+    want = np.unique(x, return_inverse=True)[1]
+    got = _ranks(x)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # first_seen: the same classes, numbered by first appearance
+    _, first = np.unique(x, return_index=True)
+    renumber = np.empty(first.size, dtype=np.intp)
+    renumber[np.argsort(first)] = np.arange(first.size)
+    assert np.array_equal(_ranks(x, first_seen=True), renumber[want])
+
+
+def test_ranks_edge_cases():
+    for x in ([], [7], [-10 ** 9 - 1], [3, 3, 3], [-10 ** 9 - 1, 0, 5]):
+        x = np.array(x, dtype=np.int64)
+        assert np.array_equal(_ranks(x), np.unique(x, return_inverse=True)[1])
+        assert _ranks(x).dtype == np.intp
 
 
 def test_itinerary_entropy_pool_path_matches_oracle_on_a_run():
@@ -615,8 +651,9 @@ def change_of_variable_check(g, k, J_branch, A_set, B_set):
         i = int(np.argmin(vals))
         lo = max(a, ts[max(0, i - 1)])
         hi = min(b, ts[min(len(ts) - 1, i + 1)])
-        res = minimize_bounded(lambda t: abs(float(gk.deriv(1, t))),
-                               lo, hi, 1e-13)
+        res = minimize_scalar(lambda t: abs(float(gk.deriv(1, t))),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-13}).fun
         inf_d = min(inf_d, float(np.min(vals)), float(res))
     rhs = lebB / inf_d if inf_d > 0 else float("inf")
     margin = rhs - lhs

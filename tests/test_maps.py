@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
     CIRCLE, FLAT_TOL, UNIT_INTERVAL, critical_set, estimate_norms,
     lyapunov_ft, make_map, orbit_grid, power_map,
 )
-from acim1d.solvers import brentq
 
 LOG2 = math.log(2.0)
 
@@ -137,8 +137,9 @@ def test_critical_set_grid_edge_cases():
 
 
 def _critical_set_loop(f, tol=1e-12, grid_size=8192):
-    """critical_set as a walk over the grid cells, one at a time: the
-    reference for its array scan."""
+    """critical_set as a walk over the grid cells, one at a time, each root
+    from scipy's brentq: the reference for its array scan and its one
+    lockstep solver call."""
     def locate(m):
         xs = np.linspace(0.0, 1.0, m + 1)
         d = np.asarray(f.deriv(1, xs), dtype=float)
@@ -268,6 +269,34 @@ def test_expression_map_matches_preset():
     for k in (1, 2, 3):
         np.testing.assert_allclose(f.deriv(k, xs), g.deriv(k, xs),
                                    rtol=1e-10, atol=1e-9)
+
+
+@pytest.mark.parametrize("name,params,p", [
+    ("logistic", {"smoothness_r": 4.0}, 1), ("tent", {}, 1),
+    ("doubling", {}, 1), ("linear_circle", {"d": 3.0, "c": 0.2}, 1),
+    ("perturbed_circle", {"smoothness_r": 5.0}, 1), ("cubic", {}, 1),
+    ("affine", {"c0": 0.1, "c1": 0.8}, 1),
+    ("logistic", {"smoothness_r": 4.0}, 5), ("perturbed_circle", {}, 3),
+    ("expr", {"expression": "4*x*(1-x) + 0.01*sin(pi*x)**3 - "
+                            "0.02*exp(x)/(2+cos(x)) + 0.001*log(1+x)*sqrt(x+1)",
+              "smoothness_r": 4.0}, 1),
+    ("expr", {"expression": "mod1(3*x + 0.05*sin(2*pi*x))",
+              "domain": "circle", "smoothness_r": 3.0}, 2),
+])
+def test_derivs_bit_equal_to_deriv(name, params, p):
+    # one jet pass of order K (closed forms on the presets, the chain
+    # rule at order 1 on PowerMap) against one deriv call per order
+    g = power_map(make_map(name, **params), p)
+    xs = np.concatenate((np.random.default_rng(5).uniform(0, 1, 200),
+                         [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53]))
+    for K in range(1, g.r_floor + 1):
+        got, one = g.derivs(K, xs), g.derivs(K, xs[7])   # 0-d points too
+        assert got.shape == (K, xs.size) and one.shape == (K,)
+        for k in range(1, K + 1):
+            assert got[k - 1].tobytes() == g.deriv(k, xs).tobytes(), (K, k)
+            assert one[k - 1].tobytes() == g.deriv(k, xs[7]).tobytes()
+    with pytest.raises(ValueError):
+        g.derivs(g.r_floor + 1, xs)
 
 
 def test_expression_language_rejects_junk():

@@ -12,8 +12,9 @@ from acim1d.times import (
     components, density, density_rows, enm_bruteforce_rows,
     hyperbolic_surrogate_times, mask_from_lists, surrogate_mask, trim,
     trim_bruteforce, trim_counts, trim_mask, verify_enm, verify_enm_grid,
-    verify_enm_rows, verify_hyperbolic,
+    verify_hyperbolic,
 )
+from acim1d.times import _pair_lemmas, _trim_lemmas
 
 time_sets = st.frozensets(st.integers(min_value=0, max_value=11), max_size=12)
 
@@ -300,6 +301,18 @@ def test_trim_counts_edge_cases():
     assert trim_counts(np.zeros((0, 5), dtype=bool), 2, 1).shape == (0, 6)
     with pytest.raises(ValueError):
         trim_counts(E, 2, 0)
+
+
+def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
+    """verify_enm_grid's oracle, one pair (M, M') at a time from its
+    per-trim and per-pair parts.  S and Sp, if given, are
+    trim_mask(E, n, M, m) and trim_mask(E, n, Mprime, m)."""
+    if M > Mprime:
+        raise ValueError("need M <= Mprime")
+    S = trim_mask(E, n, M, m) if S is None else S
+    Sp = trim_mask(E, n, Mprime, m) if Sp is None else Sp
+    return _pair_lemmas(M, S, Sp, _trim_lemmas(E, n, M, S),
+                        boundary_counts(Sp))
 
 
 @given(time_matrices(), st.integers(0, 4), st.integers(0, 3),
