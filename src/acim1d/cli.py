@@ -451,6 +451,8 @@ def stage_measure(st):
             q=max(cfg.q_list), eps=st.eps, n=st.selection.n,
             M=max(cfg.M_list), m=min(cfg.m_list), beta=cfg.beta, b=st.b,
             p=st.p, bp=st.bp, n_samples=cfg.gibbs_samples,
+            orbit=(st.pool.points[:st.selection.n + 1, s],
+                   st.pool.log_derivs[:st.selection.n, s]),
             rng=np.random.default_rng((st.rng_seed, int(s))))
         st.checks.append(_row("gibbs", f"seed={int(s)}", rep["leb_hat"],
                               rep["rhs"], rep["rhs"] - rep["leb_hat"],

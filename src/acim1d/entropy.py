@@ -52,6 +52,9 @@ CUT_MASS_TOL = 0.01       # largest tolerated mass of points on J cuts
 MISIUREWICZ_DPS = 40      # mpmath digits of the exact block-entropy check
 MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
 RANK_SPAN = 4             # _ranks counts while span <= RANK_SPAN * size
+# misiurewicz_battery's instances per kernel call: each array stays below
+# malloc's 128 KiB mmap threshold, which freeing a larger one would raise
+BATTERY_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +207,81 @@ def _plogp(num, den, prec):
     return pv * mpmath.log(pv)
 
 
+def _misiurewicz_batch(T, R, w, Fmask, m, D):
+    """verify_misiurewicz's report on each system of a batch.
+
+    Row b is one system padded to width N (padding states map to
+    themselves and have w = 0): map T, integer labels R, integer masses w
+    over D[b] (int64, or object for Python ints), Fmask[b, k] for k in F
+    and depth m[b]; B N < 2^31.  State s of system b is b N + s and every
+    label fold starts from b; first-seen ranks keep each system's cells in
+    the order the dict walk of the definition meets them, which _H_exact
+    sums in.
+    """
+    import mpmath
+
+    B, N = T.shape
+    K, depth = Fmask.shape[1], int(m.max(initial=1))
+    T = (T + N * np.arange(B)[:, None]).astype(np.int32).ravel()
+    orbit = np.empty((max(K, depth), B * N), dtype=np.int32)
+    orbit[0] = np.arange(B * N)         # orbit[j, b N + s] = b N + T^j(s)
+    for j in range(1, orbit.shape[0]):
+        orbit[j] = T[orbit[j - 1]]
+    Rc = _ranks(R.ravel())
+    stop = int(Rc.max(initial=-1)) + 1  # the digit of a lane without one
+
+    def cells(states, masses, live):
+        """Masses summed by the cells of R at T^j (j with live[b, j]), as
+        one list per system."""
+        system = lab = states // N
+        for j in range(live.shape[1]):
+            digit = np.where(live[system, j], Rc[orbit[j][states]], stop)
+            lab = _ranks(lab * (stop + 1) + digit, first_seen=True)
+        counts = np.zeros(lab.max(initial=-1) + 1, dtype=masses.dtype)
+        np.add.at(counts, lab, masses)
+        cell_sys = np.empty(counts.size, dtype=np.intp)
+        cell_sys[lab] = system
+        ends = np.cumsum(np.bincount(cell_sys, minlength=B)).tolist()
+        counts = counts.tolist()
+        return [counts[a:b] for a, b in zip([0] + ends, ends)]
+
+    # D #F lam^F: w[s] lands on T^k(s) for each k in F, met k-major
+    hit = Fmask[:, :, None] & (w != 0)[:, None, :]
+    tgt = orbit[:K].reshape(K, B, N).transpose(1, 0, 2)[hit]
+    key = _ranks(tgt, first_seen=True)
+    lamF = np.zeros(key.max(initial=-1) + 1, dtype=w.dtype)
+    np.add.at(lamF, key, np.broadcast_to(w[:, None, :], hit.shape)[hit])
+    charged = np.empty(lamF.size, dtype=np.intp)
+    charged[key] = tgt
+    by_rm = cells(charged, lamF, np.arange(depth) < m[:, None])
+    support = np.flatnonzero(w)
+    by_rf = cells(support, w.ravel()[support], Fmask)
+    pos = lamF > 0                      # #R_{lam^F}: one cell per label
+    n_charged = map(len, cells(charged[pos], lamF[pos],
+                               np.ones((B, 1), dtype=bool)))
+
+    # the report as arrays: no per-system object outlives the loop
+    lhs, rhs, margin = np.empty((3, B))
+    ncs, dFs = np.empty((2, B), dtype=np.int64)
+    with mpmath.workdps(MISIUREWICZ_DPS):
+        log = functools.cache(mpmath.log)   # log #R, at this precision
+        for b, (Fb, mb, nc, Db) in enumerate(zip(
+                Fmask.tolist(), m.tolist(), n_charged, D)):
+            F = [k for k, inF in enumerate(Fb) if inF]
+            nF, nc, dF = len(F), max(1, nc), len(boundary_set(F))
+            left = _H_exact(by_rm[b], Db * nF) / mb
+            right = _H_exact(by_rf[b], Db) / nF - mb * log(nc) * dF / nF
+            lhs[b], rhs[b], margin[b] = left, right, left - right
+            ncs[b], dFs[b] = nc, dF
+    return {"lhs": lhs, "rhs": rhs, "margin": margin,
+            "ok": margin >= -1e-12, "n_charged": ncs, "dF": dFs}
+
+
 def verify_misiurewicz(lam, T, R, F, m):
     """Exact check of the shifted-average block-entropy bound.
 
-    For a finite system (states 0..N-1, map T, partition labels R,
-    masses lam) and a finite F subset Z_0^+:
+    For a finite system (states 0..N-1, map T, integer partition labels
+    R, masses lam) and a finite F subset Z_0^+:
 
       (1/m) H_{lam^F}(R^m) >= (1/#F) H_lam(R^F)
                               - m log(#R_{lam^F}) #dF / #F
@@ -217,13 +290,11 @@ def verify_misiurewicz(lam, T, R, F, m):
     (Fractions; other entries go through limit_denominator(10**12)) is
     scaled to integer masses over one common denominator D, the lcm of
     its denominators, so lam^F has integer masses over D #F.  Entropies
-    are evaluated with mpmath at MISIUREWICZ_DPS digits.  Raises
-    ValueError when m < 1, when F is empty or has a negative element, when
-    an entry of T lies outside 0..N-1 (N = len(T)), or when R or lam is
-    not of length N.
+    are evaluated with mpmath at MISIUREWICZ_DPS digits.  This is
+    _misiurewicz_batch on a batch of one.  Raises ValueError when m < 1,
+    when F is empty or has a negative element, when an entry of T lies
+    outside 0..N-1 (N = len(T)), or when R or lam is not of length N.
     """
-    import mpmath
-
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     N = len(T)
@@ -236,58 +307,41 @@ def verify_misiurewicz(lam, T, R, F, m):
     F = sorted(set(F))
     if not F or F[0] < 0:
         raise ValueError(f"F must be a nonempty set of times >= 0, got {F}")
-    nF = len(F)
     lam = [v if isinstance(v, Fraction) else
            Fraction(v).limit_denominator(10 ** 12) for v in lam]
     D = math.lcm(*(v.denominator for v in lam))
     w = [v.numerator * (D // v.denominator) for v in lam]
-    support = [s for s in range(len(T)) if w[s]]
-    # orbit[j][s] = T^j(s), for j up to max(F) and m - 1
-    orbit = [list(range(len(T)))]
-    for _ in range(max(F[-1], m - 1)):
-        orbit.append([T[s] for s in orbit[-1]])
-
-    lamF = {}           # D #F lam^F, by state, in order of first charge
-    for k in F:
-        for s in support:
-            tgt = orbit[k][s]
-            lamF[tgt] = lamF.get(tgt, 0) + w[s]
-    by_rm = {}          # R^m label of state s: (R[s], R[Ts], ..)
-    for s, c in lamF.items():
-        lab = tuple(R[orbit[j][s]] for j in range(m))
-        by_rm[lab] = by_rm.get(lab, 0) + c
-    by_rf = {}
-    for s in support:
-        lab = tuple(R[orbit[k][s]] for k in F)
-        by_rf[lab] = by_rf.get(lab, 0) + w[s]
-    n_charged = max(1, len({R[s] for s, c in lamF.items() if c > 0}))
-    dF = len(boundary_set(F))
-
-    with mpmath.workdps(MISIUREWICZ_DPS):
-        lhs = _H_exact(by_rm.values(), D * nF) / m
-        rhs = (_H_exact(by_rf.values(), D) / nF
-               - m * mpmath.log(n_charged) * dF / nF)
-        margin = float(lhs - rhs)
-        return {"lhs": float(lhs), "rhs": float(rhs), "margin": margin,
-                "ok": margin >= -1e-12, "n_charged": n_charged, "dF": dF}
+    rep = _misiurewicz_batch(
+        np.array([T], dtype=np.intp), np.array([R], dtype=np.int64),
+        np.array([w], dtype=object), np.isin(np.arange(F[-1] + 1), F)[None],
+        np.array([m]), [D])
+    return {k: v[0].item() for k, v in rep.items()}
 
 
 def misiurewicz_battery(rng, count):
     """verify_misiurewicz on count random instances drawn from rng (2-12
     states, 2-4 labels, integer weights 1-5, F a 1-4 element subset of
-    0..8, m in 1..3); returns the number that fail."""
+    0..8, m in 1..3), BATTERY_BLOCK instances to a _misiurewicz_batch;
+    returns the number that fail.  The draws are made instance by
+    instance in a fixed order, so rng ends where a draw-by-draw loop
+    leaves it."""
     bad = 0
-    for _ in range(count):
-        N = int(rng.integers(2, 13))
-        T = rng.integers(0, N, N).tolist()
-        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
-        w = rng.integers(1, 6, N)
-        total = int(np.sum(w))
-        lam = [Fraction(int(v), total) for v in w]
-        F = sorted(rng.choice(np.arange(0, 9), size=int(rng.integers(1, 5)),
-                              replace=False).tolist())
-        m = int(rng.integers(1, 4))
-        bad += not verify_misiurewicz(lam, T, R, F, m)["ok"]
+    for lo in range(0, count, BATTERY_BLOCK):
+        B = min(BATTERY_BLOCK, count - lo)
+        T = np.tile(np.arange(12), (B, 1))
+        R, w = np.zeros((2, B, 12), dtype=np.int64)
+        Fmask = np.zeros((B, 9), dtype=bool)
+        m = np.ones(B, dtype=np.int64)
+        for i in range(B):
+            N = int(rng.integers(2, 13))
+            T[i, :N] = rng.integers(0, N, N)
+            R[i, :N] = rng.integers(0, int(rng.integers(2, 5)), N)
+            w[i, :N] = rng.integers(1, 6, N)
+            Fmask[i, rng.choice(9, size=int(rng.integers(1, 5)),
+                                replace=False)] = True
+            m[i] = rng.integers(1, 4)
+        ok = _misiurewicz_batch(T, R, w, Fmask, m, w.sum(axis=1).tolist())
+        bad += int(np.count_nonzero(~ok["ok"]))
     return bad
 
 
@@ -355,7 +409,7 @@ def _wilson(hits, n, z=1.96):
 
 
 def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
-                n_samples=20000, rng=None):
+                orbit=None, n_samples=20000, rng=None):
     """Monte Carlo check of the Gibbs cylinder bound for one seed.
 
     R collects the points sharing x's monotone-branch and Q_q-bin
@@ -367,7 +421,8 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
 
     Membership is tested on uniform samples with a Wilson interval; the
     inequality "fails" only when the interval's lower end exceeds the
-    right-hand side.
+    right-hand side.  orbit, if known, is x's orbit as (points[:n + 1],
+    log|g'| at points[:n]), the arrays orbit_grid gives for x.
     """
     rng = rng or np.random.default_rng(0)
     bp = bp or monotone_branches(g)
@@ -375,13 +430,14 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
 
     Tx = trim_mask(mask_from_lists([E], max([n - 1, *E]) + 1), n, M, m)
     T = np.flatnonzero(Tx[0]).tolist()
-    pts, lds = orbit_grid(g, [float(x)], n)
-    pts, lds = pts[:, 0], lds[:, 0]
     if not T:
         # R is the ambient cell; rhs = (C/eps)^0 e^0 = 1 >= Leb(R)
         return {"leb_hat": 1.0, "ci": (0.0, 1.0), "rhs": 1.0, "ok": True,
                 "T": T, "trivial": True}
     n_boundary = int(boundary_counts(Tx)[0])
+    if orbit is None:
+        orbit = (a[:, 0] for a in orbit_grid(g, [float(x)], n))
+    pts, lds = orbit
     phi_E = float(sum(lds[i] for i in T))
     rhs = (GIBBS_C / eps) ** n_boundary * math.exp(-phi_E + len(T) / q)
 

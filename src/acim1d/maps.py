@@ -591,14 +591,15 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
     ks = np.array([k for k, _ in centres])
 
     def chain_at(t):
-        y = t
+        # the n_used orbit points first, then one derivative call on all
+        orbit = [np.array([t])]
+        for _ in range(n_used - 1):
+            orbit.append(f.eval(orbit[-1]))
         acc = 0.0
-        for _ in range(n_used):
-            d = abs(float(f.deriv(1, y)))
+        for d in np.abs(f.deriv(1, np.concatenate(orbit))).tolist():
             if d <= 0.0:
                 return -np.inf
             acc += math.log(d)
-            y = float(f.eval(y))
         return acc
 
     def objective(t, lane):

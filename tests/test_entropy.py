@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from acim1d import entropy
 from acim1d.entropy import (
     C0_MANE, MISIUREWICZ_DPS, RANK_SPAN, _entropy_of_masses, _H_exact,
-    _ranks, ac_verdict, choose_offset, entropy_formula_residual,
-    gibbs_check, itinerary_entropy, misiurewicz_battery, qbin_label,
-    verify_mane_bounds, verify_misiurewicz,
+    _misiurewicz_batch, _ranks, ac_verdict, choose_offset,
+    entropy_formula_residual, gibbs_check, itinerary_entropy,
+    misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
 from acim1d.errors import InsufficientAtoms, OffsetNotFound
-from acim1d.maps import make_map, power_map
+from acim1d.maps import PRESETS, make_map, power_map
 from acim1d.measures import (
     EmpiricalMeasure, SamplePool, build_seed_pool, empirical_measure,
     select_An,
@@ -556,6 +558,109 @@ def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
                 _assert_misiurewicz_matches_oracle(lam, T, R, F, m)
 
 
+def _padded_batch(systems, dtype):
+    """_misiurewicz_batch's arguments for a list of (lam, T, R, F, m)."""
+    N = max(len(T) for _, T, _, _, _ in systems)
+    K = max(max(F) for _, _, _, F, _ in systems) + 1
+    B = len(systems)
+    T_, R_ = np.tile(np.arange(N), (B, 1)), np.zeros((B, N), dtype=np.int64)
+    w_, Fmask = np.zeros((B, N), dtype=dtype), np.zeros((B, K), dtype=bool)
+    D = []
+    for b, (lam, T, R, F, _) in enumerate(systems):
+        lam = [Fraction(v).limit_denominator(10 ** 12)
+               if not isinstance(v, Fraction) else v for v in lam]
+        D.append(math.lcm(*(v.denominator for v in lam)))
+        w = [v.numerator * (D[-1] // v.denominator) for v in lam]
+        T_[b, :len(T)], R_[b, :len(T)], w_[b, :len(T)] = T, R, w
+        Fmask[b, F] = True
+    return T_, R_, w_, Fmask, np.array([s[4] for s in systems]), D
+
+
+def _dict_walk_cells(lam, T, R, F, m):
+    """The cell masses of R^m under lam^F and of R^F under lam, each list
+    in the order a dict walk over the definition first meets the cells."""
+    lam = [Fraction(v).limit_denominator(10 ** 12)
+           if not isinstance(v, Fraction) else v for v in lam]
+    F = sorted(set(F))
+
+    def image(s, j):
+        for _ in range(j):
+            s = T[s]
+        return s
+
+    lamF, by_rm, by_rf = {}, {}, {}
+    for k in F:
+        for s in range(len(T)):
+            if lam[s]:
+                t = image(s, k)
+                lamF[t] = lamF.get(t, 0) + lam[s] / len(F)
+    for s, v in lamF.items():
+        lab = tuple(R[image(s, j)] for j in range(m))
+        by_rm[lab] = by_rm.get(lab, 0) + v
+    for s in range(len(T)):
+        if lam[s]:
+            lab = tuple(R[image(s, k)] for k in F)
+            by_rf[lab] = by_rf.get(lab, 0) + lam[s]
+    return [list(by_rm.values()), list(by_rf.values())]
+
+
+@given(st.lists(_finite_systems(), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_misiurewicz_batch_bit_equal_to_fraction_oracle(systems):
+    """Systems of mixed sizes (N = 1 included) share one padded batch and
+    each keeps its own report, with Python-int masses and, where they fit,
+    int64 masses.  _H_exact gets each system's cell masses in the dict
+    walk's order, the order its sum was rounded in before batching."""
+    want = [_bits(_misiurewicz_fraction_oracle(*s)) for s in systems]
+    args = _padded_batch(systems, object)
+    calls, real = [], entropy._H_exact
+
+    def recording(counts, Q):
+        calls.append([Fraction(c, Q) for c in counts])
+        return real(counts, Q)
+
+    with mock.patch.object(entropy, "_H_exact", recording):
+        reps = [_misiurewicz_batch(*args)]
+    assert calls == [c for s in systems for c in _dict_walk_cells(*s)]
+    if np.sum(np.abs(args[2])) * 9 < 2 ** 63:     # #F lam^F fits in int64
+        reps.append(_misiurewicz_batch(*_padded_batch(systems, np.int64)))
+    for rep in reps:
+        assert [_bits({k: v[b].item() for k, v in rep.items()})
+                for b in range(len(systems))] == want
+
+
+def _battery_draw_by_draw(rng, count):
+    """misiurewicz_battery as one verify_misiurewicz call per drawn
+    instance, drawing with rng.choice(np.arange(0, 9), ...)."""
+    bad = 0
+    for _ in range(count):
+        N = int(rng.integers(2, 13))
+        T = rng.integers(0, N, N).tolist()
+        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
+        w = rng.integers(1, 6, N)
+        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
+        F = sorted(rng.choice(np.arange(0, 9), size=int(rng.integers(1, 5)),
+                              replace=False).tolist())
+        m = int(rng.integers(1, 4))
+        bad += not verify_misiurewicz(lam, T, R, F, m)["ok"]
+    return bad
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000])
+def test_misiurewicz_battery_matches_draw_by_draw_loop(count, monkeypatch):
+    # the battery's count and the generator state it leaves, also with a
+    # boundary_set that drops dF, under which some instances fail
+    for defect in (False, True):
+        if defect:
+            monkeypatch.setattr(entropy, "boundary_set", lambda S: set())
+        rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        bad = misiurewicz_battery(rng, count)
+        assert bad == _battery_draw_by_draw(loop_rng, count)
+        assert (bad > 0) == (defect and count == 1000)
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+        assert rng.integers(2 ** 62) == loop_rng.integers(2 ** 62)
+
+
 @pytest.mark.parametrize("F, m, name", [
     ([0], 0, "m"), ([0], -1, "m"), ([], 2, "F"), ([-1], 2, "F"),
     ([3, -2, 0], 1, "F")])
@@ -821,6 +926,25 @@ def test_gibbs_check_matches_full_grid_oracle_at_the_edges():
                                    M=2, m=1, n_samples=4000, seed=6)
     assert want["T"][0] == 0 and alive[0] == 0
     assert got == want
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_gibbs_check_reads_the_recorded_orbit(preset):
+    # the pool's recorded orbit of a seed in place of its recomputation;
+    # E is every time, so T is never empty and phi_E reads the orbit
+    f, p, n = make_map(preset), 2, 12
+    g = power_map(f, p)
+    pool = build_seed_pool(f, p, n, 40, np.random.default_rng(8))
+    kw = dict(q=4, eps=0.01, n=n, M=2, m=1, beta=0.1, b=0.1, p=p,
+              bp=monotone_branches(g), n_samples=500)
+    for s in range(0, 40, 4):
+        x, E = float(pool.seeds[s]), list(range(n + 1))
+        got = gibbs_check(g, x, E, orbit=(pool.points[:n + 1, s],
+                                          pool.log_derivs[:n, s]),
+                          rng=np.random.default_rng(s), **kw)
+        assert not got["trivial"]
+        assert got == gibbs_check(g, x, E, rng=np.random.default_rng(s),
+                                  **kw)
 
 
 def test_gibbs_logistic_power_instance():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from acim1d.errors import EmptySelection
 from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.measures import (
-    EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
+    BIN_NODES, EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
     density_estimate, empirical_measure, forward_points, invariance_defect,
     log_derivs_at, positive_exponent_proxy, ref_logistic_acip, ref_uniform,
     select_An, support_gap_from_critical,
@@ -141,6 +141,29 @@ def test_logistic_reference_by_conjugacy_oracle():
                           meta={})
     est = density_estimate(mu, 200)
     assert compare_density(est, ref_logistic_acip) < 0.05
+
+
+def _bin_mass_loop(ref, a, b):
+    """One bin's reference mass by the midpoint rule, bin by bin."""
+    ts = a + (np.arange(BIN_NODES) + 0.5) * (b - a) / BIN_NODES
+    return float(np.mean(ref(ts)) * (b - a))
+
+
+@pytest.mark.parametrize("bins", [10, 50, 200])
+@pytest.mark.parametrize("ref", [ref_uniform, ref_logistic_acip])
+def test_bin_masses_match_per_bin_loop(bins, ref):
+    rng = np.random.default_rng(bins)
+    mu = EmpiricalMeasure(atoms=rng.uniform(0, 1, 5000),
+                          weights=rng.uniform(0, 2e-4, 5000), meta={})
+    est = density_estimate(mu, bins)
+    want = [(a, b, float(v), _bin_mass_loop(ref, a, b)) for a, b, v in zip(
+        est.edges[:-1], est.edges[1:], est.masses)]
+    assert est.to_rows(ref) == want
+    l1 = 0.0
+    for _, _, v, r in want:
+        l1 += abs(v - r)
+    assert compare_density(est, ref) == l1
+    assert all(math.isnan(r[3]) for r in est.to_rows())
 
 
 def test_support_gap_no_criticals():
