@@ -11,7 +11,7 @@ from .entropy import (
 )
 from .errors import (
     Acim1dError, ConfigError, EmptySelection, InsufficientAtoms,
-    OffsetNotFound, TreeBudgetExceeded, UnresolvedCritical,
+    OffsetNotFound, TreeBudgetExceeded, UndefinedNorm, UnresolvedCritical,
 )
 from .maps import (
     CIRCLE, UNIT_INTERVAL, Domain, MapNorms, SmoothMap1D, critical_set,

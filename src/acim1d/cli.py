@@ -1,11 +1,12 @@
 """Experiment runner: map -> times -> measure -> entropy -> verdict.
 
 Subcommands: norms, branches, tree, times, measure, pipeline, verify,
-bound.  Each stage emits CSV files into the output directory;
-verdict.txt is computed purely from checks.csv + entropy.csv
-(compute_verdict reads the files back and applies entropy.ac_verdict).
+bound.  Each stage emits CSV files into the output directory; the
+verdict is decided in memory (compute_verdict) from exactly the values
+written to entropy.csv and checks.csv, so those two files reproduce it.
 Exit codes: 0 success, 1 verify failures (some check in checks.csv
-failed), 2 config error, 3 empty selection, 4 tree budget exceeded.
+failed) or any other Acim1dError, 2 config error, 3 empty selection,
+4 tree budget exceeded.
 
 Determinism: every random draw descends from the config rng_seed via
 numpy SeedSequence spawning in a fixed stage order, and floats are
@@ -215,6 +216,12 @@ def _times_body(seeds, time_mask):
                                        kept.shape), kept), b"\r\n")
 
 
+CHECKS_HEADER = ("check_name", "instance_id", "lhs", "rhs", "margin",
+                 "ci_low", "ci_high", "pass")
+# the checks.csv rows the verdict requires, each present and passed
+REQUIRED_CHECKS = frozenset(("invariance_defect", "mane_sete", "mane_hq"))
+
+
 def _row(name, instance, lhs, rhs, margin, ok, ci=(NAN, NAN)):
     """A checks.csv row, with the confidence interval ci when there is one.
     It fails when its value lhs is NaN, whatever ok says: a check that
@@ -308,10 +315,9 @@ def stage_map(st):
     st.g = power_map(st.f, st.p)
     st.norms_g = estimate_norms(st.g, grid_size=2 ** 14, refine_iters=2,
                                 n_used=2)
-    rows = [("f", k, v, st.norms_f.upper_hints.get(k, float("nan")))
-            for k, v in st.norms_f.sup_abs_deriv.items()]
-    rows += [("g", k, v, st.norms_g.upper_hints.get(k, float("nan")))
-             for k, v in st.norms_g.sup_abs_deriv.items()]
+    rows = [(name, k, v, norms.upper_hints.get(k, NAN))
+            for name, norms in (("f", st.norms_f), ("g", st.norms_g))
+            for k, v in norms.sup_abs_deriv.items()]
     rows.append(("f", "R_estimate", st.norms_f.R_estimate, st.norms_f.n_used))
     rows.append(("g", "R_estimate", st.norms_g.R_estimate, st.norms_g.n_used))
     rows.append(("run", "p", st.p, ""))
@@ -462,7 +468,7 @@ def stage_measure(st):
 
 def stage_entropy(st):
     cfg = st.cfg
-    rep = entropy_formula_residual(
+    rep = st.entropy = entropy_formula_residual(
         st.f, st.mu, cfg.q_list, cfg.entropy_m, p=st.p,
         tol=cfg.tol_residual, rng=np.random.default_rng(st.seq_offset),
         bp=st.bp, exponent_proxy=st.exponent_proxy)
@@ -480,33 +486,20 @@ def stage_entropy(st):
 
 
 def stage_checks(st):
-    _write_csv(st.out / "checks.csv",
-               ("check_name", "instance_id", "lhs", "rhs", "margin",
-                "ci_low", "ci_high", "pass"), st.checks)
-    verdict = compute_verdict(st.out / "entropy.csv", st.out / "checks.csv")
-    (st.out / "verdict.txt").write_text(verdict + "\n")
+    _write_csv(st.out / "checks.csv", CHECKS_HEADER, st.checks)
+    st.verdict = compute_verdict(st.entropy["residual_ok"],
+                                 st.entropy["exponent_positive"], st.checks)
+    (st.out / "verdict.txt").write_text(st.verdict + "\n")
     return st
 
 
-def compute_verdict(entropy_csv, checks_csv):
-    """The decision rule (entropy.ac_verdict) over the two emitted files.
-
-    AC-consistent iff the entropy summary has residual_ok and
-    exponent_ok, and the invariance/Mane check rows are all present and
-    all passed.
-    """
-    residual_ok = exponent_ok = False
-    with open(entropy_csv) as fh:
-        for row in csv.DictReader(fh):
-            if row["kind"] == "summary" and row["q"] == "residual_ok":
-                residual_ok = row["value"] == "1"
-            if row["kind"] == "summary" and row["q"] == "exponent_ok":
-                exponent_ok = row["value"] == "1"
-    required = {"invariance_defect", "mane_sete", "mane_hq"}
-    with open(checks_csv) as fh:
-        rows = [(row["check_name"], row["pass"] == "1")
-                for row in csv.DictReader(fh) if row["check_name"] in required]
-    req_ok = all(ok for _, ok in rows) and {r[0] for r in rows} == required
+def compute_verdict(residual_ok, exponent_ok, checks):
+    """The decision rule (entropy.ac_verdict) over the entropy summary's
+    two flags and the checks.csv rows checks: AC-consistent iff both flags
+    hold, every REQUIRED_CHECKS name has a row and all those rows pass."""
+    required = [row for row in checks if row[0] in REQUIRED_CHECKS]
+    req_ok = ({row[0] for row in required} == REQUIRED_CHECKS
+              and all(row[-1] == 1 for row in required))
     return ac_verdict(residual_ok, exponent_ok, req_ok)
 
 
@@ -622,9 +615,7 @@ def run_verify(out_dir, rng_seed=0, quick=False):
     rows.append(_row("branch_count_bound", f"{len(margins)} instances", worst,
                      0.0, worst, ok))
 
-    _write_csv(out / "checks.csv",
-               ("check_name", "instance_id", "lhs", "rhs", "margin",
-                "ci_low", "ci_high", "pass"), rows)
+    _write_csv(out / "checks.csv", CHECKS_HEADER, rows)
     return all(r[-1] == 1 for r in rows)
 
 
@@ -690,8 +681,7 @@ def main(argv=None):
         for stage in _stages(args.command):
             stage(st)
         if args.command == "pipeline":
-            verdict = (st.out / "verdict.txt").read_text().strip()
-            print(f"verdict: {verdict}")
+            print(f"verdict: {st.verdict}")
         print(f"wrote outputs to {st.out}")
         return 0
     except ConfigError as exc:

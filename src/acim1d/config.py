@@ -43,12 +43,14 @@ class ExperimentConfig:
     def validate(self):
         if self.r <= 1.0:
             raise ConfigError("r must exceed 1")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
+        for key, value in (("delta", self.delta), ("b_r", self.B_r)):
+            if not value > 0:                   # NaN included
+                raise ConfigError(f"{key} must be positive, got {value}")
         for name, least in (("n_list", 1), ("M_list", 0), ("m_list", 1),
                             ("q_list", 1), ("entropy_m", 1), ("seeds", 1),
                             ("bins", 10), ("gibbs_instances", 0),
-                            ("gibbs_samples", 1)):
+                            ("gibbs_samples", 1), ("tree_levels", 1),
+                            ("tree_budget", 1)):
             value = getattr(self, name)
             if value == []:
                 raise ConfigError(f"{name} must be nonempty")

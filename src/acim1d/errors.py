@@ -5,6 +5,10 @@ class Acim1dError(Exception):
     """Base class for package errors."""
 
 
+class UndefinedNorm(Acim1dError):
+    """A map norm estimate came out NaN (say 0*inf in a jet): it bounds nothing."""
+
+
 class UnresolvedCritical(Acim1dError):
     """The derivative-root search could not separate two sign changes."""
 

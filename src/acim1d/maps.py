@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnresolvedCritical
+from .errors import UndefinedNorm, UnresolvedCritical
 from .jets import Jet, variable
 from .solvers import brentq, minimize_bounded
 
@@ -566,7 +566,7 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
     Each sup is a grid scan plus bounded-Brent refinement around the
     best grid cells; R_estimate is (1/n) log+ of the refined sup of
     |(f^n)'| for the recorded n_used.  Every refinement window is a lane
-    of one solver call.
+    of one solver call.  A NaN estimate raises UndefinedNorm.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
@@ -631,6 +631,10 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
             pad = f.holder_const * (0.5 * h) ** expo if expo > 0 else f.holder_const * 0.0
             hints[k] = sups[k] + (pad if expo > 0 else 0.5 * h * f.holder_const)
     R_est = max(0.0, sup_log / n_used)
+    nan = [f"sup_abs_deriv[{k!r}]" for k, v in sups.items() if math.isnan(v)]
+    nan += ["R_estimate"] * math.isnan(R_est)
+    if nan:
+        raise UndefinedNorm(f"{f.name}: NaN estimate of {', '.join(nan)}")
 
     return MapNorms(
         sup_abs_deriv=sups,

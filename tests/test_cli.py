@@ -87,13 +87,22 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.p == 4 and cfg.detector == "surrogate"
 
 
-def test_config_rejects_bad_values(tmp_path):
+def test_config_rejects_bad_values(tmp_path, capsys):
     bad = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path).replace(
         "delta = 0.2", "delta = -1")
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, bad))
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
+    # b_r <= 0 under p = auto used to end in a math domain error
+    for b_r in ("0", "-1", "nan"):
+        p = _write(tmp_path, DOUBLING_INI.format(
+            seeds=100, seed=1, out=tmp_path / "o").replace(
+                "p = 4", f"p = auto\nb_r = {b_r}"))
+        with pytest.raises(ConfigError, match="b_r"):
+            load_config(p)
+        assert main(["--config", str(p), "pipeline"]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new", [
@@ -102,7 +111,10 @@ def test_config_rejects_bad_values(tmp_path):
     ("m = 1\n", "m = 0\n"), ("q = 2", "q = 0"),
     ("entropy_m = 1, 2, 3", "entropy_m = 0, 1"), ("bins = 100", "bins = 5"),
     ("bins = 100", "bins = 100\ngibbs_instances = -1"),
-    ("bins = 100", "bins = 100\ngibbs_instances = 2\ngibbs_samples = 0")])
+    ("bins = 100", "bins = 100\ngibbs_instances = 2\ngibbs_samples = 0"),
+    ("bins = 100", "bins = 100\ntree_levels = -3"),
+    ("bins = 100", "bins = 100\ntree_levels = 0"),
+    ("bins = 100", "bins = 100\ntree_budget = -5")])
 def test_config_rejects_out_of_range_integers(tmp_path, capsys, old, new):
     # each used to end in a traceback, NaN rows or a misleading exit code
     text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
@@ -157,6 +169,27 @@ def test_bound_variants():
     assert reparam_count_constant(2.0) == 16.0
 
 
+def _summary(out):
+    """entropy.csv's summary rows, quantity -> value text"""
+    with open(out / "entropy.csv", newline="") as fh:
+        return {r["q"]: r["value"] for r in csv.DictReader(fh)
+                if r["kind"] == "summary"}
+
+
+def _verdict_of_files(out):
+    """compute_verdict over the flags and rows parsed back from entropy.csv
+    and checks.csv"""
+    summary = _summary(out)
+    with open(out / "checks.csv", newline="") as fh:
+        rows = [(*r[:-1], int(r[-1])) for r in list(csv.reader(fh))[1:]]
+    return compute_verdict(summary.get("residual_ok") == "1",
+                           summary.get("exponent_ok") == "1", rows)
+
+
+def _verdict_txt(out):
+    return (out / "verdict.txt").read_text().strip()
+
+
 def test_pipeline_energy_files_and_verdict(tmp_path):
     p = _write(tmp_path, DOUBLING_INI.format(seeds=3000, seed=11,
                                              out=tmp_path / "o"))
@@ -169,8 +202,8 @@ def test_pipeline_energy_files_and_verdict(tmp_path):
         assert (out / name).exists(), name
     assert (out / "verdict.txt").read_text().strip() == "AC-consistent"
     # verdict is a pure function of the two files
-    assert compute_verdict(out / "entropy.csv", out / "checks.csv") == \
-        "AC-consistent"
+    assert _verdict_of_files(out) == "AC-consistent" == _verdict_txt(out)
+    assert st.verdict == "AC-consistent"
 
 
 def test_rng_seed_override_leaves_config_alone(tmp_path):
@@ -192,14 +225,14 @@ def test_verdict_flips_on_failed_check(tmp_path):
     p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=3,
                                              out=tmp_path / "o"))
     st = run_pipeline(load_config(p))
+    assert _verdict_of_files(st.out) == _verdict_txt(st.out)
     rows = list(csv.reader(open(st.out / "checks.csv")))
     for row in rows[1:]:
         if row[0] == "mane_sete":
             row[7] = "0"
     with open(st.out / "checks.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    assert compute_verdict(st.out / "entropy.csv", st.out / "checks.csv") == \
-        "not-AC"
+    assert _verdict_of_files(st.out) == "not-AC"
 
 
 def test_verdict_fails_closed_on_missing_required_row(tmp_path):
@@ -207,14 +240,60 @@ def test_verdict_fails_closed_on_missing_required_row(tmp_path):
                                              out=tmp_path / "o"))
     st = run_pipeline(load_config(p))
     rows = list(csv.reader(open(st.out / "checks.csv")))
-    assert compute_verdict(st.out / "entropy.csv", st.out / "checks.csv") == \
-        "AC-consistent"
+    assert _verdict_of_files(st.out) == "AC-consistent" == \
+        _verdict_txt(st.out)
     for name in ("invariance_defect", "mane_sete", "mane_hq"):
         kept = [row for row in rows if row[0] != name]
         with open(st.out / "checks.csv", "w", newline="") as fh:
             csv.writer(fh).writerows(kept)
-        assert compute_verdict(st.out / "entropy.csv",
-                               st.out / "checks.csv") == "not-AC", name
+        assert _verdict_of_files(st.out) == "not-AC", name
+
+
+def test_compute_verdict_over_rows_in_memory():
+    rows = [cli._row(name, "i", 1.0, 2.0, 1.0, True)
+            for name in sorted(cli.REQUIRED_CHECKS)]
+    failed = cli._row("gibbs", "seed=1", 3.0, 2.0, -1.0, False)
+    assert compute_verdict(True, True, rows + [failed]) == "AC-consistent"
+    assert compute_verdict(True, False, rows) == "not-AC"
+    assert compute_verdict(False, True, rows) == "not-AC"
+    # a second row of a required name counts too, and so does a NaN value
+    nan_row = cli._row("mane_hq", "j", math.nan, 2.0, math.nan, True)
+    assert compute_verdict(True, True, rows + [nan_row]) == "not-AC"
+    assert compute_verdict(True, True, rows[1:]) == "not-AC"
+
+
+# (cli binding, the report flag set False, the checks.csv row or entropy.csv
+# summary row that shows it); undisturbed, this run reads AC-consistent
+VERDICT_DEFECTS = {
+    "invariance": ("invariance_defect", "ok", "invariance_defect"),
+    "mane_sete": ("verify_mane_bounds", "sete_ok", "mane_sete"),
+    "mane_hq": ("verify_mane_bounds", "hq_ok", "mane_hq"),
+    "residual": ("entropy_formula_residual", "residual_ok", "residual_ok"),
+    "exponent": ("entropy_formula_residual", "exponent_positive",
+                 "exponent_ok"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_DEFECTS))
+def test_verdict_flips_on_each_input(name, tmp_path, monkeypatch, capsys):
+    attr, flag, shown = VERDICT_DEFECTS[name]
+    real = getattr(cli, attr)
+
+    def defect(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep[flag] = False
+        return rep
+
+    monkeypatch.setattr(cli, attr, defect)
+    out = tmp_path / "o"
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=3, out=out))
+    assert main(["--config", str(p), "pipeline"]) == 0
+    assert _verdict_txt(out) == "not-AC"
+    assert "verdict: not-AC\n" in capsys.readouterr().out
+    if attr == "entropy_formula_residual":
+        assert _summary(out)[shown] == "0"
+    else:
+        assert _check_rows(out)[shown][-1] == "0"
 
 
 def test_pipeline_row_fails_closed_on_nan_value(tmp_path, monkeypatch):
@@ -467,6 +546,21 @@ def test_cli_exit_code_empty_selection(tmp_path, capsys):
     code = main(["--config", str(p), "pipeline"])
     assert code == 3
     assert "empty selection" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_exit_code_nan_map_norm(tmp_path, capsys):
+    # sqrt's jet is infinite at the grid point 0, so 0*inf makes sup|f'|
+    # NaN; it used to reach choose_epsilon as math.floor(nan), a traceback
+    p = _write(tmp_path, "[map]\npreset = expr\n"
+               "expression = mod1(x + 2*x*sqrt(x))\ndomain = circle\n"
+               "r = 1.4\n\n[run]\np = 4\nseeds = 200\nn = 10\n\n"
+               f"[output]\ndir = {tmp_path / 'o'}\n")
+    assert main(["--config", str(p), "pipeline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "NaN estimate of sup_abs_deriv[1]" in err
+    assert not (tmp_path / "o" / "norms.csv").exists()
 
 
 def test_cli_exit_code_budget(tmp_path, capsys):
