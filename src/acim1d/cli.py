@@ -5,8 +5,10 @@ bound.  Each stage emits CSV files into the output directory; the
 verdict is decided in memory (compute_verdict) from exactly the values
 written to entropy.csv and checks.csv, so those two files reproduce it.
 Exit codes: 0 success, 1 verify failures (some check in checks.csv
-failed) or any other Acim1dError, 2 config error, 3 empty selection,
-4 tree budget exceeded.
+failed) or any other Acim1dError, 2 config error (a bad bound input
+too), 3 empty selection, 4 tree budget exceeded.  --timings PATH writes
+each stage's wall and CPU time and peak RSS to PATH as JSON, so no file
+of the output directory depends on the clock.
 
 Determinism: every random draw descends from the config rng_seed via
 numpy SeedSequence spawning in a fixed stage order, and floats are
@@ -20,8 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,24 +255,37 @@ def _tree_rows(rep, instance):
 # ---------------------------------------------------------------------------
 
 
+def _positive(**values):
+    """The values as float64 scalars, each finite and positive (NaN
+    fails), else ValueError.  Their arithmetic, under errstate, rounds
+    past the float range to inf or 0 where Python's ** and / raise."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    return [np.float64(v) for v in values.values()]
+
+
 def bound_calculator(log_sup_fprime, log_fprime_r_minus_1, delta, C_r):
     """Count bound (log||f'||_inf / delta)^{(C_r log||f'||_{r-1}) / delta}."""
-    for name, v in (("log_sup_fprime", log_sup_fprime),
-                    ("log_fprime_r_minus_1", log_fprime_r_minus_1),
-                    ("delta", delta), ("C_r", C_r)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    return (log_sup_fprime / delta) ** (C_r * log_fprime_r_minus_1 / delta)
+    L, L1, d, C = _positive(log_sup_fprime=log_sup_fprime,
+                            log_fprime_r_minus_1=log_fprime_r_minus_1,
+                            delta=delta, C_r=C_r)
+    with np.errstate(all="ignore"):
+        return float((L / d) ** (C * L1 / d))
 
 
 def bound_analytic(c_const, delta):
     """Analytic-map variant: C^{1/delta^4}."""
-    return c_const ** (1.0 / delta ** 4)
+    C, d = _positive(c_const=c_const, delta=delta)
+    with np.errstate(all="ignore"):
+        return float(C ** (1.0 / d ** 4))
 
 
 def bound_smooth(norm_value, c_const, delta):
     """C-infinity variant: (||f'||_{C/delta})^{C/delta^3}."""
-    return norm_value ** (c_const / delta ** 3)
+    N, C, d = _positive(norm_value=norm_value, c_const=c_const, delta=delta)
+    with np.errstate(all="ignore"):
+        return float(N ** (C / d ** 3))
 
 
 REPARAM_C = 1.0   # the universal C of reparam_count_constant
@@ -633,6 +651,9 @@ def _build_parser():
                     help="override the config rng seed")
     ap.add_argument("--out", type=Path, default=None,
                     help="override the output directory")
+    ap.add_argument("--timings", type=Path, default=None,
+                    help="write each stage's wall_s, cpu_s and ru_maxrss_mb "
+                         "to this JSON file")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name)
@@ -650,27 +671,47 @@ def _build_parser():
     return ap
 
 
+def _timed(timings, name, fn, *args):
+    """fn(*args), appending the call's wall and CPU seconds and the peak
+    RSS so far (MB) to timings under name"""
+    wall, cpu = time.perf_counter(), time.process_time()
+    out = fn(*args)
+    timings.append({
+        "stage": name, "wall_s": time.perf_counter() - wall,
+        "cpu_s": time.process_time() - cpu,
+        "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024.0})
+    return out
+
+
+def _bound(args):
+    """The bound subcommand's value; a bad input is a ConfigError."""
+    try:
+        if args.variant == "main":
+            if args.log_r1 is None:
+                raise ConfigError("--log-r1 required for the main bound")
+            return bound_calculator(args.log_sup, args.log_r1, args.delta,
+                                    args.c_r)
+        if args.variant == "analytic":
+            return bound_analytic(args.c_r, args.delta)
+        if args.norm_value is None:
+            raise ConfigError("--norm-value required for smooth")
+        return bound_smooth(args.norm_value, args.c_r, args.delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    timings = []        # one entry per stage run, written to --timings
     try:
         if args.command == "bound":
-            if args.variant == "main":
-                if args.log_r1 is None:
-                    raise ConfigError("--log-r1 required for the main bound")
-                val = bound_calculator(args.log_sup, args.log_r1, args.delta,
-                                       args.c_r)
-            elif args.variant == "analytic":
-                val = bound_analytic(args.c_r, args.delta)
-            else:
-                if args.norm_value is None:
-                    raise ConfigError("--norm-value required for smooth")
-                val = bound_smooth(args.norm_value, args.c_r, args.delta)
-            print(_fmt(val))
+            print(_fmt(_bound(args)))
             return 0
         if args.command == "verify":
             out = args.out or Path("out")
-            ok = run_verify(out, rng_seed=args.rng_seed or 0,
-                            quick=args.quick)
+            ok = _timed(timings, "verify", run_verify, out,
+                        args.rng_seed or 0, args.quick)
             print(f"verify: {'all pass' if ok else 'FAILURES'} "
                   f"(checks.csv in {out})")
             return 0 if ok else 1
@@ -679,7 +720,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         st = PipelineState(cfg, args.out, args.rng_seed)
         for stage in _stages(args.command):
-            stage(st)
+            _timed(timings, stage.__name__[len("stage_"):], stage, st)
         if args.command == "pipeline":
             print(f"verdict: {st.verdict}")
         print(f"wrote outputs to {st.out}")
@@ -696,6 +737,9 @@ def main(argv=None):
     except Acim1dError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.timings is not None:
+            args.timings.write_text(json.dumps(timings, indent=1) + "\n")
 
 
 if __name__ == "__main__":

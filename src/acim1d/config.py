@@ -41,11 +41,16 @@ class ExperimentConfig:
     gibbs_samples: int = 20000
 
     def validate(self):
-        if self.r <= 1.0:
-            raise ConfigError("r must exceed 1")
+        # each comparison is False on NaN, so NaN fails every range
+        if not 1.0 < self.r < math.inf:
+            raise ConfigError(f"r must be finite and exceed 1, got {self.r}")
         for key, value in (("delta", self.delta), ("b_r", self.B_r)):
-            if not value > 0:                   # NaN included
-                raise ConfigError(f"{key} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, "
+                                  f"got {value}")
+        if not 0 < self.beta < 1:
+            # d_n <= 1 never exceeds a beta >= 1: the selection is empty
+            raise ConfigError(f"beta must lie in (0, 1), got {self.beta}")
         for name, least in (("n_list", 1), ("M_list", 0), ("m_list", 1),
                             ("q_list", 1), ("entropy_m", 1), ("seeds", 1),
                             ("bins", 10), ("gibbs_instances", 0),

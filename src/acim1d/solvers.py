@@ -1,16 +1,23 @@
-"""Root finding and bounded minimization on arrays of brackets, in lockstep.
+"""Root finding and bounded minimization on arrays of brackets.
 
-Each lane of a call runs the float steps of scipy.optimize's scalar
-routine (brentq: its NaN guard and Zeros/brentq.c; the "bounded"
-minimize_scalar: _minimize_scalar_bounded), so each lane returns the
-bits scipy 1.17 returns for that bracket alone.  f(x, lanes) is called
-once per iteration with the points of the lanes still running and their
-indices into the input arrays; a lane stops when it converges.  The
+Each lane is scipy.optimize's scalar routine on Python floats (brentq:
+its NaN guard and Zeros/brentq.c; the "bounded" minimize_scalar:
+_minimize_scalar_bounded), written as a generator that yields each point
+it wants evaluated and returns its result.  So each lane returns the
+bits scipy 1.17 returns for that bracket alone.  One loop, _run, calls
+f(x, lanes) once per step with the points of the lanes still running
+and their indices into the input arrays (intp, increasing), sends each
+value back to its lane and drops the lanes that have returned.  The
 tests check every lane against scipy.
+
+A step costs some microseconds per running lane and no fixed numpy
+overhead, so calls of a few lanes are cheap; calls of hundreds of lanes
+cost more than a lockstep array iteration would.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -20,17 +27,84 @@ __all__ = ["brentq", "minimize_bounded"]
 _RTOL = 4 * sys.float_info.epsilon
 _MAXITER = 100          # brentq steps
 _MAXFUN = 500           # minimize_bounded evaluations of f per lane
-_SQRT_EPS = np.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _values(f, x, lanes):
-    fx = np.asarray(f(x, lanes), dtype=float)
-    if np.isnan(fx).any():
-        bad = x[np.isnan(fx)][0]
-        raise ValueError(f"The function value at x={bad} is NaN; "
+def _run(f, gens):
+    """Each generator's return value, in lane order, calling f once per
+    step on the points of the generators still running."""
+    out = np.empty(len(gens))
+    idx = list(range(len(gens)))
+    pts = [next(g) for g in gens]
+    lanes = np.arange(len(gens))
+    while idx:
+        values = np.asarray(f(np.array(pts), lanes), dtype=float).tolist()
+        keep, pts = [], []
+        for i, fx in zip(idx, values):
+            try:
+                pts.append(gens[i].send(fx))
+                keep.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        if len(keep) < len(idx):
+            idx, lanes = keep, np.array(keep, dtype=np.intp)
+    return out
+
+
+def _not_nan(x, fx):
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; "
                          "solver cannot continue.")
     return fx
+
+
+def _brentq_lane(xpre, xcur, xtol):
+    """Zeros/brentq.c on [xpre, xcur] with scipy's NaN guard."""
+    fpre = _not_nan(xpre, (yield xpre))
+    fcur = _not_nan(xcur, (yield xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # f values are not NaN, and nonzero where signs are compared, so
+    # "< 0" is C's signbit
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf         # no short step: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass                    # C's step is +-inf or NaN: bisect
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _not_nan(xcur, (yield xcur))
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, "
+                       f"value is {xcur:f}")
 
 
 def brentq(f, a, b, xtol):
@@ -42,79 +116,75 @@ def brentq(f, a, b, xtol):
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    xpre = np.array(a, dtype=float).reshape(-1)
-    xcur = np.array(b, dtype=float).reshape(-1)
-    out = np.empty_like(xcur)
-    if not out.size:
-        return out
-    lanes = np.arange(xcur.size)
-    fpre = _values(f, xpre, lanes)
-    fcur = _values(f, xcur, lanes)
-    out[fcur == 0] = xcur[fcur == 0]
-    out[fpre == 0] = xpre[fpre == 0]
-    run = (fpre != 0) & (fcur != 0)
-    # below, f values are not NaN, and nonzero where signs are compared,
-    # so "< 0" is C's signbit
-    if ((fpre[run] < 0) == (fcur[run] < 0)).any():
-        raise ValueError("f(a) and f(b) must have different signs")
-    if not run.any():
-        return out
-    lanes, xpre, xcur, fpre, fcur = (v[run] for v in
-                                     (lanes, xpre, xcur, fpre, fcur))
-    xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
-    for _ in range(_MAXITER):
-        # numpy's errstate slows the scalar arithmetic of many f: it
-        # covers the solver's own steps only
-        with np.errstate(all="ignore"):
-            flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
-            xblk = np.where(flip, xpre, xblk)
-            fblk = np.where(flip, fpre, fblk)
-            spre = np.where(flip, xcur - xpre, spre)
-            scur = np.where(flip, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre),
-                                np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre),
-                                np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (xtol + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
-            if done.any():
-                out[lanes[done]] = xcur[done]
-                keep = ~done
-                lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, \
-                    delta, sbis = (v[keep] for v in (
-                        lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre,
-                        scur, delta, sbis))
-                if not lanes.size:
-                    return out
-            # interpolate where xpre == xblk, else extrapolate; where
-            # Python divides by zero, C's step is +-inf or NaN: bisect
-            dx = xcur - xpre
-            df = fcur - fpre
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            den = dblk * dpre * (fblk - fpre)
-            interp = xpre == xblk
-            stry = np.where(interp, -fcur * dx / df,
-                            -fcur * (fblk * dblk - fpre * dpre) / den)
-            zero = np.where(interp, df == 0,
-                            (dx == 0) | (xblk - xcur == 0) | (den == 0))
-            bound = 3 * np.abs(sbis) - delta
-            aspre = np.abs(spre)
-            good = ((aspre > delta) & (np.abs(fcur) < np.abs(fpre)) & ~zero
-                    & (2 * np.abs(stry) < np.where(aspre < bound, aspre,
-                                                   bound)))
-            spre = np.where(good, scur, sbis)
-            scur = np.where(good, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur,
-                                   np.where(sbis > 0, delta, -delta))
-        fcur = _values(f, xcur, lanes)
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations, "
-                       f"value is {xcur[0]:f}")
+    return _run(f, [_brentq_lane(lo, hi, xtol) for lo, hi in zip(
+        np.reshape(a, -1).astype(float).tolist(),
+        np.reshape(b, -1).astype(float).tolist())])
+
+
+def _bounded_lane(a, b, xatol):
+    """_minimize_scalar_bounded on [a, b]: the least value of f found.
+    Like scipy, it does not check f's values for NaN."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if a > b:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    # xf the best point so far, nfc the second best, fulc the third
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = yield xf
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:               # try a parabolic fit
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:                      # golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (-step if rat < 0 else step)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return fx
 
 
 def minimize_bounded(f, lo, hi, xatol):
@@ -122,83 +192,6 @@ def minimize_bounded(f, lo, hi, xatol):
     method (golden-section steps, parabolic steps where the fit is
     acceptable), each converged to xatol in x or stopped after 500
     evaluations of f; one array of minima in lane order."""
-    a = np.array(lo, dtype=float).reshape(-1)
-    b = np.array(hi, dtype=float).reshape(-1)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if (a > b).any():
-        raise ValueError("The lower bound exceeds the upper bound.")
-    if not a.size:
-        return a
-    # each point is a column (x, f(x)): P the best so far, N the second
-    # best, U the third, X the newest
-    lanes = np.arange(a.size)
-    X = np.empty((2, a.size))
-    X[0] = a + _GOLDEN * (b - a)
-    X[1] = f(X[0], lanes)
-    P = N = U = X
-    rat = e = np.zeros_like(a)
-    out = np.empty_like(a)
-    tol3 = xatol / 3.0
-    num = 1
-    while True:
-        with np.errstate(all="ignore"):
-            if num > 1:
-                # f(x) <= f(xf): x becomes the best point and xf an end
-                # of [a, b]; else x becomes an end, and maybe the second
-                # or the third point
-                (xf, fx), (x, fu) = P, X
-                le = fu <= fx
-                at_a = np.where(le, x >= xf, x < xf)
-                end = np.where(le, xf, x)
-                a = np.where(at_a, end, a)
-                b = np.where(at_a, b, end)
-                second = le | (fu <= N[1]) | (N[0] == xf)
-                third = (fu <= U[1]) | (U[0] == xf) | (U[0] == N[0])
-                U = np.where(second, N, np.where(third, X, U))
-                N = np.where(le, P, np.where(second, X, N))
-                P = np.where(le, X, P)
-            xf = P[0]
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + tol3
-            tol2 = 2.0 * tol1
-            go = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
-            if num >= _MAXFUN:
-                go[:] = False
-            if np.count_nonzero(go) < go.size:
-                out[lanes[~go]] = P[1, ~go]
-                if not go.any():
-                    return out
-                lanes, a, b, rat, e, xm, tol1, tol2 = (v[go] for v in (
-                    lanes, a, b, rat, e, xm, tol1, tol2))
-                P, N, U = P[:, go], N[:, go], U[:, go]
-                xf = P[0]
-            # golden-section steps, or parabolic ones where |e| > tol1
-            # and the fit is acceptable
-            to_a, to_b = a - xf, b - xf
-            eg = np.where(xf >= xm, to_a, to_b)
-            fit = np.abs(e) > tol1
-            if np.count_nonzero(fit):
-                dn, du = P - N, P - U
-                r = dn[0] * du[1]
-                q = du[0] * dn[1]
-                p = du[0] * q - dn[0] * r
-                q = 2.0 * (q - r)
-                p = np.where(q > 0.0, -p, p)
-                q = np.abs(q)
-                fit &= ((np.abs(p) < np.abs(0.5 * q * e)) & (p > q * to_a)
-                        & (p < q * to_b))
-                step = (p + 0.0) / q
-                x = xf + step
-                d = xm - xf
-                step = np.where(((x - a) < tol2) | ((b - x) < tol2),
-                                tol1 * (np.sign(d) + (d == 0)), step)
-                e = np.where(fit, rat, eg)
-                rat = np.where(fit, step, _GOLDEN * eg)
-            else:
-                e, rat = eg, _GOLDEN * eg
-            X = np.empty((2, xf.size))
-            np.add(xf, (np.sign(rat) + (rat == 0))
-                   * np.maximum(np.abs(rat), tol1), out=X[0])
-        X[1] = f(X[0], lanes)
-        num += 1
+    return _run(f, [_bounded_lane(a, b, xatol) for a, b in zip(
+        np.reshape(lo, -1).astype(float).tolist(),
+        np.reshape(hi, -1).astype(float).tolist())])

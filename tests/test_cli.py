@@ -1,7 +1,8 @@
 """Config parsing, bound calculators, pipeline plumbing, exit codes."""
 
-import csv
 import copy
+import csv
+import json
 import math
 from pathlib import Path
 
@@ -100,6 +101,25 @@ def test_config_rejects_bad_values(tmp_path, capsys):
             seeds=100, seed=1, out=tmp_path / "o").replace(
                 "p = 4", f"p = auto\nb_r = {b_r}"))
         with pytest.raises(ConfigError, match="b_r"):
+            load_config(p)
+        assert main(["--config", str(p), "pipeline"]) == 2
+        assert "config error" in capsys.readouterr().err
+    # non-finite values used to end in an OverflowError traceback (r = inf,
+    # b_r = inf under p = auto) or in an empty selection with b = nan
+    # (exit 3), as did any beta >= 1, which d_n <= 1 never exceeds
+    text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
+    for old, new, key in (
+            ("r = 2.0", "r = inf", "r"), ("r = 2.0", "r = nan", "r"),
+            ("r = 2.0", "r = 1.0", "r"),
+            ("p = 4", "p = auto\nb_r = inf", "b_r"),
+            ("delta = 0.2", "delta = inf", "delta"),
+            ("delta = 0.2", "delta = nan", "delta"),
+            ("beta = 0.5", "beta = nan", "beta"),
+            ("beta = 0.5", "beta = 1.5", "beta"),
+            ("beta = 0.5", "beta = 1.0", "beta"),
+            ("beta = 0.5", "beta = 0", "beta")):
+        p = _write(tmp_path, text.replace(old, new))
+        with pytest.raises(ConfigError, match=f"^{key} "):
             load_config(p)
         assert main(["--config", str(p), "pipeline"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -597,6 +617,56 @@ def test_cli_bound_subcommand(capsys):
                  "--delta", "1.0", "--c-r", "1.0"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize("args", [
+    # each used to end in a traceback, or to print nan and exit 0
+    ["--log-sup", "1", "--log-r1", "1", "--delta", "-1"],
+    ["--variant", "analytic", "--log-sup", "1", "--delta", "0"],
+    ["--log-sup", "nan", "--log-r1", "1", "--delta", "1"],
+    ["--log-sup", "1", "--log-r1", "1", "--delta", "1", "--c-r", "nan"],
+    ["--log-sup", "1", "--log-r1", "inf", "--delta", "1"],
+    ["--variant", "smooth", "--log-sup", "1", "--delta", "0.5",
+     "--norm-value", "-2"],
+    ["--variant", "smooth", "--log-sup", "1", "--delta", "0.5"]])
+def test_cli_bound_rejects_bad_inputs(args, capsys):
+    assert main(["bound", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and not captured.out
+
+
+def test_cli_bound_prints_inf_past_the_float_range(capsys):
+    # (1.386 / 0.5)^(1000 * 2.079 / 0.5) exceeds the largest double
+    assert main(["bound", "--log-sup", "1.386", "--log-r1", "2.079",
+                 "--delta", "0.5"]) == 0
+    assert capsys.readouterr().out.strip() == "inf"
+    assert bound_analytic(2.0, 1e-100) == math.inf
+    assert bound_smooth(3.0, 2.0, 1e200) == 1.0
+
+
+def test_timings_flag_leaves_the_outputs_alone(tmp_path, capsys):
+    # --timings writes one entry per stage run, in stage order, to its own
+    # path; every file of the output directory is the same without it
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=4,
+                                             out=tmp_path / "o"))
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    path = tmp_path / "timings.json"
+    assert main(["--config", str(p), "--out", str(plain), "pipeline"]) == 0
+    assert not path.exists()
+    assert main(["--config", str(p), "--out", str(timed), "--timings",
+                 str(path), "pipeline"]) == 0
+    names = sorted(f.name for f in plain.iterdir())
+    assert names == sorted(f.name for f in timed.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (timed / name).read_bytes()
+    entries = json.loads(path.read_text())
+    assert [e["stage"] for e in entries] == [
+        "map", "branches", "tree", "times", "measure", "entropy", "checks"]
+    for e in entries:
+        assert e["wall_s"] >= 0 and e["cpu_s"] >= 0 and e["ru_maxrss_mb"] > 0
+    assert main(["--out", str(tmp_path / "v"), "--timings", str(path),
+                 "verify", "--quick"]) == 0
+    assert [e["stage"] for e in json.loads(path.read_text())] == ["verify"]
 
 
 def _check_rows(out):

@@ -1,6 +1,6 @@
 """acim1d.solvers against scipy.optimize, compared bit for bit, lane by lane.
 
-Each case runs one lockstep call, records every argument each lane's
+Each case runs one solver call, records every argument each lane's
 function is called with (value bits), and runs scipy on that lane's
 function and bracket alone.  The two call sequences and the two results
 must be identical, or both must raise the same exception type.  A lane
@@ -228,6 +228,91 @@ def test_minimize_bounded_no_lanes():
     calls = []
     out = minimize_bounded(lambda x, _: calls.append(x), [], [], 1e-12)
     assert out.shape == (0,) and not calls
+
+
+def test_minimize_bounded_nan_values_match_scipy():
+    # scipy's bounded method does not check f for NaN: a NaN value loses
+    # every comparison, so the lane goes on and returns what scipy returns
+    # (NaN where the first value is NaN); nothing raises
+    mid = lambda x: math.nan if 0.39 < x < 0.41 else (x - 0.4) ** 2
+    out = _minimum_case(mid, 0.0, 1.0, 1e-12)
+    calls = _scipy_outcome(_scipy_minimum, mid, 0.0, 1.0, 1e-12)[1]
+    assert any(math.isnan(mid(np.frombuffer(c)[0])) for c in calls[1:])
+    assert not math.isnan(np.frombuffer(out)[0])
+    first = lambda x: math.nan if x < 0.5 else x
+    assert math.isnan(np.frombuffer(_minimum_case(first, 0.0, 1.0,
+                                                  1e-12))[0])
+
+
+# one f call per step over the lanes still running
+
+
+def _step_lanes(solve, oracle, fs, lo, hi, tol):
+    """One call of solve over fs: each lane's results and arguments equal
+    scipy's on that lane alone, and the lanes f is called with at each
+    step are those whose scipy run evaluates f at that step; returns
+    each lane's count of evaluations."""
+    seen, calls = [], [[] for _ in fs]
+
+    def g(x, lanes):
+        assert lanes.dtype == np.intp and x.dtype == np.float64
+        seen.append(lanes.tolist())
+        for t, i in zip(x.tolist(), lanes.tolist()):
+            calls[i].append(_bits(t))
+        return np.array([fs[i](t) for t, i in zip(x.tolist(),
+                                                  lanes.tolist())])
+    res = solve(g, lo, hi, tol)
+    theirs = [_scipy_outcome(oracle, f, a, b, tol)
+              for f, a, b in zip(fs, lo, hi)]
+    assert [(_bits(r), c) for r, c in zip(res, calls)] == theirs
+    counts = [len(c) for c in calls]
+    assert seen == [[i for i, n in enumerate(counts) if n > k]
+                    for k in range(max(counts))]
+    return counts
+
+
+@pytest.mark.parametrize("solve, oracle, fs, lo, hi", [
+    (brentq, _scipy_brentq,
+     [lambda x: x - 0.25, lambda x: math.sin(7.0 * x), lambda x: x ** 3 - 0.1,
+      lambda x: x - 0.5, lambda x: math.exp(x) - 2.0],
+     [0.0, 0.3, 0.0, 0.5, 0.0], [1.0, 0.6, 1.0, 1.0, 10.0]),
+    (minimize_bounded, _scipy_minimum,
+     [lambda x: (x - 0.4) ** 2, lambda x: -abs(math.sin(9.0 * x)),
+      lambda x: x, lambda x: math.cos(3.0 * x), lambda x: abs(x - 0.7)],
+     [0.0, 0.1, 0.0, 0.0, 0.5], [1.0, 0.9, 1e-3, 2.0, 0.5])])
+def test_f_sees_only_the_running_lanes(solve, oracle, fs, lo, hi):
+    # lanes that stop after different numbers of steps, the 4th of each
+    # call after its first evaluations (a root at an end, an empty
+    # interval): f is called once per step of the longest lane, on the
+    # lanes still running, in increasing order
+    counts = _step_lanes(solve, oracle, fs, lo, hi, 1e-12)
+    assert len(set(counts)) == len(counts)
+    assert min(counts) <= 2
+
+
+def test_300_lanes_match_scipy():
+    # one call per solver over 300 lanes drawn from the Hypothesis
+    # families, wider than any call a pipeline or verify run makes
+    rng = np.random.default_rng(1)
+
+    def draw(make, kinds):
+        kind = kinds[rng.integers(len(kinds))]
+        lo = rng.uniform(-1.0, 1.0)
+        return (make(kind, rng.uniform(0, 1), rng.uniform(0, 2),
+                     rng.uniform(1, 60), [1.0, 1e-200, 1e200][rng.integers(3)]),
+                lo, lo + rng.uniform(1e-9, 2.0))
+
+    roots = []
+    while len(roots) < 300:
+        f, a, b = draw(_family, ["smooth", "cubic", "oscillating"])
+        if isinstance(_scipy_outcome(_scipy_brentq, f, a, b, 1e-13)[0],
+                      bytes):
+            roots.append((f, a, b))
+    minima = [draw(_objective, ["smooth", "cubic", "abs", "oscillating"])
+              for _ in range(300)]
+    for solve, oracle, lanes in ((brentq, _scipy_brentq, roots),
+                                 (minimize_bounded, _scipy_minimum, minima)):
+        _step_lanes(solve, oracle, *map(list, zip(*lanes)), 1e-13)
 
 
 # the call sites, with scipy swapped in lane by lane
