@@ -660,7 +660,7 @@ def _build_parser():
     v = sub.add_parser("verify")
     v.add_argument("--quick", action="store_true")
     bp = sub.add_parser("bound")
-    bp.add_argument("--log-sup", type=float, required=True)
+    bp.add_argument("--log-sup", type=float, default=None)
     bp.add_argument("--log-r1", type=float, default=None)
     bp.add_argument("--delta", type=float, required=True)
     bp.add_argument("--c-r", type=float, default=1000.0)
@@ -688,6 +688,8 @@ def _bound(args):
     """The bound subcommand's value; a bad input is a ConfigError."""
     try:
         if args.variant == "main":
+            if args.log_sup is None:
+                raise ConfigError("--log-sup required for the main bound")
             if args.log_r1 is None:
                 raise ConfigError("--log-r1 required for the main bound")
             return bound_calculator(args.log_sup, args.log_r1, args.delta,

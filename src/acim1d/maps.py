@@ -32,12 +32,44 @@ from .solvers import brentq, minimize_bounded
 LOG_FLOOR = -700.0  # log-derivative floor: |f'| below e^-700 counts as 0
 FAA_DI_BRUNO_CONST = 2.0  # A in the Hoelder-norm bound of PowerMap
 FLAT_TOL = 1e-9  # critical_set: |f'| below this on a grid point counts as 0
+BUCKETS = 1 << 13  # SortedTable: buckets on [0, 1), 32 KiB of int32 counts
 
 __all__ = [
-    "Domain", "UNIT_INTERVAL", "CIRCLE", "SmoothMap1D", "MapNorms",
-    "orbit_grid", "lyapunov_ft", "estimate_norms",
+    "SortedTable", "Domain", "UNIT_INTERVAL", "CIRCLE", "SmoothMap1D",
+    "MapNorms", "orbit_grid", "lyapunov_ft", "estimate_norms",
     "critical_set", "power_map", "make_map", "PRESETS", "LOG_FLOOR",
 ]
+
+
+class SortedTable:
+    """Sorted floats c; search(x, side) is np.searchsorted(c, x, side).
+
+    start[b] counts the entries below b/K for K = BUCKETS, with start[0] = 0
+    and start[K] = n, so the end buckets also hold the entries outside
+    [0, 1).  x*K is exact, so for b = floor(x*K) clamped to [0, K-1] every
+    entry before start[b] is below x and every one from start[b+1] above.
+    A branchless bisection over c padded with NaN (which compares false)
+    counts the bucket's entries below x (or equal, for side="right") in
+    bit_length(max occupancy) steps, no more than a binary search over c.
+    The index and its build stay within 64 KiB, under malloc's 128 KiB
+    mmap threshold.  NaN x counts 0 entries (searchsorted: n)."""
+
+    def __init__(self, c):
+        c = np.asarray(c, dtype=float)
+        self.start = np.concatenate([[0], np.searchsorted(
+            c, np.arange(1, BUCKETS) / BUCKETS), [c.size]]).astype(np.int32)
+        self.steps = int(np.diff(self.start).max()).bit_length()
+        self.table = np.concatenate([c, np.full(2 ** self.steps - 1, np.nan)])
+
+    def search(self, x, side="left"):
+        shape, x = np.shape(x), np.asarray(x, dtype=float).reshape(-1)
+        t = np.fmin(np.fmax(x * BUCKETS, 0.0), BUCKETS - 1)
+        r = self.start.take(t.astype(np.intp))
+        below = np.less if side == "left" else np.less_equal
+        for j in reversed(range(self.steps)):
+            hit = below(self.table.take(r + (2 ** j - 1)), x)
+            np.add(r, 2 ** j, out=r, where=hit)
+        return r.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -60,10 +92,14 @@ class Domain:
     def nearest_distance(self, x, pts):
         """min over c in pts (non-empty) of |x - c|, on the circle of
         min(|x - c|, 1 - |x - c|).  Rounding is monotone, so the sorted
-        neighbours of x (and the extremes of pts, for the wrap) give it."""
+        neighbours of x (and the extremes of pts, for the wrap) give it.
+        SortedTable finds them as np.searchsorted would (x*2^13 is exact
+        and picks a bucket, a short bisection ends in it) from a 32 KiB
+        index, under malloc's 128 KiB mmap threshold.  NaN x gives NaN,
+        +-inf +inf (-inf on the circle)."""
         x = np.asarray(x, dtype=float)
         c = np.sort(np.asarray(pts, dtype=float))
-        j = np.searchsorted(c, x)
+        j = SortedTable(c).search(x)
         d = np.minimum(np.abs(x - c[np.maximum(j - 1, 0)]),
                        np.abs(x - c[np.minimum(j, c.size - 1)]))
         if self.is_circle:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
-from acim1d.branches import count_branches_with_min_slope, monotone_branches
-from acim1d.maps import make_map, power_map
+from acim1d.branches import (
+    Branch, BranchPartition, count_branches_with_min_slope, monotone_branches,
+)
+from acim1d.maps import BUCKETS, make_map, power_map
 from partition_oracle import refine_branches
 
 
@@ -167,3 +169,61 @@ def test_locate_many_matches_scalar_locate():
         assert part.locate_many(np.float64(0.0)) == part.locate(0.0)
     wrapping = monotone_branches(maps[1]).branches
     assert any(br.a + br.length > 1.0 for br in wrapping)
+
+
+def _hand_built(lefts, circle):
+    """Branches from each left end to the next (on the circle the last one
+    wraps past 1 to the first), every 7th and the last cut to half their
+    length, so some points lie in no branch."""
+    rights = np.append(lefts[1:], lefts[0] + 1.0 if circle else 1.0)
+    i = np.arange(lefts.size)
+    lengths = (rights - lefts) * np.where((i % 7 == 3) | (i == i[-1]),
+                                          0.5, 1.0)
+    branches = [Branch(a=float(a), length=float(w), sign=1, sup_slope=1.0)
+                for a, w in zip(lefts, lengths)]
+    return BranchPartition("hand", branches, [], circle, [])
+
+
+def _probe_points(part, rng, n):
+    lefts = np.array([br.a for br in part.branches])
+    ends = np.array([br.a + br.length for br in part.branches]) % 1.0
+    edges = np.concatenate([lefts, ends])
+    return np.concatenate([
+        rng.choice(edges, n), np.nextafter(rng.choice(edges, n), -1.0),
+        np.nextafter(rng.choice(edges, n), 2.0), rng.uniform(-1.0, 2.0, n),
+        [0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -1e-17]])
+
+
+def test_locate_many_clustered_and_large_partitions():
+    # 256 branches inside one of SortedTable's buckets, and 20,000
+    # branches, on both domains: locate_many equals locate point by point
+    rng = np.random.default_rng(3)
+    b = int(0.3 * BUCKETS)
+    clustered = np.concatenate([
+        [0.0, 0.1], b / BUCKETS + np.arange(256) * 2.0 ** -22, [0.6, 0.95]])
+    large = np.unique(rng.uniform(0.0, 1.0, 20000))
+    for lefts, n in ((clustered, 400), (large, 60)):
+        for circle in (False, True):
+            part = _hand_built(lefts[1:] if circle else lefts, circle)
+            # on the circle the last branch wraps past 1 and stops short
+            # of the first left end
+            assert not circle or 1.0 < part.branches[-1].b < 1.0 + lefts[1]
+            assert part._lookup[0].start.nbytes <= 128 * 1024
+            xs = _probe_points(part, rng, n)
+            got = part.locate_many(xs)
+            assert got.tolist() == [part.locate(float(x)) for x in xs]
+            assert (got == -1).any() and (got >= 0).any()
+    assert np.unique(np.floor(clustered[2:-2] * BUCKETS)).size == 1
+
+
+def test_locate_many_non_finite():
+    # NaN and +-inf lie in no branch, alone or beside finite points
+    bad = [np.nan, np.inf, -np.inf]
+    for g in (power_map(make_map("doubling"), 4),
+              power_map(make_map("logistic"), 6)):
+        part = monotone_branches(g)
+        with np.errstate(invalid="ignore"):
+            assert part.locate_many(bad).tolist() == [-1, -1, -1]
+            got = part.locate_many([0.3, *bad, 0.7])
+        assert got.tolist() == [part.locate(0.3), -1, -1, -1,
+                                part.locate(0.7)]

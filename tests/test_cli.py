@@ -635,6 +635,21 @@ def test_cli_bound_rejects_bad_inputs(args, capsys):
     assert captured.err.startswith("config error:") and not captured.out
 
 
+def test_cli_bound_asks_for_log_sup_only_in_the_main_variant(capsys):
+    # analytic and smooth never read --log-sup; main without it is a
+    # config error, like main without --log-r1
+    assert main(["bound", "--variant", "analytic", "--delta", "0.5",
+                 "--c-r", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "65536"
+    assert main(["bound", "--variant", "smooth", "--delta", "1",
+                 "--c-r", "2", "--norm-value", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "9"
+    assert main(["bound", "--log-r1", "1", "--delta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and not captured.out
+    assert "--log-sup" in captured.err
+
+
 def test_cli_bound_prints_inf_past_the_float_range(capsys):
     # (1.386 / 0.5)^(1000 * 2.079 / 0.5) exceeds the largest double
     assert main(["bound", "--log-sup", "1.386", "--log-r1", "2.079",

@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
-    CIRCLE, FLAT_TOL, UNIT_INTERVAL, critical_set, estimate_norms,
-    lyapunov_ft, make_map, orbit_grid, power_map,
+    BUCKETS, CIRCLE, FLAT_TOL, UNIT_INTERVAL, SortedTable, critical_set,
+    estimate_norms, lyapunov_ft, make_map, orbit_grid, power_map,
 )
 
 LOG2 = math.log(2.0)
@@ -352,3 +352,53 @@ def test_unresolved_critical_error_exists():
                  smoothness_r=2.0, holder_const=5e3)
     with pytest.raises(UnresolvedCritical):
         critical_set(f, grid_size=128)
+
+
+# SortedTable tables: general entries with duplicates and bucket edges
+# j/K, every entry in one bucket, or a single entry
+_entry = st.one_of(
+    st.floats(-0.5, 1.5), st.integers(0, BUCKETS).map(lambda j: j / BUCKETS),
+    st.sampled_from([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -np.inf,
+                     np.inf, 2.0 ** -1074]))
+_general = st.lists(_entry, min_size=1, max_size=40).flatmap(
+    lambda xs: st.integers(0, len(xs)).map(lambda d: xs + xs[:d]))
+_one_bucket = st.tuples(
+    st.integers(0, BUCKETS - 1),
+    st.lists(st.integers(0, 2 ** 20 - 1), min_size=1, max_size=300)).map(
+    lambda t: [t[0] / BUCKETS + k * 2.0 ** -33 for k in t[1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.one_of(_general, _one_bucket, _entry.map(lambda v: [v])),
+       extra=st.lists(st.floats(allow_nan=False), max_size=20))
+def test_sorted_table_matches_searchsorted(table, extra):
+    c = np.sort(np.array(table, dtype=float))
+    near = c[np.isfinite(c)]
+    x = np.concatenate([
+        c, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+        np.floor(near * BUCKETS) / BUCKETS, extra,
+        [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), -1e-300, -0.5, 1.5, 7.0,
+         np.inf, -np.inf]])
+    table = SortedTable(c)
+    assert table.start.nbytes <= 128 * 1024
+    # never more steps than a binary search over the whole table
+    assert table.steps <= c.size.bit_length()
+    # |x| beyond about 2^1010 overflows x * BUCKETS to +-inf (numpy warns),
+    # which clamps into an end bucket like any x outside [0, 1)
+    with np.errstate(over="ignore"):
+        for side in ("left", "right"):
+            got = table.search(x, side)
+            assert np.array_equal(got, np.searchsorted(c, x, side)), side
+            assert np.array_equal(
+                table.search(np.stack([x, -x]), side),
+                np.stack([got, np.searchsorted(c, -x, side)]))
+            assert table.search(x[0], side) == got[0]
+
+
+def test_nearest_distance_non_finite():
+    # NaN gives NaN; +-inf give +inf on the interval, -inf on the circle
+    x = np.array([np.nan, np.inf, -np.inf, 0.25])
+    d = UNIT_INTERVAL.nearest_distance(x, [0.5, 0.0])
+    assert np.isnan(d[0]) and d[1:].tolist() == [np.inf, np.inf, 0.25]
+    d = CIRCLE.nearest_distance(x, [0.5, 0.0])
+    assert np.isnan(d[0]) and d[1:].tolist() == [-np.inf, -np.inf, 0.25]
