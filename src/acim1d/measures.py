@@ -224,28 +224,35 @@ def invariance_defect(mu, g):
     """Weak-* defect |int psi d g_*mu - int psi d mu| against its bound,
     the max over the probe_functions() dictionary.
 
-    The bound is the boundary-count term: pushing atoms forward shifts
-    E_n^{M,m}(x) by one, so sums differ by at most #dE per seed.
+    Inside a run of a seed's times each atom's image is the next atom, so
+    g_*mu - mu telescopes to one signed sum over the run starts and the
+    run ends' images: atom i carries w_{i-1} [atom i-1 does not end a run]
+    - w_i, each run end's image +w_i, and the probes are evaluated only
+    where that coefficient is not 0: O(#runs) evaluations, 2 per run for
+    equal weights, 2n without a pool, where every atom is its own run.
+    The defect is NaN if an atom, a run end's image or a weight is not
+    finite.
+
+    The bound is the boundary-count term: each run adds at most
+    2 w sup|psi| <= 2 w, and boundary_counts gives 2 per run, so with
+    equal weights the defect stays within it by construction.
     """
-    # xs: the atoms, then the images of those ending a run of their seed's
-    # times (all, without a pool); each other atom's image is the next atom
-    n = mu.n_atoms
-    ends = np.ones(n, dtype=bool)
+    w = mu.weights
+    ends = np.ones(mu.n_atoms, dtype=bool)
     if mu.pool is not None:
         ends[:-1] = (np.diff(mu.seed_idx) != 0) | (np.diff(mu.time_idx) != 1)
         gx = mu.pool.points[mu.time_idx[ends] + 1, mu.seed_idx[ends]]
     else:
         gx = g.eval(mu.atoms)
-    xs = np.concatenate((mu.atoms, gx))
-    img = np.arange(1, n + 1)       # index of each atom's image in xs
-    img[ends] = np.arange(n, xs.size)
-    del gx, ends
-    defect = 0.0
-    for psi in probe_functions():
-        y = psi(xs)
-        d = abs(float(np.sum(mu.weights * y[img])
-                      - np.sum(mu.weights * y[:n])))
-        defect = max(defect, d)
+    z = np.concatenate((mu.atoms, gx))
+    c = np.concatenate((-w, w[ends]))
+    c[1:w.size] += w[:-1] * ~ends[:-1]
+    finite = np.isfinite(z).all() and np.isfinite(c).all()
+    keep = c != 0
+    z, c = z[keep], c[keep]
+    defect = float(np.max([abs(float(np.sum(c * psi(z))))
+                           for psi in probe_functions()])) \
+        if finite else float("nan")
     if mu.per_seed_boundary is not None and mu.per_seed_counts is not None:
         norm = mu.meta.get("normalization", "mu")
         if norm == "mu":

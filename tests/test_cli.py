@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -332,6 +333,31 @@ def test_pipeline_row_fails_closed_on_nan_value(tmp_path, monkeypatch):
     assert math.isnan(rows["support_gap"][2])
     assert rows["support_gap"][-1] == 0
     assert rows["invariance_defect"][-1] == 1
+
+
+def test_nan_atom_inside_a_run_fails_the_invariance_row(tmp_path,
+                                                        monkeypatch):
+    # the telescoped defect never evaluates a probe at an atom inside a
+    # run; a NaN there still makes the row fail and the verdict not-AC
+    real = cli.invariance_defect
+
+    def nan_inside(mu, g):
+        atoms = mu.atoms.copy()
+        atoms[1] = math.nan             # between atoms 0 and 2 of its run
+        assert mu.seed_idx[0] == mu.seed_idx[2]
+        assert mu.time_idx[2] - mu.time_idx[0] == 2
+        return real(dataclasses.replace(mu, atoms=atoms), g)
+
+    monkeypatch.setattr(cli, "invariance_defect", nan_inside)
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
+                                             out=tmp_path / "o"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("measure"):
+        stage(st)
+    rows = {row[0]: row for row in st.checks}
+    assert math.isnan(rows["invariance_defect"][2])
+    assert rows["invariance_defect"][-1] == 0
+    assert compute_verdict(True, True, st.checks) == "not-AC"
 
 
 def test_pipeline_time_tables_match_set_oracles(tmp_path):

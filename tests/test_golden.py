@@ -6,9 +6,12 @@ as it was before the per-point work in gibbs_check and
 entropy_formula_residual was cut down, the verify_quick digest when the
 tree-certificate, Taylor-window and branch-count rows joined the battery,
 and the verify_full digest (rng seed 0, the 2-level doubling^7 tree)
-before the tree's vertices became level arrays; a change that alters an
-output on purpose updates that file and says which output changed and
-why.
+before the tree's vertices became level arrays.  The two pipelines'
+checks.csv digests were re-recorded when invariance_defect became one
+telescoped sum over run starts and run ends' images: its row's lhs and
+margin moved in the last digits (a different summation order), and
+every other file kept its digest.  A change that alters an output on
+purpose updates that file and says which output changed and why.
 """
 
 import hashlib

@@ -1,11 +1,13 @@
 """Seed pools, A_n selection, empirical measures, density comparisons."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from acim1d import measures
 from acim1d.errors import EmptySelection
 from acim1d.maps import CIRCLE, make_map, power_map
 from acim1d.measures import (
@@ -16,6 +18,7 @@ from acim1d.measures import (
 )
 from acim1d.maps import critical_set, orbit_grid
 from acim1d.probes import probe_functions
+from acim1d.times import boundary_counts
 
 LOG2 = math.log(2.0)
 
@@ -331,18 +334,66 @@ def test_empirical_measure_atoms_are_the_pool_gather(name, seed, n, M, m,
                               pool.points[mu.time_idx + j, mu.seed_idx])
 
 
-def _two_evaluation_defect(mu, gx):
-    """invariance_defect's value with each probe evaluated on the atoms and
-    again on their images gx: the formula before the shared evaluation."""
-    defect = 0.0
+U = 2.0 ** -53          # unit roundoff of float64
+
+
+def _exact_products(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly: Dekker's
+    product by Veltkamp splitting, exact unless a product underflows."""
+    def split(x):
+        t = 134217729.0 * x         # 2^27 + 1
+        hi = t - (t - x)
+        return hi, x - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _telescoped_points(mu, gx):
+    """The points of g_*mu - mu with a non-zero signed weight, and those
+    weights: -w at each atom, +w at its image.  A pool point is keyed by
+    its (seed, time), so an image that is the next atom adds to that
+    atom's weight; without a pool every atom and image is its own point."""
+    coef, value = {}, {}
+    for i, w in enumerate(mu.weights.tolist()):
+        if mu.pool is None:
+            here, there = ("atom", i), ("image", i)
+        else:
+            s, t = int(mu.seed_idx[i]), int(mu.time_idx[i])
+            here, there = (s, t), (s, t + 1)
+        value[here], value[there] = mu.atoms[i], gx[i]
+        coef[here] = coef.get(here, 0.0) - w
+        coef[there] = coef.get(there, 0.0) + w
+    keys = [k for k in coef if coef[k] != 0]
+    return (np.array([coef[k] for k in keys]),
+            np.array([value[k] for k in keys], dtype=float))
+
+
+def _assert_defect_within_dot_bound(mu, g, gx):
+    """invariance_defect, one probe at a time, against math.fsum of the 2n
+    signed terms w psi(g x) and -w psi(x), each split exactly into its
+    rounded product and that product's error, so the oracle is the exact
+    sum.  Their difference, also taken by fsum, must lie within the dot
+    product's error bound gamma_K sum_j |c_j psi(z_j)| over the K points
+    with a non-zero coefficient c_j.  The bound takes each c_j as exact:
+    so it is for equal weights, and by Sterbenz for weights within a
+    factor 2 of each other."""
+    c, z = _telescoped_points(mu, gx)
+    K = c.size
+    gamma = K * U / (1 - K * U)
+    w2 = np.concatenate((mu.weights, -mu.weights))
     for psi in probe_functions():
-        defect = max(defect, abs(float(np.sum(mu.weights * psi(gx))
-                                       - np.sum(mu.weights * psi(mu.atoms)))))
-    return defect
+        with mock.patch.object(measures, "probe_functions", lambda: [psi]):
+            d = invariance_defect(mu, g)["defect"]
+        terms = np.concatenate(_exact_products(
+            w2, psi(np.concatenate((gx, mu.atoms))))).tolist()
+        sign = math.copysign(1.0, math.fsum(terms))
+        err = math.fsum([d] + [-sign * t for t in terms])
+        assert abs(err) <= gamma * math.fsum(np.abs(c * psi(z)).tolist())
 
 
 @pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])
-def test_invariance_defect_bit_equal_to_two_evaluations(name, tmp_path):
+def test_invariance_defect_matches_fsum_oracle(name, tmp_path):
     from acim1d import cli
     from test_golden import _config
 
@@ -353,10 +404,9 @@ def test_invariance_defect_bit_equal_to_two_evaluations(name, tmp_path):
     gx = st.g.eval(mu.atoms)
     # the pool's next orbit points are the images g.eval gives
     assert np.array_equal(gx, mu.pool.points[mu.time_idx + 1, mu.seed_idx])
-    want = _two_evaluation_defect(mu, gx)
-    assert invariance_defect(mu, st.g)["defect"] == want
+    _assert_defect_within_dot_bound(mu, st.g, gx)
     bare = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
-    assert invariance_defect(bare, st.g)["defect"] == want
+    _assert_defect_within_dot_bound(bare, st.g, gx)
 
 
 @pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])
@@ -376,22 +426,133 @@ def test_log_derivs_at_is_the_map_at_the_forward_points(name, tmp_path):
         log_derivs_at(mu, 0, st.f)
 
 
+def _hand_measure(name, seeds, mask, weights=None):
+    """The measure on a hand-built pool of g = name^2 orbits whose atoms
+    are the True cells of the seed x time matrix mask, seed-major, with
+    its boundary-count bound; equal weights unless weights are given."""
+    g = power_map(make_map(name), 2)
+    pts, lds = orbit_grid(g, seeds, mask.shape[1])
+    pool = SamplePool(seeds=pts[0], points=pts, log_derivs=lds,
+                      time_mask=np.zeros((len(seeds), mask.shape[1] + 1),
+                                         dtype=bool),
+                      provenance={}, n_orbit=mask.shape[1])
+    s_idx, t_idx = np.nonzero(mask)
+    w = np.full(s_idx.size, 1.0 / max(1, s_idx.size)) if weights is None \
+        else np.asarray(weights[:s_idx.size], dtype=float)
+    mu = EmpiricalMeasure(atoms=pts[t_idx, s_idx], weights=w, meta={},
+                          seed_idx=s_idx, time_idx=t_idx, pool=pool,
+                          per_seed_counts=np.count_nonzero(mask, axis=1),
+                          per_seed_boundary=boundary_counts(mask))
+    return mu, g
+
+
 def test_invariance_defect_pool_run_ends_at_last_image():
     # runs: seed 0 at times 0-1 and 3-4; seed 1 at time 5 alone, one step
     # after seed 0's last atom, its image the pool's last row; seed 2 at
     # times 2-3
-    g = power_map(make_map("logistic"), 2)
-    pts, lds = orbit_grid(g, [0.1234, 0.377, 0.81], 6)
-    pool = SamplePool(seeds=pts[0], points=pts, log_derivs=lds,
-                      time_mask=np.zeros((3, 7), dtype=bool), provenance={},
-                      n_orbit=6)
-    seed_idx = np.array([0, 0, 0, 0, 1, 2, 2])
-    time_idx = np.array([0, 1, 3, 4, 5, 2, 3])
-    mu = EmpiricalMeasure(atoms=pts[time_idx, seed_idx],
-                          weights=np.random.default_rng(1).random(7),
-                          meta={}, seed_idx=seed_idx, time_idx=time_idx,
-                          pool=pool)
+    mask = np.array([[1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1],
+                     [0, 0, 1, 1, 0, 0]], dtype=bool)
+    mu, g = _hand_measure("logistic", [0.1234, 0.377, 0.81], mask,
+                          np.random.default_rng(1).uniform(0.5, 1, 7))
     gx = g.eval(mu.atoms)
-    assert np.array_equal(gx, pts[time_idx + 1, seed_idx])
-    assert invariance_defect(mu, g)["defect"] == \
-        _two_evaluation_defect(mu, gx) > 0
+    assert np.array_equal(gx, mu.pool.points[mu.time_idx + 1, mu.seed_idx])
+    assert invariance_defect(mu, g)["defect"] > 0
+    _assert_defect_within_dot_bound(mu, g, gx)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_invariance_defect_matches_fsum_oracle_on_hand_built_pools(data):
+    # gaps, one-atom runs and runs ending on the pool's last row come from
+    # the random mask; non-uniform weights lie in [0.5, 1].  Seeds are
+    # normal floats: the error bound, like the exact products, assumes
+    # that no product underflows, which a subnormal orbit point can make
+    # happen (sin of a subnormal x is subnormal)
+    S = data.draw(st.integers(1, 4))
+    width = data.draw(st.integers(1, 6))
+    bits = data.draw(st.integers(0, 2 ** (S * width) - 1))
+    mask = ((bits >> np.arange(S * width)) & 1).astype(bool).reshape(
+        S, width)
+    seeds = data.draw(st.lists(st.floats(0, 1, allow_subnormal=False),
+                               min_size=S, max_size=S))
+    weights = data.draw(st.none() | st.lists(
+        st.floats(0.5, 1.0), min_size=S * width, max_size=S * width))
+    mu, g = _hand_measure(data.draw(st.sampled_from(["doubling",
+                                                     "logistic"])),
+                          seeds, mask, weights)
+    if data.draw(st.booleans()):
+        mu = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
+    gx = g.eval(mu.atoms)
+    if mu.pool is not None:
+        assert np.array_equal(gx, mu.pool.points[mu.time_idx + 1,
+                                                 mu.seed_idx])
+    _assert_defect_within_dot_bound(mu, g, gx)
+    if mu.n_atoms == 0:
+        assert invariance_defect(mu, g)["defect"] == 0.0
+
+
+@pytest.mark.parametrize("norm", ["mu", "nu"])
+def test_invariance_defect_probes_see_only_run_starts_and_ends(norm,
+                                                               monkeypatch):
+    # the telescoped sum evaluates each probe on #run starts + #run ends
+    # points for a measure from empirical_measure, and on 2n without a pool
+    f = make_map("logistic")
+    pool = build_seed_pool(f, 4, 12, 300, np.random.default_rng(7))
+    sel = select_An(pool, 12, beta=0.05, b=0.0, p=4)
+    mu = empirical_measure(sel, 2, 2, normalization=norm, beta_inf=0.5)
+    seen = []
+
+    def counted():
+        return [lambda x, psi=psi: seen.append(np.size(x)) or psi(x)
+                for psi in probe_functions()]
+
+    monkeypatch.setattr(measures, "probe_functions", counted)
+    invariance_defect(mu, power_map(f, 4))
+    inside = (np.diff(mu.seed_idx) == 0) & (np.diff(mu.time_idx) == 1)
+    starts = ends = mu.n_atoms - np.count_nonzero(inside)
+    assert starts + ends == np.sum(mu.per_seed_boundary) < mu.n_atoms
+    assert seen == [starts + ends] * 20
+    seen.clear()
+    bare = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
+    invariance_defect(bare, power_map(f, 4))
+    assert seen == [2 * mu.n_atoms] * 20
+
+
+# seed 0 at times 0-3, seed 1 at 1-2, seed 2 at 4 (a one-atom run)
+NAN_MASK = np.array([[1, 1, 1, 1, 0, 0], [0, 1, 1, 0, 0, 0],
+                     [0, 0, 0, 0, 1, 0]], dtype=bool)
+
+
+@pytest.mark.parametrize("where", ["inside", "start", "end_image", "weight"])
+def test_invariance_defect_nan_fails_closed(where):
+    # each NaN sits where the telescoped sum gives it no probe evaluation
+    # or where a max over probes would drop it; the row must fail anyway
+    mu, g = _hand_measure("logistic", [0.1234, 0.377, 0.81], NAN_MASK)
+    rep = invariance_defect(mu, g)
+    assert rep["ok"] and math.isfinite(rep["defect"])
+    mu.atoms = mu.atoms.copy()
+    if where == "inside":
+        mu.atoms[1] = math.nan          # seed 0, time 1
+    elif where == "start":
+        mu.atoms[0] = math.nan          # seed 0, time 0
+    elif where == "end_image":
+        mu.pool.points[4, 0] = math.nan  # g of seed 0's last atom
+    else:
+        mu.weights[1] = math.nan
+    rep = invariance_defect(mu, g)
+    assert math.isnan(rep["defect"])
+    assert math.isfinite(rep["bound"]) and rep["ok"] is False
+
+
+def test_invariance_defect_nan_atom_fails_without_pool():
+    # 64 doubling atoms with a boundary bound of 2/64; one NaN atom used to
+    # be dropped by the max over probes, and the row passed
+    f = make_map("doubling")
+    xs = (np.arange(64) + 0.5) / 64
+    xs[10] = math.nan
+    mu = EmpiricalMeasure(atoms=xs, weights=np.full(64, 1.0 / 64), meta={},
+                          per_seed_counts=np.array([64]),
+                          per_seed_boundary=np.array([2]))
+    rep = invariance_defect(mu, f)
+    assert rep["bound"] == 2 / 64
+    assert math.isnan(rep["defect"]) and rep["ok"] is False
