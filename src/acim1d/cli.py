@@ -49,7 +49,7 @@ from .measures import (
 )
 from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_mask, enm_bruteforce_rows, trim_counts, trim_mask, verify_enm_grid,
+    clip_mask, enm_bruteforce_rows, trim_counts, trim_masks, verify_enm_grid,
 )
 from .tree import ReparamTree, verify_tree
 
@@ -559,8 +559,8 @@ def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=1):
 
 def _enm_battery(n):
     """The E_n^{M,m} kernels on all 2^n subsets of [0, n), one boolean row
-    each: (rows where clip_mask/trim_mask differ from the brute-force
-    enumeration, lemma violations of verify_enm_grid, lemma instances)."""
+    each: (rows where clip_mask/trim_masks, one call per M, differ from
+    the brute-force enumeration, lemma violations, lemma instances)."""
     E = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
     def mismatches(got, want):
@@ -571,9 +571,9 @@ def _enm_battery(n):
     for M in range(0, 5):
         clip, want = enm_bruteforce_rows(E, M, range(1, 5))
         mism += mismatches(clip_mask(E, n, M), clip)
-        for m in range(1, 5):
-            trims[M, m] = trim_mask(E, n, M, m)
-            mism += mismatches(trims[M, m], want[m])
+        for m, T in trim_masks(E, n, M, range(1, 5)).items():
+            trims[M, m] = T
+            mism += mismatches(T, want[m])
     for _, rep in verify_enm_grid(E, n, trims):
         ok = (rep["i_boundary_subset"] & rep["iii_ok"] & rep["iv_ok"]
               & rep["monotone_in_M"])

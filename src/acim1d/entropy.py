@@ -293,7 +293,8 @@ def verify_misiurewicz(lam, T, R, F, m):
     are evaluated with mpmath at MISIUREWICZ_DPS digits.  This is
     _misiurewicz_batch on a batch of one.  Raises ValueError when m < 1,
     when F is empty or has a negative element, when an entry of T lies
-    outside 0..N-1 (N = len(T)), or when R or lam is not of length N.
+    outside 0..N-1 (N = len(T)), when R or lam is not of length N, or
+    when lam has a negative or non-finite entry or a zero rounded total.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -307,8 +308,13 @@ def verify_misiurewicz(lam, T, R, F, m):
     F = sorted(set(F))
     if not F or F[0] < 0:
         raise ValueError(f"F must be a nonempty set of times >= 0, got {F}")
+    if any(v < 0 or not (isinstance(v, (int, Fraction)) or math.isfinite(v))
+           for v in lam):
+        raise ValueError(f"lam must be finite and >= 0, got {list(lam)}")
     lam = [v if isinstance(v, Fraction) else
            Fraction(v).limit_denominator(10 ** 12) for v in lam]
+    if not any(lam):
+        raise ValueError(f"lam must have a positive total, got {lam}")
     D = math.lcm(*(v.denominator for v in lam))
     w = [v.numerator * (D // v.denominator) for v in lam]
     rep = _misiurewicz_batch(
@@ -318,28 +324,31 @@ def verify_misiurewicz(lam, T, R, F, m):
     return {k: v[0].item() for k, v in rep.items()}
 
 
+def _battery_draws(rng, B):
+    """B instances of misiurewicz_battery's family, one rng call per field:
+    (B, 12) arrays T, R, w (states N..11 map to themselves with R = w = 0),
+    the (B, 9) F mask (k lowest ranks of 9 uniforms) and m."""
+    N = rng.integers(2, 13, B)
+    T = rng.integers(0, N[:, None], (B, 12))
+    R = rng.integers(0, rng.integers(2, 5, B)[:, None], (B, 12))
+    w = rng.integers(1, 6, (B, 12))
+    pad = np.arange(12) >= N[:, None]
+    T = np.where(pad, np.arange(12), T)
+    R[pad] = w[pad] = 0
+    k = rng.integers(1, 5, B)
+    Fmask = rng.random((B, 9)).argsort(axis=1).argsort(axis=1) < k[:, None]
+    return T, R, w, Fmask, rng.integers(1, 4, B)
+
+
 def misiurewicz_battery(rng, count):
     """verify_misiurewicz on count random instances drawn from rng (2-12
     states, 2-4 labels, integer weights 1-5, F a 1-4 element subset of
-    0..8, m in 1..3), BATTERY_BLOCK instances to a _misiurewicz_batch;
-    returns the number that fail.  The draws are made instance by
-    instance in a fixed order, so rng ends where a draw-by-draw loop
-    leaves it."""
+    0..8, m in 1..3), BATTERY_BLOCK instances to a _battery_draws and a
+    _misiurewicz_batch; returns the number that fail."""
     bad = 0
     for lo in range(0, count, BATTERY_BLOCK):
-        B = min(BATTERY_BLOCK, count - lo)
-        T = np.tile(np.arange(12), (B, 1))
-        R, w = np.zeros((2, B, 12), dtype=np.int64)
-        Fmask = np.zeros((B, 9), dtype=bool)
-        m = np.ones(B, dtype=np.int64)
-        for i in range(B):
-            N = int(rng.integers(2, 13))
-            T[i, :N] = rng.integers(0, N, N)
-            R[i, :N] = rng.integers(0, int(rng.integers(2, 5)), N)
-            w[i, :N] = rng.integers(1, 6, N)
-            Fmask[i, rng.choice(9, size=int(rng.integers(1, 5)),
-                                replace=False)] = True
-            m[i] = rng.integers(1, 4)
+        T, R, w, Fmask, m = _battery_draws(
+            rng, min(BATTERY_BLOCK, count - lo))
         ok = _misiurewicz_batch(T, R, w, Fmask, m, w.sum(axis=1).tolist())
         bad += int(np.count_nonzero(~ok["ok"]))
     return bad

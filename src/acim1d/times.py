@@ -12,7 +12,7 @@ integers below a horizon n:
   - boundary:  dE = E symmetric-difference (E+1).
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
-t in E(x_s)).  density_rows, clip_mask, trim_mask, trim_counts (all n),
+t in E(x_s)).  density_rows, clip_mask, trim_mask(s), trim_counts (all n),
 boundary_counts and verify_enm_grid work on all rows at once; the
 set-based functions above and the brute-force enumerations
 (clip_bruteforce and trim_bruteforce per set, enm_bruteforce_rows per
@@ -37,8 +37,8 @@ from .maps import estimate_norms, orbit_grid
 
 __all__ = [
     "clip", "trim", "boundary_set", "components", "verify_enm",
-    "hyperbolic_surrogate_times", "verify_hyperbolic", "density",
-    "EXPANSION", "mask_from_lists", "density_rows", "clip_mask", "trim_mask",
+    "hyperbolic_surrogate_times", "verify_hyperbolic", "density", "EXPANSION",
+    "mask_from_lists", "density_rows", "clip_mask", "trim_mask", "trim_masks",
     "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_grid",
 ]
 
@@ -135,9 +135,16 @@ def clip_mask(E, n, M):
 
 
 def trim_mask(E, n, M, m):
-    """Row-wise trim: each clip component [[k;l[[ becomes [[k;l-L[[ for the
-    least L in [m-1, M+m-2] with l-L > k and l-L in E, or is dropped."""
-    if m < 1:
+    """Row-wise trim at one m: trim_masks' batch of one."""
+    return trim_masks(E, n, M, [m])[m]
+
+
+def trim_masks(E, n, M, ms):
+    """Row-wise trim at each m of ms, as {m: mask}: each clip component
+    [[k;l[[ becomes [[k;l-L[[ for the least L in [m-1, M+m-2] with l-L > k
+    and l-L in E, or is dropped.  The clip and its runs are found once."""
+    out = dict.fromkeys(ms)
+    if any(m < 1 for m in out):
         raise ValueError("m must be >= 1")
     E = np.asarray(E, dtype=bool)[:, :n]
     S, W = E.shape
@@ -145,17 +152,19 @@ def trim_mask(E, n, M, m):
                     prepend=0, append=0)
     rows, k = np.nonzero(edges == 1)
     l = np.nonzero(edges == -1)[1]
-    end = np.full(k.shape, -1)
-    for L in range(m - 1, M + m - 1):
-        cand = l - L
-        ok = (end < 0) & (cand > k)
-        ok[ok] = E[rows[ok], cand[ok]]
-        end[ok] = cand[ok]
-    keep = end >= 0
-    fill = np.zeros((S, W + 1), dtype=np.int8)
-    fill[rows[keep], k[keep]] = 1
-    fill[rows[keep], end[keep]] = -1
-    return np.cumsum(fill, axis=1, dtype=np.int8)[:, :W] > 0
+    for m in out:
+        end = np.full(k.shape, -1)
+        for L in range(m - 1, M + m - 1):
+            cand = l - L
+            ok = (end < 0) & (cand > k)
+            ok[ok] = E[rows[ok], cand[ok]]
+            end[ok] = cand[ok]
+        keep = end >= 0
+        fill = np.zeros((S, W + 1), dtype=np.int8)
+        fill[rows[keep], k[keep]] = 1
+        fill[rows[keep], end[keep]] = -1
+        out[m] = np.cumsum(fill, axis=1, dtype=np.int8)[:, :W] > 0
+    return out
 
 
 def trim_counts(E, M, m):

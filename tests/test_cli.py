@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as hs
 
 import acim1d.cli as cli
 import acim1d.entropy as entropy
-import acim1d.measures as measures
 import acim1d.times as times
 import acim1d.tree as tree
 from acim1d.cli import (
@@ -390,32 +389,33 @@ def test_pipeline_time_tables_match_set_oracles(tmp_path):
 
 
 def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
-    # density.csv comes from one trim_counts call, not one trim per n
-    calls = {"trim_counts": 0, "trim_mask": 0}
+    # density.csv comes from one trim_counts call, not one trim per n;
+    # every trim_mask goes through times.trim_masks
+    calls = {"trim_counts": 0, "trim_masks": 0}
 
-    def counted(name):
-        real = getattr(cli, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    for module, name in ((cli, "trim_counts"), (times, "trim_masks")):
+        counted(module, name)
     p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
                                              out=tmp_path / "o"))
     st = cli.PipelineState(load_config(p))
     for stage in cli._stages("times"):
         stage(st)
-    assert calls == {"trim_counts": 1, "trim_mask": 0}
+    assert calls == {"trim_counts": 1, "trim_masks": 0}
     assert len((st.out / "density.csv").read_text().splitlines()) == 11
 
 
 def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     # betas.csv reads every n off one trim_counts call per (M, m); the one
-    # trim_mask call is empirical_measure's
-    calls = {"trim_counts": 0, "trim_mask": 0}
+    # trim (a trim_mask, through times.trim_masks) is empirical_measure's
+    calls = {"trim_counts": 0, "trim_masks": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -431,11 +431,10 @@ def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     st = cli.PipelineState(load_config(p))
     for stage in cli._stages("times"):
         stage(st)
-    for module, name in ((cli, "trim_counts"), (cli, "trim_mask"),
-                         (measures, "trim_mask")):
+    for module, name in ((cli, "trim_counts"), (times, "trim_masks")):
         counted(module, name)
     cli.stage_measure(st)
-    assert calls == {"trim_counts": 4, "trim_mask": 1}
+    assert calls == {"trim_counts": 4, "trim_masks": 1}
     assert len((st.out / "betas.csv").read_text().splitlines()) == 1 + 8
 
 
@@ -764,22 +763,42 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
                                                   capsys):
     from acim1d.times import components
 
-    real = cli.trim_mask
+    real = cli.trim_masks
 
-    def drop_first_component(E, n, M, m):
-        T = real(E, n, M, m)
-        hit = np.flatnonzero(T.any(axis=1))
-        if hit.size:
-            k, l = components(np.flatnonzero(T[hit[0]]).tolist())[0]
-            T[hit[0], k:l] = False
-        return T
+    def drop_first_component(E, n, M, ms):
+        out = real(E, n, M, ms)
+        for T in out.values():
+            hit = np.flatnonzero(T.any(axis=1))
+            if hit.size:
+                k, l = components(np.flatnonzero(T[hit[0]]).tolist())[0]
+                T[hit[0], k:l] = False
+        return out
 
-    monkeypatch.setattr(cli, "trim_mask", drop_first_component)
+    monkeypatch.setattr(cli, "trim_masks", drop_first_component)
     assert not run_verify(tmp_path, quick=True)
     row = _check_rows(tmp_path)["enm_oracle_equivalence"]
     assert int(row[2]) > 0 and row[-1] == "0"
     assert main(["--out", str(tmp_path), "verify", "--quick"]) == 1
     assert "FAILURES" in capsys.readouterr().out
+
+
+def test_enm_battery_trims_every_m_from_one_clip(monkeypatch):
+    # one trim_masks call per M, covering every m, and no trim_mask
+    seen = []
+    real = cli.trim_masks
+
+    def recording(E, n, M, ms):
+        seen.append((M, list(ms)))
+        return real(E, n, M, ms)
+
+    def refused(*args):
+        raise AssertionError("trim_mask called")
+
+    monkeypatch.setattr(cli, "trim_masks", recording)
+    for module in (cli, times):
+        monkeypatch.setattr(module, "trim_mask", refused, raising=False)
+    assert cli._enm_battery(6)[:2] == (0, 0)
+    assert seen == [(M, [1, 2, 3, 4]) for M in range(5)]
 
 
 def _with_shifted_log_derivs(real):
@@ -791,15 +810,17 @@ def _with_shifted_log_derivs(real):
 
 
 # (module, name, defect built from the real function, the one row it fails);
-# trim_mask at m + 1 tries L in [m, M+m-1], its L range shifted by one, and
+# a trim at m + 1 tries L in [m, M+m-1], its L range shifted by one, and
 # E moved one column right is E + 1
 VERIFY_DEFECTS = {
     "clip at M + 1": (cli, "clip_mask",
                       lambda real: lambda E, n, M: real(E, n, M + 1),
                       "enm_oracle_equivalence"),
-    "trim L range shifted": (cli, "trim_mask",
-                             lambda real: lambda E, n, M, m: real(
-                                 E, n, M, m + 1), "enm_oracle_equivalence"),
+    "trim L range shifted": (cli, "trim_masks",
+                             lambda real: lambda E, n, M, ms: {
+                                 m: T for m, T in zip(ms, real(
+                                     E, n, M, [m + 1 for m in ms]).values())},
+                             "enm_oracle_equivalence"),
     "(i) against E + 1": (times, "_trim_lemmas",
                           lambda real: lambda E, n, M, S: real(
                               np.pad(E, ((0, 0), (1, 0))), n, M, S),

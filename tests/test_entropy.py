@@ -13,9 +13,9 @@ from scipy.optimize import minimize_scalar
 
 from acim1d import entropy
 from acim1d.entropy import (
-    C0_MANE, MISIUREWICZ_DPS, RANK_SPAN, _entropy_of_masses, _H_exact,
-    _misiurewicz_batch, _ranks, ac_verdict, choose_offset,
-    entropy_formula_residual, gibbs_check, itinerary_entropy,
+    BATTERY_BLOCK, C0_MANE, MISIUREWICZ_DPS, RANK_SPAN, _battery_draws,
+    _entropy_of_masses, _H_exact, _misiurewicz_batch, _ranks, ac_verdict,
+    choose_offset, entropy_formula_residual, gibbs_check, itinerary_entropy,
     misiurewicz_battery, qbin_label, verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.branches import monotone_branches
@@ -539,8 +539,13 @@ def _finite_systems(draw):
 @settings(max_examples=400, deadline=None)
 def test_misiurewicz_bit_equal_to_fraction_oracle(system):
     """Zero masses, totals other than 1, float entries (limit_denominator),
-    mixed denominators (the lcm), unsorted and repeated F, m = 1..4."""
-    _assert_misiurewicz_matches_oracle(*system)
+    mixed denominators (the lcm), unsorted and repeated F, m = 1..4; a
+    system whose rounded masses are all 0 is rejected."""
+    if not any(Fraction(v).limit_denominator(10 ** 12) for v in system[0]):
+        with pytest.raises(ValueError, match="^lam "):
+            verify_misiurewicz(*system)
+    else:
+        _assert_misiurewicz_matches_oracle(*system)
 
 
 def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
@@ -630,19 +635,19 @@ def test_misiurewicz_batch_bit_equal_to_fraction_oracle(systems):
 
 
 def _battery_draw_by_draw(rng, count):
-    """misiurewicz_battery as one verify_misiurewicz call per drawn
-    instance, drawing with rng.choice(np.arange(0, 9), ...)."""
+    """misiurewicz_battery as one verify_misiurewicz call per instance of
+    _battery_draws, each cut to its N unpadded states (those of positive
+    weight) with Fraction masses."""
     bad = 0
-    for _ in range(count):
-        N = int(rng.integers(2, 13))
-        T = rng.integers(0, N, N).tolist()
-        R = rng.integers(0, int(rng.integers(2, 5)), N).tolist()
-        w = rng.integers(1, 6, N)
-        lam = [Fraction(int(v), int(np.sum(w))) for v in w]
-        F = sorted(rng.choice(np.arange(0, 9), size=int(rng.integers(1, 5)),
-                              replace=False).tolist())
-        m = int(rng.integers(1, 4))
-        bad += not verify_misiurewicz(lam, T, R, F, m)["ok"]
+    for lo in range(0, count, BATTERY_BLOCK):
+        for T, R, w, F, m in zip(*_battery_draws(
+                rng, min(BATTERY_BLOCK, count - lo))):
+            N = np.count_nonzero(w)
+            lam = [Fraction(int(v), int(np.sum(w))) for v in w[:N]]
+            bad += not verify_misiurewicz(lam, T[:N].tolist(),
+                                          R[:N].tolist(),
+                                          np.flatnonzero(F).tolist(),
+                                          int(m))["ok"]
     return bad
 
 
@@ -661,6 +666,48 @@ def test_misiurewicz_battery_matches_draw_by_draw_loop(count, monkeypatch):
         assert rng.integers(2 ** 62) == loop_rng.integers(2 ** 62)
 
 
+def test_battery_draws_cover_the_stated_family():
+    T, R, w, F, m = _battery_draws(np.random.default_rng(8), 1000)
+    assert T.shape == R.shape == w.shape == (1000, 12)
+    assert F.shape == (1000, 9) and m.shape == (1000,)
+    N = np.count_nonzero(w, axis=1)
+    real = np.arange(12) < N[:, None]
+    assert (w > 0).tolist() == real.tolist()     # states 0..N-1 carry mass
+    assert ((T >= 0) & (T < N[:, None]))[real].all()
+    assert ((R >= 0) & (R <= 3))[real].all() and (w[real] <= 5).all()
+    # padded states map to themselves with R = w = 0
+    assert (T == np.arange(12))[~real].all() and not R[~real].any()
+    assert set(N.tolist()) == set(range(2, 13))
+    assert set(F.sum(axis=1).tolist()) == set(range(1, 5))
+    assert F.any(axis=0).all() and set(m.tolist()) == {1, 2, 3}
+    assert set(np.max(R, axis=1, where=real, initial=0).tolist()) == {
+        0, 1, 2, 3}
+
+
+def test_misiurewicz_battery_draws_once_per_block(monkeypatch):
+    # a fixed number of Generator calls per block, whatever its size
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            def call(*args, **kwargs):
+                self.calls += 1
+                return getattr(self.rng, name)(*args, **kwargs)
+            return call
+
+    def calls(count):
+        rng = Counting(np.random.default_rng(6))
+        assert misiurewicz_battery(rng, count) == 0
+        return rng.calls
+
+    monkeypatch.setattr(entropy, "BATTERY_BLOCK", 4)
+    per_block = calls(1)
+    assert 0 < per_block <= 8
+    assert [calls(c) for c in (3, 4, 5, 12)] == [per_block] * 2 + [
+        2 * per_block, 3 * per_block]
+
+
 @pytest.mark.parametrize("F, m, name", [
     ([0], 0, "m"), ([0], -1, "m"), ([], 2, "F"), ([-1], 2, "F"),
     ([3, -2, 0], 1, "F")])
@@ -670,14 +717,25 @@ def test_misiurewicz_rejects_bad_arguments(F, m, name):
         verify_misiurewicz(lam, [0, 1, 2, 3], [0, 1, 2, 3], F, m)
 
 
-@pytest.mark.parametrize("T, R, n_lam, name", [
+@pytest.mark.parametrize("T, R, lam, name", [
     ([-1, 0], [0, 1], 2, "T"),     # read as [1, 0] by negative indexing
     ([2, 0], [0, 1], 2, "T"), ([1, 0], [0], 2, "R"),
-    ([1, 0], [0, 1], 3, "lam")])
-def test_misiurewicz_rejects_bad_system(T, R, n_lam, name):
-    lam = [Fraction(1, n_lam)] * n_lam
-    with pytest.raises(ValueError, match=f"^{name} "):
-        verify_misiurewicz(lam, T, R, [0, 1], 1)
+    ([1, 0], [0, 1], 3, "lam"),
+    # a signed measure, the zero measure (also once rounded) and
+    # non-finite masses
+    ([1, 2, 0], [0, 1, 0], [Fraction(3, 2), Fraction(-1, 2), 0], "lam"),
+    ([1, 2, 0], [0, 1, 0], [0.5, -0.25, 0.75], "lam"),
+    ([1, 2, 0], [0, 1, 0], [0, 0, 0], "lam"),
+    ([1, 2, 0], [0, 1, 0], [1e-15, 0.0, 0.0], "lam"),
+    ([1, 2, 0], [0, 1, 0], [math.nan, 0.5, 0.5], "lam"),
+    ([1, 2, 0], [0, 1, 0], [math.inf, 0.5, 0.5], "lam")])
+def test_misiurewicz_rejects_bad_system(T, R, lam, name):
+    # an int lam stands for that many equal masses
+    if isinstance(lam, int):
+        lam = [Fraction(1, lam)] * lam
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            verify_misiurewicz(lam, T, R, [0, 1], m)
 
 
 def test_mane_bounds_doubling():

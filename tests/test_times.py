@@ -11,8 +11,8 @@ from acim1d.times import (
     boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
     components, density, density_rows, enm_bruteforce_rows,
     hyperbolic_surrogate_times, mask_from_lists, surrogate_mask, trim,
-    trim_bruteforce, trim_counts, trim_mask, verify_enm, verify_enm_grid,
-    verify_hyperbolic,
+    trim_bruteforce, trim_counts, trim_mask, trim_masks, verify_enm,
+    verify_enm_grid, verify_hyperbolic,
 )
 from acim1d.times import _pair_lemmas, _trim_lemmas
 
@@ -242,6 +242,25 @@ def test_kernels_match_set_oracles(En, M, m):
         assert want == trim_bruteforce(Es, n, M, m)
         assert dT[r] == len(boundary_set(want))
         assert d_n[r] == density(Es, n)
+
+
+@given(time_matrices(), st.integers(0, 5),
+       st.lists(st.integers(1, 5), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_trim_masks_match_bruteforce(En, M, ms):
+    # several m from one clip, ms unsorted and repeated, n below, at and
+    # above the width of E
+    E, n = En
+    got = trim_masks(E, n, M, ms)
+    assert list(got) == list(dict.fromkeys(ms))
+    width = min(n, E.shape[1])
+    for m, T in got.items():
+        assert T.shape == (E.shape[0], width)
+        assert T.tolist() == mask_from_lists(
+            [trim_bruteforce(Es, n, M, m) for Es in _row_sets(E)],
+            width).tolist()
+    with pytest.raises(ValueError):
+        trim_masks(E, n, M, ms + [0])
 
 
 def test_kernels_edge_cases():
