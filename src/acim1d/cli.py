@@ -49,7 +49,7 @@ from .measures import (
 )
 from .reparam import affine_reparam, choose_epsilon, taylor_window_check
 from .times import (
-    clip_mask, enm_bruteforce_rows, trim_counts, trim_masks, verify_enm_grid,
+    chain_table, enm_bruteforce_rows, trim_counts, trim_masks, verify_enm_grid,
 )
 from .tree import ReparamTree, verify_tree
 
@@ -395,7 +395,7 @@ def stage_times(st):
     # d_n of E and of E_n^{M,m} (largest M, least m) from one count each
     E = st.pool.time_mask
     raw = np.cumsum(E, axis=1, dtype=np.int32)      # [s, n-1]: #(E cap [0,n))
-    trimmed = trim_counts(E, max(cfg.M_list), min(cfg.m_list))
+    trimmed = trim_counts(chain_table(E, max(cfg.M_list)), min(cfg.m_list))
     _write_csv(st.out / "density.csv", ("n", "d_n_raw", "d_n_trimmed"),
                [(n, float(np.mean(raw[:, n - 1] / n)),
                  float(np.mean(trimmed[:, n] / n)))
@@ -408,16 +408,17 @@ def stage_measure(st):
     st.b = b = st.norms_f.R_estimate / cfg.r + cfg.delta
     st.selection = select_An(st.pool, max(cfg.n_list), cfg.beta, b, st.p)
 
-    # beta_nMm over the (n, M, m) grid, every n from one count per (M, m):
-    # the plateau at the largest (n, M) and smallest m estimates beta_inf
+    # beta_nMm over the (n, M, m) grid from one chain table per M: the
+    # plateau at the largest (n, M) and smallest m estimates beta_inf
     E = st.pool.time_mask[st.selection.indices]
     betas = {}
     for M in cfg.M_list:
+        table = chain_table(E, M)
         for m in cfg.m_list:
-            counts = trim_counts(E, M, m)
+            counts = trim_counts(table, m)
             for n in cfg.n_list:
                 betas[(n, M, m)] = float(np.mean(counts[:, n])) / n
-    del E, counts       # not held through the per-atom checks below
+    del E, table, counts    # not held through the per-atom checks below
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
                [(n, M, m, v) for (n, M, m), v in sorted(betas.items())])
 
@@ -559,8 +560,8 @@ def run_pipeline(cfg, out_dir=None, rng_seed=None, jobs=1):
 
 def _enm_battery(n):
     """The E_n^{M,m} kernels on all 2^n subsets of [0, n), one boolean row
-    each: (rows where clip_mask/trim_masks, one call per M, differ from
-    the brute-force enumeration, lemma violations, lemma instances)."""
+    each: (rows where trim_masks on one chain table per M differs from the
+    brute-force enumeration, lemma violations, lemma instances)."""
     E = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
 
     def mismatches(got, want):
@@ -569,9 +570,10 @@ def _enm_battery(n):
     mism = viol = total = 0
     trims = {}
     for M in range(0, 5):
-        clip, want = enm_bruteforce_rows(E, M, range(1, 5))
-        mism += mismatches(clip_mask(E, n, M), clip)
-        for m, T in trim_masks(E, n, M, range(1, 5)).items():
+        want_clip, want = enm_bruteforce_rows(E, M, range(1, 5))
+        clip, got = trim_masks(chain_table(E, M), n, range(1, 5))
+        mism += mismatches(clip, want_clip)
+        for m, T in got.items():
             trims[M, m] = T
             mism += mismatches(T, want[m])
     for _, rep in verify_enm_grid(E, n, trims):

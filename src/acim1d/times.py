@@ -12,11 +12,12 @@ integers below a horizon n:
   - boundary:  dE = E symmetric-difference (E+1).
 
 A pool's time sets are one boolean seed x time matrix (row s, column t:
-t in E(x_s)).  density_rows, clip_mask, trim_mask(s), trim_counts (all n),
-boundary_counts and verify_enm_grid work on all rows at once; the
-set-based functions above and the brute-force enumerations
-(clip_bruteforce and trim_bruteforce per set, enm_bruteforce_rows per
-matrix) are their oracles.
+t in E(x_s)).  chain_table finds its chains at M once; trim_masks reads
+the clip and the trims at one horizon n off it, trim_counts every n's
+trim sizes.  These, density_rows, boundary_counts and verify_enm_grid
+work on all rows at once; the set-based functions above and the
+brute-force enumerations (clip_bruteforce and trim_bruteforce per set,
+enm_bruteforce_rows per matrix) are their oracles.
 
 Two detectors produce the raw time sets: the reparametrization-tree
 walk (the defining construction) and a fast surrogate that keeps the
@@ -38,7 +39,7 @@ from .maps import estimate_norms, orbit_grid
 __all__ = [
     "clip", "trim", "boundary_set", "components", "verify_enm",
     "hyperbolic_surrogate_times", "verify_hyperbolic", "density", "EXPANSION",
-    "mask_from_lists", "density_rows", "clip_mask", "trim_mask", "trim_masks",
+    "mask_from_lists", "density_rows", "chain_table", "trim_mask", "trim_masks",
     "trim_counts", "boundary_counts", "surrogate_mask", "verify_enm_grid",
 ]
 
@@ -121,75 +122,71 @@ def density_rows(E, n):
     return np.count_nonzero(np.asarray(E, dtype=bool)[:, :n], axis=1) / n
 
 
-def clip_mask(E, n, M):
-    """Row-wise clip: t is kept iff the last element <= t and the next
-    element > t (both below n) are at most M apart."""
-    E = np.asarray(E, dtype=bool)[:, :n]
-    t = np.arange(E.shape[1])
-    prev = np.maximum.accumulate(np.where(E, t, -1), axis=1)
-    nxt = np.minimum.accumulate(np.where(E, t, t.size + M)[:, :0:-1],
-                                axis=1)[:, ::-1]   # first element > t
-    out = np.zeros(E.shape, dtype=bool)
-    out[:, :-1] = (prev[:, :-1] >= 0) & (nxt - prev[:, :-1] <= M)
-    return out
-
-
-def trim_mask(E, n, M, m):
-    """Row-wise trim at one m: trim_masks' batch of one."""
-    return trim_masks(E, n, M, [m])[m]
-
-
-def trim_masks(E, n, M, ms):
-    """Row-wise trim at each m of ms, as {m: mask}: each clip component
-    [[k;l[[ becomes [[k;l-L[[ for the least L in [m-1, M+m-2] with l-L > k
-    and l-L in E, or is dropped.  The clip and its runs are found once."""
-    out = dict.fromkeys(ms)
-    if any(m < 1 for m in out):
-        raise ValueError("m must be >= 1")
-    E = np.asarray(E, dtype=bool)[:, :n]
-    S, W = E.shape
-    edges = np.diff(clip_mask(E, n, M).astype(np.int8), axis=1,
-                    prepend=0, append=0)
-    rows, k = np.nonzero(edges == 1)
-    l = np.nonzero(edges == -1)[1]
-    for m in out:
-        end = np.full(k.shape, -1)
-        for L in range(m - 1, M + m - 1):
-            cand = l - L
-            ok = (end < 0) & (cand > k)
-            ok[ok] = E[rows[ok], cand[ok]]
-            end[ok] = cand[ok]
-        keep = end >= 0
-        fill = np.zeros((S, W + 1), dtype=np.int8)
-        fill[rows[keep], k[keep]] = 1
-        fill[rows[keep], end[keep]] = -1
-        out[m] = np.cumsum(fill, axis=1, dtype=np.int8)[:, :W] > 0
-    return out
-
-
-def trim_counts(E, M, m):
-    """(S, W+1) ints: [s, n] = #trim_mask(E, n, M, m)[s], all n in one pass.
-    Clip components are the chains of elements with gaps <= M; horizon n
-    cuts the one straddling n at its last element l < n, to [[k(l); l[[."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def chain_table(E, M):
+    """(E, M, last, k) for the boolean (S, W) matrix E: last[s, t] is row
+    s's last element <= t (-M-1 if none), k[s, t] the first element of
+    its chain, a maximal run of elements with gaps <= M (-1 if none)."""
     E = np.asarray(E, dtype=bool)
-    S, W = E.shape
-    t = np.arange(W, dtype=np.int32)
+    t = np.arange(E.shape[1], dtype=np.int32)
     last = np.maximum.accumulate(np.where(E, t, np.int32(-M - 1)), axis=1)
     start = E.copy()            # elements more than M after the one before
     start[:, 1:] &= t[1:] - last[:, :-1] > M
     k = np.maximum.accumulate(np.where(start, t, np.int32(-1)), axis=1)
+    return E, M, last, k
+
+
+def trim_mask(E, n, M, m):
+    """Row-wise trim at one m: trim_masks' batch of one."""
+    return trim_masks(chain_table(E[:, :n], M), n, [m])[1][m]
+
+
+def trim_masks(table, n, ms):
+    """(clip, {m: trim}) of a chain_table's rows at horizon n, m in ms.  A
+    chain ends below n at each element l < n with no element in
+    ]]l; min(l+M, n-1)]]; the clip is the union of [[k(l);l[[ over those
+    ends, and each trim cuts them to [[k(l);l-L[[, L the least in
+    [m-1, M+m-2] with l-L > k(l) and l-L in E, or drops them."""
+    trims = dict.fromkeys(ms)
+    if any(m < 1 for m in trims):
+        raise ValueError("m must be >= 1")
+    E, M, last, k = table
+    t = np.arange(min(n, E.shape[1]))
+    rows, l = np.nonzero(last[:, np.minimum(t + M, t.size - 1)] == t)
+    k = k[rows, l]
+
+    def union(keep, end):           # of [[k;end[[ over the kept chains
+        fill = np.zeros((E.shape[0], t.size), dtype=np.int8)
+        fill[rows[keep], k[keep]] = 1       # starts and ends are distinct
+        fill[rows[keep], end[keep]] = -1
+        return np.cumsum(fill, axis=1, dtype=np.int8) > 0
+
+    for m in trims:
+        end = np.full(k.shape, -1)
+        for L in range(m - 1, M + m - 1):
+            ok = (end < 0) & (l - L > k) & E[rows, np.maximum(l - L, 0)]
+            end[ok] = l[ok] - L
+        trims[m] = union(end >= 0, end)
+    return union(k < l, l), trims      # a lone element clips to nothing
+
+
+def trim_counts(table, m):
+    """(S, W+1) ints: [s, n] = #trim_masks(table, n, [m])[1][m][s], every
+    n in one pass: the trimmed length of [[k(l); l[[, l the last element
+    < n of row s, plus those of the chains before it."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    E, M, last, k = table
+    S, W = E.shape
+    t = np.arange(W, dtype=np.int32)
     end = k.copy()      # at element l: l - L, least admissible L, else k(l)
     for L in reversed(range(m - 1, min(M + m - 1, W))):
         np.copyto(end[:, L:], t[:W - L], where=E[:, L:] & E[:, :W - L]
                   & (t[:W - L] > k[:, L:]))
     out = np.zeros((S, W + 1), dtype=np.int32)
-    # [s, n]: the trimmed length of [[k(l); l[[, l the last element < n ...
     out[:, 1:] = np.take_along_axis(end - k, np.maximum(last, 0), axis=1)
-    del end, k, last
-    # ... plus, from each chain's start on, those of the chains before it
-    out[:, 1:] += np.cumsum(np.where(start, out[:, :-1], np.int32(0)),
+    del end
+    # from each chain's start (k == t) on, add the chains before it
+    out[:, 1:] += np.cumsum(np.where(k == t, out[:, :-1], np.int32(0)),
                             axis=1, dtype=np.int32)
     return out
 

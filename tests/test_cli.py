@@ -389,9 +389,9 @@ def test_pipeline_time_tables_match_set_oracles(tmp_path):
 
 
 def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
-    # density.csv comes from one trim_counts call, not one trim per n;
-    # every trim_mask goes through times.trim_masks
-    calls = {"trim_counts": 0, "trim_masks": 0}
+    # density.csv comes from one chain table and one trim_counts read, not
+    # one trim per n; every trim_mask goes through times.trim_masks
+    calls = {"chain_table": 0, "trim_counts": 0, "trim_masks": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -401,21 +401,23 @@ def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((cli, "trim_counts"), (times, "trim_masks")):
+    for module, name in ((cli, "chain_table"), (cli, "trim_counts"),
+                         (times, "trim_masks")):
         counted(module, name)
     p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
                                              out=tmp_path / "o"))
     st = cli.PipelineState(load_config(p))
     for stage in cli._stages("times"):
         stage(st)
-    assert calls == {"trim_counts": 1, "trim_masks": 0}
+    assert calls == {"chain_table": 1, "trim_counts": 1, "trim_masks": 0}
     assert len((st.out / "density.csv").read_text().splitlines()) == 11
 
 
 def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
-    # betas.csv reads every n off one trim_counts call per (M, m); the one
-    # trim (a trim_mask, through times.trim_masks) is empirical_measure's
-    calls = {"trim_counts": 0, "trim_masks": 0}
+    # betas.csv reads every n off one trim_counts read per (M, m) of one
+    # chain table per M; the one trim (a trim_mask, through
+    # times.trim_masks, on its own table) is empirical_measure's
+    calls = {"chain_table": 0, "trim_counts": 0, "trim_masks": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -431,10 +433,11 @@ def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     st = cli.PipelineState(load_config(p))
     for stage in cli._stages("times"):
         stage(st)
-    for module, name in ((cli, "trim_counts"), (times, "trim_masks")):
+    for module, name in ((cli, "chain_table"), (cli, "trim_counts"),
+                         (times, "trim_masks")):
         counted(module, name)
     cli.stage_measure(st)
-    assert calls == {"trim_counts": 4, "trim_masks": 1}
+    assert calls == {"chain_table": 2, "trim_counts": 4, "trim_masks": 1}
     assert len((st.out / "betas.csv").read_text().splitlines()) == 1 + 8
 
 
@@ -765,14 +768,14 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
 
     real = cli.trim_masks
 
-    def drop_first_component(E, n, M, ms):
-        out = real(E, n, M, ms)
-        for T in out.values():
+    def drop_first_component(table, n, ms):
+        clip, trims = real(table, n, ms)
+        for T in trims.values():
             hit = np.flatnonzero(T.any(axis=1))
             if hit.size:
                 k, l = components(np.flatnonzero(T[hit[0]]).tolist())[0]
                 T[hit[0], k:l] = False
-        return out
+        return clip, trims
 
     monkeypatch.setattr(cli, "trim_masks", drop_first_component)
     assert not run_verify(tmp_path, quick=True)
@@ -782,23 +785,31 @@ def test_verify_fails_closed_on_wrong_trim_kernel(tmp_path, monkeypatch,
     assert "FAILURES" in capsys.readouterr().out
 
 
-def test_enm_battery_trims_every_m_from_one_clip(monkeypatch):
-    # one trim_masks call per M, covering every m, and no trim_mask
-    seen = []
-    real = cli.trim_masks
+def test_enm_battery_builds_one_chain_table_per_M(monkeypatch):
+    # five chain tables, one per M = 0..4, each read by one trim_masks
+    # call covering m = 1..4; no trim_mask or trim_counts clips again
+    built, seen = [], []
+    real_table, real_masks = cli.chain_table, cli.trim_masks
 
-    def recording(E, n, M, ms):
-        seen.append((M, list(ms)))
-        return real(E, n, M, ms)
+    def building(E, M):
+        built.append(real_table(E, M))
+        return built[-1]
+
+    def recording(table, n, ms):
+        seen.append((table is built[-1], table[1], list(ms)))
+        return real_masks(table, n, ms)
 
     def refused(*args):
-        raise AssertionError("trim_mask called")
+        raise AssertionError("another clip pass")
 
+    monkeypatch.setattr(cli, "chain_table", building)
     monkeypatch.setattr(cli, "trim_masks", recording)
     for module in (cli, times):
-        monkeypatch.setattr(module, "trim_mask", refused, raising=False)
+        for name in ("trim_mask", "trim_counts"):
+            monkeypatch.setattr(module, name, refused, raising=False)
     assert cli._enm_battery(6)[:2] == (0, 0)
-    assert seen == [(M, [1, 2, 3, 4]) for M in range(5)]
+    assert [table[1] for table in built] == list(range(5))
+    assert seen == [(True, M, [1, 2, 3, 4]) for M in range(5)]
 
 
 def _with_shifted_log_derivs(real):
@@ -809,17 +820,30 @@ def _with_shifted_log_derivs(real):
     return defect
 
 
+def _clip_at_M_plus_1(real):
+    """trim_masks with its clip read off the chain table at M + 1."""
+    def defect(table, n, ms):
+        E, M = table[:2]
+        return real(times.chain_table(E, M + 1), n, [])[0], \
+            real(table, n, ms)[1]
+    return defect
+
+
+def _trims_at_m_plus_1(real):
+    """trim_masks with each trim at m taken at m + 1."""
+    def defect(table, n, ms):
+        clip, trims = real(table, n, [m + 1 for m in ms])
+        return clip, dict(zip(ms, trims.values()))
+    return defect
+
+
 # (module, name, defect built from the real function, the one row it fails);
 # a trim at m + 1 tries L in [m, M+m-1], its L range shifted by one, and
 # E moved one column right is E + 1
 VERIFY_DEFECTS = {
-    "clip at M + 1": (cli, "clip_mask",
-                      lambda real: lambda E, n, M: real(E, n, M + 1),
+    "clip at M + 1": (cli, "trim_masks", _clip_at_M_plus_1,
                       "enm_oracle_equivalence"),
-    "trim L range shifted": (cli, "trim_masks",
-                             lambda real: lambda E, n, M, ms: {
-                                 m: T for m, T in zip(ms, real(
-                                     E, n, M, [m + 1 for m in ms]).values())},
+    "trim L range shifted": (cli, "trim_masks", _trims_at_m_plus_1,
                              "enm_oracle_equivalence"),
     "(i) against E + 1": (times, "_trim_lemmas",
                           lambda real: lambda E, n, M, S: real(

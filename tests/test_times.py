@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from acim1d.maps import make_map, orbit_grid, power_map
 from acim1d.times import (
-    boundary_counts, boundary_set, clip, clip_bruteforce, clip_mask,
+    boundary_counts, boundary_set, chain_table, clip, clip_bruteforce,
     components, density, density_rows, enm_bruteforce_rows,
     hyperbolic_surrogate_times, mask_from_lists, surrogate_mask, trim,
     trim_bruteforce, trim_counts, trim_mask, trim_masks, verify_enm,
@@ -229,10 +229,11 @@ def _row_sets(E):
 @settings(max_examples=400, deadline=None)
 def test_kernels_match_set_oracles(En, M, m):
     E, n = En
-    C = clip_mask(E, n, M)
-    T = trim_mask(E, n, M, m)
+    C, trims = trim_masks(chain_table(E, M), n, [m])
+    T = trims[m]
     width = min(n, E.shape[1])
     assert C.shape == T.shape == (E.shape[0], width)
+    assert np.array_equal(trim_mask(E, n, M, m), T)
     dT = boundary_counts(T)
     d_n = density_rows(E, n)
     for r, Es in enumerate(_row_sets(E)):
@@ -248,34 +249,45 @@ def test_kernels_match_set_oracles(En, M, m):
        st.lists(st.integers(1, 5), min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_trim_masks_match_bruteforce(En, M, ms):
-    # several m from one clip, ms unsorted and repeated, n below, at and
-    # above the width of E
+    # several m from one chain table, ms unsorted and repeated, n below,
+    # at and above the width of E
     E, n = En
-    got = trim_masks(E, n, M, ms)
+    table = chain_table(E, M)
+    C, got = trim_masks(table, n, ms)
     assert list(got) == list(dict.fromkeys(ms))
     width = min(n, E.shape[1])
+    assert C.tolist() == mask_from_lists(
+        [clip_bruteforce(Es, n, M) for Es in _row_sets(E)], width).tolist()
     for m, T in got.items():
         assert T.shape == (E.shape[0], width)
         assert T.tolist() == mask_from_lists(
             [trim_bruteforce(Es, n, M, m) for Es in _row_sets(E)],
             width).tolist()
     with pytest.raises(ValueError):
-        trim_masks(E, n, M, ms + [0])
+        trim_masks(table, n, ms + [0])
+
+
+def _clip(E, n, M):
+    return trim_masks(chain_table(E, M), n, [])[0]
 
 
 def test_kernels_edge_cases():
     E = mask_from_lists([[0], [0, 1], list(range(12)), [], [3, 11]], 12)
     # n = 1: only element 0 is below the horizon, so every clip is empty
-    assert not clip_mask(E, 1, 3).any() and not trim_mask(E, 1, 3, 1).any()
+    assert not _clip(E, 1, 3).any() and not trim_mask(E, 1, 3, 1).any()
     assert density_rows(E, 1).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
     # M = 0: no pair of distinct elements is within distance 0
-    assert not clip_mask(E, 12, 0).any() and not trim_mask(E, 12, 0, 2).any()
+    assert not _clip(E, 12, 0).any() and not trim_mask(E, 12, 0, 2).any()
     # element 0 starts a component; elements >= n are ignored
     assert np.flatnonzero(trim_mask(E, 12, 1, 1)[1]).tolist() == [0]
     assert np.flatnonzero(trim_mask(E, 4, 1, 1)[2]).tolist() == [0, 1, 2]
     assert boundary_counts(trim_mask(E, 12, 1, 1)).tolist() == [0, 2, 2, 0, 0]
     with pytest.raises(ValueError):
         trim_mask(E, 12, 2, 0)
+
+
+def _counts(E, M, m):
+    return trim_counts(chain_table(E, M), m)
 
 
 def _per_horizon_counts(E, M, m):
@@ -288,7 +300,7 @@ def _per_horizon_counts(E, M, m):
 @settings(max_examples=400, deadline=None)
 def test_trim_counts_match_per_horizon_trim(En, M, m):
     E, _ = En
-    got = trim_counts(E, M, m)
+    got = _counts(E, M, m)
     assert got.shape == (E.shape[0], E.shape[1] + 1)
     assert np.array_equal(got, _per_horizon_counts(E, M, m))
 
@@ -299,27 +311,65 @@ def test_trim_counts_edge_cases():
     E = mask_from_lists([[], list(range(12)), [0, 11], [3, 4, 5],
                          [0, 2, 3, 11], [0]], 12)
     full = [0, 0] + list(range(1, 12))
-    assert trim_counts(E, 1, 1).tolist() == [
+    assert _counts(E, 1, 1).tolist() == [
         [0] * 13, full, [0] * 13, [0] * 5 + [1] + [2] * 7,
         [0] * 4 + [1] * 9, [0] * 13]
     # m - 1 = 2 is the length of [[3;5[[, so no L leaves a component
-    assert trim_counts(E, 1, 3)[3].tolist() == [0] * 13
+    assert _counts(E, 1, 3)[3].tolist() == [0] * 13
     # one chain 0, 2, 3 at M = 3: [[0;3[[ cut back onto 2 at m = 2
-    assert trim_counts(E, 3, 2)[4].tolist() == [0] * 4 + [2] * 9
+    assert _counts(E, 3, 2)[4].tolist() == [0] * 4 + [2] * 9
     # M = 0: no two distinct elements are within distance 0
-    assert not trim_counts(E, 0, 1).any()
+    assert not _counts(E, 0, 1).any()
     # 11 is M = 11 after 0: [[0;11[[ appears only at horizon 12
-    assert trim_counts(E, 11, 1)[2].tolist() == [0] * 12 + [11]
+    assert _counts(E, 11, 1)[2].tolist() == [0] * 12 + [11]
     for M in range(6):
         for m in range(1, 5):
-            assert np.array_equal(trim_counts(E, M, m),
+            assert np.array_equal(_counts(E, M, m),
                                   _per_horizon_counts(E, M, m)), (M, m)
     # width 1 and no rows
-    assert trim_counts(np.array([[True], [False]]), 2, 1).tolist() == \
+    assert _counts(np.array([[True], [False]]), 2, 1).tolist() == \
         [[0, 0], [0, 0]]
-    assert trim_counts(np.zeros((0, 5), dtype=bool), 2, 1).shape == (0, 6)
+    assert _counts(np.zeros((0, 5), dtype=bool), 2, 1).shape == (0, 6)
     with pytest.raises(ValueError):
-        trim_counts(E, 2, 0)
+        _counts(E, 2, 0)
+
+
+@st.composite
+def bare_time_matrices(draw):
+    """Random boolean seed x time matrices of zero to six rows."""
+    width = draw(st.integers(1, 14))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                  max_size=width), max_size=6))
+    return np.array(rows, dtype=bool).reshape(len(rows), width)
+
+
+@given(bare_time_matrices(), st.integers(0, 5))
+@example(np.zeros((0, 4), dtype=bool), 2)          # no rows
+@example(np.array([[True], [False]]), 1)           # width 1
+@example(np.array([[True, True, False, True]]), 0)  # M = 0
+@settings(max_examples=300, deadline=None)
+def test_chain_table_readers_match_bruteforce(E, M):
+    # one table, read by trim_masks at every horizon n = 0..W+2 (n = 0
+    # included) and every m = 1..4, and by trim_counts at every m: each
+    # mask equals the per-set oracle row by row, and trim_counts' column
+    # n counts trim_masks' rows at n
+    S, W = E.shape
+    table = chain_table(E, M)
+    sets = _row_sets(E)
+    counts = {m: trim_counts(table, m) for m in range(1, 5)}
+    for n in range(W + 3):
+        clip_n, trims = trim_masks(table, n, range(1, 5))
+        width = min(n, W)
+        assert clip_n.shape == (S, width)
+        assert clip_n.tolist() == mask_from_lists(
+            [clip_bruteforce(Es, n, M) for Es in sets], width).tolist()
+        for m, T in trims.items():
+            assert T.shape == (S, width)
+            assert T.tolist() == mask_from_lists(
+                [trim_bruteforce(Es, n, M, m) for Es in sets],
+                width).tolist()
+            assert counts[m][:, width].tolist() == \
+                np.count_nonzero(T, axis=1).tolist()
 
 
 def verify_enm_rows(E, n, M, Mprime, m, S=None, Sp=None):
