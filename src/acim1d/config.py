@@ -44,7 +44,9 @@ class ExperimentConfig:
         # each comparison is False on NaN, so NaN fails every range
         if not 1.0 < self.r < math.inf:
             raise ConfigError(f"r must be finite and exceed 1, got {self.r}")
-        for key, value in (("delta", self.delta), ("b_r", self.B_r)):
+        for key, value in (("delta", self.delta), ("b_r", self.B_r),
+                           ("tol_residual", self.tol_residual),
+                           ("tol_l1", self.tol_l1)):
             if not 0 < value < math.inf:
                 raise ConfigError(f"{key} must be finite and positive, "
                                   f"got {value}")

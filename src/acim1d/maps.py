@@ -658,14 +658,11 @@ def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):
         else:
             sup_log = max(sup_log, v)
     sups["r"] = f.holder_const
-    hints = {}
-    for k in range(1, f.r_floor + 1):
-        if k < f.r_floor:
-            hints[k] = sups[k] + 0.5 * h * sups[k + 1]
-        else:
-            expo = f.smoothness_r - f.r_floor
-            pad = f.holder_const * (0.5 * h) ** expo if expo > 0 else f.holder_const * 0.0
-            hints[k] = sups[k] + (pad if expo > 0 else 0.5 * h * f.holder_const)
+    expo = f.smoothness_r - f.r_floor
+    hints = {k: sups[k] + 0.5 * h * sups[k + 1] for k in range(1, f.r_floor)}
+    hints[f.r_floor] = sups[f.r_floor] + (
+        f.holder_const * (0.5 * h) ** expo if expo > 0
+        else 0.5 * h * f.holder_const)
     R_est = max(0.0, sup_log / n_used)
     nan = [f"sup_abs_deriv[{k!r}]" for k, v in sups.items() if math.isnan(v)]
     nan += ["R_estimate"] * math.isnan(R_est)

@@ -11,6 +11,13 @@ integers below a horizon n:
                (components with no valid L are dropped),
   - boundary:  dE = E symmetric-difference (E+1).
 
+The kernels look L up where trim and the oracles search for it.  Each
+component [[k;l[[ is a chain: a maximal run of elements with gaps <= M.
+Lemma: with a the last element <= l-m+1, L = l-a if a > k, else none.
+Proof: no element lies in ]]a; l-m+1]], so no L < l-a is admissible.
+If a > k, L = l-a >= m-1 is, as the element b after a in the chain has
+b >= l-m+2 and b-a <= M, so l-a <= M+m-2.  If a <= k, no L is.
+
 A pool's time sets are one boolean seed x time matrix (row s, column t:
 t in E(x_s)).  chain_table finds its chains at M once; trim_masks reads
 the clip and the trims at one horizon n off it, trim_counts every n's
@@ -144,8 +151,7 @@ def trim_masks(table, n, ms):
     """(clip, {m: trim}) of a chain_table's rows at horizon n, m in ms.  A
     chain ends below n at each element l < n with no element in
     ]]l; min(l+M, n-1)]]; the clip is the union of [[k(l);l[[ over those
-    ends, and each trim cuts them to [[k(l);l-L[[, L the least in
-    [m-1, M+m-2] with l-L > k(l) and l-L in E, or drops them."""
+    ends, each trim that of [[k(l);a[[, a = last[l-m+1], if a > k(l)."""
     trims = dict.fromkeys(ms)
     if any(m < 1 for m in trims):
         raise ValueError("m must be >= 1")
@@ -154,34 +160,28 @@ def trim_masks(table, n, ms):
     rows, l = np.nonzero(last[:, np.minimum(t + M, t.size - 1)] == t)
     k = k[rows, l]
 
-    def union(keep, end):           # of [[k;end[[ over the kept chains
+    def union(end):         # of [[k;end[[ over the chains with end > k
+        keep = end > k
         fill = np.zeros((E.shape[0], t.size), dtype=np.int8)
         fill[rows[keep], k[keep]] = 1       # starts and ends are distinct
         fill[rows[keep], end[keep]] = -1
         return np.cumsum(fill, axis=1, dtype=np.int8) > 0
 
-    for m in trims:
-        end = np.full(k.shape, -1)
-        for L in range(m - 1, M + m - 1):
-            ok = (end < 0) & (l - L > k) & E[rows, np.maximum(l - L, 0)]
-            end[ok] = l[ok] - L
-        trims[m] = union(end >= 0, end)
-    return union(k < l, l), trims      # a lone element clips to nothing
+    return union(l), {      # a lone element clips to nothing
+        m: union(last[rows, np.maximum(l - m + 1, 0)]) for m in trims}
 
 
 def trim_counts(table, m):
     """(S, W+1) ints: [s, n] = #trim_masks(table, n, [m])[1][m][s], every
-    n in one pass: the trimmed length of [[k(l); l[[, l the last element
-    < n of row s, plus those of the chains before it."""
+    n in one pass: max(last[l-m+1], k(l)) - k(l), l the last element < n
+    of row s, plus the trimmed lengths of the chains before it."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    E, M, last, k = table
+    E, _, last, k = table
     S, W = E.shape
     t = np.arange(W, dtype=np.int32)
-    end = k.copy()      # at element l: l - L, least admissible L, else k(l)
-    for L in reversed(range(m - 1, min(M + m - 1, W))):
-        np.copyto(end[:, L:], t[:W - L], where=E[:, L:] & E[:, :W - L]
-                  & (t[:W - L] > k[:, L:]))
+    end = k.copy()      # at element l: its chain's trim end, k(l) if dropped
+    end[:, m - 1:] = np.maximum(last[:, :max(W - m + 1, 0)], k[:, m - 1:])
     out = np.zeros((S, W + 1), dtype=np.int32)
     out[:, 1:] = np.take_along_axis(end - k, np.maximum(last, 0), axis=1)
     del end
@@ -317,7 +317,7 @@ def _trim_lemmas(E, n, M, S):
     pad = np.pad(S, ((0, 0), (1, 1)))
     dS = pad[:, 1:] ^ pad[:, :-1]              # S symmetric-difference (S+1)
     Ew = np.pad(E, ((0, 0), (0, 1)))[:, :dS.shape[1]]   # E on dS's columns
-    nd = boundary_counts(S)
+    nd = np.count_nonzero(dS, axis=1)
     iii = (n + M) - M * nd / 2
     return {"nd": nd, "i_boundary_subset": ~np.any(dS & ~Ew, axis=1),
             "iii_margin": iii, "iii_ok": iii >= 0}

@@ -106,9 +106,13 @@ def test_config_rejects_bad_values(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
     # non-finite values used to end in an OverflowError traceback (r = inf,
     # b_r = inf under p = auto) or in an empty selection with b = nan
-    # (exit 3), as did any beta >= 1, which d_n <= 1 never exceeds
+    # (exit 3), as did any beta >= 1, which d_n <= 1 never exceeds; a
+    # tolerance of inf or nan used to pass its row whatever the value
     text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
-    for old, new, key in (
+    tols = [(f"{key} = {was}", f"{key} = {bad}", key)
+            for key, was in (("tol_residual", "0.03"), ("tol_l1", "0.08"))
+            for bad in ("inf", "nan", "0", "-1")]
+    for old, new, key in tols + [
             ("r = 2.0", "r = inf", "r"), ("r = 2.0", "r = nan", "r"),
             ("r = 2.0", "r = 1.0", "r"),
             ("p = 4", "p = auto\nb_r = inf", "b_r"),
@@ -117,7 +121,8 @@ def test_config_rejects_bad_values(tmp_path, capsys):
             ("beta = 0.5", "beta = nan", "beta"),
             ("beta = 0.5", "beta = 1.5", "beta"),
             ("beta = 0.5", "beta = 1.0", "beta"),
-            ("beta = 0.5", "beta = 0", "beta")):
+            ("beta = 0.5", "beta = 0", "beta")]:
+        assert old in text
         p = _write(tmp_path, text.replace(old, new))
         with pytest.raises(ConfigError, match=f"^{key} "):
             load_config(p)

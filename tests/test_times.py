@@ -350,15 +350,17 @@ def bare_time_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_chain_table_readers_match_bruteforce(E, M):
     # one table, read by trim_masks at every horizon n = 0..W+2 (n = 0
-    # included) and every m = 1..4, and by trim_counts at every m: each
-    # mask equals the per-set oracle row by row, and trim_counts' column
-    # n counts trim_masks' rows at n
+    # included) and every m = 1..W+2 (m - 1 past the last column
+    # included), and by trim_counts at every m: each mask equals the
+    # per-set oracle row by row, and trim_counts' column n counts
+    # trim_masks' rows at n
     S, W = E.shape
     table = chain_table(E, M)
     sets = _row_sets(E)
-    counts = {m: trim_counts(table, m) for m in range(1, 5)}
+    ms = range(1, W + 3)
+    counts = {m: trim_counts(table, m) for m in ms}
     for n in range(W + 3):
-        clip_n, trims = trim_masks(table, n, range(1, 5))
+        clip_n, trims = trim_masks(table, n, ms)
         width = min(n, W)
         assert clip_n.shape == (S, width)
         assert clip_n.tolist() == mask_from_lists(
