@@ -1,6 +1,16 @@
 """Numerical machinery for detecting absolutely continuous invariant
 measures of one-dimensional C^r maps: reparametrization trees,
-geometric/hyperbolic times, empirical measures, partition entropy."""
+geometric/hyperbolic times, empirical measures, partition entropy.
+
+acim1d runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set: a run
+makes one tiny BLAS call, and an idle OpenBLAS worker spin-waits on a
+core.  OpenBLAS reads the variable, which subprocesses inherit, only as
+numpy loads, so importing numpy before acim1d leaves the pool as numpy
+started it."""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .branches import (
     BranchPartition, count_branches_with_min_slope, monotone_branches,

@@ -409,11 +409,15 @@ def stage_measure(st):
     st.selection = select_An(st.pool, max(cfg.n_list), cfg.beta, b, st.p)
 
     # beta_nMm over the (n, M, m) grid from one chain table per M: the
-    # plateau at the largest (n, M) and smallest m estimates beta_inf
-    E = st.pool.time_mask[st.selection.indices]
-    betas = {}
+    # plateau at the largest (n, M) and smallest m estimates beta_inf.
+    # Counts at n read only columns below n, so the tables stop at max n,
+    # and the one at max M is the table the measure trims.
+    E = st.pool.time_mask[st.selection.indices, :st.selection.n]
+    betas, M_top = {}, max(cfg.M_list)
     for M in cfg.M_list:
         table = chain_table(E, M)
+        if M == M_top:
+            top = table
         for m in cfg.m_list:
             counts = trim_counts(table, m)
             for n in cfg.n_list:
@@ -422,8 +426,9 @@ def stage_measure(st):
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
                [(n, M, m, v) for (n, M, m), v in sorted(betas.items())])
 
-    st.mu = empirical_measure(st.selection, max(cfg.M_list), min(cfg.m_list),
-                              normalization="mu")
+    st.mu = empirical_measure(st.selection, M_top, min(cfg.m_list),
+                              normalization="mu", table=top)
+    del top
     _write_csv(st.out / "measure.csv", ("point", "weight"),
                chunks=_chunks(_measure_body, st.mu.atoms, st.mu.weights))
 

@@ -461,8 +461,8 @@ def gibbs_check(g, x, E, q, eps, *, n, M, m, beta, b, p, bp=None,
     for i in range(n):
         ys = g.eval(ys) if i else ys
         if i in labels_x:
-            keep = ((bp.locate_many(ys) == labels_x[i][0])
-                    & (labQ(ys) == labels_x[i][1]))
+            keep = np.flatnonzero(bp.locate_many(ys) == labels_x[i][0])
+            keep = keep[labQ(ys[keep]) == labels_x[i][1]]
             ys, rows = ys[keep], [r[keep] for r in rows]
             if not ys.size:
                 break

@@ -70,9 +70,8 @@ class Jet:
         K = self.order
         a, b = self.c, other.c
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        for k in range(K + 1):
-            for j in range(k + 1):
-                out[k] += a[j] * b[k - j]
+        for j in range(K + 1):      # out[k] sums a[j] b[k-j] in order of j
+            out[j:] += a[j] * b[:K + 1 - j]
         return Jet(out)
 
     __rmul__ = __mul__

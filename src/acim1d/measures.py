@@ -25,8 +25,8 @@ from .errors import EmptySelection, InsufficientAtoms
 from .maps import UNIT_INTERVAL, estimate_norms, orbit_grid, power_map
 from .probes import probe_functions
 from .times import (
-    EXPANSION, LOG10, boundary_counts, density_rows, mask_from_lists,
-    surrogate_mask, trim_mask,
+    EXPANSION, LOG10, boundary_counts, chain_table, density_rows,
+    mask_from_lists, surrogate_mask, trim_masks,
 )
 
 __all__ = [
@@ -165,11 +165,17 @@ class EmpiricalMeasure:
         return float(np.sum(self.weights))
 
 
-def empirical_measure(selection, M, m, normalization="mu", beta_inf=None):
-    """Assemble mu_n^{M,m} or nu_n^{M,m} from a seed selection."""
+def empirical_measure(selection, M, m, normalization="mu", beta_inf=None,
+                      table=None):
+    """Assemble mu_n^{M,m} or nu_n^{M,m} from a seed selection; table is
+    the selected rows' chain_table at M (built here unless given)."""
     pool = selection.pool
     n = selection.n
-    T = trim_mask(pool.time_mask[selection.indices], n, M, m)
+    if table is None:
+        table = chain_table(pool.time_mask[selection.indices, :n], M)
+    if table[1] != M or len(table[0]) != selection.n_selected:
+        raise ValueError("table is not the selection's chain table at M")
+    T = trim_masks(table, n, [m])[1][m]
     counts = np.count_nonzero(T, axis=1)
     bounds = boundary_counts(T)
     rows, t_idx = np.nonzero(T)     # seed-major, times ascending per seed

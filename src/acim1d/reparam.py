@@ -25,7 +25,9 @@ splitting function.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -226,12 +228,15 @@ def cover_centers(u0, u1, rho):
     u0 + rho to u1 - rho, so their middle thirds cover [u0 + 2 rho / 3,
     u1 - 2 rho / 3]; the two plain end caps sit at u0 + rho and u1 - rho.
     """
-    expanding = []
-    c = u0 + rho
-    last = u1 - rho
-    step = 2.0 * rho / 3.0
-    while c < last - 1e-15:
-        expanding.append(c)
-        c += step
-    expanding.append(last)
-    return expanding, [u0 + rho, u1 - rho]
+    c, step, stop = u0 + rho, 2.0 * rho / 3.0, u1 - rho - 1e-15
+    if c < stop and not rho > 0:
+        raise ValueError(f"rho = {rho} lays no centres on [{u0}, {u1}]")
+    size = int((stop - c) / step) + 3 if c < stop else 0
+    while True:     # accumulate adds in order: the floats of c += step
+        cs = list(accumulate(repeat(step, size), initial=c))
+        cut = bisect_left(cs, stop)     # the first centre not < stop
+        if cut <= size:
+            return cs[:cut] + [u1 - rho], [u0 + rho, u1 - rho]
+        if cs[-1] == cs[-2]:    # c + step rounds to c: the loop never ends
+            raise ValueError(f"rho = {rho} is below the float step at {c}")
+        size *= 2

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as hs
 
 import acim1d.cli as cli
 import acim1d.entropy as entropy
+import acim1d.measures as measures
 import acim1d.times as times
 import acim1d.tree as tree
 from acim1d.cli import (
@@ -420,17 +421,19 @@ def test_stage_times_counts_every_horizon_in_one_pass(tmp_path, monkeypatch):
 
 def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     # betas.csv reads every n off one trim_counts read per (M, m) of one
-    # chain table per M; the one trim (a trim_mask, through
-    # times.trim_masks, on its own table) is empirical_measure's
+    # chain table per M; empirical_measure's one trim reads the table at
+    # max M, and no module builds another
     calls = {"chain_table": 0, "trim_counts": 0, "trim_masks": 0}
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(name):
+        real = getattr(times, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        for module in (cli, measures, times):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
 
     p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
                                              out=tmp_path / "o").replace(
@@ -438,11 +441,11 @@ def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     st = cli.PipelineState(load_config(p))
     for stage in cli._stages("times"):
         stage(st)
-    for module, name in ((cli, "chain_table"), (cli, "trim_counts"),
-                         (times, "trim_masks")):
-        counted(module, name)
+    for name in calls:
+        counted(name)
     cli.stage_measure(st)
-    assert calls == {"chain_table": 2, "trim_counts": 4, "trim_masks": 1}
+    assert calls == {"chain_table": len(st.cfg.M_list), "trim_counts": 4,
+                     "trim_masks": 1}
     assert len((st.out / "betas.csv").read_text().splitlines()) == 1 + 8
 
 

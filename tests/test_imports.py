@@ -1,5 +1,6 @@
 """What a run imports: scipy never, mpmath only for the exact battery;
-and what each module exports: every name in its __all__."""
+what each module exports: every name in its __all__; and how many BLAS
+threads importing acim1d leaves."""
 
 import importlib
 import os
@@ -65,6 +66,36 @@ def test_runs_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+THREADS = """\
+import os
+
+import acim1d
+import numpy
+
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+tasks = "/proc/self/task"
+print(len(os.listdir(tasks)) if os.path.isdir(tasks) else "")
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_runs_one_thread_unless_preset(preset):
+    # OpenBLAS reads the variable once, as numpy loads; its idle worker
+    # would spin a second core through every run
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    path = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREADS],
+                          env={**env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split("\n")[:2]
+    assert value == (preset or "1")
+    if preset is None and threads:
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from acim1d.jets import Jet, constant, jet_of_polynomial, variable
 
@@ -63,6 +63,49 @@ def test_sqrt_consistency(x):
     j = variable(x, 3)
     s = j.sqrt()
     np.testing.assert_allclose((s * s).c, j.c, rtol=1e-10, atol=1e-12)
+
+
+def _mul_loop(a, b):
+    """Jet.__mul__'s coefficients as the per-(k, j) loop: the oracle."""
+    K = a.shape[0] - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(K + 1):
+        for j in range(k + 1):
+            out[k] += a[j] * b[k - j]
+    return out
+
+
+_ENTRIES = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310, -1e308]))
+
+
+@st.composite
+def _jet_pairs(draw):
+    K = draw(st.integers(0, 6))
+    shapes = draw(st.sampled_from([((), ()), ((7,), (7,)), ((3, 4), (3, 4)),
+                                   ((1, 4), (3, 1)), ((7,), (1,))]))
+    a, b = (np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+            .reshape((K + 1,) + shape)
+            for shape, size in ((s, (K + 1) * math.prod(s)) for s in shapes))
+    return a, b
+
+
+def _same_bits(x, y):
+    # a NaN's sign follows numpy's loop (an in-place add of one element
+    # keeps the other operand's NaN, of two or more its own), so NaNs
+    # match as NaNs and every other value, -0 included, bit for bit
+    nan = np.isnan(x)
+    bits = [np.where(nan, 0.0, v).view(np.int64) for v in (x, y)]
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(*bits)
+
+
+@given(_jet_pairs())
+@settings(max_examples=300)
+def test_mul_matches_loop_bit_for_bit(pair):
+    a, b = pair
+    with np.errstate(all="ignore"):
+        assert _same_bits((Jet(a) * Jet(b)).c, _mul_loop(a, b))
+        assert _same_bits((Jet(b) * Jet(a)).c, _mul_loop(b, a))
 
 
 def test_mod1_only_shifts_value():

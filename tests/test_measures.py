@@ -18,7 +18,7 @@ from acim1d.measures import (
 )
 from acim1d.maps import critical_set, orbit_grid
 from acim1d.probes import probe_functions
-from acim1d.times import boundary_counts
+from acim1d.times import boundary_counts, chain_table
 
 LOG2 = math.log(2.0)
 
@@ -57,6 +57,21 @@ def test_single_seed_uniform_weights():
     assert mu.n_atoms == 8
     np.testing.assert_allclose(mu.weights, 1.0 / 8.0)
     assert abs(mu.total_mass - 1.0) < 1e-12
+
+
+def test_empirical_measure_reads_a_given_chain_table():
+    # a table past n trims alike (trim_masks reads no column from n on);
+    # a table at another M, or of other rows, is refused
+    pool, _ = _doubling_pool(seeds=300)
+    sel = select_An(pool, 10, 0.5, 0.5, 4)
+    E = pool.time_mask[sel.indices]
+    mu = empirical_measure(sel, M=2, m=2)
+    got = empirical_measure(sel, M=2, m=2, table=chain_table(E, 2))
+    assert np.array_equal(got.atoms, mu.atoms)
+    assert np.array_equal(got.per_seed_boundary, mu.per_seed_boundary)
+    for table in (chain_table(E, 3), chain_table(E[1:], 2)):
+        with pytest.raises(ValueError):
+            empirical_measure(sel, M=2, m=2, table=table)
 
 
 def test_doubling_measure_close_to_lebesgue():

@@ -153,6 +153,61 @@ def test_cover_centers_layout(u0, width, frac):
     assert reach >= u1 - tol
 
 
+def _cover_centers_loop(u0, u1, rho):
+    """cover_centers' expanding centres as the per-centre loop: the oracle."""
+    expanding = []
+    c = u0 + rho
+    last = u1 - rho
+    step = 2.0 * rho / 3.0
+    while c < last - 1e-15:
+        expanding.append(c)
+        c += step
+    expanding.append(last)
+    return expanding
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+@given(st.floats(-1e3, 1e3), st.floats(0.0, 1e3),
+       st.floats(1e-4, 0.6), st.sampled_from([1.0, 1e-3, 1e-6]))
+@settings(max_examples=300)
+def test_cover_centers_matches_loop(u0, width, frac, scale):
+    # widths down to 0 put c >= last - 1e-15 from the start
+    width *= scale
+    rho = frac * width if width > 0.0 else frac * scale
+    # where c + step rounds to c the loop never ends
+    assume(2.0 * rho / 3.0 > math.ulp(abs(u0) + width))
+    got, plain = cover_centers(u0, u0 + width, rho)
+    assert _bits(got) == _bits(_cover_centers_loop(u0, u0 + width, rho))
+    assert plain == [u0 + rho, u0 + width - rho]
+
+
+@given(st.floats(), st.floats(), st.floats())
+def test_cover_centers_matches_loop_where_it_stops_at_once(u0, u1, rho):
+    # NaN, infinite or reversed ends: the loop lays no centre before last
+    assume(not (u0 + rho < u1 - rho - 1e-15))
+    got, _ = cover_centers(u0, u1, rho)
+    assert _bits(got) == _bits(_cover_centers_loop(u0, u1, rho))
+
+
+@pytest.mark.parametrize("u0, u1, rho", [
+    (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (1e3, 1e3 + 1e-9, 1e-14)])
+def test_cover_centers_rejects_what_the_loop_never_ends_on(u0, u1, rho):
+    with pytest.raises(ValueError):
+        cover_centers(u0, u1, rho)
+
+
+@pytest.mark.parametrize("u0, u1, rho", [
+    (1.0 - 3e-5, 1.0, 3e-10),       # 1.5e5 centres
+    (1e6, 1e6 + 2e-6, 3e-9),        # each c += step rounds 1% short, so
+])                                  # the count from the width falls short
+def test_cover_centers_long_layouts(u0, u1, rho):
+    got, _ = cover_centers(u0, u1, rho)
+    assert _bits(got) == _bits(_cover_centers_loop(u0, u1, rho))
+
+
 def test_composition_certificates_through_map():
     # an eps-bounded affine seed stays bounded through one application of
     # the doubling map (derivative doubles, higher orders stay zero)
