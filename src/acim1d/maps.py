@@ -3,18 +3,19 @@
 Conventions:
   - the phase space is [0,1] (UnitInterval) or R/Z (Circle); circle points
     are stored canonically in [0,1) via x - floor(x),
-  - a map carries a smoothness parameter r > 1; derivatives up to
-    floor(r) come from closed forms or jet propagation, and the Hoelder
-    constant of the floor(r)-th derivative (exponent r - floor(r)) is the
-    "order r" norm entry,
+  - a map carries a smoothness parameter r > 1; f' comes in closed form
+    and orders 2..floor(r) from one jet pass, and the Hoelder constant of
+    the floor(r)-th derivative (exponent r - floor(r)) is the "order r"
+    norm entry,
   - log|f'| values below LOG_FLOOR are recorded as -inf so that critical
     orbits carry an unambiguous sentinel instead of an IEEE underflow.
 
-Derivative oracles for the preset families (logistic, tent, doubling and
-integer-slope circle maps, perturbed circle endomorphisms, the cubic
-interval map, affine maps) are closed form.  User-defined maps go through
-a small arithmetic expression language evaluated with order-floor(r)
-jets, so their high-order derivatives are exact too.
+The preset families (logistic, tent, doubling and integer-slope circle
+maps, perturbed circle endomorphisms, the cubic interval map, affine
+maps) give f' in closed form and f^p gives it by the chain rule; every
+higher order comes from Taylor jets.  User-defined maps go through a
+small arithmetic expression language evaluated with jets, so f' is an
+order-1 jet pass there and every order up to floor(r) is exact too.
 """
 
 from __future__ import annotations
@@ -121,9 +122,9 @@ CIRCLE = Domain("Circle")
 class SmoothMap1D:
     """A C^r self-map of [0,1] or the circle with derivative oracles.
 
-    Subclasses implement _eval_raw (before circle reduction) and either
-    closed-form _deriv_raw or rely on the jet path, where _derivs_raw
-    should be _jet_derivs (one jet pass for all orders).
+    Subclasses implement _eval_raw (before circle reduction) and
+    jet_apply, and override _d1 with a closed-form f' where they have one.
+    Orders 2..K come from one jet pass of order K.
     """
 
     def __init__(self, domain, smoothness_r, holder_const, name):
@@ -143,20 +144,9 @@ class SmoothMap1D:
     def _eval_raw(self, x):
         raise NotImplementedError
 
-    def _deriv_raw(self, k, x):
-        """k-th derivative by jets; subclasses override it with closed forms."""
-        return self._jet_derivs(k, x)[-1]
-
-    def _derivs_raw(self, K, x):
-        """Orders 1..K, one _deriv_raw call each (the closed forms)."""
-        return np.stack([self._deriv_raw(k, x) for k in range(1, K + 1)])
-
-    def _jet_derivs(self, K, x):
-        """Orders 1..K from one jet pass of order K.  A jet recurrence
-        fills coefficient k from lower ones only, so each order has the
-        bits of its own order-k pass."""
-        jet = self.jet_apply(variable(np.asarray(x, dtype=float), K))
-        return np.stack([jet.deriv(k) for k in range(1, K + 1)])
+    def _d1(self, x):
+        """f'(x) by an order-1 jet; subclasses override it with closed forms."""
+        return self.jet_apply(variable(x, 1)).deriv(1)
 
     def jet_apply(self, jet):
         raise NotImplementedError
@@ -172,16 +162,22 @@ class SmoothMap1D:
     def deriv(self, k, x):
         if k == 0:
             return self.eval(x)
-        if k > self.r_floor:
-            raise ValueError(f"derivative order {k} exceeds floor(r)={self.r_floor}")
-        return self._deriv_raw(k, x)
+        return self.derivs(k, x)[-1]
 
     def derivs(self, K, x):
-        """[deriv(k, x) for k = 1..K] as one array of shape (K,) + x.shape."""
+        """Orders 1..K as one array of shape (K,) + x.shape: f' from _d1,
+        the orders above from one jet pass of order K.  A jet recurrence
+        fills coefficient k from lower ones only, so each order has the
+        bits of its own order-k pass."""
         if not 1 <= K <= self.r_floor:
-            raise ValueError(f"derivative orders 1..{K} need 1 <= K <= "
-                             f"floor(r)={self.r_floor}")
-        return self._derivs_raw(K, x)
+            raise ValueError(f"derivative order {K} outside 1..floor(r)="
+                             f"{self.r_floor}")
+        x = np.asarray(x, dtype=float)
+        d1 = self._d1(x)
+        if K == 1:
+            return d1[None]
+        jet = self.jet_apply(variable(x, K))
+        return np.stack([d1] + [jet.deriv(k) for k in range(2, K + 1)])
 
     def log_abs_deriv(self, x):
         """log|f'(x)| with the -inf floor applied."""
@@ -210,13 +206,8 @@ class LogisticMap(SmoothMap1D):
     def _eval_raw(self, x):
         return self.a * x * (1.0 - x)
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return self.a * (1.0 - 2.0 * x)
-        if k == 2:
-            return np.full_like(x, -2.0 * self.a)
-        return np.zeros_like(x)
+    def _d1(self, x):
+        return self.a * (1.0 - 2.0 * x)
 
     def jet_apply(self, jet):
         return self.a * jet * (1.0 - jet)
@@ -239,11 +230,8 @@ class TentMap(SmoothMap1D):
     def _eval_raw(self, x):
         return self.s * np.minimum(x, 1.0 - x)
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return np.where(x < 0.5, self.s, -self.s)
-        return np.zeros_like(x)
+    def _d1(self, x):
+        return np.where(x < 0.5, self.s, -self.s)
 
     def jet_apply(self, jet):
         x = jet.value
@@ -266,11 +254,8 @@ class LinearCircleMap(SmoothMap1D):
     def _eval_raw(self, x):
         return self.d * x + self.c
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return np.full_like(x, self.d)
-        return np.zeros_like(x)
+    def _d1(self, x):
+        return np.full_like(x, self.d)
 
     def jet_apply(self, jet):
         c = self.d * jet.c      # (d jet + c).mod1() in one array
@@ -295,14 +280,8 @@ class PerturbedCircleMap(SmoothMap1D):
     def _eval_raw(self, x):
         return self.d * x + self.delta * np.sin(2 * math.pi * x)
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        w = 2 * math.pi
-        if k == 1:
-            return self.d + self.delta * w * np.cos(w * x)
-        phase = k % 4
-        trig = [np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)][phase]
-        return self.delta * w ** k * trig(w * x)
+    def _d1(self, x):
+        return self.d + self.delta * (2 * math.pi) * np.cos(2 * math.pi * x)
 
     def jet_apply(self, jet):
         out = self.d * jet + self.delta * (2 * math.pi * jet).sin()
@@ -319,13 +298,8 @@ class CubicMap(SmoothMap1D):
     def _eval_raw(self, x):
         return x - (x - 1.0 / 3.0) ** 3
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return 1.0 - 3.0 * (x - 1.0 / 3.0) ** 2
-        if k == 2:
-            return -6.0 * (x - 1.0 / 3.0)
-        return np.full_like(x, -6.0)
+    def _d1(self, x):
+        return 1.0 - 3.0 * (x - 1.0 / 3.0) ** 2
 
     def jet_apply(self, jet):
         u = jet - 1.0 / 3.0
@@ -347,11 +321,8 @@ class AffineMap(SmoothMap1D):
     def _eval_raw(self, x):
         return self.c0 + self.c1 * x
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            return np.full_like(x, self.c1)
-        return np.zeros_like(x)
+    def _d1(self, x):
+        return np.full_like(x, self.c1)
 
     def jet_apply(self, jet):
         out = self.c0 + self.c1 * jet
@@ -370,8 +341,9 @@ class PowerMap(SmoothMap1D):
             raise ValueError("power must be >= 1")
         self.base = base
         self.p = int(p)
-        base_norm = max(_quick_norm(base, k) for k in range(1, base.r_floor + 1))
-        base_norm = max(base_norm, base.holder_const)
+        grid = np.linspace(0.0, 1.0, 1024)
+        base_norm = max(float(np.max(np.abs(base.derivs(base.r_floor, grid)))),
+                        base.holder_const)
         r = base.smoothness_r
         holder = (FAA_DI_BRUNO_CONST * max(base_norm, 1.0)) ** (self.p * r)
         super().__init__(base.domain, r, holder, f"{base.name}^{p}")
@@ -386,26 +358,13 @@ class PowerMap(SmoothMap1D):
         # already reduced by the base map at every stage
         return self._eval_raw(x)
 
-    def _deriv_raw(self, k, x):
-        x = np.asarray(x, dtype=float)
-        if k == 1:
-            # chain rule; cheaper and exactly matches the jet path
-            y = x
-            d = np.ones_like(y)
-            for _ in range(self.p):
-                d = d * self.base.deriv(1, y)
-                y = self.base.eval(y)
-            return d
-        return super()._deriv_raw(k, x)
-
-    def _derivs_raw(self, K, x):
-        # the chain rule at order 1, one jet pass for the orders above
-        d1 = self._deriv_raw(1, x)
-        if K == 1:
-            return d1[None]
-        out = self._jet_derivs(K, x)
-        out[0] = d1
-        return out
+    def _d1(self, x):
+        # chain rule; cheaper and exactly matches the jet path
+        d = np.ones_like(x)
+        for _ in range(self.p):
+            d = d * self.base._d1(x)
+            x = self.base.eval(x)
+        return d
 
     def jet_apply(self, jet):
         for _ in range(self.p):
@@ -489,8 +448,6 @@ class ExpressionMap(SmoothMap1D):
     def _eval_raw(self, x):
         out = self._eval_node(self._tree, np.asarray(x, dtype=float))
         return np.asarray(out, dtype=float)
-
-    _derivs_raw = SmoothMap1D._jet_derivs
 
     def jet_apply(self, jet):
         out = self._eval_node(self._tree, jet)
@@ -589,11 +546,6 @@ class MapNorms:
     R_estimate: float
     n_used: int
     upper_hints: dict = field(default_factory=dict)
-
-
-def _quick_norm(f, k, grid_size=1024):
-    xs = np.linspace(0.0, 1.0, grid_size)
-    return float(np.max(np.abs(f.deriv(k, xs))))
 
 
 def estimate_norms(f, grid_size=4096, refine_iters=3, n_used=8):

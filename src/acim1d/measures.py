@@ -25,7 +25,7 @@ from .errors import EmptySelection, InsufficientAtoms
 from .maps import UNIT_INTERVAL, estimate_norms, orbit_grid, power_map
 from .probes import probe_functions
 from .times import (
-    EXPANSION, LOG10, boundary_counts, chain_table, density_rows,
+    LOG10, boundary_counts, chain_table, density_rows,
     mask_from_lists, surrogate_mask, trim_masks,
 )
 
@@ -59,8 +59,7 @@ class SamplePool:
 
 
 def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
-                    c_expansion=EXPANSION, window=None, orbit_buffer=8,
-                    tree=None):
+                    window=None, orbit_buffer=8, tree=None):
     """Draw seeds, record g = f^p orbits, and attach detector time sets.
 
     window restricts seeds to an interval (the sigma image for the tree
@@ -78,9 +77,9 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
     if detector != "surrogate" and tree is None:
         raise ValueError("tree detector requires a built ReparamTree")
     prov = {"map": f.name, "p": p, "g": g.name, "detector": detector,
-            "window": (lo, hi), "c_expansion": c_expansion}
+            "window": (lo, hi)}
     if detector != "tree":
-        times = surrogate_mask(lds, c_expansion)
+        times = surrogate_mask(lds)
     if detector != "surrogate":
         walked = mask_from_lists(
             [tree.walk_geometric_times(float(x), n_orbit) for x in seeds],
@@ -159,10 +158,6 @@ class EmpiricalMeasure:
     @property
     def n_atoms(self):
         return self.atoms.shape[0]
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.weights))
 
 
 def empirical_measure(selection, M, m, normalization="mu", beta_inf=None,
@@ -279,10 +274,6 @@ class DensityEstimate:
     bins: int
     edges: np.ndarray
     masses: np.ndarray
-
-    @property
-    def total_mass(self):
-        return float(np.sum(self.masses))
 
     def to_rows(self, reference=None):
         refs = _bin_masses(reference, self.edges).tolist() if reference \

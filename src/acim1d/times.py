@@ -339,20 +339,19 @@ def _pair_lemmas(M, S, Sp, one, ndp):
 # ---------------------------------------------------------------------------
 
 
-def surrogate_mask(log_derivs, c_expansion=EXPANSION):
+def surrogate_mask(log_derivs):
     """Surrogate hyperbolic times of every seed column of log|g'|.
 
     log_derivs has shape (n, S); returns a boolean (S, n+1) matrix.  l
     qualifies iff S_l - S_k >= (l-k) log c for every k < l, where S is the
-    prefix sum.  Equivalently S_l - l log c must reach a new running
-    maximum over {S_k - k log c : k < l}; that gives the O(n) pass.  A
-    -inf log-derivative (critical hit) kills every later time.
+    prefix sum and c = EXPANSION.  Equivalently S_l - l log c must reach a
+    new running maximum over {S_k - k log c : k < l}; that gives the O(n)
+    pass.  A -inf log-derivative (critical hit) kills every later time.
     """
     lds = np.asarray(log_derivs, dtype=float)
     n, S = lds.shape
-    logc = float(np.log(c_expansion))
     prefix = np.vstack([np.zeros(S), np.cumsum(lds, axis=0)])
-    t = prefix - logc * np.arange(n + 1)[:, None]
+    t = prefix - LOG10 * np.arange(n + 1)[:, None]
     run_max = np.maximum.accumulate(t, axis=0)
     before = np.vstack([np.full(S, np.inf), run_max[:-1]])   # max over k < l
     return np.ascontiguousarray((np.isfinite(t) & (t >= before - 1e-12)).T)

@@ -881,7 +881,7 @@ def test_gibbs_linear_closed_form():
 
 
 def _gibbs_full_grid(g, x, E, q, eps, *, n, M, m, beta, b, p, bp, n_samples,
-                     rng, c_expansion=10.0):
+                     rng):
     """gibbs_check's Monte Carlo over whole sample orbits: orbit_grid on all
     samples for all n steps, then the label mask column by column.  Also
     returns the survivor count after each column of T."""
@@ -914,7 +914,7 @@ def _gibbs_full_grid(g, x, E, q, eps, *, n, M, m, beta, b, p, bp, n_samples,
     hits = 0
     if mask.any():
         lds = lds[:, mask]
-        Ey = surrogate_mask(lds, c_expansion)
+        Ey = surrogate_mask(lds)
         hits = int(np.count_nonzero(
             (density_rows(Ey, n) > beta)
             & (np.cumsum(lds, axis=0)[n - 1] >= n * p * b - 1e-12)

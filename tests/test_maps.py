@@ -271,6 +271,79 @@ def test_expression_map_matches_preset():
                                    rtol=1e-10, atol=1e-9)
 
 
+def _closed_form(f, k, x):
+    """The k-th derivative (k >= 1) of a preset in closed form: the oracle
+    of the jet pass behind derivs."""
+    x = np.asarray(x, dtype=float)
+    kind = type(f).__name__
+    if kind == "LogisticMap":
+        if k == 1:
+            return f.a * (1.0 - 2.0 * x)
+        if k == 2:
+            return np.full_like(x, -2.0 * f.a)
+        return np.zeros_like(x)
+    if kind == "TentMap":
+        return np.where(x < 0.5, f.s, -f.s) if k == 1 else np.zeros_like(x)
+    if kind == "LinearCircleMap":
+        return np.full_like(x, f.d) if k == 1 else np.zeros_like(x)
+    if kind == "PerturbedCircleMap":
+        w = 2 * math.pi
+        if k == 1:
+            return f.d + f.delta * w * np.cos(w * x)
+        trig = [np.sin, np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t)]
+        return f.delta * w ** k * trig[k % 4](w * x)
+    if kind == "CubicMap":
+        if k == 1:
+            return 1.0 - 3.0 * (x - 1.0 / 3.0) ** 2
+        if k == 2:
+            return -6.0 * (x - 1.0 / 3.0)
+        return np.full_like(x, -6.0)
+    if kind == "AffineMap":
+        return np.full_like(x, f.c1) if k == 1 else np.zeros_like(x)
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("logistic", {}), ("logistic", {"smoothness_r": 4.0}),
+    ("logistic", {"a": 3.6786, "smoothness_r": 4.0}), ("tent", {}),
+    ("doubling", {}), ("linear_circle", {"d": 3.0, "c": 0.2}),
+    ("perturbed_circle", {}), ("perturbed_circle", {"smoothness_r": 5.0}),
+    ("cubic", {}), ("affine", {"c0": 0.1, "c1": 0.8}),
+    ("affine", {"c0": 0.31, "c1": 3.0, "domain": "circle"}),
+])
+def test_derivs_match_closed_forms(name, params):
+    # f' is the closed form itself; the jet orders above it match the
+    # closed forms in |value| bit for bit (a zero may carry either sign),
+    # except the trig recurrence of perturbed_circle, which rounds apart
+    f = make_map(name, **params)
+    xs = np.concatenate((np.linspace(0.0, 1.0, 4097),
+                         np.random.default_rng(6).uniform(0, 1, 2000),
+                         [0.25 - 2.0 ** -54, 0.5 - 2.0 ** -53,
+                          1.0 - 2.0 ** -53]))
+    got = f.derivs(f.r_floor, xs)
+    want = np.stack([_closed_form(f, k, xs) for k in range(1, f.r_floor + 1)])
+    assert got[0].tobytes() == want[0].tobytes()
+    if name == "perturbed_circle":
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-9)
+    else:
+        assert np.abs(got).tobytes() == np.abs(want).tobytes()
+
+
+@pytest.mark.parametrize("name,params,p", [
+    ("logistic", {}, 1), ("doubling", {}, 3),
+    ("expr", {"expression": "4*x*(1-x)"}, 1),
+])
+def test_negative_derivative_order_rejected(name, params, p):
+    g = power_map(make_map(name, **params), p)
+    xs = np.array([0.1, 0.7])
+    for k in (-1, -g.r_floor, -g.r_floor - 1):
+        with pytest.raises(ValueError):
+            g.deriv(k, xs)
+        with pytest.raises(ValueError):
+            g.derivs(k, xs)
+    assert g.deriv(0, xs).tobytes() == g.eval(xs).tobytes()
+
+
 @pytest.mark.parametrize("name,params,p", [
     ("logistic", {"smoothness_r": 4.0}, 1), ("tent", {}, 1),
     ("doubling", {}, 1), ("linear_circle", {"d": 3.0, "c": 0.2}, 1),
@@ -284,8 +357,9 @@ def test_expression_map_matches_preset():
               "domain": "circle", "smoothness_r": 3.0}, 2),
 ])
 def test_derivs_bit_equal_to_deriv(name, params, p):
-    # one jet pass of order K (closed forms on the presets, the chain
-    # rule at order 1 on PowerMap) against one deriv call per order
+    # derivs(K) (f' from _d1: the closed form on a preset, the chain rule
+    # on PowerMap, an order-1 jet on ExpressionMap; one jet pass of order
+    # K above it) against one deriv call per order
     g = power_map(make_map(name, **params), p)
     xs = np.concatenate((np.random.default_rng(5).uniform(0, 1, 200),
                          [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53]))

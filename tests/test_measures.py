@@ -18,7 +18,7 @@ from acim1d.measures import (
 )
 from acim1d.maps import critical_set, orbit_grid
 from acim1d.probes import probe_functions
-from acim1d.times import boundary_counts, chain_table
+from acim1d.times import boundary_counts, chain_table, surrogate_mask
 
 LOG2 = math.log(2.0)
 
@@ -56,7 +56,7 @@ def test_single_seed_uniform_weights():
     # raw times are {1..18}; below n=10 the clip gives [[1 ; 9[[, 8 atoms
     assert mu.n_atoms == 8
     np.testing.assert_allclose(mu.weights, 1.0 / 8.0)
-    assert abs(mu.total_mass - 1.0) < 1e-12
+    assert abs(np.sum(mu.weights) - 1.0) < 1e-12
 
 
 def test_empirical_measure_reads_a_given_chain_table():
@@ -89,7 +89,7 @@ def test_nu_mass_is_beta_ratio():
     beta_inf = 1.0
     nu = empirical_measure(sel, M=2, m=2, normalization="nu",
                            beta_inf=beta_inf)
-    assert math.isclose(nu.total_mass, nu.meta["beta_nMm"] / beta_inf,
+    assert math.isclose(np.sum(nu.weights), nu.meta["beta_nMm"] / beta_inf,
                         rel_tol=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_density_masses_sum_to_total():
     sel = select_An(pool, 10, 0.5, 0.5, 4)
     mu = empirical_measure(sel, M=2, m=1)
     est = density_estimate(mu, 50)
-    assert abs(est.total_mass - mu.total_mass) < 1e-12
+    assert abs(np.sum(est.masses) - np.sum(mu.weights)) < 1e-12
 
 
 def test_dirac_vs_uniform_l1_is_near_two():
@@ -287,9 +287,11 @@ def _proxy_oracle(mu):
 
 def test_positive_exponent_proxy_matches_per_atom_definition():
     # times detected at expansion 4 < 10 leave atoms without a 10-expanding
-    # later segment
+    # later segment: log|g'| raised by log(10/4) makes the detector's
+    # c = 10 read c = 4
     pool = build_seed_pool(make_map("logistic"), 3, 20, 1500,
-                           np.random.default_rng(3), c_expansion=4.0)
+                           np.random.default_rng(3))
+    pool.time_mask = surrogate_mask(pool.log_derivs + math.log(2.5))
     mu = empirical_measure(select_An(pool, 20, 0.1, 0.0, 3), M=3, m=1)
     assert 0.0 < positive_exponent_proxy(mu) == _proxy_oracle(mu) < 1.0
     # any time mask, not only the detector's

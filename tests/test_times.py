@@ -437,7 +437,7 @@ def test_surrogate_mask_columns_match_definition():
     rng = np.random.default_rng(4)
     recs = [orbit_grid(g, [x], 40)[1][:, 0] for x in rng.uniform(0, 1, 25)]
     lds = np.column_stack(recs)
-    mask = surrogate_mask(lds, 10.0)
+    mask = surrogate_mask(lds)
     assert mask.shape == (25, 41) and not mask[:, 0].any()
     assert mask.any(axis=1).sum() > 5
     for s, rec in enumerate(recs):
