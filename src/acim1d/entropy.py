@@ -21,8 +21,10 @@ e^{-1/2}))^{-1}, and the Gibbs cylinder bound with C = GIBBS_C.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +51,8 @@ GIBBS_C = 8.0
 OFFSET_DRAWS = 1000       # choose_offset: offsets tried before giving up
 CUT_DIST = 1e-9           # a point this close to an atom border sits on it
 CUT_MASS_TOL = 0.01       # largest tolerated mass of points on J cuts
-MISIUREWICZ_DPS = 40      # mpmath digits of the exact block-entropy check
+MISIUREWICZ_DPS = 41      # decimal digits (>= 136 bits) of the exact
+                          # block-entropy check
 MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
 RANK_SPAN = 4             # _ranks counts while span <= RANK_SPAN * size
 # misiurewicz_battery's instances per kernel call: each array stays below
@@ -183,28 +186,29 @@ def itinerary_entropy(mu, labels, m, g=None):
 
 
 def _H_exact(counts, Q):
-    """-sum p log p over p = c / Q, c in counts (0 if they sum to 0)."""
-    import mpmath           # only the exact battery pays for the import
-
-    if sum(counts) == 0:
-        return mpmath.mpf(0)
-    H = mpmath.mpf(0)
-    prec = mpmath.mp.prec
+    """-sum p log p over p = c / Q, c in counts, in the active decimal
+    context: each term is (c/Q)(ln c - ln Q) with c/Q in lowest terms,
+    summed in the order of counts."""
+    H = decimal.Decimal(0)
     for c in counts:
         if c > 0:
-            d = math.gcd(c, Q)      # c / Q in lowest terms, as a Fraction
-            H -= _plogp(c // d, Q // d, prec)
+            d = math.gcd(c, Q)
+            H -= _plogp(c // d, Q // d)
     return H
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _plogp(num, den, prec):
-    """pv log pv for pv = num / den, evaluated at the working precision,
-    which the caller passes as prec (bits) so that it keys the cache."""
-    import mpmath
+def _plogp(num, den):
+    """p log p for p = num / den, as (num / den)(ln num - ln den) in the
+    active decimal context."""
+    prec = decimal.getcontext().prec
+    return decimal.Decimal(num) / den * (_ln(num, prec) - _ln(den, prec))
 
-    pv = mpmath.mpf(num) / mpmath.mpf(den)
-    return pv * mpmath.log(pv)
+
+@functools.lru_cache(maxsize=1 << 12)
+def _ln(n, prec):
+    """ln n for an integer n >= 1, correctly rounded to prec digits;
+    cached per (integer, precision)."""
+    return decimal.Decimal(n).ln(decimal.Context(prec=prec))
 
 
 def _misiurewicz_batch(T, R, w, Fmask, m, D):
@@ -216,10 +220,10 @@ def _misiurewicz_batch(T, R, w, Fmask, m, D):
     and depth m[b]; B N < 2^31.  State s of system b is b N + s and every
     label fold starts from b; first-seen ranks keep each system's cells in
     the order the dict walk of the definition meets them, which _H_exact
-    sums in.
+    sums in.  Entropies and logs are evaluated in a decimal context of
+    MISIUREWICZ_DPS digits, ROUND_HALF_EVEN, set here, so a caller's
+    context does not reach the report.
     """
-    import mpmath
-
     B, N = T.shape
     K, depth = Fmask.shape[1], int(m.max(initial=1))
     T = (T + N * np.arange(B)[:, None]).astype(np.int32).ravel()
@@ -263,15 +267,17 @@ def _misiurewicz_batch(T, R, w, Fmask, m, D):
     # the report as arrays: no per-system object outlives the loop
     lhs, rhs, margin = np.empty((3, B))
     ncs, dFs = np.empty((2, B), dtype=np.int64)
-    with mpmath.workdps(MISIUREWICZ_DPS):
-        log = functools.cache(mpmath.log)   # log #R, at this precision
+    with decimal.localcontext(decimal.Context(
+            prec=MISIUREWICZ_DPS, rounding=decimal.ROUND_HALF_EVEN)):
         for b, (Fb, mb, nc, Db) in enumerate(zip(
                 Fmask.tolist(), m.tolist(), n_charged, D)):
             F = [k for k, inF in enumerate(Fb) if inF]
             nF, nc, dF = len(F), max(1, nc), len(boundary_set(F))
             left = _H_exact(by_rm[b], Db * nF) / mb
-            right = _H_exact(by_rf[b], Db) / nF - mb * log(nc) * dF / nF
-            lhs[b], rhs[b], margin[b] = left, right, left - right
+            right = (_H_exact(by_rf[b], Db) / nF
+                     - mb * _ln(nc, MISIUREWICZ_DPS) * dF / nF)
+            lhs[b], rhs[b], margin[b] = map(float, (left, right,
+                                                    left - right))
             ncs[b], dFs[b] = nc, dF
     return {"lhs": lhs, "rhs": rhs, "margin": margin,
             "ok": margin >= -1e-12, "n_charged": ncs, "dF": dFs}
@@ -290,12 +296,17 @@ def verify_misiurewicz(lam, T, R, F, m):
     (Fractions; other entries go through limit_denominator(10**12)) is
     scaled to integer masses over one common denominator D, the lcm of
     its denominators, so lam^F has integer masses over D #F.  Entropies
-    are evaluated with mpmath at MISIUREWICZ_DPS digits.  This is
-    _misiurewicz_batch on a batch of one.  Raises ValueError when m < 1,
-    when F is empty or has a negative element, when an entry of T lies
-    outside 0..N-1 (N = len(T)), when R or lam is not of length N, or
-    when lam has a negative or non-finite entry or a zero rounded total.
+    and logs are evaluated in decimal at MISIUREWICZ_DPS digits (integer
+    logs cached per precision).  This is _misiurewicz_batch on a batch
+    of one.  Raises ValueError when m or an entry of T, R or F is not an
+    integer (Python or numpy), when m < 1, when F is empty or has a
+    negative element, when an entry of T lies outside 0..N-1 (N =
+    len(T)), when R or lam is not of length N, or when lam has a
+    negative or non-finite entry or a zero rounded total.
     """
+    for name, v in (("m", [m]), ("T", T), ("R", R), ("F", F)):
+        if not all(isinstance(x, numbers.Integral) for x in v):
+            raise ValueError(f"{name} must hold integers, got {list(v)}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     N = len(T)

@@ -1,5 +1,6 @@
 """Partitions, entropies, and the inequality suites."""
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -436,33 +437,42 @@ def test_misiurewicz_randomized():
 
 
 def _H_fraction(mass_by_label):
-    total = sum(mass_by_label.values(), Fraction(0))
-    if total == 0:
-        return mpmath.mpf(0)
-    H = mpmath.mpf(0)
+    """-sum v log v over the positive masses v, each term evaluated as the
+    kernel does, (num / den)(ln num - ln den) for v = num / den in lowest
+    terms, in the active decimal context, with uncached logs."""
+    H = decimal.Decimal(0)
     for v in mass_by_label.values():
         if v > 0:
-            pv = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-            H -= pv * mpmath.log(pv)
+            num, den = decimal.Decimal(v.numerator), v.denominator
+            H -= num / den * (num.ln() - decimal.Decimal(den).ln())
     return H
 
 
 def test_H_exact_matches_fraction_entropy_at_each_precision():
-    # the p log p values are cached: the same masses at 40, 15 and again
-    # 40 digits each equal the uncached sum at their own precision
-    counts = [0, 3, 6, 9, 18, 36]
-    Q = sum(counts)
-    for dps in (40, 15, 40):
-        with mpmath.workdps(dps):
-            want = _H_fraction({i: Fraction(c, Q)
-                                for i, c in enumerate(counts)})
-            assert _H_exact(counts, Q) == want
+    # the integer logs are cached: the same masses at 41, 15 and again
+    # 41 digits each equal the uncached sum at their own precision (at 15
+    # digits, 2/5 and 3/5 tell 41-digit logs from 15-digit ones)
+    for counts in ([0, 3, 6, 9, 18, 36], [0, 2, 3]):
+        Q = sum(counts)
+        got = []
+        for dps in (MISIUREWICZ_DPS, 15, MISIUREWICZ_DPS):
+            with decimal.localcontext(decimal.Context(prec=dps)):
+                want = _H_fraction({i: Fraction(c, Q)
+                                    for i, c in enumerate(counts)})
+                got.append(_H_exact(counts, Q))
+                assert got[-1] == want
+        assert got[0] == got[2] != got[1]
+
+
+def _misiurewicz_context():
+    return decimal.Context(prec=MISIUREWICZ_DPS,
+                           rounding=decimal.ROUND_HALF_EVEN)
 
 
 def _misiurewicz_fraction_oracle(lam, T, R, F, m):
     """verify_misiurewicz on Fraction masses and a numpy orbit table, as
     it stood before the integer-mass form: the differential oracle."""
-    with mpmath.workdps(MISIUREWICZ_DPS):
+    with decimal.localcontext(_misiurewicz_context()):
         N = len(T)
         lam = [Fraction(v).limit_denominator(10 ** 12)
                if not isinstance(v, Fraction) else v for v in lam]
@@ -504,7 +514,7 @@ def _misiurewicz_fraction_oracle(lam, T, R, F, m):
 
         dF = len(set(F) ^ {k + 1 for k in F})
         lhs = H_rm / m
-        rhs = H_rf / nF - m * mpmath.log(n_charged) * dF / nF
+        rhs = H_rf / nF - m * decimal.Decimal(n_charged).ln() * dF / nF
         margin = float(lhs - rhs)
         return {"lhs": float(lhs), "rhs": float(rhs), "margin": margin,
                 "ok": margin >= -1e-12, "n_charged": n_charged, "dF": dF}
@@ -548,9 +558,10 @@ def test_misiurewicz_bit_equal_to_fraction_oracle(system):
         _assert_misiurewicz_matches_oracle(*system)
 
 
-def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
-    # criterion 4's exhaustive family: the truncated 2-shift on 8 states,
-    # every nonempty F subset {0..5}, m in 1..4, three measures
+def _shift_family():
+    """Criterion 4's exhaustive family as (lam, T, R, F, m): the truncated
+    2-shift on 8 states, every nonempty F subset {0..5}, m in 1..4, three
+    measures."""
     T = [(2 * s) % 8 for s in range(8)]
     R = [s >> 2 for s in range(8)]
     lams = [[Fraction(1, 8)] * 8,
@@ -560,7 +571,61 @@ def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
         F = [k for k in range(6) if mask >> k & 1]
         for m in range(1, 5):
             for lam in lams:
-                _assert_misiurewicz_matches_oracle(lam, T, R, F, m)
+                yield lam, T, R, F, m
+
+
+def test_misiurewicz_bit_equal_to_fraction_oracle_on_shift_family():
+    for system in _shift_family():
+        _assert_misiurewicz_matches_oracle(*system)
+
+
+def test_misiurewicz_report_ignores_the_callers_decimal_context():
+    want = [_bits(verify_misiurewicz(*s)) for s in _shift_family()]
+    with decimal.localcontext(decimal.Context(
+            prec=12, rounding=decimal.ROUND_FLOOR)):
+        assert [_bits(verify_misiurewicz(*s)) for s in _shift_family()] \
+            == want
+
+
+def _mpmath_H(masses):
+    """-sum v log v over the positive Fraction masses, in mpmath at the
+    working precision."""
+    return -mpmath.fsum(mpmath.mpf(v.numerator) / v.denominator
+                        * mpmath.log(mpmath.mpf(v.numerator) / v.denominator)
+                        for v in masses if v > 0)
+
+
+def _assert_decimal_matches_mpmath(lam, T, R, F, m):
+    """_H_exact on the R^m and R^F cells, and verify_misiurewicz's lhs, rhs
+    and margin, against mpmath at 60 digits, each within 1e-35.  The
+    report holds floats, so away from 0 this asks for the float nearest
+    the 60-digit value."""
+    by_rm, by_rf = _dict_walk_cells(lam, T, R, F, m)
+    rep = verify_misiurewicz(lam, T, R, F, m)
+    nF = len(set(F))
+    with mpmath.workdps(60):
+        H_rm, H_rf = _mpmath_H(by_rm), _mpmath_H(by_rf)
+        lhs = H_rm / m
+        rhs = H_rf / nF - m * mpmath.log(rep["n_charged"]) * rep["dF"] / nF
+        for cells, want in ((by_rm, H_rm), (by_rf, H_rf)):
+            Q = math.lcm(*(v.denominator for v in cells))
+            with decimal.localcontext(_misiurewicz_context()):
+                got = _H_exact([int(v * Q) for v in cells], Q)
+            assert abs(mpmath.mpf(str(got)) - want) < 1e-35
+        for key, want in (("lhs", lhs), ("rhs", rhs), ("margin", lhs - rhs)):
+            assert abs(rep[key] - float(want)) < 1e-35, key
+
+
+def test_decimal_entropies_match_mpmath_on_shift_family():
+    for system in _shift_family():
+        _assert_decimal_matches_mpmath(*system)
+
+
+@given(_finite_systems())
+@settings(max_examples=200, deadline=None)
+def test_decimal_entropies_match_mpmath(system):
+    if any(Fraction(v).limit_denominator(10 ** 12) for v in system[0]):
+        _assert_decimal_matches_mpmath(*system)
 
 
 def _padded_batch(systems, dtype):
@@ -736,6 +801,28 @@ def test_misiurewicz_rejects_bad_system(T, R, lam, name):
     for m in (1, 2):
         with pytest.raises(ValueError, match=f"^{name} "):
             verify_misiurewicz(lam, T, R, [0, 1], m)
+
+
+@pytest.mark.parametrize("T, R, F, m, name", [
+    ([1, 0, 3, 2], [0, 0.5, 0, 1], [0, 1], 1, "R"),   # read as [0, 0, 0, 1]
+    ([1, 0.5, 3, 2], [0, 1, 0, 1], [0, 1], 1, "T"),   # 0.5 ran as 0
+    ([1, 0, 3, 2], [0, 1, 0, 1], [0, 1.5], 1, "F"),   # k = 1.5 was dropped
+    ([1, 0, 3, 2], [0, 1, 0, 1], [0, 1], 2.5, "m"),
+    ([1, 0, 3, 2], [0, 1, 0, 1], [0, 1], np.float64(2), "m"),
+    ([1, 0, 3, 2], np.array([0, 1, 0, 1.0]), [0, 1], 1, "R")])
+def test_misiurewicz_rejects_non_integers(T, R, F, m, name):
+    lam = [Fraction(1, 4)] * 4
+    with pytest.raises(ValueError, match=f"^{name} must hold integers"):
+        verify_misiurewicz(lam, T, R, F, m)
+
+
+def test_misiurewicz_takes_numpy_integers():
+    lam = [Fraction(1, 4)] * 4
+    T, R, F = [1, 0, 3, 2], [0, 1, 0, 1], [0, 2]
+    want = verify_misiurewicz(lam, T, R, F, 2)
+    assert verify_misiurewicz(lam, np.array(T), np.array(R, dtype=np.int8),
+                              np.array(F, dtype=np.uint16),
+                              np.int32(2)) == want
 
 
 def test_mane_bounds_doubling():

@@ -1,10 +1,14 @@
-"""What a run imports: scipy never, mpmath only for the exact battery;
-what each module exports: every name in its __all__; and how many BLAS
-threads importing acim1d leaves."""
+"""What a run imports: neither scipy nor mpmath, through `acim1d verify`
+and a pipeline; what the package may import: the standard library and
+the runtime dependencies pyproject.toml lists (numpy alone); what each
+module exports: every name in its __all__; and how many BLAS threads
+importing acim1d leaves."""
 
+import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,15 +53,14 @@ from acim1d.config import load_config
 def loaded(prefix):
     return sorted(m for m in sys.modules if m.split(".")[0] == prefix)
 
-assert not loaded("mpmath"), loaded("mpmath")
 assert cli.run_verify("verify", quick=True)
 cli.run_pipeline(load_config("tiny.ini"), out_dir="out")
 assert (Path("out") / "verdict.txt").exists()
-print(loaded("scipy"))
+print(loaded("scipy") + loaded("mpmath"))
 """
 
 
-def test_runs_import_no_scipy(tmp_path):
+def test_runs_import_no_scipy_or_mpmath(tmp_path):
     (tmp_path / "tiny.ini").write_text(TINY_INI)
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
@@ -66,6 +69,24 @@ def test_runs_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # every import of every module, also inside a function, outside the
+    # standard library names a runtime dependency, and those are numpy
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    deps = {re.match(r"[A-Za-z0-9_.-]+", d)[0]
+            for d in meta["project"]["dependencies"]}
+    assert deps == {"numpy"}
+    used = set()
+    for path in sorted((SRC / "acim1d").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                used.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                used.add(node.module.split(".")[0])
+    assert used - sys.stdlib_module_names - {"acim1d"} <= deps, used
 
 
 THREADS = """\
