@@ -17,7 +17,7 @@ eps = choose_epsilon(power_map(f, p))
 sigma = affine_reparam(0.37, 0.9 * eps)
 tree = ReparamTree(f, p, sigma, eps).build(2)
 for i, lv in enumerate(tree.levels):
-    n_exp = np.count_nonzero(lv.vtype == "Expanding")
+    n_exp = np.count_nonzero(lv.expanding)
     print(f"  level {i}: {len(lv):6d} vertices ({n_exp} expanding)")
 ratios, ok = distortion_suite(tree)
 print(f"  distortion over {ratios.size} vertices: worst "

@@ -589,44 +589,9 @@ def _enm_battery(n):
     return mism, viol, total
 
 
-def run_verify(out_dir, rng_seed=0, quick=False):
-    """Combinatorics, Misiurewicz, reparametrization-tree, Taylor-window
-    and branch-count batteries."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(rng_seed)
-    rows = []
-
-    # E_n^{M,m} calculus: exhaustive small-universe battery
-    nbits = 8 if quick else 12
-    mism, viol, total = _enm_battery(nbits)
-    rows.append(_row("enm_oracle_equivalence", f"2^{nbits} sets", mism, 0,
-                     -mism, mism == 0))
-    rows.append(_row("enm_lemma", f"{total} instances", viol, 0, -viol,
-                     viol == 0))
-
-    count = 200 if quick else 1000
-    bad = misiurewicz_battery(rng, count)
-    rows.append(_row("misiurewicz_random", f"{count} instances", bad, 0, -bad,
-                     bad == 0))
-
-    # the tree's certificate on a strongly expanding linear map
-    f = make_map("doubling")
-    eps = choose_epsilon(power_map(f, 7))
-    tree = ReparamTree(f, 7, affine_reparam(0.37, 0.9 * eps), eps)
-    rep = verify_tree(tree.build(1 if quick else 2), rng=rng)
-    rows += _tree_rows(rep, f"{rep['item2']['n_checked']} vertices")
-
-    # the Taylor window that choose_epsilon's eps buys, on the g of
-    # configs/doubling.ini and configs/logistic.ini
-    reps = [taylor_window_check(g, choose_epsilon(g)) for g in (
-        power_map(make_map("doubling"), 4),
-        power_map(make_map("logistic", smoothness_r=4.0), 6))]
-    worst = float(np.min([r["worst_margin"] for r in reps]))
-    rows.append(_row("taylor_window", "doubling^4 logistic^6", worst, 0.0,
-                     worst, all(r["ok"] for r in reps)))
-
-    # the C(r', g) s^(-1/(r'-1)) + 1 branch-count bound on criterion 8's grid
+def _branch_count_battery(quick):
+    """The C(r', g) s^(-1/(r'-1)) + 1 branch-count bound on criterion 8's
+    grid: (bound - count per instance, all within their bounds)."""
     margins, ok = [], True
     for p in range(1, 3 if quick else 5):
         g = power_map(make_map("logistic", smoothness_r=2.0), p)
@@ -636,6 +601,51 @@ def run_verify(out_dir, rng_seed=0, quick=False):
             got, rep = count_branches_with_min_slope(g, s, part, norms)
             margins.append(rep["bound"] - got)
             ok &= rep["within_bound"]
+    return margins, ok
+
+
+def run_verify(out_dir, rng_seed=0, quick=False, timings=None):
+    """Combinatorics, Misiurewicz, reparametrization-tree, Taylor-window
+    and branch-count batteries; each is one _timed entry in timings, when
+    given."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(rng_seed)
+    rows = []
+    timed = functools.partial(_timed, timings)
+
+    # E_n^{M,m} calculus: exhaustive small-universe battery
+    nbits = 8 if quick else 12
+    mism, viol, total = timed("enm", _enm_battery, nbits)
+    rows.append(_row("enm_oracle_equivalence", f"2^{nbits} sets", mism, 0,
+                     -mism, mism == 0))
+    rows.append(_row("enm_lemma", f"{total} instances", viol, 0, -viol,
+                     viol == 0))
+
+    count = 200 if quick else 1000
+    bad = timed("misiurewicz", misiurewicz_battery, rng, count)
+    rows.append(_row("misiurewicz_random", f"{count} instances", bad, 0, -bad,
+                     bad == 0))
+
+    # the tree's certificate on a strongly expanding linear map
+    f = make_map("doubling")
+    eps = choose_epsilon(power_map(f, 7))
+    tree = timed("tree_build", lambda: ReparamTree(
+        f, 7, affine_reparam(0.37, 0.9 * eps), eps).build(1 if quick else 2))
+    rep = timed("verify_tree", verify_tree, tree, rng=rng)
+    rows += _tree_rows(rep, f"{rep['item2']['n_checked']} vertices")
+
+    # the Taylor window that choose_epsilon's eps buys, on the g of
+    # configs/doubling.ini and configs/logistic.ini
+    reps = timed("taylor_window", lambda: [
+        taylor_window_check(g, choose_epsilon(g)) for g in (
+            power_map(make_map("doubling"), 4),
+            power_map(make_map("logistic", smoothness_r=4.0), 6))])
+    worst = float(np.min([r["worst_margin"] for r in reps]))
+    rows.append(_row("taylor_window", "doubling^4 logistic^6", worst, 0.0,
+                     worst, all(r["ok"] for r in reps)))
+
+    margins, ok = timed("branch_count", _branch_count_battery, quick)
     worst = float(np.min(margins))
     rows.append(_row("branch_count_bound", f"{len(margins)} instances", worst,
                      0.0, worst, ok))
@@ -678,11 +688,14 @@ def _build_parser():
     return ap
 
 
-def _timed(timings, name, fn, *args):
-    """fn(*args), appending the call's wall and CPU seconds and the peak
-    RSS so far (MB) to timings under name"""
+def _timed(timings, name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), appending the call's wall and CPU seconds and
+    the peak RSS so far (MB) to timings under name; timings None times
+    nothing"""
+    if timings is None:
+        return fn(*args, **kwargs)
     wall, cpu = time.perf_counter(), time.process_time()
-    out = fn(*args)
+    out = fn(*args, **kwargs)
     timings.append({
         "stage": name, "wall_s": time.perf_counter() - wall,
         "cpu_s": time.process_time() - cpu,
@@ -719,8 +732,7 @@ def main(argv=None):
             return 0
         if args.command == "verify":
             out = args.out or Path("out")
-            ok = _timed(timings, "verify", run_verify, out,
-                        args.rng_seed or 0, args.quick)
+            ok = run_verify(out, args.rng_seed or 0, args.quick, timings)
             print(f"verify: {'all pass' if ok else 'FAILURES'} "
                   f"(checks.csv in {out})")
             return 0 if ok else 1

@@ -402,6 +402,10 @@ class ExpressionMap(SmoothMap1D):
         _validate_expr(self._tree)
         super().__init__(domain, smoothness_r, holder_const,
                          name or f"expr({expression})")
+        # one jet pass: what jets cannot take (a power other than a
+        # nonnegative integer, no x) fails here, not at first use
+        with np.errstate(all="ignore"):
+            self.jet_apply(variable(0.5, 1))
 
     def _eval_node(self, node, x):
         if isinstance(node, ast.Constant):

@@ -25,9 +25,7 @@ splitting function.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -224,19 +222,22 @@ def taylor_window_check(g, eps, samples=64):
 def cover_centers(u0, u1, rho):
     """Centers of the radius-rho pieces of the splitting layout on [u0, u1].
 
-    Returns (expanding, plain): expanding centers step by 2 rho / 3 from
-    u0 + rho to u1 - rho, so their middle thirds cover [u0 + 2 rho / 3,
-    u1 - 2 rho / 3]; the two plain end caps sit at u0 + rho and u1 - rho.
+    Returns (expanding, plain): expanding centers, an array, step by
+    2 rho / 3 from u0 + rho to u1 - rho, so their middle thirds cover
+    [u0 + 2 rho / 3, u1 - 2 rho / 3]; the two plain end caps, a list, sit
+    at u0 + rho and u1 - rho.
     """
     c, step, stop = u0 + rho, 2.0 * rho / 3.0, u1 - rho - 1e-15
-    if c < stop and not rho > 0:
+    if not c < stop:
+        return np.array([u1 - rho]), [u0 + rho, u1 - rho]
+    if not rho > 0:
         raise ValueError(f"rho = {rho} lays no centres on [{u0}, {u1}]")
-    size = int((stop - c) / step) + 3 if c < stop else 0
-    while True:     # accumulate adds in order: the floats of c += step
-        cs = list(accumulate(repeat(step, size), initial=c))
-        cut = bisect_left(cs, stop)     # the first centre not < stop
+    size = int((stop - c) / step) + 3
+    while True:     # add.accumulate adds in order: the floats of c += step
+        cs = np.cumsum(np.r_[c, np.full(size, step)])
+        cut = np.searchsorted(cs, stop)     # the first centre not < stop
         if cut <= size:
-            return cs[:cut] + [u1 - rho], [u0 + rho, u1 - rho]
+            return np.r_[cs[:cut], u1 - rho], [u0 + rho, u1 - rho]
         if cs[-1] == cs[-2]:    # c + step rounds to c: the loop never ends
             raise ValueError(f"rho = {rho} is below the float step at {c}")
         size *= 2

@@ -619,6 +619,20 @@ def test_cli_exit_code_nan_map_norm(tmp_path, capsys):
     assert not (tmp_path / "o" / "norms.csv").exists()
 
 
+def test_cli_exit_code_unsupported_expression(tmp_path, capsys):
+    # jets take only nonnegative integer powers; x**1.5 used to pass
+    # stage_map and fail at the map's first jet, a traceback with exit 1
+    p = _write(tmp_path, "[map]\npreset = expr\n"
+               "expression = mod1(x + x**1.5)\ndomain = circle\n"
+               "r = 1.4\n\n[run]\np = 4\nseeds = 200\nn = 10\n\n"
+               f"[output]\ndir = {tmp_path / 'o'}\n")
+    assert main(["--config", str(p), "pipeline"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: map construction failed: ")
+    assert "integer" in err
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
 def test_cli_exit_code_budget(tmp_path, capsys):
     ini = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o").replace(
         "p = 4", "p = 7").replace(
@@ -715,9 +729,19 @@ def test_timings_flag_leaves_the_outputs_alone(tmp_path, capsys):
         "map", "branches", "tree", "times", "measure", "entropy", "checks"]
     for e in entries:
         assert e["wall_s"] >= 0 and e["cpu_s"] >= 0 and e["ru_maxrss_mb"] > 0
+    # verify writes one entry per battery, and the same checks.csv as
+    # run_verify without a timings list
     assert main(["--out", str(tmp_path / "v"), "--timings", str(path),
                  "verify", "--quick"]) == 0
-    assert [e["stage"] for e in json.loads(path.read_text())] == ["verify"]
+    entries = json.loads(path.read_text())
+    assert [e["stage"] for e in entries] == [
+        "enm", "misiurewicz", "tree_build", "verify_tree", "taylor_window",
+        "branch_count"]
+    for e in entries:
+        assert e["wall_s"] >= 0 and e["cpu_s"] >= 0 and e["ru_maxrss_mb"] > 0
+    assert run_verify(tmp_path / "u", rng_seed=0, quick=True)
+    assert (tmp_path / "u" / "checks.csv").read_bytes() == (
+        tmp_path / "v" / "checks.csv").read_bytes()
 
 
 def _check_rows(out):

@@ -1,5 +1,5 @@
-"""Golden outputs: every out/ file of two small pipelines and of the full
-and quick verify batteries, by sha256.
+"""Golden outputs: every out/ file of two small pipelines, of the full
+and quick verify batteries and of a tree-stage run, by sha256.
 
 The pipeline digests in golden_digests.json were recorded from the code
 as it was before the per-point work in gibbs_check and
@@ -10,17 +10,22 @@ before the tree's vertices became level arrays.  The two pipelines'
 checks.csv digests were re-recorded when invariance_defect became one
 telescoped sum over run starts and run ends' images: its row's lhs and
 margin moved in the last digits (a different summation order), and
-every other file kept its digest.  A change that alters an output on
-purpose updates that file and says which output changed and why.
+every other file kept its digest.  The doubling_tree digests (the map,
+branches and tree stages of doubling_small at p = 7 with the tree
+detector, one level) were recorded before the vertex type became a
+boolean column, so tree.csv's vtype text is pinned.  A change that
+alters an output on purpose updates that file and says which output
+changed and why.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from acim1d.cli import run_pipeline, run_verify
+from acim1d.cli import PipelineState, _stages, run_pipeline, run_verify
 from acim1d.config import load_config
 
 TESTS = Path(__file__).resolve().parent
@@ -72,6 +77,12 @@ def test_outputs_match_golden_digests(name, tmp_path):
     out = tmp_path / "out"
     if name.startswith("verify_"):
         assert run_verify(out, rng_seed=0, quick=name == "verify_quick")
+    elif name == "doubling_tree":
+        cfg = dataclasses.replace(_config("doubling_small", tmp_path), p=7,
+                                  detector="both", tree_levels=1)
+        st = PipelineState(cfg, out)
+        for stage in _stages("tree"):
+            stage(st)
     else:
         run_pipeline(_config(name, tmp_path), out_dir=out)
     assert _digests(out) == GOLDEN[name]

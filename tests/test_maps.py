@@ -380,6 +380,18 @@ def test_expression_language_rejects_junk():
         make_map("expr", expression="x + y")
 
 
+@pytest.mark.parametrize("expression", [
+    "x**1.5", "mod1(x + x**1.5)", "x**-1", "x**x", "0.5 + 0.1*2**x", "3"])
+def test_expression_jets_cannot_take_fail_as_the_map_is_built(expression):
+    with pytest.raises((TypeError, ValueError)):
+        make_map("expr", expression=expression)
+
+
+def test_expression_sqrt_builds():
+    f = make_map("expr", expression="x*sqrt(x)")
+    assert f.deriv(1, 0.25) == 0.75
+
+
 def check_map_invariants(f, samples=256, rng=None):
     """Sampled verification of the SmoothMap1D contract; returns a report."""
     rng = rng or np.random.default_rng(0)

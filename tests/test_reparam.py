@@ -143,7 +143,7 @@ def test_cover_centers_layout(u0, width, frac):
     tol = 1e-12  # absolute tolerance of the covering checks
     assert len(plain_c) == 2
     assert len(exp_c) <= 3.0 * (u1 - u0) / (2.0 * rho) + 1.0
-    for c in exp_c + plain_c:
+    for c in [*exp_c, *plain_c]:
         assert u0 - tol <= c - rho and c + rho <= u1 + tol
     # plain pieces count with full images, expanding ones with middle thirds
     spans = sorted([(c - rho, c + rho) for c in plain_c] +

@@ -1,6 +1,7 @@
 """Reparametrization-tree construction, certificates, walks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from acim1d.maps import CIRCLE, make_map, orbit_grid, power_map
 from acim1d.reparam import affine_reparam, choose_epsilon
 from acim1d.times import density, verify_hyperbolic
 from acim1d.tree import (
-    ReparamTree, _labels, _witness_pass_rates, distortion_suite, verify_tree,
+    VERTEX, ReparamTree, _labels, _witness_pass_rates, distortion_suite,
+    verify_tree,
 )
 
 
@@ -24,7 +26,7 @@ def _doubling_tree(p=7, levels=2):
 def test_doubling_tree_builds_and_verifies():
     tree, eps = _doubling_tree()
     assert tree.n_vertices > 10 ** 4
-    assert np.any(tree.levels[1].vtype == "Expanding")
+    assert np.any(tree.levels[1].expanding)
     rep = verify_tree(tree, witness_samples=32, cert_sample=32,
                       rng=np.random.default_rng(1))
     assert rep["ok"], {k: v for k, v in rep.items() if isinstance(v, dict)
@@ -61,7 +63,7 @@ def test_rotation_tree_is_single_chain():
     tree = ReparamTree(rot, 1, sig, eps).build(4)
     assert [len(lv) for lv in tree.levels] == [1, 1, 1, 1, 1]
     assert all(np.all(lv.passthrough) for lv in tree.levels[1:])
-    assert all(np.all(lv.vtype == "Plain") for lv in tree.levels[1:])
+    assert not any(np.any(lv.expanding) for lv in tree.levels[1:])
     rep = verify_tree(tree, witness_samples=16, cert_sample=8)
     assert rep["ok"]
     assert rep["item5"]["log_factor_regularized"]
@@ -135,8 +137,7 @@ def test_walk_matches_materialized_levels():
     for n in (1, 2):
         lv = tree.levels[n]
         t = tree.param_of(x, lv.theta_alpha, lv.theta_rho)
-        if np.any((lv.vtype == "Expanding")
-                  & (np.abs(t) <= 1.0 / 3.0 + 1e-12)):
+        if np.any(lv.expanding & (np.abs(t) <= 1.0 / 3.0 + 1e-12)):
             manual.append(n)
     assert E == manual
 
@@ -226,6 +227,46 @@ def test_walk_same_on_built_and_unbuilt_tree():
     assert sum(map(len, walks)) > 200
 
 
+def test_lazy_blocks_equal_slices_of_the_built_levels():
+    # the walk visits parents in its own (distance) order, not vid order;
+    # each cached block is that parent's children as built, byte for byte
+    # in every field but the level-2 vids (numbered in the walk's order)
+    built, _ = _doubling_tree(levels=2)
+    lazy, _ = _doubling_tree(levels=0)
+    for x in built.sigma_c + built.sigma_s * np.linspace(-0.9, 0.9, 7):
+        lazy.walk_geometric_times(float(x), 2)
+    assert len(lazy._lazy) > 8
+    for v, block in lazy._lazy.items():
+        level = built.levels[1 if v == 0 else 2]
+        want = level[level.parent == v]
+        assert len(block) == len(want) > 0
+        for name in VERTEX.names:
+            if name != "vid" or v == 0:
+                assert block[name].tobytes() == want[name].tobytes(), (v, name)
+
+
+def test_tree_memory_stays_lean():
+    # acim1d verify's tree: 56,270 vertices of 102 bytes (5.7 MB).  The
+    # peaks are 8.6 and 11.2 MB when the build drops its grid arrays and
+    # per-child temporaries and verify_tree copies one column at a time;
+    # a text vertex type or whole-record copies put both above 20 MB
+    f = make_map("doubling")
+    eps = choose_epsilon(power_map(f, 7))
+    tree = ReparamTree(f, 7, affine_reparam(0.37, 0.9 * eps), eps)
+    tracemalloc.start()
+    try:
+        tree.build(2)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_tree(tree, rng=np.random.default_rng(0))["ok"]
+        verify_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.n_vertices == 56270
+    assert build_peak < 13e6 and verify_peak < 13e6, (build_peak,
+                                                      verify_peak)
+
+
 # -- witness covering: items 4 and 6 against the per-witness loop ------------
 
 
@@ -235,7 +276,7 @@ def _witness_rates_loop(tree, xs):
     label match down from the root: the oracle of _witness_pass_rates."""
     V = np.concatenate(tree.levels)
     ppos = np.searchsorted(V["vid"], V["parent"])
-    expanding = V["vtype"] == "Expanding"
+    expanding = V["expanding"]
     n_levels = len(tree.levels) - 1
     kx, kpx = _labels(orbit_grid(tree.g, xs, n_levels)[1])
     valid = np.logical_and.accumulate(kpx >= 0, axis=0)
