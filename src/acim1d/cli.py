@@ -1,20 +1,23 @@
 """Experiment runner: map -> times -> measure -> entropy -> verdict.
 
 Subcommands: norms, branches, tree, times, measure, pipeline, verify,
-bound.  Each stage emits CSV files into the output directory; the
-verdict is decided in memory (compute_verdict) from exactly the values
-written to entropy.csv and checks.csv, so those two files reproduce it.
+bound.  Each stage emits CSV files into the output directory.  The
+measure stage selects A_n and writes the betas grid, mu and its
+histogram; mu and its checks.csv rows come from measure_rows, a function
+of the seed subset.  A checks.csv margin is rhs - lhs where rhs bounds
+lhs from above, else lhs - rhs.  The verdict is decided in memory
+(compute_verdict) from exactly the values written to entropy.csv and
+checks.csv, so those two files reproduce it.
 Exit codes: 0 success, 1 verify failures (some check in checks.csv
 failed) or any other Acim1dError, 2 config error (a bad bound input
 too), 3 empty selection, 4 tree budget exceeded.  --timings PATH writes
 each stage's wall and CPU time and peak RSS to PATH as JSON, so no file
 of the output directory depends on the clock.
 
-Determinism: every random draw descends from the config rng_seed via
-numpy SeedSequence spawning in a fixed stage order, and floats are
-printed as format(v, ".17g"): row by row in the small CSVs, and in
-measure.csv and times.csv by the array formatter _g17, byte-equal to
-it.  So a rerun reproduces every CSV byte for byte.
+Determinism: every random draw descends from rng_seed via SeedSequence
+spawning in a fixed stage order, and floats print as format(v, ".17g"),
+in measure.csv and times.csv by the byte-equal array formatter _g17.
+So a rerun reproduces every CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = ["main", "run_pipeline", "bound_calculator", "bound_analytic",
 
 
 NAN = float("nan")
+_REFERENCES = {"uniform": ref_uniform, "logistic": ref_logistic_acip}
 
 # verify_tree's items as checks.csv rows: (report key, value, bound), the
 # value being the item's worst margin or its lowest per-level pass rate
@@ -227,26 +231,26 @@ CHECKS_HEADER = ("check_name", "instance_id", "lhs", "rhs", "margin",
 REQUIRED_CHECKS = frozenset(("invariance_defect", "mane_sete", "mane_hq"))
 
 
-def _row(name, instance, lhs, rhs, margin, ok, ci=(NAN, NAN)):
+def _row(name, instance, lhs, rhs, ok, ci=(NAN, NAN), upper=True):
     """A checks.csv row, with the confidence interval ci when there is one.
+    Its margin is rhs - lhs when rhs bounds lhs from above, else lhs - rhs.
     It fails when its value lhs is NaN, whatever ok says: a check that
     could not be evaluated never passes."""
-    return (name, instance, lhs, rhs, margin, ci[0], ci[1],
-            int(bool(ok) and not math.isnan(lhs)))
+    return (name, instance, lhs, rhs, rhs - lhs if upper else lhs - rhs,
+            ci[0], ci[1], int(bool(ok) and not math.isnan(lhs)))
 
 
 def _tree_rows(rep, instance):
     """checks.csv rows of a verify_tree report: the worst distortion ratio
     against 3/2, then each of _TREE_ITEMS against its bound (an item with
     no level to rate gets NaN)."""
-    ratio = rep["distortion"]["worst_ratio"]
-    rows = [_row("tree_distortion", instance, ratio, 1.5, 1.5 - ratio,
-                 rep["distortion"]["ok"])]
+    d = rep["distortion"]
+    rows = [_row("tree_distortion", instance, d["worst_ratio"], 1.5, d["ok"])]
     for key, field, bound in _TREE_ITEMS:
         v = rep[key][field]
         v = float(min(v, default=NAN) if isinstance(v, list) else v)
-        rows.append(_row("tree_" + key, instance, v, bound, v - bound,
-                         rep[key]["ok"]))
+        rows.append(_row("tree_" + key, instance, v, bound, rep[key]["ok"],
+                         upper=False))
     return rows
 
 
@@ -388,7 +392,7 @@ def stage_times(st):
         # open question beyond linear maps
         rate = st.pool.provenance["tree_agreement_rate"]
         st.checks.append(_row("detector_agreement", "tree_vs_surrogate",
-                              rate, NAN, NAN, True))
+                              rate, NAN, True))
     _write_csv(st.out / "times.csv", ("x", "times"),
                chunks=_chunks(_times_body, st.pool.seeds, st.pool.time_mask))
 
@@ -403,73 +407,71 @@ def stage_times(st):
     return st
 
 
+def measure_rows(st, selection, table=None):
+    """(mu, est, rows): mu_n^{M,m} (max M, min m) at selection.n on its
+    seeds, its histogram and checks.csv rows; table is their chain_table at
+    max M, built unless given.  Writes no file and sets nothing on st."""
+    cfg = st.cfg
+    M, q = max(cfg.M_list), max(cfg.q_list)
+    mu = empirical_measure(selection, M, min(cfg.m_list), table=table)
+    est = density_estimate(mu, cfg.bins)
+    rows, ref = [], _REFERENCES.get(cfg.reference)
+    if ref is not None:
+        l1 = compare_density(est, ref)
+        rows.append(_row("density_l1", cfg.reference, l1, cfg.tol_l1,
+                         l1 <= cfg.tol_l1))
+    rep = invariance_defect(mu, st.g)
+    rows.append(_row("invariance_defect", "mu", rep["defect"], rep["bound"],
+                     rep["ok"]))
+    gap = support_gap_from_critical(
+        mu, st.bp.critical, g=st.g, M=M,
+        log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]))
+    rows.append(_row("support_gap", "min_distance", gap["gap"], 0.0,
+                     not gap["flagged_zero"], upper=False))
+    if "deriv_floor_margin" in gap:
+        rows.append(_row("deriv_floor", f"M={M}", gap["deriv_floor_margin"],
+                         0.0, gap["deriv_floor_ok"], upper=False))
+    proxy = positive_exponent_proxy(mu)
+    rows.append(_row("exponent_proxy", "later_time_expansion", proxy,
+                     PROXY_MIN, proxy >= PROXY_MIN, upper=False))
+    mane = verify_mane_bounds(mu, st.g, q, bp=st.bp, norms=st.norms_g,
+                              rng=np.random.default_rng(st.seq_offset))
+    for key in ("sete", "hq"):
+        rows.append(_row(f"mane_{key}", f"q={q}", mane[f"{key}_lhs"],
+                         mane[f"{key}_rhs"], mane[f"{key}_ok"]))
+    rows.append(_row("mane_branch_size", "atoms", mane["branch_size_margin"],
+                     0.0, mane["branch_size_ok"], upper=False))
+    return mu, est, rows
+
+
 def stage_measure(st):
     cfg = st.cfg
     st.b = b = st.norms_f.R_estimate / cfg.r + cfg.delta
     st.selection = select_An(st.pool, max(cfg.n_list), cfg.beta, b, st.p)
 
-    # beta_nMm over the (n, M, m) grid from one chain table per M: the
-    # plateau at the largest (n, M) and smallest m estimates beta_inf.
-    # Counts at n read only columns below n, so the tables stop at max n,
-    # and the one at max M is the table the measure trims.
+    # beta_nMm over the (n, M, m) grid, one chain table per M; its largest
+    # (n, M), smallest-m entry estimates beta_inf.  Counts at n read only
+    # columns below n, so E stops at max n; the max-M table goes on to mu.
     E = st.pool.time_mask[st.selection.indices, :st.selection.n]
-    betas, M_top = {}, max(cfg.M_list)
-    for M in cfg.M_list:
+    betas = {}
+    for M in sorted(cfg.M_list):
         table = chain_table(E, M)
-        if M == M_top:
-            top = table
         for m in cfg.m_list:
-            counts = trim_counts(table, m)
+            mean = trim_counts(table, m).mean(axis=0)   # over seeds, per n
             for n in cfg.n_list:
-                betas[(n, M, m)] = float(np.mean(counts[:, n])) / n
-    del E, table, counts    # not held through the per-atom checks below
+                betas[(n, M, m)] = float(mean[n]) / n
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
                [(n, M, m, v) for (n, M, m), v in sorted(betas.items())])
 
-    st.mu = empirical_measure(st.selection, M_top, min(cfg.m_list),
-                              normalization="mu", table=top)
-    del top
+    st.mu, est, rows = measure_rows(st, st.selection, table)
+    del E, table    # not held through the writes and the Gibbs checks
+    st.checks += rows
+    st.exponent_proxy = next(r[2] for r in rows if r[0] == "exponent_proxy")
     _write_csv(st.out / "measure.csv", ("point", "weight"),
                chunks=_chunks(_measure_body, st.mu.atoms, st.mu.weights))
-
-    est = density_estimate(st.mu, cfg.bins)
-    ref = {"uniform": ref_uniform, "logistic": ref_logistic_acip}.get(
-        cfg.reference)
     _write_csv(st.out / "hist.csv",
                ("bin_left", "bin_right", "mass", "reference_mass"),
-               est.to_rows(ref))
-    if ref is not None:
-        l1 = compare_density(est, ref)
-        st.checks.append(_row("density_l1", cfg.reference, l1, cfg.tol_l1,
-                              cfg.tol_l1 - l1, l1 <= cfg.tol_l1))
-
-    rep = invariance_defect(st.mu, st.g)
-    st.checks.append(_row("invariance_defect", "mu", rep["defect"],
-                          rep["bound"], rep["bound"] - rep["defect"],
-                          rep["ok"]))
-    gap = support_gap_from_critical(
-        st.mu, st.bp.critical, g=st.g, M=max(cfg.M_list),
-        log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]))
-    st.checks.append(_row("support_gap", "min_distance", gap["gap"], 0.0,
-                          gap["gap"], not gap["flagged_zero"]))
-    if "deriv_floor_margin" in gap:
-        margin = gap["deriv_floor_margin"]
-        st.checks.append(_row("deriv_floor", f"M={max(cfg.M_list)}", margin,
-                              0.0, margin, gap["deriv_floor_ok"]))
-    proxy = st.exponent_proxy = positive_exponent_proxy(st.mu)
-    st.checks.append(_row("exponent_proxy", "later_time_expansion", proxy,
-                          PROXY_MIN, proxy - PROXY_MIN, proxy >= PROXY_MIN))
-
-    mane = verify_mane_bounds(st.mu, st.g, max(cfg.q_list), bp=st.bp,
-                              norms=st.norms_g,
-                              rng=np.random.default_rng(st.seq_offset))
-    for key in ("sete", "hq"):
-        st.checks.append(_row(f"mane_{key}", f"q={max(cfg.q_list)}",
-                              mane[f"{key}_lhs"], mane[f"{key}_rhs"],
-                              mane[f"{key}_margin"], mane[f"{key}_ok"]))
-    margin = mane["branch_size_margin"]
-    st.checks.append(_row("mane_branch_size", "atoms", margin, 0.0, margin,
-                          mane["branch_size_ok"]))
+               est.to_rows(_REFERENCES.get(cfg.reference)))
 
     # the Gibbs cylinder bound at up to gibbs_instances selected seeds
     picks = np.random.default_rng(st.seq_gibbs).choice(
@@ -485,8 +487,7 @@ def stage_measure(st):
                    st.pool.log_derivs[:st.selection.n, s]),
             rng=np.random.default_rng((st.rng_seed, int(s))))
         st.checks.append(_row("gibbs", f"seed={int(s)}", rep["leb_hat"],
-                              rep["rhs"], rep["rhs"] - rep["leb_hat"],
-                              rep["ok"], rep["ci"]))
+                              rep["rhs"], rep["ok"], rep["ci"]))
     return st
 
 
@@ -618,13 +619,12 @@ def run_verify(out_dir, rng_seed=0, quick=False, timings=None):
     nbits = 8 if quick else 12
     mism, viol, total = timed("enm", _enm_battery, nbits)
     rows.append(_row("enm_oracle_equivalence", f"2^{nbits} sets", mism, 0,
-                     -mism, mism == 0))
-    rows.append(_row("enm_lemma", f"{total} instances", viol, 0, -viol,
-                     viol == 0))
+                     mism == 0))
+    rows.append(_row("enm_lemma", f"{total} instances", viol, 0, viol == 0))
 
     count = 200 if quick else 1000
     bad = timed("misiurewicz", misiurewicz_battery, rng, count)
-    rows.append(_row("misiurewicz_random", f"{count} instances", bad, 0, -bad,
+    rows.append(_row("misiurewicz_random", f"{count} instances", bad, 0,
                      bad == 0))
 
     # the tree's certificate on a strongly expanding linear map
@@ -643,12 +643,12 @@ def run_verify(out_dir, rng_seed=0, quick=False, timings=None):
             power_map(make_map("logistic", smoothness_r=4.0), 6))])
     worst = float(np.min([r["worst_margin"] for r in reps]))
     rows.append(_row("taylor_window", "doubling^4 logistic^6", worst, 0.0,
-                     worst, all(r["ok"] for r in reps)))
+                     all(r["ok"] for r in reps), upper=False))
 
     margins, ok = timed("branch_count", _branch_count_battery, quick)
     worst = float(np.min(margins))
     rows.append(_row("branch_count_bound", f"{len(margins)} instances", worst,
-                     0.0, worst, ok))
+                     0.0, ok, upper=False))
 
     _write_csv(out / "checks.csv", CHECKS_HEADER, rows)
     return all(r[-1] == 1 for r in rows)

@@ -403,10 +403,8 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
         margin3 = float(np.min(lengths[ids[good]] - bound)) if good.any() \
             else float("inf")
     return {
-        "sete_lhs": lhs, "sete_rhs": rhs1, "sete_margin": rhs1 - lhs,
-        "sete_ok": rhs1 - lhs >= -1e-9,
-        "hq_lhs": lhs, "hq_rhs": rhs2, "hq_margin": rhs2 - lhs,
-        "hq_ok": rhs2 - lhs >= -1e-9,
+        "sete_lhs": lhs, "sete_rhs": rhs1, "sete_ok": rhs1 - lhs >= -1e-9,
+        "hq_lhs": lhs, "hq_rhs": rhs2, "hq_ok": rhs2 - lhs >= -1e-9,
         "branch_size_margin": margin3,
         "branch_size_ok": margin3 >= -1e-9,
         "c0": C0_MANE, "offset_a": a,

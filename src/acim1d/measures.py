@@ -97,7 +97,8 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
 
 @dataclass
 class Selection:
-    """Indices of pool seeds surviving the A_n filter, plus diagnostics."""
+    """Indices of pool seeds surviving the A_n filter, and the filter's
+    parameters; dataclasses.replace with other indices gives a subset."""
 
     pool: SamplePool
     indices: np.ndarray
@@ -105,8 +106,6 @@ class Selection:
     beta: float
     b: float
     p: int
-    fraction: float
-    leb_proxy_ok: bool
 
     @property
     def n_selected(self):
@@ -123,11 +122,7 @@ def in_An(E, n, growth, beta, b, p):
 
 
 def select_An(pool, n, beta, b, p):
-    """Keep the seeds in A_n (in_An on the pool's time sets and orbits).
-
-    The Lebesgue proxy flag reports whether the retained fraction meets
-    the 1/n^2 threshold that the limit construction asks of Leb(A_n).
-    """
+    """Keep the seeds in A_n (in_An on the pool's time sets and orbits)."""
     if not 1 <= n <= pool.n_orbit:
         raise ValueError(f"selection horizon {n} outside 1..{pool.n_orbit}")
     growth = np.cumsum(pool.log_derivs[:n], axis=0)[-1]
@@ -137,9 +132,7 @@ def select_An(pool, n, beta, b, p):
             f"no seed passed (beta={beta}, b={b}, n={n}); "
             f"max density {density_rows(pool.time_mask, n).max():.3f}, "
             f"max rate {np.max(growth) / (n * p):.3f}")
-    frac = idx.size / pool.n_seeds
-    return Selection(pool=pool, indices=idx, n=n, beta=beta, b=b, p=p,
-                     fraction=frac, leb_proxy_ok=frac >= 1.0 / n ** 2)
+    return Selection(pool=pool, indices=idx, n=n, beta=beta, b=b, p=p)
 
 
 @dataclass

@@ -354,14 +354,17 @@ class ReparamTree:
 
     def to_rows(self):
         """CSV rows (level, parent_id, rate, k, kprime, vtype, image_left,
-        image_right, margin_item3); vtype is the expanding column as text."""
-        col = partial(_column, self.levels)
-        expanding = col("expanding")
-        margin3 = np.where(expanding, col("center1") - self.eps / 6.0, np.nan)
-        return list(zip(*(a.tolist() for a in (
-            col("level"), col("parent"), col("rho"), col("k_label"),
-            col("kprime_label"), np.where(expanding, "Expanding", "Plain"),
-            col("image_left"), col("image_right"), margin3))))
+        image_right, margin_item3) of the non-root vertices in vid order,
+        yielded 2^13 vertices at a time; vtype is the expanding column as
+        text."""
+        for lv in self.levels[1:]:
+            for i in range(0, len(lv), 1 << 13):
+                v = lv[i:i + (1 << 13)]
+                yield from zip(*(a.tolist() for a in (
+                    v.level, v.parent, v.rho, v.k_label, v.kprime_label,
+                    np.where(v.expanding, "Expanding", "Plain"),
+                    v.image_left, v.image_right, np.where(
+                        v.expanding, v.center1 - self.eps / 6.0, np.nan))))
 
 
 def _column(levels, name):

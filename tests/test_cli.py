@@ -276,14 +276,18 @@ def test_verdict_fails_closed_on_missing_required_row(tmp_path):
 
 
 def test_compute_verdict_over_rows_in_memory():
-    rows = [cli._row(name, "i", 1.0, 2.0, 1.0, True)
+    rows = [cli._row(name, "i", 1.0, 2.0, True)
             for name in sorted(cli.REQUIRED_CHECKS)]
-    failed = cli._row("gibbs", "seed=1", 3.0, 2.0, -1.0, False)
+    failed = cli._row("gibbs", "seed=1", 3.0, 2.0, False)
+    # the margin is rhs - lhs for an upper bound, lhs - rhs for a lower one
+    assert rows[0][4] == 1.0 and failed[4] == -1.0
+    assert cli._row("x", "i", 3.0, 2.0, True, upper=False)[4] == 1.0
     assert compute_verdict(True, True, rows + [failed]) == "AC-consistent"
     assert compute_verdict(True, False, rows) == "not-AC"
     assert compute_verdict(False, True, rows) == "not-AC"
     # a second row of a required name counts too, and so does a NaN value
-    nan_row = cli._row("mane_hq", "j", math.nan, 2.0, math.nan, True)
+    nan_row = cli._row("mane_hq", "j", math.nan, 2.0, True)
+    assert math.isnan(nan_row[4])
     assert compute_verdict(True, True, rows + [nan_row]) == "not-AC"
     assert compute_verdict(True, True, rows[1:]) == "not-AC"
 
@@ -447,6 +451,95 @@ def test_stage_measure_counts_each_M_m_once(tmp_path, monkeypatch):
     assert calls == {"chain_table": len(st.cfg.M_list), "trim_counts": 4,
                      "trim_masks": 1}
     assert len((st.out / "betas.csv").read_text().splitlines()) == 1 + 8
+
+
+MEASURE_ROWS = ["density_l1", "invariance_defect", "support_gap",
+                "deriv_floor", "exponent_proxy", "mane_sete", "mane_hq",
+                "mane_branch_size"]
+
+
+def _measured(tmp_path):
+    """A surrogate doubling run through the measure stage: its checks.csv
+    rows are the measure rows alone (no tree, no Gibbs instances)."""
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=1500, seed=5,
+                                             out=tmp_path / "o"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("measure"):
+        stage(st)
+    return st
+
+
+def _texts(rows):
+    """rows as checks.csv holds them, so that NaN matches NaN"""
+    return [[cli._fmt(v) for v in row] for row in rows]
+
+
+def test_measure_rows_on_the_full_selection_give_the_stage_outputs(tmp_path):
+    st = _measured(tmp_path)
+    mu, est, rows = cli.measure_rows(st, st.selection)
+    assert mu.atoms.tobytes() == st.mu.atoms.tobytes()
+    assert mu.weights.tobytes() == st.mu.weights.tobytes()
+    assert [row[0] for row in rows] == MEASURE_ROWS
+    assert _texts(rows) == _texts(st.checks)
+    cli._write_csv(tmp_path / "hist.csv",
+                   ("bin_left", "bin_right", "mass", "reference_mass"),
+                   est.to_rows(cli.ref_uniform))
+    assert (tmp_path / "hist.csv").read_bytes() == \
+        (st.out / "hist.csv").read_bytes()
+
+
+def test_measure_rows_on_a_subset_restrict_the_full_measure(tmp_path):
+    # trimming is per seed, so a subset's measure is the full one's atoms
+    # at the subset's seeds
+    st = _measured(tmp_path)
+    full = st.mu
+    sub = dataclasses.replace(st.selection,
+                              indices=st.selection.indices[::2])
+    mu = cli.measure_rows(st, sub)[0]
+    assert mu.per_seed_counts.tolist() == full.per_seed_counts[::2].tolist()
+    keep = np.isin(full.seed_idx, sub.indices)
+    assert 0 < keep.sum() < full.n_atoms
+    assert mu.atoms.tobytes() == full.atoms[keep].tobytes()
+    assert mu.seed_idx.tolist() == full.seed_idx[keep].tolist()
+    # a shorter horizon: the measure stops at the subset's n
+    short = cli.measure_rows(st, dataclasses.replace(sub, n=8))[0]
+    assert short.meta["n"] == 8 and short.time_idx.max() < 8
+
+
+def test_measure_rows_write_nothing_and_leave_the_state(tmp_path):
+    st = _measured(tmp_path)
+
+    def files():
+        return {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+
+    before, attrs, checks = files(), dict(vars(st)), list(st.checks)
+    first = cli.measure_rows(st, st.selection)[2]
+    second = cli.measure_rows(st, st.selection)[2]
+    assert _texts(first) == _texts(second) == _texts(checks)
+    assert files() == before
+    assert vars(st).keys() == attrs.keys()
+    assert all(vars(st)[k] is v for k, v in attrs.items())
+    assert st.checks == checks
+
+
+def test_measure_rows_build_a_chain_table_only_when_none_is_given(
+        tmp_path, monkeypatch):
+    st = _measured(tmp_path)
+    M = max(st.cfg.M_list)
+    table = times.chain_table(
+        st.pool.time_mask[st.selection.indices, :st.selection.n], M)
+    built, real = [], times.chain_table
+
+    def counted(E, M):
+        built.append(M)
+        return real(E, M)
+    for module in (cli, measures, times, entropy):
+        if hasattr(module, "chain_table"):
+            monkeypatch.setattr(module, "chain_table", counted)
+    given = cli.measure_rows(st, st.selection, table)[2]
+    assert built == []
+    assert _texts(cli.measure_rows(st, st.selection)[2]) == _texts(given)
+    assert built == [M]
 
 
 @pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])

@@ -1,4 +1,4 @@
-"""Golden outputs: every out/ file of two small pipelines, of the full
+"""Golden outputs: every out/ file of three small pipelines, of the full
 and quick verify batteries and of a tree-stage run, by sha256.
 
 The pipeline digests in golden_digests.json were recorded from the code
@@ -13,7 +13,12 @@ margin moved in the last digits (a different summation order), and
 every other file kept its digest.  The doubling_tree digests (the map,
 branches and tree stages of doubling_small at p = 7 with the tree
 detector, one level) were recorded before the vertex type became a
-boolean column, so tree.csv's vtype text is pinned.  A change that
+boolean column, so tree.csv's vtype text is pinned.  The doubling_both
+digests (the whole doubling_small pipeline at 1500 seeds with both
+detectors and a one-level tree) were recorded before the measure stage's
+rows moved into measure_rows and _row began deriving the margin: they
+pin the detector_agreement and tree rows of a pipeline's checks.csv,
+which no other entry reaches.  A change that
 alters an output on purpose updates that file and says which output
 changed and why.
 """
@@ -77,6 +82,10 @@ def test_outputs_match_golden_digests(name, tmp_path):
     out = tmp_path / "out"
     if name.startswith("verify_"):
         assert run_verify(out, rng_seed=0, quick=name == "verify_quick")
+    elif name == "doubling_both":
+        run_pipeline(dataclasses.replace(
+            _config("doubling_small", tmp_path), detector="both",
+            tree_levels=1, seeds=1500), out_dir=out)
     elif name == "doubling_tree":
         cfg = dataclasses.replace(_config("doubling_small", tmp_path), p=7,
                                   detector="both", tree_levels=1)

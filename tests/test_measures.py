@@ -40,7 +40,6 @@ def test_select_all_pass_doubling():
     pool, _ = _doubling_pool()
     sel = select_An(pool, 10, beta=0.5, b=0.5, p=4)
     assert sel.n_selected == pool.n_seeds
-    assert sel.leb_proxy_ok
 
 
 def test_select_empty_when_b_too_large():
