@@ -5,8 +5,8 @@ Run:  python3 demos/02_monotone_branches.py
 
 import math
 
-from acim1d import count_branches_with_min_slope, make_map, \
-    monotone_branches, power_map
+from acim1d import count_branches_with_min_slope, estimate_norms, \
+    make_map, monotone_branches, power_map
 
 print("== branches of basic maps ==")
 for name, kw in [("doubling", {}), ("logistic", {}),
@@ -22,8 +22,9 @@ print("  number of branches where sup|g'| >= s, vs C(r',g) s^(-1/(r'-1)) + 1")
 for p in (1, 2, 3):
     g = power_map(make_map("logistic"), p)
     part = monotone_branches(g, grid_size=2 ** 14)
+    norms = estimate_norms(g, grid_size=2 ** 14, refine_iters=2, n_used=2)
     for s in (0.5, 2.0):
-        count, rep = count_branches_with_min_slope(g, s, partition=part)
+        count, rep = count_branches_with_min_slope(g, s, part, norms)
         print(f"  logistic^{p}, s={s}: count={count:3d} "
               f"bound={rep['bound']:9.2f} ok={rep['within_bound']}")
 

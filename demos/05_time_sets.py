@@ -3,6 +3,8 @@
 Run:  python3 demos/05_time_sets.py
 """
 
+import math
+
 import numpy as np
 
 from acim1d import hyperbolic_surrogate_times, make_map, power_map, \
@@ -29,13 +31,14 @@ print(f"  200 random sets: zero violations, worst item-iii margin {worst}")
 
 print("\n== surrogate hyperbolic times ==")
 print("  l is kept iff |(g^(l-k))'(g^k x)| >= 10^(l-k) for every k < l")
-for name, p in (("doubling", 4), ("logistic", 6)):
+for name, p, log_sup in (("doubling", 4, math.log(2.0)),
+                         ("logistic", 6, math.log(4.0))):
     f = make_map(name)
     g = power_map(f, p)
     E = hyperbolic_surrogate_times(g, 0.137, 60)
     print(f"  {name}^{p}: density d_60 = {density(E, 60):.3f} "
           f"first times {E[:8]}")
-    rep = verify_hyperbolic(g, 0.137, E, 60, 3, 2)
+    rep = verify_hyperbolic(g, 0.137, E, 60, 3, 2, p * log_sup)
     print(f"     expansion margins: i={rep['i_margin']:.3f} "
           f"ii={rep['ii_margin']:.3f} iii={rep['iii_margin']:.3f}")
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from acim1d import make_map, power_map
+from acim1d import estimate_norms, make_map, power_map
 from acim1d.maps import critical_set
 from acim1d.measures import (
     build_seed_pool, compare_density, density_estimate, empirical_measure,
@@ -42,8 +42,9 @@ est = density_estimate(mu, 200)
 print(f"  L1 distance to 1/(pi sqrt(x(1-x))): "
       f"{compare_density(est, ref_logistic_acip):.4f}")
 g = power_map(fl, p)
-gap = support_gap_from_critical(mu, critical_set(g, grid_size=2 ** 14),
-                                g=g, M=3)
+norms = estimate_norms(g, grid_size=2 ** 14, refine_iters=2, n_used=2)
+gap = support_gap_from_critical(mu, critical_set(g, grid_size=2 ** 14), g, 3,
+                                math.log(norms.sup_abs_deriv[1]))
 print(f"  support stays {gap['gap']:.2e} away from the critical set; "
       f"derivative floor margin {gap['deriv_floor_margin']:.2f}")
 print(f"  positive-exponent proxy (later expanding time per atom): "

@@ -8,19 +8,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from acim1d import make_map, power_map
+from acim1d import estimate_norms, make_map, monotone_branches, power_map
 from acim1d.entropy import (
-    C0_MANE, entropy_formula_residual, gibbs_check, qbin_label,
+    C0_MANE, QBIN_TAIL, entropy_formula_residual, gibbs_check, qbin_label,
     verify_mane_bounds, verify_misiurewicz,
 )
 from acim1d.measures import build_seed_pool, empirical_measure, select_An
 
 print("== the level-set partition Q_q ==")
-label = qbin_label(make_map("logistic"), q=2, a=-0.3, k_lo=-20)
+label = qbin_label(make_map("logistic"), q=2, a=-0.3)
 k = np.unique(label(np.linspace(0.0, 1.0, 2 ** 14 + 1)))
 print(f"  logistic, q=2, 2^14 + 1 grid points: {k.size} populated bins "
       f"k = {k.tolist()}")
-print("  (k = -21 is the tail bin: the critical point 1/2)")
+print(f"  (k = {QBIN_TAIL} is the tail bin: the critical point 1/2)")
 
 print("\n== block-entropy inequality (exact masses) ==")
 T = [(2 * s) % 8 for s in range(8)]
@@ -38,7 +38,9 @@ pool = build_seed_pool(f, p, n, 6000, np.random.default_rng(3))
 b = math.log(4.0) / 4.0 + 0.1
 sel = select_An(pool, n, beta=0.1, b=b, p=p)
 mu = empirical_measure(sel, M=3, m=1)
-mane = verify_mane_bounds(mu, g, q=4)
+bp = monotone_branches(g, grid_size=2 ** 14)
+norms = estimate_norms(g, grid_size=2 ** 14, refine_iters=2, n_used=2)
+mane = verify_mane_bounds(mu, g, 4, bp, norms, np.random.default_rng(4))
 print(f"  Mane bounds: H(Q_q) = {mane['hq_lhs']:.3f} <= "
       f"{mane['hq_rhs']:.3f}; branch-size margin "
       f"{mane['branch_size_margin']:.2e}")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import SortedTable, critical_set, estimate_norms
+from .maps import SortedTable, critical_set
 from .solvers import brentq, minimize_bounded
 
 __all__ = [
@@ -245,17 +245,16 @@ def rprime_norm(g, norms):
         norms.sup_abs_deriv["r"]
 
 
-def count_branches_with_min_slope(g, s, partition=None, norms=None):
-    """Branches where sup|g'| >= s, with the C^r counting bound.
+def count_branches_with_min_slope(g, s, partition, norms):
+    """Branches of partition where sup|g'| >= s, with the C^r counting
+    bound from norms, g's estimate_norms.
 
     bound = C(r', g) s^{-1/(r'-1)} + 1 with C = ||d^{r'} g||_inf^{1/(r'-1)},
     multiplied by ||g'||_inf on the circle (extra injectivity cuts).
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    part = partition or monotone_branches(g)
-    norms = norms or estimate_norms(g)
-    count = sum(1 for br in part.branches if br.sup_slope >= s)
+    count = sum(1 for br in partition.branches if br.sup_slope >= s)
     rprime, d_rp = rprime_norm(g, norms)
     C = d_rp ** (1.0 / (rprime - 1.0)) if d_rp > 0 else 0.0
     bound = C * s ** (-1.0 / (rprime - 1.0)) + 1.0

@@ -410,10 +410,13 @@ def stage_times(st):
 def measure_rows(st, selection, table=None):
     """(mu, est, rows): mu_n^{M,m} (max M, min m) at selection.n on its
     seeds, its histogram and checks.csv rows; table is their chain_table at
-    max M, built unless given.  Writes no file and sets nothing on st."""
+    max M, built unless given, and dropped once mu is built (a caller that
+    hands over its only reference frees it there).  Writes no file and
+    sets nothing on st."""
     cfg = st.cfg
     M, q = max(cfg.M_list), max(cfg.q_list)
     mu = empirical_measure(selection, M, min(cfg.m_list), table=table)
+    del table
     est = density_estimate(mu, cfg.bins)
     rows, ref = [], _REFERENCES.get(cfg.reference)
     if ref is not None:
@@ -428,9 +431,8 @@ def measure_rows(st, selection, table=None):
         log_sup_gprime=math.log(st.norms_g.sup_abs_deriv[1]))
     rows.append(_row("support_gap", "min_distance", gap["gap"], 0.0,
                      not gap["flagged_zero"], upper=False))
-    if "deriv_floor_margin" in gap:
-        rows.append(_row("deriv_floor", f"M={M}", gap["deriv_floor_margin"],
-                         0.0, gap["deriv_floor_ok"], upper=False))
+    rows.append(_row("deriv_floor", f"M={M}", gap["deriv_floor_margin"], 0.0,
+                     gap["deriv_floor_ok"], upper=False))
     proxy = positive_exponent_proxy(mu)
     rows.append(_row("exponent_proxy", "later_time_expansion", proxy,
                      PROXY_MIN, proxy >= PROXY_MIN, upper=False))
@@ -451,20 +453,21 @@ def stage_measure(st):
 
     # beta_nMm over the (n, M, m) grid, one chain table per M; its largest
     # (n, M), smallest-m entry estimates beta_inf.  Counts at n read only
-    # columns below n, so E stops at max n; the max-M table goes on to mu.
+    # columns below n, so E stops at max n; the max-M table goes on to mu,
+    # measure_rows holding its only reference.
     E = st.pool.time_mask[st.selection.indices, :st.selection.n]
     betas = {}
     for M in sorted(cfg.M_list):
-        table = chain_table(E, M)
+        tables = [chain_table(E, M)]
         for m in cfg.m_list:
-            mean = trim_counts(table, m).mean(axis=0)   # over seeds, per n
+            mean = trim_counts(tables[0], m).mean(axis=0)  # over seeds, per n
             for n in cfg.n_list:
                 betas[(n, M, m)] = float(mean[n]) / n
     _write_csv(st.out / "betas.csv", ("n", "M", "m", "beta_nMm"),
                [(n, M, m, v) for (n, M, m), v in sorted(betas.items())])
 
-    st.mu, est, rows = measure_rows(st, st.selection, table)
-    del E, table    # not held through the writes and the Gibbs checks
+    del E
+    st.mu, est, rows = measure_rows(st, st.selection, tables.pop())
     st.checks += rows
     st.exponent_proxy = next(r[2] for r in rows if r[0] == "exponent_proxy")
     _write_csv(st.out / "measure.csv", ("point", "weight"),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientAtoms, OffsetNotFound
 from .branches import monotone_branches, rprime_norm
-from .maps import estimate_norms, orbit_grid, power_map
+from .maps import orbit_grid, power_map
 from .measures import (
     PROXY_MIN, forward_points, in_An, log_derivs_at, positive_exponent_proxy,
 )
@@ -55,6 +55,7 @@ MISIUREWICZ_DPS = 41      # decimal digits (>= 136 bits) of the exact
                           # block-entropy check
 MIN_ATOMS = 10 ** 4       # entropy_formula_residual's smallest measure
 RANK_SPAN = 4             # _ranks counts while span <= RANK_SPAN * size
+QBIN_TAIL = -10 ** 9 - 1  # Q_q index of the bins below it and of criticals
 # misiurewicz_battery's instances per kernel call: each array stays below
 # malloc's 128 KiB mmap threshold, which freeing a larger one would raise
 BATTERY_BLOCK = 256
@@ -65,24 +66,22 @@ BATTERY_BLOCK = 256
 # ---------------------------------------------------------------------------
 
 
-def qbin_label(g, q, a, k_lo=-10 ** 9):
+def qbin_label(g, q, a):
     """Vectorized Q_q bin index of points: k with log|g'(x)| in I_{q,k}.
 
-    Values below k_lo (or at criticals) are lumped into the tail index
-    k_lo - 1.
+    Indices below QBIN_TAIL (and criticals) are lumped into QBIN_TAIL.
     """
     return lambda xs: _qbins(g.log_abs_deriv(np.asarray(xs, dtype=float)),
-                             q, a, k_lo)
+                             q, a)
 
 
-def _qbins(u, q, a, k_lo=-10 ** 9):
+def _qbins(u, q, a):
     """qbin_label's index from the values u = log|g'(x)|."""
-    k = np.where(np.isfinite(u), np.ceil(q * (u - a)) - 1.0, k_lo - 1)
-    return np.maximum(k, k_lo - 1).astype(np.int64)
+    k = np.where(np.isfinite(u), np.ceil(q * (u - a)) - 1.0, QBIN_TAIL)
+    return np.maximum(k, QBIN_TAIL).astype(np.int64)
 
 
-def choose_offset(g, q, orbit_atoms, rng=None, cut_points=None,
-                  log_derivs=None):
+def choose_offset(g, q, orbit_atoms, log_derivs, rng, cut_points=None):
     """Draw a in ]-1/q, 0[ keeping orbit points CUT_DIST away from atom
     borders, trying up to OFFSET_DRAWS offsets.
 
@@ -91,9 +90,8 @@ def choose_offset(g, q, orbit_atoms, rng=None, cut_points=None,
     CUT_DIST of a branch cut (mod 1 on the circle) are tolerated up to
     mass CUT_MASS_TOL (exactly-dyadic maps quantize late orbit points
     onto cuts) and OffsetNotFound is raised only when their fraction is
-    material.  log_derivs, if known, is log|g'| at orbit_atoms.
+    material.  log_derivs is log|g'| at orbit_atoms.
     """
-    rng = rng or np.random.default_rng(0)
     atoms = np.asarray(orbit_atoms, dtype=float)
     cp = [p for p in cut_points or () if not isinstance(p, tuple)]
     if cp:
@@ -102,8 +100,7 @@ def choose_offset(g, q, orbit_atoms, rng=None, cut_points=None,
             raise OffsetNotFound(
                 f"fraction {frac:.3g} of orbit points sit on branch cuts "
                 f"(> {CUT_MASS_TOL})")
-    u = g.log_abs_deriv(atoms) if log_derivs is None else log_derivs
-    u = u[np.isfinite(u)]
+    u = log_derivs[np.isfinite(log_derivs)]
     for _ in range(OFFSET_DRAWS):
         a = -rng.uniform(0.0, 1.0) / q
         if a <= -1.0 / q or a >= 0.0:
@@ -154,24 +151,21 @@ def _ranks(labels, first_seen=False):
     return inv
 
 
-def itinerary_entropy(mu, labels, m, g=None):
+def itinerary_entropy(mu, labels, m):
     """[H_mu(P^1), ..., H_mu(P^m)] by coding atoms with their forward labels.
 
-    labels lists the joined partitions, each as a vectorized point-to-integer
-    label function or as an iterable (a shared list, or a generator) of its
-    label ranks (np.unique inverses) at j = 0..m-1.  Forward points, formed
-    only for label functions, come from a pool's orbits, else from g.
+    labels lists the joined partitions, each as an iterable (a shared list,
+    or a generator) of its label ranks (np.unique inverses) at the forward
+    points j = 0..m-1 of the atoms.
     """
     # rank fold over the columns J_0, Q_0, J_1, ...: after step j, inv is
     # the row rank (np.unique(axis=0)'s inverse) of the columns so far;
     # inv, r < atoms, so keys stay below atoms^2: int64 to ~3e9 atoms
-    labels = [lab if callable(lab) else iter(lab) for lab in labels]
-    points = forward_points(mu, m, g) if any(map(callable, labels)) \
-        else [None] * m
+    labels = [iter(lab) for lab in labels]
     inv, Hs = 0, []
-    for xj in points:
+    for _ in range(m):
         for lab in labels:
-            r = _ranks(lab(xj)) if callable(lab) else next(lab)
+            r = next(lab)
             key = inv * (r.max(initial=0) + 1) + r
             del inv, r      # only key is held while _ranks ranks it
             inv = _ranks(key)
@@ -365,8 +359,7 @@ def misiurewicz_battery(rng, count):
     return bad
 
 
-def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
-                       rng=None):
+def verify_mane_bounds(measure, g, q, bp, norms, rng):
     """The countable-partition entropy bounds on a finite-atom measure.
 
     (1) sum_k -x_k log x_k <= sum_k |k| x_k + c_0 for the Q_q bin masses
@@ -374,11 +367,10 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
     (2) H(Q_q) <= c_0 + 1 + q * int |log|g'|| d(measure),
     (3) per atom: branch length >= (|g'(x)| / ||d^{r'} g||)^{1/(r'-1)}.
     log|g'| comes from log_derivs_at: a pooled measure needs its pool's g.
+    The offset a of Q_q is choose_offset's draw from rng.
     """
-    rng = rng or np.random.default_rng(0)
     u = log_derivs_at(measure, 0, g)
-    a = a if a is not None else choose_offset(g, q, measure.atoms, rng,
-                                              log_derivs=u)
+    a = choose_offset(g, q, measure.atoms, u, rng)
     # bin masses in order of first appearance, each summed in atom order
     bins = _qbins(u, q, a)
     inv = _ranks(bins, first_seen=True)
@@ -391,8 +383,6 @@ def verify_mane_bounds(measure, g, q, a=None, bp=None, norms=None,
         np.where(np.isfinite(u), u, 0.0))))
     rhs2 = C0_MANE + 1.0 + q * int_abs
 
-    bp = bp or monotone_branches(g)
-    norms = norms or estimate_norms(g)
     rp, d_rp = rprime_norm(g, norms)
     margin3 = float("inf")
     if d_rp > 0:
@@ -503,7 +493,7 @@ def ac_verdict(residual_ok, exponent_ok, checks_ok=True):
         else "not-AC"
 
 
-def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
+def entropy_formula_residual(f, mu, q_list, m_list, p, tol=0.05,
                              rng=None, bp=None, exponent_proxy=None):
     """Estimate h(g, P_q) by refinement slopes and compare with int log|g'|.
 
@@ -519,7 +509,6 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     if mu.n_atoms < MIN_ATOMS:
         raise InsufficientAtoms(f"{mu.n_atoms} atoms < {MIN_ATOMS}")
     rng = rng or np.random.default_rng(0)
-    p = p or mu.meta.get("p", 1)
     g = power_map(f, p)
     bp = bp or monotone_branches(g, grid_size=2 ** 14)
     u = log_derivs_at(mu, 0, g)
@@ -531,8 +520,8 @@ def entropy_formula_residual(f, mu, q_list, m_list, p=None, tol=0.05,
     tables = {}
     slopes = {}
     for q in q_list:
-        a = choose_offset(g, q, mu.atoms, rng, cut_points=[
-            pt for pt, _ in bp.cut_points], log_derivs=u)
+        a = choose_offset(g, q, mu.atoms, u, rng, cut_points=[
+            pt for pt, _ in bp.cut_points])
         ranks_Q = (_ranks(_qbins(log_derivs_at(mu, j, g), q, a))
                    for j in range(m_top))
         H_top = itinerary_entropy(mu, [ranks_J, ranks_Q], m_top)

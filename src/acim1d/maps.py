@@ -108,12 +108,6 @@ class Domain:
                                                np.abs(x - c[-1])))
         return d
 
-    def contains(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        if self.is_circle:
-            return np.all((x >= -tol) & (x < 1.0 + tol))
-        return np.all((x >= -tol) & (x <= 1.0 + tol))
-
 
 UNIT_INTERVAL = Domain("UnitInterval")
 CIRCLE = Domain("Circle")

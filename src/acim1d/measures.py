@@ -7,7 +7,6 @@ clip/trim calculus:
 
    mu_n^{M,m}  =  sum_x sum_{i in E_n^{M,m}(x)} delta_{g^i x}
                   / sum_x #E_n^{M,m}(x)
-   nu_n^{M,m}  =  (1 / (n beta_inf)) * mean_x sum_i delta_{g^i x}
 
 with the uniform measure over retained seeds standing in for the
 normalized Lebesgue measure on A_n.  Atom provenance (seed, time) is
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySelection, InsufficientAtoms
-from .maps import UNIT_INTERVAL, estimate_norms, orbit_grid, power_map
+from .maps import orbit_grid, power_map
 from .probes import probe_functions
 from .times import (
     LOG10, boundary_counts, chain_table, density_rows,
@@ -153,10 +152,9 @@ class EmpiricalMeasure:
         return self.atoms.shape[0]
 
 
-def empirical_measure(selection, M, m, normalization="mu", beta_inf=None,
-                      table=None):
-    """Assemble mu_n^{M,m} or nu_n^{M,m} from a seed selection; table is
-    the selected rows' chain_table at M (built here unless given)."""
+def empirical_measure(selection, M, m, table=None):
+    """Assemble mu_n^{M,m} from a seed selection; table is the selected
+    rows' chain_table at M (built here unless given)."""
     pool = selection.pool
     n = selection.n
     if table is None:
@@ -171,23 +169,12 @@ def empirical_measure(selection, M, m, normalization="mu", beta_inf=None,
     total = int(counts.sum())
     if total == 0:
         raise EmptySelection(f"E_n^{{M={M},m={m}}} empty for every retained seed")
-    beta_nMm = float(np.mean(counts / n))
-    if normalization == "mu":
-        w = np.full(total, 1.0 / total)
-    elif normalization == "nu":
-        if beta_inf is None:
-            raise ValueError("nu normalization needs a beta_inf estimate")
-        w = np.full(total, 1.0 / (n * beta_inf * selection.n_selected))
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    meta = {"n": n, "M": M, "m": m, "normalization": normalization,
-            "beta_nMm": beta_nMm, "beta_inf": beta_inf,
-            "n_seeds": selection.n_selected,
-            "map": pool.provenance.get("g"), "p": selection.p}
+    meta = {"n": n, "M": M, "m": m, "beta_nMm": float(np.mean(counts / n)),
+            "n_seeds": selection.n_selected, "map": pool.provenance.get("g")}
     return EmpiricalMeasure(
-        atoms=pool.points[t_idx, s_idx], weights=w, meta=meta,
-        seed_idx=s_idx, time_idx=t_idx,
-        pool=pool, per_seed_counts=counts, per_seed_boundary=bounds)
+        atoms=pool.points[t_idx, s_idx], weights=np.full(total, 1.0 / total),
+        meta=meta, seed_idx=s_idx, time_idx=t_idx, pool=pool,
+        per_seed_counts=counts, per_seed_boundary=bounds)
 
 
 def forward_points(mu, m, g=None):
@@ -248,14 +235,8 @@ def invariance_defect(mu, g):
                            for psi in probe_functions()])) \
         if finite else float("nan")
     if mu.per_seed_boundary is not None and mu.per_seed_counts is not None:
-        norm = mu.meta.get("normalization", "mu")
-        if norm == "mu":
-            bound = float(np.sum(mu.per_seed_boundary)
-                          / max(1, np.sum(mu.per_seed_counts)))
-        else:
-            bound = float(np.sum(mu.per_seed_boundary)
-                          / (mu.meta["n"] * mu.meta["beta_inf"]
-                             * mu.meta["n_seeds"]))
+        bound = float(np.sum(mu.per_seed_boundary)
+                      / max(1, np.sum(mu.per_seed_counts)))
     else:
         bound = float("nan")
     return {"defect": defect, "bound": bound,
@@ -319,29 +300,27 @@ def ref_logistic_acip(x):
     return 1.0 / (np.pi * np.sqrt(np.clip(x * (1.0 - x), 1e-300, None)))
 
 
-def support_gap_from_critical(mu, critical_pts, g=None, M=None,
-                              log_sup_gprime=None):
+def support_gap_from_critical(mu, critical_pts, g, M, log_sup_gprime):
     """Distance of the support to the critical set, plus the M-floor check.
 
-    Returns +inf when the critical set is empty.  When g and M are
-    supplied, also checks log|g'| >= -M log||g'||_inf at every atom (the
-    hyperbolic-time floor on the derivative along kept times).
+    An atom inside a flat piece (a, b), a <= b, is at distance 0; the gap
+    is +inf when the critical set is empty.  Also checks log|g'| >= -M
+    log_sup_gprime at every atom (the hyperbolic-time floor on the
+    derivative along kept times).
     """
-    pts = [p for c in critical_pts
-           for p in (c if isinstance(c, tuple) else (c,))]
-    domain = g.domain if g is not None else UNIT_INTERVAL
-    gap = float(np.min(domain.nearest_distance(mu.atoms, pts))) if pts \
-        else float("inf")
-    rep = {"gap": gap, "flagged_zero": gap <= 1e-12}
-    if g is not None and M is not None:
-        if log_sup_gprime is None:
-            log_sup_gprime = float(np.log(
-                estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))
-        ld = log_derivs_at(mu, 0, g)
-        floor = -M * log_sup_gprime
-        rep["deriv_floor_margin"] = float(np.min(ld) - floor)
-        rep["deriv_floor_ok"] = bool(np.min(ld) >= floor - 1e-9)
-    return rep
+    x = mu.atoms
+    pts, on_flat = [], np.zeros(x.shape, dtype=bool)
+    for c in critical_pts:
+        if isinstance(c, tuple):
+            on_flat |= (c[0] <= x) & (x <= c[1])
+        pts.extend(c if isinstance(c, tuple) else (c,))
+    gap = float(np.min(np.where(on_flat, 0.0, g.domain.nearest_distance(
+        x, pts)))) if pts else float("inf")
+    ld = log_derivs_at(mu, 0, g)
+    floor = -M * log_sup_gprime
+    return {"gap": gap, "flagged_zero": gap <= 1e-12,
+            "deriv_floor_margin": float(np.min(ld) - floor),
+            "deriv_floor_ok": bool(np.min(ld) >= floor - 1e-9)}
 
 
 PROXY_MIN = 0.95   # least positive_exponent_proxy that counts as expansion

@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .maps import estimate_norms, orbit_grid
+from .maps import orbit_grid
 
 __all__ = [
     "clip", "trim", "boundary_set", "components", "verify_enm",
@@ -369,7 +369,7 @@ def hyperbolic_surrogate_times(g, x, n_max):
 # ---------------------------------------------------------------------------
 
 
-def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
+def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime):
     """Check the expansion inequalities of hyperbolic times along an orbit,
     with c = EXPANSION:
 
@@ -377,7 +377,7 @@ def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
     (ii)  per connected component [[a;b[[ of E_n^{M,m}:
           S_b - S_a >= (b-a) log c
     (iii) for every [[k;l[[ inside E_n^{M,m}:
-          S_l - S_k >= (l-k) log c - M log||g'||_inf
+          S_l - S_k >= (l-k) log c - M log_sup_gprime (log||g'||_inf)
 
     Returns worst margins (positive = pass).  E may come from either
     detector; an empty E passes vacuously with margins +inf.
@@ -386,9 +386,6 @@ def verify_hyperbolic(g, x, E, n, M, m, log_sup_gprime=None):
     horizon = max([n] + elems) if elems else n
     _, lds = orbit_grid(g, [x], horizon)
     S = np.concatenate(([0.0], np.cumsum(lds[:, 0])))
-    if log_sup_gprime is None:
-        log_sup_gprime = float(np.log(
-            estimate_norms(g, 1024, 1, 2).sup_abs_deriv[1]))
 
     margin_i = min([np.inf] + [
         float(np.min((S[l] - S[:l]) - (l - np.arange(l)) * LOG10))

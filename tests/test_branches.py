@@ -7,7 +7,7 @@ import numpy as np
 from acim1d.branches import (
     Branch, BranchPartition, count_branches_with_min_slope, monotone_branches,
 )
-from acim1d.maps import BUCKETS, make_map, power_map
+from acim1d.maps import BUCKETS, estimate_norms, make_map, power_map
 from partition_oracle import refine_branches
 
 
@@ -53,14 +53,18 @@ def test_constant_sign_and_injectivity_on_branches():
 
 
 def test_count_with_min_slope_doubling():
-    count, rep = count_branches_with_min_slope(make_map("doubling"), 1.0)
+    g = make_map("doubling")
+    count, rep = count_branches_with_min_slope(g, 1.0, monotone_branches(g),
+                                               estimate_norms(g))
     assert count == 2
     assert rep["bound"] >= 2
     assert rep["within_bound"]
 
 
 def test_count_with_min_slope_logistic_above_sup():
-    count, rep = count_branches_with_min_slope(make_map("logistic"), 5.0)
+    g = make_map("logistic")
+    count, rep = count_branches_with_min_slope(g, 5.0, monotone_branches(g),
+                                               estimate_norms(g))
     assert count == 0 and rep["within_bound"]
 
 
@@ -75,7 +79,8 @@ def test_count_logistic_squared_exhaustive():
         xs = br.a + rng.uniform(0, 1, 4000) * br.length
         if np.max(np.abs(g.deriv(1, xs))) >= 1.0:
             oracle += 1
-    count, rep = count_branches_with_min_slope(g, 1.0, partition=part)
+    count, rep = count_branches_with_min_slope(g, 1.0, part,
+                                               estimate_norms(g))
     assert count == oracle
     assert rep["within_bound"]
 

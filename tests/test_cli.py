@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -329,8 +330,11 @@ def test_verdict_flips_on_each_input(name, tmp_path, monkeypatch, capsys):
 def test_pipeline_row_fails_closed_on_nan_value(tmp_path, monkeypatch):
     # a NaN gap is not flagged as zero (NaN <= 1e-12 is False), so only the
     # row builder's NaN rule keeps the row from passing
+    real = cli.support_gap_from_critical
+
     def nan_gap(*args, **kwargs):
-        return {"gap": math.nan, "flagged_zero": False}
+        return {**real(*args, **kwargs), "gap": math.nan,
+                "flagged_zero": False}
 
     monkeypatch.setattr(cli, "support_gap_from_critical", nan_gap)
     p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
@@ -540,6 +544,32 @@ def test_measure_rows_build_a_chain_table_only_when_none_is_given(
     assert built == []
     assert _texts(cli.measure_rows(st, st.selection)[2]) == _texts(given)
     assert built == [M]
+
+
+def test_stage_measure_frees_the_chain_tables_before_the_mane_check(
+        tmp_path, monkeypatch):
+    # measure_rows gets the max-M table's only reference and drops it once
+    # mu is built, so no chain table lives through the Mane check
+    p = _write(tmp_path, DOUBLING_INI.format(seeds=300, seed=3,
+                                             out=tmp_path / "o"))
+    st = cli.PipelineState(load_config(p))
+    for stage in cli._stages("times"):
+        stage(st)
+    refs, alive, real = [], [], cli.verify_mane_bounds
+
+    def chain_table(E, M):
+        table = times.chain_table(E, M)
+        refs.extend(weakref.ref(a) for a in table[2:])      # last, k
+        return table
+
+    def verify_mane_bounds(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "chain_table", chain_table)
+    monkeypatch.setattr(cli, "verify_mane_bounds", verify_mane_bounds)
+    cli.stage_measure(st)
+    assert len(refs) == 2 * len(st.cfg.M_list) and alive == [0]
 
 
 @pytest.mark.parametrize("name", ["doubling_small", "logistic_small"])

@@ -21,10 +21,10 @@ from acim1d.entropy import (
 )
 from acim1d.branches import monotone_branches
 from acim1d.errors import InsufficientAtoms, OffsetNotFound
-from acim1d.maps import PRESETS, make_map, power_map
+from acim1d.maps import PRESETS, estimate_norms, make_map, power_map
 from acim1d.measures import (
     EmpiricalMeasure, SamplePool, build_seed_pool, empirical_measure,
-    select_An,
+    forward_points, select_An,
 )
 from acim1d.reparam import choose_epsilon
 from partition_oracle import (
@@ -170,12 +170,18 @@ def test_partition_entropy_examples():
     assert partition_entropy(dirac, whole).H_value == 0.0
 
 
+def _rank_columns(mu, fn, m, g=None):
+    """fn's label ranks at forward_points(mu, m, g), j = 0..m-1."""
+    return [np.unique(fn(x), return_inverse=True)[1]
+            for x in forward_points(mu, m, g)]
+
+
 def test_doubling_refined_entropy_matches_m_log2():
     f, mu = _doubling_measure()
     bp = monotone_branches(f)
     labJ = lambda xs: bp.locate_many(xs)
     mu_plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
-    Hs = itinerary_entropy(mu_plain, [labJ], 5, g=f)
+    Hs = itinerary_entropy(mu_plain, [_rank_columns(mu_plain, labJ, 5, f)], 5)
     for m in (1, 3, 5):
         H = Hs[m - 1]
         assert abs(H - m * LOG2) < 0.02
@@ -188,8 +194,8 @@ def test_itinerary_matches_geometric_refinement():
     P3 = refine(J, f, 3)
     mu_plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
     H_geom = partition_entropy(mu_plain, P3).H_value
-    H_code = itinerary_entropy(mu_plain, [lambda xs: bp.locate_many(xs)], 3,
-                               g=f)[-1]
+    ranks_J = _rank_columns(mu_plain, lambda xs: bp.locate_many(xs), 3, f)
+    H_code = itinerary_entropy(mu_plain, [ranks_J], 3)[-1]
     assert abs(H_geom - H_code) < 1e-9
 
 
@@ -273,7 +279,7 @@ def _coded_measures(draw):
 @settings(max_examples=300, deadline=None)
 def test_itinerary_entropy_matches_row_unique_oracle(case):
     mu, fns, m, g = case
-    Hs = itinerary_entropy(mu, fns, m, g=g)
+    Hs = itinerary_entropy(mu, [_rank_columns(mu, fn, m, g) for fn in fns], m)
     assert Hs == [_itinerary_oracle(mu, fns, k, g=g) for k in range(1, m + 1)]
     if mu.n_atoms == 0:
         assert Hs[-1] == 0.0
@@ -319,7 +325,7 @@ def test_itinerary_entropy_pool_path_matches_oracle_on_a_run():
     g = power_map(f, 4)
     bp = monotone_branches(g)
     fns = [lambda xs: bp.locate_many(xs), qbin_label(g, 4, -0.1)]
-    Hs = itinerary_entropy(mu, fns, 3)
+    Hs = itinerary_entropy(mu, [_rank_columns(mu, fn, 3) for fn in fns], 3)
     for m in (1, 2, 3):
         assert Hs[m - 1] == _itinerary_oracle(mu, fns, m)
 
@@ -340,29 +346,17 @@ def _per_m_fold(mu, label_fns, m, g=None):
     return _entropy_of_masses(np.bincount(inv, weights=mu.weights))
 
 
-def _rank_columns(mu, fn, m, g=None):
-    """fn's label ranks at the forward points j = 0..m-1 of the atoms."""
-    cols, xj = [], mu.atoms
-    for j in range(m):
-        if mu.pool is not None:
-            xj = mu.pool.points[mu.time_idx + j, mu.seed_idx]
-        elif j:
-            xj = g.eval(xj)
-        cols.append(np.unique(fn(xj), return_inverse=True)[1])
-    return cols
-
-
 @given(_coded_measures(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_itinerary_prefixes_equal_per_m_fold(case, data):
-    # the prefix list equals the per-m fold at each m, with any subset of
-    # the labels passed as precomputed rank columns
+    # the prefix list equals the per-m fold at each m, each label's rank
+    # columns passed as a list or as a generator
     mu, fns, m, g = case
-    labels = [_rank_columns(mu, fn, m, g) if data.draw(st.booleans()) else fn
-              for fn in fns]
+    labels = [_rank_columns(mu, fn, m, g) for fn in fns]
+    labels = [iter(cols) if data.draw(st.booleans()) else cols
+              for cols in labels]
     want = [_per_m_fold(mu, fns, k, g=g) for k in range(1, m + 1)]
-    assert itinerary_entropy(mu, labels, m, g=g) == want
-    assert itinerary_entropy(mu, fns, m, g=g) == want
+    assert itinerary_entropy(mu, labels, m) == want
 
 
 def test_itinerary_prefixes_equal_per_m_fold_on_a_run():
@@ -373,9 +367,8 @@ def test_itinerary_prefixes_equal_per_m_fold_on_a_run():
     plain = EmpiricalMeasure(atoms=mu.atoms, weights=mu.weights, meta={})
     for meas, gg in ((mu, None), (plain, g)):
         want = [_per_m_fold(meas, [labJ, labQ], k, g=gg) for k in (1, 2, 3)]
-        assert itinerary_entropy(meas, [labJ, labQ], 3, g=gg) == want
-        ranks_J = _rank_columns(meas, labJ, 3, gg)
-        assert itinerary_entropy(meas, [ranks_J, labQ], 3, g=gg) == want
+        labels = [_rank_columns(meas, lab, 3, gg) for lab in (labJ, labQ)]
+        assert itinerary_entropy(meas, labels, 3) == want
 
 
 def test_choose_offset_counts_cut_at_zero_from_below_on_circle():
@@ -383,13 +376,16 @@ def test_choose_offset_counts_cut_at_zero_from_below_on_circle():
     # below 1 sit on it exactly as atoms just above 0 do
     g = power_map(make_map("doubling"), 4)
     cuts = [pt for pt, _ in monotone_branches(g).cut_points]
+    rng = np.random.default_rng(0)
     for x in (1e-12, 1.0 - 1e-12):
+        atoms = np.full(100, x)
         with pytest.raises(OffsetNotFound, match="fraction 1 "):
-            choose_offset(g, 2, np.full(100, x), cut_points=cuts)
+            choose_offset(g, 2, atoms, g.log_abs_deriv(atoms), rng,
+                          cut_points=cuts)
     # one atom in 100 on the cut stays within the 1% tolerance
-    atoms = np.append(np.random.default_rng(0).uniform(0.0, 1.0, 99),
-                      1.0 - 1e-12)
-    assert -0.5 < choose_offset(g, 2, atoms, cut_points=cuts) < 0.0
+    atoms = np.append(rng.uniform(0.0, 1.0, 99), 1.0 - 1e-12)
+    assert -0.5 < choose_offset(g, 2, atoms, g.log_abs_deriv(atoms), rng,
+                                cut_points=cuts) < 0.0
 
 
 def _mane_oracle_sums(measure, g, q, a):
@@ -403,17 +399,24 @@ def _mane_oracle_sums(measure, g, q, a):
 
 
 def test_mane_masses_match_dict_loop_oracle():
+    # each draw of rng gives another offset a, read back from the report
     g = power_map(make_map("logistic", smoothness_r=4.0), 3)
+    bp, norms = monotone_branches(g), estimate_norms(g)
     rng = np.random.default_rng(11)
+    offsets = set()
     for n in (1, 7, 5000):
         atoms = rng.uniform(0.0, 1.0, n)
         mu = EmpiricalMeasure(atoms=atoms, weights=rng.uniform(0, 1, n) / n,
                               meta={})
         for q in (1, 4, 9):
-            rep = verify_mane_bounds(mu, g, q, a=-0.37 / q)
-            lhs, rhs = _mane_oracle_sums(mu, g, q, -0.37 / q)
+            rep = verify_mane_bounds(mu, g, q, bp, norms, rng)
+            a = rep["offset_a"]
+            assert -1.0 / q < a < 0.0
+            offsets.add(q * a)
+            lhs, rhs = _mane_oracle_sums(mu, g, q, a)
             assert rep["sete_lhs"] == rep["hq_lhs"] == lhs
             assert rep["sete_rhs"] == rhs
+    assert len(offsets) == 9
 
 
 def test_misiurewicz_identity_case():
@@ -827,7 +830,9 @@ def test_misiurewicz_takes_numpy_integers():
 
 def test_mane_bounds_doubling():
     f, mu = _doubling_measure(seeds=2000)
-    rep = verify_mane_bounds(mu, power_map(f, 4), q=3)
+    g = power_map(f, 4)
+    rep = verify_mane_bounds(mu, g, 3, monotone_branches(g),
+                             estimate_norms(g), np.random.default_rng(0))
     assert rep["sete_ok"] and rep["hq_ok"]
     # H(Q_q) = 0 for constant log|g'|
     assert abs(rep["hq_lhs"]) < 1e-9
@@ -841,7 +846,10 @@ def test_mane_bounds_logistic_measure():
     sel = select_An(pool, 60, 0.05, 0.45, p)
     mu = empirical_measure(sel, M=3, m=2)
     g = power_map(f, p)
-    rep = verify_mane_bounds(mu, g, q=4)
+    rep = verify_mane_bounds(mu, g, 4, monotone_branches(g, grid_size=2 ** 14),
+                             estimate_norms(g, grid_size=2 ** 14,
+                                            refine_iters=2, n_used=2),
+                             np.random.default_rng(0))
     assert rep["sete_ok"] and rep["hq_ok"] and rep["branch_size_ok"]
 
 
@@ -1122,7 +1130,7 @@ def test_entropy_formula_dirac_not_ac():
     # Dirac at the fixed point 1/2 (3/2 = 1/2 mod 1): h = 0, int = log 3
     atoms = np.full(10 ** 4, 0.5)
     mu = EmpiricalMeasure(atoms=atoms, weights=np.full(10 ** 4, 1e-4),
-                          meta={"p": 1})
+                          meta={})
     rep = entropy_formula_residual(f, mu, q_list=[2], m_list=[1, 2], p=1,
                                    tol=0.05)
     assert rep["verdict"] == "not-AC"

@@ -1,8 +1,9 @@
 """What a run imports: neither scipy nor mpmath, through `acim1d verify`
 and a pipeline; what the package may import: the standard library and
 the runtime dependencies pyproject.toml lists (numpy alone); what each
-module exports: every name in its __all__; and how many BLAS threads
-importing acim1d leaves."""
+module exports: every name in its __all__; that each name a module
+imports with `from ... import` is read there or exported; and how many
+BLAS threads importing acim1d leaves."""
 
 import ast
 import importlib
@@ -87,6 +88,23 @@ def test_package_imports_only_stdlib_and_numpy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 used.add(node.module.split(".")[0])
     assert used - sys.stdlib_module_names - {"acim1d"} <= deps, used
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in (SRC / "acim1d").glob("*.py") if p.name != "__init__.py"))
+def test_from_imports_are_read_or_exported(path):
+    tree = ast.parse((SRC / "acim1d" / path).read_text())
+    bound = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module != "__future__" for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = next((ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign) and any(
+                         getattr(t, "id", None) == "__all__"
+                         for t in node.targets)), [])
+    unused = bound - read - set(exported)
+    assert not unused, unused
 
 
 THREADS = """\

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from acim1d import measures
 from acim1d.errors import EmptySelection
-from acim1d.maps import CIRCLE, make_map, power_map
+from acim1d.maps import CIRCLE, estimate_norms, make_map, power_map
 from acim1d.measures import (
     BIN_NODES, EmpiricalMeasure, SamplePool, build_seed_pool, compare_density,
     density_estimate, empirical_measure, forward_points, invariance_defect,
@@ -82,26 +82,6 @@ def test_doubling_measure_close_to_lebesgue():
     assert l1 < 0.05
 
 
-def test_nu_mass_is_beta_ratio():
-    pool, _ = _doubling_pool(seeds=500)
-    sel = select_An(pool, 10, 0.5, 0.5, 4)
-    beta_inf = 1.0
-    nu = empirical_measure(sel, M=2, m=2, normalization="nu",
-                           beta_inf=beta_inf)
-    assert math.isclose(np.sum(nu.weights), nu.meta["beta_nMm"] / beta_inf,
-                        rel_tol=1e-12)
-
-
-def test_nu_atoms_grow_with_M():
-    pool, _ = _doubling_pool(seeds=300, n=12)
-    sel = select_An(pool, 12, 0.5, 0.5, 4)
-    sizes = []
-    for M in (1, 2, 4):
-        nu = empirical_measure(sel, M=M, m=2, normalization="nu", beta_inf=1.0)
-        sizes.append(nu.n_atoms)
-    assert sizes[0] <= sizes[1] <= sizes[2]
-
-
 def test_invariance_defect_full_interval_bound():
     # E_n^{M,1} = [[1, 9[[ per seed: #dE = 2, so the mu-defect bound is 2/8
     pool, f = _doubling_pool(seeds=4000)
@@ -122,14 +102,6 @@ def test_invariance_defect_on_invariant_grid():
     mu = EmpiricalMeasure(atoms=xs, weights=np.full(N, 1.0 / N), meta={})
     rep = invariance_defect(mu, f)
     assert rep["defect"] <= 1e-3
-
-
-def test_empty_nu_measure_defect_zero():
-    f = make_map("doubling")
-    mu = EmpiricalMeasure(atoms=np.array([]), weights=np.array([]),
-                          meta={"normalization": "nu"})
-    rep = invariance_defect(mu, f)
-    assert rep["defect"] == 0.0
 
 
 def test_density_masses_sum_to_total():
@@ -183,12 +155,20 @@ def test_bin_masses_match_per_bin_loop(bins, ref):
     assert all(math.isnan(r[3]) for r in est.to_rows())
 
 
+def _gap(mu, crit, g):
+    """support_gap_from_critical's gap, which the floor check's M and
+    log_sup_gprime do not enter."""
+    return support_gap_from_critical(mu, crit, g, 2, 0.0)["gap"]
+
+
 def test_support_gap_no_criticals():
     pool, f = _doubling_pool(seeds=50)
     sel = select_An(pool, 10, 0.5, 0.5, 4)
     mu = empirical_measure(sel, M=2, m=1)
-    rep = support_gap_from_critical(mu, critical_set(f))
+    g = power_map(f, 4)
+    rep = support_gap_from_critical(mu, critical_set(f), g, 2, 4 * LOG2)
     assert rep["gap"] == float("inf")
+    assert math.isclose(rep["deriv_floor_margin"], 12 * LOG2)
 
 
 def test_support_gap_logistic_floor():
@@ -200,7 +180,9 @@ def test_support_gap_logistic_floor():
     mu = empirical_measure(sel, M=2, m=1)
     g = power_map(f, p)
     crit = critical_set(g, grid_size=16384)
-    rep = support_gap_from_critical(mu, crit, g=g, M=2)
+    norms = estimate_norms(g, grid_size=2 ** 14, refine_iters=2, n_used=2)
+    rep = support_gap_from_critical(mu, crit, g, 2,
+                                    math.log(norms.sup_abs_deriv[1]))
     assert rep["gap"] > 0.0
     assert rep["deriv_floor_ok"]
 
@@ -208,20 +190,40 @@ def test_support_gap_logistic_floor():
 def test_support_gap_artificial_atom_flagged():
     mu = EmpiricalMeasure(atoms=np.array([0.5]), weights=np.array([1.0]),
                           meta={})
-    rep = support_gap_from_critical(mu, [0.5])
+    rep = support_gap_from_critical(mu, [0.5], make_map("logistic"), 2,
+                                    math.log(4.0))
     assert rep["gap"] == 0.0 and rep["flagged_zero"]
+    assert not rep["deriv_floor_ok"]     # log|g'(1/2)| = -inf
+
+
+def test_support_gap_is_zero_inside_a_flat_piece():
+    # an atom inside a flat critical piece lies on the critical set
+    mu = EmpiricalMeasure(atoms=np.array([0.5, 0.3]),
+                          weights=np.array([0.5, 0.5]), meta={})
+    g = make_map("logistic")
+    rep = support_gap_from_critical(mu, [(0.4, 0.6)], g, 2, math.log(4.0))
+    assert rep["gap"] == 0.0 and rep["flagged_zero"]
+    mu.atoms = np.array([0.3, 0.65, 0.4])
+    assert _gap(mu, [(0.4, 0.6)], g) == 0.0
+    mu.atoms = np.array([0.3, 0.65])
+    assert _gap(mu, [(0.4, 0.6)], g) == 0.65 - 0.6
 
 
 def _gap_oracle(atoms, critical_pts, circle):
-    """The full atoms x critical-points distance matrix, minimized."""
-    pts = [c for c in critical_pts if not isinstance(c, tuple)]
+    """The full atoms x critical-set distance matrix, minimized: a flat
+    piece (a, b) is at distance 0 from the atoms in [a, b], else at the
+    distance of its nearer end."""
+    cols = []
     for c in critical_pts:
+        ends = np.asarray(c if isinstance(c, tuple) else (c,), dtype=float)
+        d = np.abs(atoms[:, None] - ends[None, :])
+        if circle:
+            d = np.minimum(d, 1.0 - d)
+        d = d.min(axis=1)
         if isinstance(c, tuple):
-            pts.extend(c)
-    d = np.abs(atoms[:, None] - np.asarray(pts, dtype=float)[None, :])
-    if circle:
-        d = np.minimum(d, 1.0 - d)
-    return float(np.min(d))
+            d[(c[0] <= atoms) & (atoms <= c[1])] = 0.0
+        cols.append(d)
+    return float(np.min(cols))
 
 
 _UNIT = st.floats(0.0, 1.0, exclude_max=True)
@@ -231,7 +233,8 @@ _UNIT = st.floats(0.0, 1.0, exclude_max=True)
 def _atoms_near_criticals(draw):
     crit = draw(st.lists(st.one_of(
         _UNIT, st.sampled_from([0.0, 0.5, 1.0 - 2 ** -53]),
-        st.tuples(_UNIT, _UNIT)), min_size=1, max_size=6))
+        st.tuples(_UNIT, _UNIT).map(sorted).map(tuple)), min_size=1,
+        max_size=6))
     flat = [p for c in crit for p in (c if isinstance(c, tuple) else (c,))]
     near = st.sampled_from(flat).flatmap(lambda c: st.sampled_from(
         [c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)]))
@@ -248,19 +251,14 @@ def test_support_gap_matches_full_matrix_minimum(case, circle):
     g = make_map("doubling" if circle else "logistic")
     mu = EmpiricalMeasure(atoms=atoms, weights=np.full(atoms.size, 1.0),
                           meta={})
-    assert support_gap_from_critical(mu, crit, g=g)["gap"] == \
-        _gap_oracle(atoms, crit, circle)
-    if not circle:
-        assert support_gap_from_critical(mu, crit)["gap"] == \
-            _gap_oracle(atoms, crit, False)
+    assert _gap(mu, crit, g) == _gap_oracle(atoms, crit, circle)
 
 
 def test_support_gap_wraps_on_the_circle():
     mu = EmpiricalMeasure(atoms=np.array([1.0 - 2 ** -53, 0.25]),
                           weights=np.array([0.5, 0.5]), meta={})
-    assert support_gap_from_critical(mu, [0.0], g=make_map("doubling"))[
-        "gap"] == 2 ** -53
-    assert support_gap_from_critical(mu, [0.0])["gap"] == 0.25
+    assert _gap(mu, [0.0], make_map("doubling")) == 2 ** -53
+    assert _gap(mu, [0.0], make_map("logistic")) == 0.25
 
 
 def test_positive_exponent_proxy_doubling():
@@ -329,17 +327,15 @@ def test_invariance_defect_fails_closed_without_bound():
 
 
 @given(st.sampled_from(["doubling", "logistic"]), st.integers(0, 2 ** 16),
-       st.integers(3, 12), st.integers(1, 4), st.integers(1, 4),
-       st.sampled_from(["mu", "nu"]))
+       st.integers(3, 12), st.integers(1, 4), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
-def test_empirical_measure_atoms_are_the_pool_gather(name, seed, n, M, m,
-                                                     norm):
+def test_empirical_measure_atoms_are_the_pool_gather(name, seed, n, M, m):
     # forward_points yields mu.atoms at j = 0 in place of this gather
     f = make_map(name)
     pool = build_seed_pool(f, 4, n, 40, np.random.default_rng(seed))
     try:
         sel = select_An(pool, n, beta=0.05, b=0.0, p=4)
-        mu = empirical_measure(sel, M, m, normalization=norm, beta_inf=0.5)
+        mu = empirical_measure(sel, M, m)
     except EmptySelection:
         assume(False)
     assert np.array_equal(mu.atoms, pool.points[mu.time_idx, mu.seed_idx])
@@ -507,15 +503,13 @@ def test_invariance_defect_matches_fsum_oracle_on_hand_built_pools(data):
         assert invariance_defect(mu, g)["defect"] == 0.0
 
 
-@pytest.mark.parametrize("norm", ["mu", "nu"])
-def test_invariance_defect_probes_see_only_run_starts_and_ends(norm,
-                                                               monkeypatch):
+def test_invariance_defect_probes_see_only_run_starts_and_ends(monkeypatch):
     # the telescoped sum evaluates each probe on #run starts + #run ends
     # points for a measure from empirical_measure, and on 2n without a pool
     f = make_map("logistic")
     pool = build_seed_pool(f, 4, 12, 300, np.random.default_rng(7))
     sel = select_An(pool, 12, beta=0.05, b=0.0, p=4)
-    mu = empirical_measure(sel, 2, 2, normalization=norm, beta_inf=0.5)
+    mu = empirical_measure(sel, 2, 2)
     seen = []
 
     def counted():

@@ -9,7 +9,8 @@ from acim1d.branches import monotone_branches
 from acim1d.entropy import itinerary_entropy, qbin_label
 from acim1d.maps import estimate_norms, make_map, power_map
 from acim1d.measures import (
-    EmpiricalMeasure, build_seed_pool, empirical_measure, select_An,
+    EmpiricalMeasure, build_seed_pool, empirical_measure, forward_points,
+    select_An,
 )
 from acim1d.times import boundary_set, clip, density, trim
 from acim1d.tree import orbit_labels
@@ -30,21 +31,6 @@ def test_timeset_derived_invariants():
         cur = trim(E, 12, M, 2)
         assert prev <= cur
         prev = cur
-
-
-def test_nu_per_bin_mass_monotone_in_M():
-    f = make_map("doubling")
-    pool = build_seed_pool(f, 4, 12, 500, np.random.default_rng(0))
-    sel = select_An(pool, 12, 0.5, 0.5, 4)
-    prev = None
-    edges = np.linspace(0, 1, 21)
-    for M in (1, 2, 4):
-        nu = empirical_measure(sel, M=M, m=2, normalization="nu",
-                               beta_inf=1.0)
-        masses, _ = np.histogram(nu.atoms, bins=edges, weights=nu.weights)
-        if prev is not None:
-            assert np.all(masses >= prev - 1e-15)
-        prev = masses
 
 
 def test_phi_minus_integrability_bound():
@@ -71,9 +57,11 @@ def test_refined_entropy_monotone_in_m():
     mu = empirical_measure(sel, M=3, m=1)
     g = power_map(f, p)
     bp = monotone_branches(g, grid_size=2 ** 14)
-    labJ = lambda xs: bp.locate_many(xs)
     labQ = qbin_label(g, 4, -0.11)
-    Hs = itinerary_entropy(mu, [labJ, labQ], 3)
+    Hs = itinerary_entropy(mu, [
+        [np.unique(lab(x), return_inverse=True)[1]
+         for x in forward_points(mu, 3)]
+        for lab in (bp.locate_many, labQ)], 3)
     # H(P^m) is non-decreasing in m
     assert Hs[0] <= Hs[1] + 1e-12 and Hs[1] <= Hs[2] + 1e-12
     # (1/m) H(P^m) non-increasing up to estimator noise 2/sqrt(atoms)

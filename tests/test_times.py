@@ -176,14 +176,14 @@ def test_surrogate_matches_direct_recomputation():
 def test_verify_hyperbolic_surrogate_by_construction():
     g = power_map(make_map("doubling"), 4)
     E = hyperbolic_surrogate_times(g, 0.271, 24)
-    rep = verify_hyperbolic(g, 0.271, E, 24, 3, 2)
+    rep = verify_hyperbolic(g, 0.271, E, 24, 3, 2, 4 * math.log(2.0))
     assert rep["i_ok"] and rep["ii_ok"] and rep["iii_ok"]
     assert rep["i_margin"] >= -1e-9
 
 
 def test_verify_hyperbolic_vacuous_on_empty():
     g = make_map("doubling")
-    rep = verify_hyperbolic(g, 0.1, (), 10, 2, 1)
+    rep = verify_hyperbolic(g, 0.1, (), 10, 2, 1, math.log(2.0))
     assert rep["i_ok"] and rep["ii_ok"] and rep["iii_ok"]
     assert rep["i_margin"] == np.inf
 
@@ -193,7 +193,7 @@ def test_verify_hyperbolic_exact_linear():
     g = power_map(make_map("linear_circle", d=3.0), 3)
     E = hyperbolic_surrogate_times(g, 0.4321, 20)
     assert len(E) == 20
-    rep = verify_hyperbolic(g, 0.4321, E, 20, 2, 2)
+    rep = verify_hyperbolic(g, 0.4321, E, 20, 2, 2, 3 * math.log(3.0))
     expected = math.log(27.0) - math.log(10.0)
     assert abs(rep["i_margin"] - expected) < 1e-9
     assert rep["iii_ok"]
