@@ -55,7 +55,7 @@ class BranchPartition:
 
     map_name: str
     branches: list
-    cut_points: list  # (point_or_interval, reason) pairs, deduplicated
+    cut_points: list  # (point, reason) pairs, deduplicated
     is_circle: bool
     critical: list    # critical_set(g) as computed: points and flat pieces
 

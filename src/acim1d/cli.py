@@ -330,7 +330,7 @@ def stage_map(st):
         params.setdefault("smoothness_r", cfg.r)
     try:
         st.f = make_map(cfg.preset, **params)
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, SyntaxError, TypeError, ValueError) as exc:
         raise ConfigError(f"map construction failed: {exc}") from exc
     st.norms_f = estimate_norms(st.f)
     st.p = cfg.resolve_p(math.log(max(st.norms_f.sup_abs_deriv[1], 1e-300)))

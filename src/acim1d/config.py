@@ -65,6 +65,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.detector not in ("tree", "surrogate", "both"):
             raise ConfigError(f"unknown detector {self.detector!r}")
+        if self.reference not in ("none", "uniform", "logistic"):
+            raise ConfigError(f"unknown reference {self.reference!r}")
         if self.p != "auto" and (not isinstance(self.p, int) or self.p < 1):
             raise ConfigError("p must be a positive integer or 'auto'")
         return self

@@ -93,9 +93,9 @@ def choose_offset(g, q, orbit_atoms, log_derivs, rng, cut_points=None):
     material.  log_derivs is log|g'| at orbit_atoms.
     """
     atoms = np.asarray(orbit_atoms, dtype=float)
-    cp = [p for p in cut_points or () if not isinstance(p, tuple)]
-    if cp:
-        frac = float(np.mean(g.domain.nearest_distance(atoms, cp) < CUT_DIST))
+    if cut_points:
+        frac = float(np.mean(g.domain.nearest_distance(atoms, cut_points)
+                             < CUT_DIST))
         if frac > CUT_MASS_TOL:
             raise OffsetNotFound(
                 f"fraction {frac:.3g} of orbit points sit on branch cuts "

@@ -58,6 +58,9 @@ class Jet:
     def __neg__(self):
         return Jet(-self.c)
 
+    def __pos__(self):
+        return self
+
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
 
@@ -85,7 +88,9 @@ class Jet:
         return self.reciprocal() * other
 
     def __pow__(self, n):
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
+        """Integer powers only: n an int or an integral float, n >= 0."""
+        if not (isinstance(n, (int, float, np.integer)) and n >= 0
+                and float(n).is_integer()):
             raise ValueError("jet powers must be nonnegative integers")
         result = constant(1.0, self.order, self.c.shape[1:])
         base = self

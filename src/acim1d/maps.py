@@ -377,97 +377,75 @@ def power_map(f, p):
 # expression-language maps
 # ---------------------------------------------------------------------------
 
-_ALLOWED_CALLS = {"sin", "cos", "exp", "log", "sqrt", "mod1"}
-_ALLOWED_NAMES = {"x", "pi"}
+
+def _dispatch(name):
+    """The call `name` on a Jet, v.name(), or on an array, np.name(v)
+    (mod1 is v - floor(v))."""
+    def call(v):
+        if isinstance(v, Jet):
+            return getattr(v, name)()
+        return v - np.floor(v) if name == "mod1" else getattr(np, name)(v)
+    return call
+
+
+_CALLS = {name: _dispatch(name)
+          for name in ("sin", "cos", "exp", "log", "sqrt", "mod1")}
+_GLOBALS = {"__builtins__": {}, "pi": math.pi, **_CALLS}
 
 
 class ExpressionMap(SmoothMap1D):
     """Map defined by an arithmetic expression in x.
 
-    Grammar: +, -, *, /, ** (integer exponents), sin, cos, exp, log,
-    sqrt, mod1, the variable x and the constant pi.  Derivatives come
-    from jet propagation, so every order up to floor(r) is exact.
+    Grammar: +, -, *, /, ** (of a term in x, the powers Jet.__pow__
+    takes), unary - and +, sin, cos, exp, log, sqrt, mod1, the variable
+    x, the constant pi and numeric literals, read as floats.  The checked
+    syntax tree is compiled once and Python evaluates it, without
+    builtins, on an array of points or on a jet, so every derivative
+    order up to floor(r) is exact.
     """
 
     def __init__(self, expression, domain=UNIT_INTERVAL, smoothness_r=3.0,
                  holder_const=0.0, name=None):
         self.expression = expression
-        self._tree = ast.parse(expression, mode="eval").body
-        _validate_expr(self._tree)
+        tree = ast.parse(expression, mode="eval")
+        _validate_expr(tree)
+        self._code = compile(tree, "<expression>", "eval")
         super().__init__(domain, smoothness_r, holder_const,
                          name or f"expr({expression})")
-        # one jet pass: what jets cannot take (a power other than a
-        # nonnegative integer, no x) fails here, not at first use
+        # one jet pass: what jets cannot take (a power Jet.__pow__
+        # refuses, no x) fails here, not at first use
         with np.errstate(all="ignore"):
             self.jet_apply(variable(0.5, 1))
 
-    def _eval_node(self, node, x):
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id == "x":
-                return x
-            if node.id == "pi":
-                return math.pi
-            raise ValueError(f"unknown name {node.id!r}")
-        if isinstance(node, ast.UnaryOp):
-            v = self._eval_node(node.operand, x)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.BinOp):
-            a = self._eval_node(node.left, x)
-            b = self._eval_node(node.right, x)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            if isinstance(node.op, ast.Pow):
-                if isinstance(a, Jet):
-                    if not isinstance(b, float) or b != int(b):
-                        raise ValueError("jet powers must be integer constants")
-                    return a ** int(b)
-                return a ** b
-            raise ValueError("unsupported operator")
-        if isinstance(node, ast.Call):
-            fname = node.func.id
-            arg = self._eval_node(node.args[0], x)
-            if isinstance(arg, Jet):
-                if fname == "mod1":
-                    return arg.mod1()
-                return getattr(arg, fname)()
-            if fname == "mod1":
-                return arg - np.floor(arg)
-            return getattr(np, fname)(arg)
-        raise ValueError(f"unsupported syntax: {ast.dump(node)}")
-
     def _eval_raw(self, x):
-        out = self._eval_node(self._tree, np.asarray(x, dtype=float))
-        return np.asarray(out, dtype=float)
+        return np.asarray(eval(self._code, _GLOBALS, {"x": x}), dtype=float)
 
     def jet_apply(self, jet):
-        out = self._eval_node(self._tree, jet)
+        out = eval(self._code, _GLOBALS, {"x": jet})
         if not isinstance(out, Jet):
             raise ValueError("expression does not depend on x")
         return out.mod1() if self.domain.is_circle else out
 
 
-def _validate_expr(node):
-    for sub in ast.walk(node):
+def _validate_expr(tree):
+    """Refuse all but the grammar, and make every literal a float: eval
+    then needs no builtins, and no constant power grows an unbounded int."""
+    for sub in ast.walk(tree):
         if isinstance(sub, ast.Call):
-            if not isinstance(sub.func, ast.Name) or sub.func.id not in _ALLOWED_CALLS:
+            if not isinstance(sub.func, ast.Name) or sub.func.id not in _CALLS:
                 raise ValueError("only sin/cos/exp/log/sqrt/mod1 calls allowed")
             if len(sub.args) != 1 or sub.keywords:
                 raise ValueError("calls take exactly one positional argument")
         elif isinstance(sub, ast.Name):
-            if sub.id not in _ALLOWED_NAMES | _ALLOWED_CALLS:
+            if sub.id not in {"x", "pi", *_CALLS}:
                 raise ValueError(f"unknown name {sub.id!r}")
+        elif isinstance(sub, ast.Constant):
+            if type(sub.value) not in (int, float):
+                raise ValueError(f"literal {sub.value!r} is not a number")
+            sub.value = float(sub.value)
         elif not isinstance(sub, (ast.Expression, ast.BinOp, ast.UnaryOp,
-                                  ast.Constant, ast.Add, ast.Sub, ast.Mult,
-                                  ast.Div, ast.Pow, ast.USub, ast.UAdd,
-                                  ast.Load)):
+                                  ast.Add, ast.Sub, ast.Mult, ast.Div,
+                                  ast.Pow, ast.USub, ast.UAdd, ast.Load)):
             raise ValueError(f"unsupported syntax element {type(sub).__name__}")
 
 

@@ -75,8 +75,7 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
         raise ValueError(f"unknown detector {detector!r}")
     if detector != "surrogate" and tree is None:
         raise ValueError("tree detector requires a built ReparamTree")
-    prov = {"map": f.name, "p": p, "g": g.name, "detector": detector,
-            "window": (lo, hi)}
+    prov = {"g": g.name}
     if detector != "tree":
         times = surrogate_mask(lds)
     if detector != "surrogate":
@@ -96,15 +95,12 @@ def build_seed_pool(f, p, n, n_seeds, rng, detector="surrogate",
 
 @dataclass
 class Selection:
-    """Indices of pool seeds surviving the A_n filter, and the filter's
-    parameters; dataclasses.replace with other indices gives a subset."""
+    """Indices of pool seeds surviving the A_n filter at horizon n;
+    dataclasses.replace with other indices gives a subset."""
 
     pool: SamplePool
     indices: np.ndarray
     n: int
-    beta: float
-    b: float
-    p: int
 
     @property
     def n_selected(self):
@@ -131,7 +127,7 @@ def select_An(pool, n, beta, b, p):
             f"no seed passed (beta={beta}, b={b}, n={n}); "
             f"max density {density_rows(pool.time_mask, n).max():.3f}, "
             f"max rate {np.max(growth) / (n * p):.3f}")
-    return Selection(pool=pool, indices=idx, n=n, beta=beta, b=b, p=p)
+    return Selection(pool=pool, indices=idx, n=n)
 
 
 @dataclass
@@ -169,8 +165,7 @@ def empirical_measure(selection, M, m, table=None):
     total = int(counts.sum())
     if total == 0:
         raise EmptySelection(f"E_n^{{M={M},m={m}}} empty for every retained seed")
-    meta = {"n": n, "M": M, "m": m, "beta_nMm": float(np.mean(counts / n)),
-            "n_seeds": selection.n_selected, "map": pool.provenance.get("g")}
+    meta = {"n": n, "beta_nMm": float(np.mean(counts / n))}
     return EmpiricalMeasure(
         atoms=pool.points[t_idx, s_idx], weights=np.full(total, 1.0 / total),
         meta=meta, seed_idx=s_idx, time_idx=t_idx, pool=pool,

@@ -756,6 +756,34 @@ def test_cli_exit_code_unsupported_expression(tmp_path, capsys):
     assert not (tmp_path / "o" / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("expression", ["x + 9**9**9", "x + 1/0", "x +"])
+def test_cli_exit_code_expression_fails_to_build(tmp_path, capsys,
+                                                 expression):
+    # failing constant arithmetic (OverflowError, ZeroDivisionError) and
+    # a SyntaxError used to end in a traceback with exit 1
+    p = _write(tmp_path, f"[map]\npreset = expr\nexpression = {expression}\n"
+               f"\n[run]\np = 1\n\n[output]\ndir = {tmp_path / 'o'}\n")
+    assert main(["--config", str(p), "norms"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: map construction failed: ")
+    assert not (tmp_path / "o" / "norms.csv").exists()
+
+
+def test_config_rejects_unknown_reference(tmp_path, capsys):
+    # a misspelt reference used to drop the density_l1 check silently
+    text = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o")
+    for name in ("none", *cli._REFERENCES):
+        load_config(_write(tmp_path, text.replace(
+            "reference = uniform", f"reference = {name}")))
+    p = _write(tmp_path, text.replace("reference = uniform",
+                                      "reference = unifrom"))
+    with pytest.raises(ConfigError, match="unifrom"):
+        load_config(p)
+    assert main(["--config", str(p), "pipeline"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_exit_code_budget(tmp_path, capsys):
     ini = DOUBLING_INI.format(seeds=100, seed=1, out=tmp_path / "o").replace(
         "p = 4", "p = 7").replace(

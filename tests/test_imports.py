@@ -2,8 +2,9 @@
 and a pipeline; what the package may import: the standard library and
 the runtime dependencies pyproject.toml lists (numpy alone); what each
 module exports: every name in its __all__; that each name a module
-imports with `from ... import` is read there or exported; and how many
-BLAS threads importing acim1d leaves."""
+imports with `from ... import` is read there or exported; how many
+BLAS threads importing acim1d leaves; and how many lines the package
+has."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ import pytest
 import acim1d
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LINE_CAP = 4576  # src/acim1d/*.py, wc -l; the size may not grow past it
 
 TINY_INI = """\
 [map]
@@ -144,3 +146,9 @@ def test_module_all_resolves(name):
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing, missing
     exec(f"from acim1d.{name} import *", {})   # a stale name would raise
+
+
+def test_src_within_line_cap():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (SRC / "acim1d").glob("*.py"))
+    assert lines <= LINE_CAP, lines

@@ -1,5 +1,6 @@
 """Map presets, orbits, Lyapunov data, norms, critical sets, compositions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.optimize import brentq
 
 from acim1d.errors import UnresolvedCritical
 from acim1d.maps import (
-    BUCKETS, CIRCLE, FLAT_TOL, UNIT_INTERVAL, SortedTable, critical_set,
-    estimate_norms, lyapunov_ft, make_map, orbit_grid, power_map,
+    BUCKETS, CIRCLE, FLAT_TOL, UNIT_INTERVAL, ExpressionMap, SortedTable,
+    critical_set, estimate_norms, lyapunov_ft, make_map, orbit_grid,
+    power_map,
 )
 
 LOG2 = math.log(2.0)
@@ -373,11 +375,63 @@ def test_derivs_bit_equal_to_deriv(name, params, p):
         g.derivs(g.r_floor + 1, xs)
 
 
-def test_expression_language_rejects_junk():
-    with pytest.raises(ValueError):
-        make_map("expr", expression="__import__('os')")
-    with pytest.raises(ValueError):
-        make_map("expr", expression="x + y")
+# sha1 over eval and derivs(r_floor) of g = f and g = f^3 at 2004 points:
+# the bits of each call and of folded constants, so that a change to how
+# the expression's tree is evaluated must keep them
+EXPRESSION_DIGESTS = {
+    ("0.5 + 0.4*sin(2*pi*x)", "interval"):
+        "794fc6fa0fb04322b69ee7de471055ac91ff655d",
+    ("0.5 + 0.5*cos(pi*x)", "interval"):
+        "c4ee31d686604dbe20ef1b1350c6728ec492090a",
+    ("(exp(x) - 1)/(exp(1) - 1)", "interval"):
+        "fff6e26a743676254b59cf78886291a5f97984cf",
+    ("log(1 + x)/log(2)", "interval"):
+        "b2dc6630c0405dce02e1a5e5aa146970db9f6475",
+    ("0.2 + 0.7*sqrt(x)", "interval"):
+        "14ba7a79a7f5c93fe1390f585491b5c32eb5396d",
+    ("mod1(2*x + 0.1*sin(2*pi*x))", "circle"):
+        "d616bed7e5a184d029f7b0257e4d76851d460a25",
+    ("x*sqrt(x)", "interval"): "97ed7052726877c14c1721bf3898b40e81e913f9",
+    ("+4*(+x)*(1 - x)", "interval"):
+        "e9dc2c5f207f0fd872b24e4ad294b2489ad7242b",
+    ("(1/3 + 2/3)*x**(1+1) + 2**-3*x*(1 - x)", "interval"):
+        "08166eed62987acf58f4d913fbcc6c4530213a1f",
+}
+
+
+@pytest.mark.parametrize("expression,domain", list(EXPRESSION_DIGESTS))
+def test_expression_map_bits_are_pinned(expression, domain):
+    xs = np.linspace(0.001, 0.999, 2004)
+    h = hashlib.sha1()
+    with np.errstate(all="ignore"):     # sqrt's jet at 0 in PowerMap's grid
+        for p in (1, 3):
+            g = power_map(make_map("expr", expression=expression,
+                                   domain=domain), p)
+            h.update(g.eval(xs).tobytes())
+            h.update(g.derivs(g.r_floor, xs).tobytes())
+    assert h.hexdigest() == EXPRESSION_DIGESTS[expression, domain]
+
+
+def test_expression_language_rejects_junk(monkeypatch):
+    # the validator refuses each before the compiled tree is evaluated
+    def evaluated(self, jet):
+        raise AssertionError("junk reached the evaluator")
+    monkeypatch.setattr(ExpressionMap, "jet_apply", evaluated)
+    for expression in (
+            "__import__('os')", "x + y", "x.real", "(x).__class__", "x[0]",
+            "(lambda: x)()", "lambda: x", "[x for _ in ()][0]", "x < 1",
+            "x if x else 1", "sin(x=x)", "sin(x, y=1)", "sin(x, x)",
+            "x + '1.5'", "x + 'a'", "x + b'1'", "x + 1j", "x + True",
+            "x + None", "(y := x)"):
+        with pytest.raises(ValueError):
+            make_map("expr", expression=expression)
+
+
+@pytest.mark.parametrize("expression,second", [
+    ("+x*(1-x)", -2.0), ("x**2.0", 2.0), ("x**(1+1)", 2.0)])
+def test_expression_unary_plus_and_float_powers_build(expression, second):
+    f = make_map("expr", expression=expression)
+    assert f(0.5) == 0.25 and f.deriv(2, 0.5) == second
 
 
 @pytest.mark.parametrize("expression", [
